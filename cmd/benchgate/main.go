@@ -26,9 +26,9 @@
 // fail the run; the rest are carried so CI artifacts track the full
 // trajectory. Benchmarks whose baseline ns/op is strictly under
 // -exempt-below are exempt from every gate metric (single-iteration
-// noise; -min-ns is a deprecated alias); -calibrate divides out a
-// uniform hardware delta for ns/op only, since byte and allocation
-// counts do not scale with machine speed.
+// noise); -calibrate divides out a uniform hardware delta for ns/op
+// only, since byte and allocation counts do not scale with machine
+// speed.
 package main
 
 import (
@@ -68,7 +68,6 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		update     = fs.Bool("update", false, "rewrite the -baseline file from this run's parsed metrics instead of gating against it (deterministic bytes: sorted keys, shortest round-trip floats)")
 		calibrate  = fs.Bool("calibrate", false, "divide current ns/op by the median current/baseline ratio (clamped to [0.5, 2]) before gating, so a uniform hardware-speed delta between the baseline machine and this one does not trip the gate; counting metrics (B/op, allocs/op) are machine-independent and never calibrated")
 	)
-	fs.Float64Var(exempt, "min-ns", *exempt, "deprecated alias for -exempt-below")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}

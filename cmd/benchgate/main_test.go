@@ -101,7 +101,7 @@ func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	}
 }
 
-// Benchmarks under the -min-ns floor are recorded but never gated:
+// Benchmarks under the -exempt-below floor are recorded but never gated:
 // single-iteration timings of sub-100ms benches are noise.
 func TestGateSkipsTinyBenchmarks(t *testing.T) {
 	base := writeBaseline(t, &Report{Benchmarks: map[string]Metrics{
@@ -117,10 +117,10 @@ func TestGateSkipsTinyBenchmarks(t *testing.T) {
 		t.Errorf("table %q does not mark the tiny bench skipped", out.String())
 	}
 	// With the floor lowered it gates (and fails at 0.1%).
-	code = run([]string{"-baseline", base, "-max-regress", "0.001", "-min-ns", "1000"},
+	code = run([]string{"-baseline", base, "-max-regress", "0.001", "-exempt-below", "1000"},
 		strings.NewReader(benchOutput), &out, &errb)
 	if code != 1 {
-		t.Fatalf("exit %d, want 1 with -min-ns 1000", code)
+		t.Fatalf("exit %d, want 1 with -exempt-below 1000", code)
 	}
 }
 
@@ -136,12 +136,12 @@ func TestCalibrateCancelsUniformShift(t *testing.T) {
 		"BenchmarkTable1": {"ns/op": 11483393.0 / 1.6},
 	}})
 	var out, errb bytes.Buffer
-	code := run([]string{"-baseline", base, "-min-ns", "1000"},
+	code := run([]string{"-baseline", base, "-exempt-below", "1000"},
 		strings.NewReader(benchOutput), &out, &errb)
 	if code != 1 {
 		t.Fatalf("uncalibrated exit %d, want 1 (uniform shift trips gate)", code)
 	}
-	code = run([]string{"-baseline", base, "-min-ns", "1000", "-calibrate"},
+	code = run([]string{"-baseline", base, "-exempt-below", "1000", "-calibrate"},
 		strings.NewReader(benchOutput), &out, &errb)
 	if code != 0 {
 		t.Fatalf("calibrated exit %d, want 0; stderr: %s", code, errb.String())
@@ -153,7 +153,7 @@ func TestCalibrateCancelsUniformShift(t *testing.T) {
 		"BenchmarkFig07":  {"ns/op": 2052964325.0 / 2}, // current looks 2x slower
 		"BenchmarkTable1": {"ns/op": 11483393.0},       // current matches
 	}})
-	code = run([]string{"-baseline", base, "-min-ns", "1000", "-calibrate"},
+	code = run([]string{"-baseline", base, "-exempt-below", "1000", "-calibrate"},
 		strings.NewReader(benchOutput), &out, &errb)
 	if code != 1 {
 		t.Fatalf("calibrated outlier exit %d, want 1", code)
@@ -229,17 +229,17 @@ func TestGateFailsOnBytesRegression(t *testing.T) {
 	}
 }
 
-// The sub-min-ns exemption applies to every gate metric, and
+// The -exempt-below exemption applies to every gate metric, and
 // calibration must never rescale counting metrics: a machine-speed
 // delta changes ns/op, not allocation counts.
-func TestGateMetricsRespectMinNsAndCalibrate(t *testing.T) {
+func TestGateMetricsRespectExemptionAndCalibrate(t *testing.T) {
 	tiny := writeBaseline(t, &Report{Benchmarks: map[string]Metrics{
 		// 11ms baseline: exempt even though allocs/op regressed wildly.
 		"BenchmarkTable1": {"ns/op": 11000000, "allocs/op": 10},
 	}})
 	var out, errb bytes.Buffer
 	if code := run([]string{"-baseline", tiny}, strings.NewReader(benchOutput), &out, &errb); code != 0 {
-		t.Fatalf("exit %d, want 0 (sub-min-ns bench must skip alloc gate too); stderr: %s", code, errb.String())
+		t.Fatalf("exit %d, want 0 (exempt bench must skip alloc gate too); stderr: %s", code, errb.String())
 	}
 	// Uniform 1.6x time shift + a real alloc regression: calibration
 	// forgives the former, never the latter.
@@ -249,7 +249,7 @@ func TestGateMetricsRespectMinNsAndCalibrate(t *testing.T) {
 	}})
 	out.Reset()
 	errb.Reset()
-	code := run([]string{"-baseline", base, "-min-ns", "1000", "-calibrate"},
+	code := run([]string{"-baseline", base, "-exempt-below", "1000", "-calibrate"},
 		strings.NewReader(benchOutput), &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (alloc regression must survive calibration)", code)
@@ -324,9 +324,7 @@ func TestUpdateRequiresBaseline(t *testing.T) {
 }
 
 // The -exempt-below exemption is strict: a baseline ns/op exactly at
-// the threshold is gated, one below it is skipped. -min-ns remains as
-// a deprecated alias sharing the same value (the older tests above
-// still exercise it).
+// the threshold is gated, one below it is skipped.
 func TestExemptBelowBoundary(t *testing.T) {
 	// Baseline 11ms; the current run (benchOutput) is ~+4.4%, so with a
 	// 0.1% allowance the benchmark fails whenever it is actually gated.

@@ -21,37 +21,21 @@ import (
 // system untouched. Must be called before the run starts or from
 // global-engine context.
 func (sys *System) SetAdversary(f *adversary.Fleet) {
-	if f == nil || f.Model() == adversary.None {
-		sys.adv = nil
+	sys.Roster.SetAdversary(f)
+	if sys.Adversary() == nil {
 		return
 	}
-	sys.adv = f
-	sys.nodes.Range(func(_ int, n *Node) bool {
+	sys.Nodes.Range(func(_ int, n *Node) bool {
 		sys.armAdversary(n)
 		return true
 	})
-}
-
-// Adversary returns the attached fleet, or nil.
-func (sys *System) Adversary() *adversary.Fleet { return sys.adv }
-
-// refusesServe gates every mesh/recovery serving path. One nil check
-// on the clean path: a run without an adversary executes identically
-// to one where this hook never existed.
-func (sys *System) refusesServe(id int) bool {
-	return sys.adv != nil && sys.adv.RefusesServe(id)
-}
-
-// refusesRelay gates the Figure 5 disjoint send to tree children.
-func (sys *System) refusesRelay(id int) bool {
-	return sys.adv != nil && sys.adv.RefusesRelay(id)
 }
 
 // armAdversary installs the model's per-node hooks. Hooks go on every
 // node and check hostility at call time, so CompromiseNodes can extend
 // the colluder set mid-run without re-wiring.
 func (sys *System) armAdversary(n *Node) {
-	switch sys.adv.Model() {
+	switch sys.Adversary().Model() {
 	case adversary.Liar:
 		real := n.agent.TicketFn
 		n.agent.TicketFn = func() *sketch.Ticket {
@@ -71,7 +55,7 @@ func (sys *System) armAdversary(n *Node) {
 // id should behave honestly. Read from shard windows; written only at
 // Strike/Compromise on the global engine.
 func (sys *System) forgedTicket(id int) *sketch.Ticket {
-	if sys.adv == nil || !sys.adv.Hostile(id) {
+	if f := sys.Adversary(); f == nil || !f.Hostile(id) {
 		return nil
 	}
 	t, _ := sys.fakeTickets.Get(id)
@@ -86,7 +70,7 @@ func (sys *System) forgedTicket(id int) *sketch.Ticket {
 // immutable once forged so sharing the pointer across ballots and
 // shard windows is safe.
 func (sys *System) forgeTickets() {
-	f := sys.adv
+	f := sys.Adversary()
 	for _, id := range f.Colluders() {
 		if sys.fakeTickets.Contains(id) {
 			continue
@@ -108,7 +92,7 @@ func (sys *System) forgeTickets() {
 // subset above it. Deterministic: colluder choice depends only on
 // (slot, node id).
 func (sys *System) stuffBallot(id int, set []ransub.Entry, desc int) ([]ransub.Entry, int) {
-	f := sys.adv
+	f := sys.Adversary()
 	if f == nil || f.Model() != adversary.Ballotstuff || !f.Hostile(id) {
 		return set, desc
 	}
@@ -131,12 +115,9 @@ func (sys *System) stuffBallot(id int, set []ransub.Entry, desc int) ([]ransub.E
 // Compromise adds nodes to the fleet's colluder set (scenario action
 // CompromiseNodes). No-op without an attached fleet.
 func (sys *System) Compromise(nodes []int) {
-	if sys.adv == nil {
-		return
-	}
-	sys.adv.Compromise(nodes)
-	if sys.adv.Active() {
-		switch sys.adv.Model() {
+	sys.Roster.Compromise(nodes)
+	if f := sys.Adversary(); f != nil && f.Active() {
+		switch f.Model() {
 		case adversary.Liar, adversary.Ballotstuff:
 			sys.forgeTickets()
 		}
@@ -151,11 +132,11 @@ func (sys *System) Compromise(nodes []int) {
 // cut vertices), so a schedule of AdversaryAt actions is a sustained
 // attack.
 func (sys *System) Strike() {
-	f := sys.adv
-	if f == nil || f.Model() == adversary.None {
+	sys.Roster.Strike()
+	f := sys.Adversary()
+	if f == nil {
 		return
 	}
-	f.Activate()
 	switch f.Model() {
 	case adversary.Liar, adversary.Ballotstuff:
 		sys.forgeTickets()
@@ -175,7 +156,7 @@ func (sys *System) Strike() {
 // order and all draws come from the fleet stream, so the burst is a
 // pure function of (seed, schedule).
 func (sys *System) joinstormBurst() {
-	f := sys.adv
+	f := sys.Adversary()
 	for _, id := range f.Colluders() {
 		if !sys.Live(id) {
 			continue

@@ -22,8 +22,8 @@ import (
 	"math"
 	"math/rand"
 
-	"bullet/internal/adversary"
 	"bullet/internal/bloom"
+	"bullet/internal/member"
 	"bullet/internal/metrics"
 	"bullet/internal/netem"
 	"bullet/internal/nodeset"
@@ -131,6 +131,9 @@ type recvPeerInfo struct {
 	sentBytes uint64             // bytes sent in current eval window
 	recvBytes uint64             // receiver's reported total, last refresh
 }
+
+// Endpoint returns the node's transport endpoint.
+func (n *Node) Endpoint() *transport.Endpoint { return n.ep }
 
 // Node is one Bullet participant.
 type Node struct {
@@ -281,6 +284,12 @@ func releaseReceiver(rf *recvPeerInfo) {
 
 // System is a deployed Bullet overlay.
 type System struct {
+	// Roster is the membership runtime: the dense participant table,
+	// the crashed set (a crashed node's failure may not be repaired
+	// yet, see membership.go), epoch, teardown and the attached
+	// adversary fleet.
+	member.Roster[*Node]
+
 	cfg   Config
 	net   *netem.Network
 	eng   *sim.Engine
@@ -289,22 +298,9 @@ type System struct {
 	perms *sketch.Permutations
 	src   workload.Source
 
-	// nodes is the dense participant table; dead marks crashed nodes
-	// whose failure may not yet be repaired (see membership.go).
-	// memberEpoch counts membership changes; joinDegree bounds the tree
-	// degree used when re-attaching orphans' replacements and late
-	// joiners.
-	nodes       nodeset.Table[*Node]
-	dead        nodeset.Set
-	memberEpoch int
-	joinDegree  int
-	stopped     bool
-
-	// adv, when non-nil, is the attached hostile-peer fleet;
 	// fakeTickets holds the forged summary tickets of Liar/Ballotstuff
 	// colluders (written only from global-engine context, see
 	// adversary.go).
-	adv         *adversary.Fleet
 	fakeTickets nodeset.Table[*sketch.Ticket]
 }
 
@@ -323,17 +319,15 @@ func Deploy(net *netem.Network, tree *overlay.Tree, cfg Config, col *metrics.Col
 		perms: sketch.NewPermutations(sketch.DefaultEntries, net.Engine().Seed()^0x6d77),
 		src:   workload.Default(cfg.Workload, cfg.StreamRateKbps, cfg.PacketSize),
 	}
+	sys.Init("core", len(net.Graph().Nodes), tree.Root, tree)
 	workload.InstallCompletion(sys.src, col)
 	for _, id := range tree.Participants {
 		if err := sys.addNode(id); err != nil {
 			return nil, err
 		}
 	}
-	if sys.joinDegree = tree.MaxDegree(); sys.joinDegree < 2 {
-		sys.joinDegree = 2
-	}
 	// Kick off RanSub at the root, then the stream.
-	root := sys.nodes.At(tree.Root)
+	root := sys.Nodes.At(tree.Root)
 	root.agent.Start()
 	sys.scheduleSource(root)
 	return sys, nil
@@ -344,10 +338,6 @@ func (sys *System) Tree() *overlay.Tree { return sys.tree }
 
 // Collector returns the metrics sink.
 func (sys *System) Collector() *metrics.Collector { return sys.col }
-
-// Node returns the participant instance for id and whether one exists
-// (crashed nodes included).
-func (sys *System) Node(id int) (*Node, bool) { return sys.nodes.Get(id) }
 
 func (sys *System) addNode(id int) error {
 	parent := -1
@@ -397,10 +387,10 @@ func (sys *System) addNode(id int) error {
 	sched.ScheduleAfter(sys.cfg.FilterRefresh+jitter, n.refreshFn)
 	sched.ScheduleAfter(sys.cfg.EvalInterval+jitter, n.evalFn)
 	sched.ScheduleAfter(sys.cfg.PumpInterval+jitter%sys.cfg.PumpInterval, n.pumpFn)
-	if sys.adv != nil {
+	if sys.Adversary() != nil {
 		sys.armAdversary(n) // late joiners get the model's hooks too
 	}
-	sys.nodes.Put(id, n)
+	sys.Nodes.Put(id, n)
 	return nil
 }
 
@@ -411,7 +401,7 @@ func (sys *System) scheduleSource(root *Node) {
 	end := sys.cfg.Start + sys.cfg.Duration
 	sched := root.ep.Scheduler()
 	workload.Pump(sched, sys.src, sys.cfg.Start,
-		func() bool { return sched.Now() >= end || root.ep.Failed() || sys.stopped },
+		func() bool { return sched.Now() >= end || root.ep.Failed() || sys.Stopped() },
 		func(seq uint64, size int) { root.ingest(seq, size) })
 }
 
@@ -419,41 +409,34 @@ func (sys *System) scheduleSource(root *Node) {
 // generation (the configured one, or the default CBR).
 func (sys *System) Workload() workload.Source { return sys.src }
 
-// Fail crashes node id (endpoint down, all timers inert).
-func (sys *System) Fail(id int) {
-	if n, ok := sys.nodes.Get(id); ok {
-		n.ep.Fail()
-	}
-}
-
 // ControlOverheadKbps returns the mean per-node control send rate over
 // the elapsed run.
 func (sys *System) ControlOverheadKbps() float64 {
 	secs := sys.eng.Now().ToSeconds()
-	if secs == 0 || sys.nodes.Len() == 0 {
+	if secs == 0 || sys.Nodes.Len() == 0 {
 		return 0
 	}
 	var total uint64
-	sys.nodes.Range(func(_ int, n *Node) bool {
+	sys.Nodes.Range(func(_ int, n *Node) bool {
 		_, out := n.ep.ControlBytes()
 		total += out
 		return true
 	})
-	return float64(total) * 8 / 1000 / secs / float64(sys.nodes.Len())
+	return float64(total) * 8 / 1000 / secs / float64(sys.Nodes.Len())
 }
 
 // MeanSenders returns the average current sender-list size (mesh
 // health diagnostic).
 func (sys *System) MeanSenders() float64 {
-	if sys.nodes.Len() == 0 {
+	if sys.Nodes.Len() == 0 {
 		return 0
 	}
 	var total int
-	sys.nodes.Range(func(_ int, n *Node) bool {
+	sys.Nodes.Range(func(_ int, n *Node) bool {
 		total += len(n.senders)
 		return true
 	})
-	return float64(total) / float64(sys.nodes.Len())
+	return float64(total) / float64(sys.Nodes.Len())
 }
 
 // ---------------------------------------------------------------------
@@ -514,7 +497,7 @@ func (n *Node) ingest(seq uint64, size int) {
 // feedReceivers enqueues seq at every receiving peer whose row and
 // filter admit it.
 func (n *Node) feedReceivers(seq uint64) {
-	if n.sys.refusesServe(n.id) {
+	if n.sys.RefusesServe(n.id) {
 		return
 	}
 	for _, rf := range n.receivers {
@@ -541,7 +524,7 @@ func (n *Node) feedReceivers(seq uint64) {
 // their limiting factors, transferring ownership if the owner's
 // transport refuses.
 func (n *Node) disjointSend(seq uint64, size int) {
-	if len(n.children) == 0 || n.sys.refusesRelay(n.id) {
+	if len(n.children) == 0 || n.sys.RefusesRelay(n.id) {
 		return
 	}
 	if !n.sys.cfg.DisjointSend {
@@ -669,7 +652,7 @@ func (n *Node) maybeRequestPeer() {
 		if e.Node == n.id || e.Node == n.parent {
 			continue
 		}
-		if n.sys.dead.Contains(e.Node) {
+		if n.sys.Crashed(e.Node) {
 			continue // skip peers known to have crashed
 		}
 		if n.findSender(e.Node) != nil {
@@ -905,7 +888,7 @@ func (n *Node) pumpTick() {
 	if n.ep.Failed() {
 		return
 	}
-	if !n.sys.refusesServe(n.id) {
+	if !n.sys.RefusesServe(n.id) {
 		for _, rf := range n.receivers {
 			n.pumpReceiver(rf)
 		}

@@ -226,7 +226,7 @@ func TestSenderListBounded(t *testing.T) {
 	cfg.Start = 10 * sim.Second
 	cfg.Duration = 110 * sim.Second
 	sys, _ := runBullet(t, w, cfg, 120*sim.Second)
-	sys.nodes.Range(func(id int, n *Node) bool {
+	sys.Nodes.Range(func(id int, n *Node) bool {
 		if len(n.senders) > 3 {
 			t.Fatalf("node %d has %d senders (max 3)", id, len(n.senders))
 		}
@@ -248,7 +248,7 @@ func TestRowAssignmentsDistinct(t *testing.T) {
 	cfg.Start = 10 * sim.Second
 	cfg.Duration = 110 * sim.Second
 	sys, _ := runBullet(t, w, cfg, 120*sim.Second)
-	sys.nodes.Range(func(id int, n *Node) bool {
+	sys.Nodes.Range(func(id int, n *Node) bool {
 		mods := make(map[int]bool)
 		for _, si := range n.senders {
 			if si.mod < 0 || si.mod >= len(n.senders) {

@@ -44,7 +44,7 @@ func TestFDSweep(t *testing.T) {
 		}
 		eng.Run(150 * sim.Second)
 		var dupP, dupS uint64
-		sys.nodes.Range(func(_ int, n *Node) bool {
+		sys.Nodes.Range(func(_ int, n *Node) bool {
 			dupP += n.dupFromParent
 			dupS += n.dupFromPeer
 			return true

@@ -13,10 +13,7 @@ package core
 // (config, seed, schedule).
 
 import (
-	"fmt"
-
 	"bullet/internal/bloom"
-	"bullet/internal/member"
 	"bullet/internal/sim"
 )
 
@@ -26,53 +23,22 @@ import (
 // epoch timeouts, TFRC feedback silence) as a fixed constant.
 const FailoverDelay = 2 * sim.Second
 
-// MemberEpoch returns the number of membership changes (crashes,
-// restarts, joins) applied so far.
-func (sys *System) MemberEpoch() int { return sys.memberEpoch }
-
-// Live reports whether id is a current, non-crashed participant.
-func (sys *System) Live(id int) bool {
-	return sys.nodes.Contains(id) && !sys.dead.Contains(id) && sys.tree.Contains(id)
-}
-
-// LiveNodes returns the ids of current non-crashed participants in
-// sorted order.
-func (sys *System) LiveNodes() []int {
-	out := make([]int, 0, sys.nodes.Len())
-	sys.nodes.Range(func(id int, _ *Node) bool {
-		if sys.Live(id) {
-			out = append(out, id)
-		}
-		return true
-	})
-	return out
-}
-
 // Crash fails node id mid-run: its endpoint goes down immediately and,
 // FailoverDelay later, the failure is detected — the tree re-parents
 // its orphaned children to the nearest live ancestor and every live
 // node tears down mesh state involving it. The source (tree root)
 // cannot crash.
 func (sys *System) Crash(id int) error {
-	n, ok := sys.nodes.Get(id)
-	if !ok {
-		return fmt.Errorf("core: node %d is not a participant", id)
+	if err := sys.Roster.Crash(id); err != nil {
+		return err
 	}
-	if sys.dead.Contains(id) {
-		return fmt.Errorf("core: node %d already crashed", id)
-	}
-	if id == sys.tree.Root {
-		return fmt.Errorf("core: cannot crash the source (tree root %d)", id)
-	}
-	n.ep.Fail()
-	sys.dead.Add(id)
-	sys.memberEpoch++
+	n := sys.Nodes.At(id)
 	// The detection callback belongs to *this* crash: if the node was
 	// restarted (fresh *Node in the table) and crashed again before
 	// this timer fires, the newer crash's own callback owns the repair
 	// — firing here early would violate the fixed detection delay.
 	sys.eng.ScheduleAfter(FailoverDelay, func() {
-		if sys.dead.Contains(id) && sys.nodes.At(id) == n {
+		if sys.Crashed(id) && sys.Nodes.At(id) == n {
 			sys.repair(id)
 		}
 	})
@@ -92,30 +58,30 @@ func (sys *System) repair(id int) {
 	if err != nil {
 		return // root: unreachable, Crash refuses it
 	}
-	parentLive := !sys.dead.Contains(p)
-	if pn, ok := sys.nodes.Get(p); ok && parentLive {
+	parentLive := !sys.Crashed(p)
+	if pn, ok := sys.Nodes.Get(p); ok && parentLive {
 		pn.removeChild(id)
 	}
 	for _, c := range promoted {
-		cn, ok := sys.nodes.Get(c)
+		cn, ok := sys.Nodes.Get(c)
 		if !ok {
 			continue
 		}
 		cn.parent = p
 		cn.agent.SetParent(p)
-		if sys.dead.Contains(c) {
+		if sys.Crashed(c) {
 			// The orphan itself is dead: its own repair will promote
 			// its subtree again, so don't wire flows to it.
 			continue
 		}
-		if pn, ok := sys.nodes.Get(p); ok && parentLive {
+		if pn, ok := sys.Nodes.Get(p); ok && parentLive {
 			pn.addChild(c)
 		}
 	}
 	// Every live node drops the dead peer from its mesh and re-installs
 	// Bloom filters at the survivors, in ascending id order.
-	sys.nodes.Range(func(nid int, n *Node) bool {
-		if nid != id && !sys.dead.Contains(nid) {
+	sys.Nodes.Range(func(nid int, n *Node) bool {
+		if nid != id && !sys.Crashed(nid) {
 			n.dropDeadPeer(id)
 		}
 		return true
@@ -125,59 +91,33 @@ func (sys *System) repair(id int) {
 // Restart brings a crashed node back as a fresh participant: empty
 // working set, new endpoint, re-attached at the deterministic join
 // point. If the crash had not been detected yet the repair runs first,
-// so the stale tree position is cleaned up before the rejoin.
+// so the stale tree position is cleaned up before the rejoin. With no
+// live attach point right now (e.g. every neighbor is itself crashed
+// and undetected) the node stays crashed so a later Restart can retry.
 func (sys *System) Restart(id int) error {
-	if !sys.dead.Contains(id) {
-		return fmt.Errorf("core: node %d is not crashed", id)
-	}
-	if sys.tree.Contains(id) {
+	return sys.Roster.Restart(id, func(*Node) error {
 		sys.repair(id)
-	}
-	sys.dead.Remove(id)
-	if err := sys.join(id); err != nil {
-		// No live attach point right now (e.g. every neighbor is itself
-		// crashed and undetected). The node stays crashed so a later
-		// Restart can retry.
-		sys.dead.Add(id)
-		return err
-	}
-	return nil
+		return sys.attach(id)
+	})
 }
 
 // Join adds a brand-new participant mid-run, attached at the
 // deterministic join point (first breadth-first live node with spare
-// degree). The id must name a topology node that is not currently a
-// live participant; a crashed node must use Restart instead.
+// degree).
 func (sys *System) Join(id int) error {
-	if sys.dead.Contains(id) {
-		return fmt.Errorf("core: node %d crashed; use Restart", id)
-	}
-	if sys.tree.Contains(id) {
-		return fmt.Errorf("core: node %d is already a participant", id)
-	}
-	return sys.join(id)
+	return sys.Roster.Join(id, func() error { return sys.attach(id) })
 }
 
-// connected reports whether n and every tree ancestor up to the root
-// is live — a join point must actually receive the stream, not merely
-// be alive inside a dead, not-yet-repaired subtree.
-func (sys *System) connected(n int) bool {
-	return sys.tree.ConnectedToRoot(n, func(x int) bool { return !sys.dead.Contains(x) })
-}
-
-func (sys *System) join(id int) error {
-	ap := sys.tree.AttachPoint(sys.joinDegree, sys.connected)
-	if ap < 0 {
-		return fmt.Errorf("core: no live attach point for node %d", id)
-	}
-	if err := sys.tree.Attach(id, ap); err != nil {
+// attach hangs a fresh Node for id under the join point.
+func (sys *System) attach(id int) error {
+	ap, err := sys.Attach(id)
+	if err != nil {
 		return err
 	}
 	if err := sys.addNode(id); err != nil {
 		return err
 	}
-	sys.nodes.At(ap).addChild(id)
-	sys.memberEpoch++
+	sys.Nodes.At(ap).addChild(id)
 	return nil
 }
 
@@ -185,20 +125,13 @@ func (sys *System) join(id int) error {
 // endpoint goes offline. The world (and any other deployment in it)
 // keeps running.
 func (sys *System) Stop() {
-	if sys.stopped {
-		return
-	}
-	sys.stopped = true
 	// Quiesce the RanSub root first: its epoch/timeout timers would
 	// otherwise re-arm forever even with every endpoint down.
-	if root, ok := sys.nodes.Get(sys.tree.Root); ok {
-		root.agent.Stop()
+	if !sys.Stopped() {
+		sys.Nodes.At(sys.tree.Root).agent.Stop()
 	}
-	member.StopTable(&sys.nodes, &sys.dead, func(id int) { sys.nodes.At(id).ep.Fail() })
+	sys.Roster.Stop()
 }
-
-// Stopped reports whether Stop was called.
-func (sys *System) Stopped() bool { return sys.stopped }
 
 // ---------------------------------------------------------------------
 // Per-node wiring updates

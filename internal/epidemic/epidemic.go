@@ -15,18 +15,23 @@
 // transport, use 5 gossip targets per round (experimentally best
 // there), and a 20 s anti-entropy epoch so TFRC can ramp up.
 //
+// Membership (crash, restart, join, teardown, adversary attachment) is
+// member.Roster's in both: gossip embeds one directly, anti-entropy
+// inherits the tree streamer's, being literally "§4.2 streaming plus
+// periodic digest repair" — a layer over *streamer.System that adds
+// only rounds, digests and repair flows.
+//
 // Per-node state is nodeset-backed: participants live in dense
-// node-id-indexed tables, and the lazily-opened per-peer repair flows
-// are slices indexed by participant position (the same index the
-// uniform random peer draw produces), so the per-packet push path
-// neither hashes nor allocates.
+// node-id-indexed tables, and the lazily-opened per-peer flows are
+// slices indexed by participant position (the same index the uniform
+// random peer draw produces), so the per-packet push path neither
+// hashes nor allocates.
 package epidemic
 
 import (
 	"fmt"
 	"math/rand"
 
-	"bullet/internal/adversary"
 	"bullet/internal/bloom"
 	"bullet/internal/member"
 	"bullet/internal/metrics"
@@ -34,6 +39,7 @@ import (
 	"bullet/internal/nodeset"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
+	"bullet/internal/streamer"
 	"bullet/internal/transport"
 	"bullet/internal/workload"
 	"bullet/internal/workset"
@@ -82,23 +88,18 @@ type gossipNode struct {
 	rng   *rand.Rand
 }
 
-// GossipSystem is a deployed push-gossip overlay.
+func (n *gossipNode) Endpoint() *transport.Endpoint { return n.ep }
+
+// GossipSystem is a deployed push-gossip overlay. Only Freeride has an
+// adversary surface here (colluders stop re-forwarding pushes); the
+// tree- and RanSub-targeted models are honest no-ops.
 type GossipSystem struct {
+	member.Roster[*gossipNode]
 	participants []int
 	cfg          GossipConfig
 	col          *metrics.Collector
 	src          workload.Source
-
-	nodes   nodeset.Table[*gossipNode]
-	net     *netem.Network
-	source  int
-	dead    nodeset.Set
-	epoch   int
-	stopped bool
-
-	// adv, when non-nil, is the attached hostile-peer fleet (see
-	// adversary.go).
-	adv *adversary.Fleet
+	net          *netem.Network
 }
 
 // DeployGossip wires gossip nodes over the participant set (full
@@ -113,34 +114,20 @@ func DeployGossip(net *netem.Network, participants []int, source int, cfg Gossip
 	if cfg.Workload == nil && cfg.RateKbps <= 0 {
 		return nil, fmt.Errorf("epidemic: rate %v", cfg.RateKbps)
 	}
-	sys := &GossipSystem{
-		participants: append([]int(nil), participants...),
-		cfg:          cfg,
-		col:          col,
-		net:          net,
-		source:       source,
-		src:          workload.Default(cfg.Workload, cfg.RateKbps, cfg.PacketSize),
-	}
+	sys := &GossipSystem{cfg: cfg, col: col, net: net,
+		src: workload.Default(cfg.Workload, cfg.RateKbps, cfg.PacketSize)}
+	sys.Init("epidemic", len(net.Graph().Nodes), source, nil)
 	workload.InstallCompletion(sys.src, col)
 	for _, id := range participants {
-		n := &gossipNode{
-			ep:   transport.NewEndpoint(net, id),
-			id:   id,
-			seen: workset.New(),
-			rng:  net.Engine().RNG(int64(id)*31337 + 0x676f73),
-		}
-		col.Track(id)
-		id := id
-		n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
-		sys.nodes.Put(id, n)
+		sys.addNode(id)
 	}
 	// Source pump: packet generation is owned by the workload layer,
 	// scheduled on the source node's own scheduler.
 	end := cfg.Start + cfg.Duration
-	srcNode := sys.nodes.At(source)
+	srcNode := sys.Nodes.At(source)
 	sched := srcNode.ep.Scheduler()
 	workload.Pump(sched, sys.src, cfg.Start,
-		func() bool { return sched.Now() >= end || sys.stopped },
+		func() bool { return sched.Now() >= end || sys.Stopped() },
 		func(seq uint64, size int) {
 			srcNode.seen.Add(seq)
 			sys.push(srcNode, seq, size)
@@ -148,9 +135,27 @@ func DeployGossip(net *netem.Network, participants []int, source int, cfg Gossip
 	return sys, nil
 }
 
+// addNode creates the gossip participant for id and appends it to the
+// view every node's random peer draw selects from.
+func (sys *GossipSystem) addNode(id int) {
+	n := &gossipNode{
+		ep:   transport.NewEndpoint(sys.net, id),
+		id:   id,
+		seen: workset.New(),
+		rng:  sys.net.Engine().RNG(int64(id)*31337 + 0x676f73),
+	}
+	sys.col.Track(id)
+	n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
+	sys.Nodes.Put(id, n)
+	sys.participants = append(sys.participants, id)
+}
+
 // Workload returns the source driving this deployment's packet
 // generation (the configured one, or the default CBR).
 func (sys *GossipSystem) Workload() workload.Source { return sys.src }
+
+// Collector returns the metrics sink.
+func (sys *GossipSystem) Collector() *metrics.Collector { return sys.col }
 
 // push forwards a packet to Fanout random peers over per-peer TFRC
 // flows (created lazily and reused).
@@ -175,7 +180,7 @@ func (sys *GossipSystem) push(n *gossipNode, seq uint64, size int) {
 }
 
 func (sys *GossipSystem) onData(id, from int, seq uint64, size int) {
-	n := sys.nodes.At(id)
+	n := sys.Nodes.At(id)
 	now := n.ep.Scheduler().Now()
 	sys.col.Add(now, id, metrics.Raw, size)
 	if n.seen.Add(seq) {
@@ -183,7 +188,7 @@ func (sys *GossipSystem) onData(id, from int, seq uint64, size int) {
 		if s := sys.cfg.Sink; s != nil {
 			s.Deliver(now, id, seq)
 		}
-		if !sys.refusesServe(id) {
+		if !sys.RefusesServe(id) {
 			sys.push(n, seq, size)
 		}
 	} else {
@@ -191,82 +196,26 @@ func (sys *GossipSystem) onData(id, from int, seq uint64, size int) {
 	}
 }
 
-// Collector returns the metrics sink.
-func (sys *GossipSystem) Collector() *metrics.Collector { return sys.col }
-
-// MemberEpoch returns the number of membership changes applied so far.
-func (sys *GossipSystem) MemberEpoch() int { return sys.epoch }
-
-// Live reports whether id is a current non-crashed participant.
-func (sys *GossipSystem) Live(id int) bool {
-	return sys.nodes.Contains(id) && !sys.dead.Contains(id)
-}
-
-// LiveNodes returns current non-crashed participant ids sorted.
-func (sys *GossipSystem) LiveNodes() []int { return member.LiveTableIDs(&sys.nodes, &sys.dead) }
-
-// Crash fails node id; peers keep pushing to it (membership is static
-// gossip state) and those packets are lost. The source cannot crash.
-func (sys *GossipSystem) Crash(id int) error {
-	n, ok := sys.nodes.Get(id)
-	if !ok {
-		return fmt.Errorf("epidemic: node %d is not a participant", id)
-	}
-	if sys.dead.Contains(id) {
-		return fmt.Errorf("epidemic: node %d already crashed", id)
-	}
-	if id == sys.source {
-		return fmt.Errorf("epidemic: cannot crash the source %d", id)
-	}
-	n.ep.Fail()
-	sys.dead.Add(id)
-	sys.epoch++
-	return nil
-}
+// Gossip's repair policy is nearly empty. After a crash (Roster.Crash,
+// unadorned) peers keep pushing to the dead node — membership is
+// static gossip state — and those packets are lost.
 
 // Restart brings a crashed gossip node back; its flows reopen lazily.
 func (sys *GossipSystem) Restart(id int) error {
-	n, ok := sys.nodes.Get(id)
-	if !ok || !sys.dead.Contains(id) {
-		return fmt.Errorf("epidemic: node %d is not crashed", id)
-	}
-	n.ep.Restart()
-	clear(n.flows) // Fail closed them; reopen lazily
-	sys.dead.Remove(id)
-	sys.epoch++
-	return nil
+	return sys.Roster.Restart(id, func(n *gossipNode) error {
+		n.ep.Restart()
+		clear(n.flows) // Fail closed them
+		return nil
+	})
 }
 
 // Join adds a brand-new gossip participant; every node's future random
 // peer choices may select it.
 func (sys *GossipSystem) Join(id int) error {
-	if sys.nodes.Contains(id) {
-		if sys.dead.Contains(id) {
-			return fmt.Errorf("epidemic: node %d crashed; use Restart", id)
-		}
-		return fmt.Errorf("epidemic: node %d is already a participant", id)
-	}
-	n := &gossipNode{
-		ep:   transport.NewEndpoint(sys.net, id),
-		id:   id,
-		seen: workset.New(),
-		rng:  sys.net.Engine().RNG(int64(id)*31337 + 0x676f73),
-	}
-	sys.col.Track(id)
-	n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
-	sys.nodes.Put(id, n)
-	sys.participants = append(sys.participants, id)
-	sys.epoch++
-	return nil
-}
-
-// Stop tears the deployment down.
-func (sys *GossipSystem) Stop() {
-	if sys.stopped {
-		return
-	}
-	sys.stopped = true
-	member.StopTable(&sys.nodes, &sys.dead, func(id int) { sys.nodes.At(id).ep.Fail() })
+	return sys.Roster.Join(id, func() error {
+		sys.addNode(id)
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -298,15 +247,11 @@ type aeDigestMsg struct {
 	low, high uint64
 }
 
-type aeNode struct {
-	ep       *transport.Endpoint
-	id       int
-	parent   int
-	children []int
-	seen     *workset.Set
-	// flows holds tree + repair flows, indexed by participant position
-	// (see AntiEntropySystem.pindex).
-	flows   flowSlots
+// aePeer is a node's anti-entropy state, beside its streamer.Node.
+type aePeer struct {
+	// repair holds the lazily-opened flows answering digests, indexed
+	// by participant position (see AntiEntropySystem.pindex).
+	repair  flowSlots
 	rng     *rand.Rand
 	roundFn func() // cached aeRound closure: one alloc per node, not per epoch
 
@@ -317,27 +262,19 @@ type aeNode struct {
 	roundDead bool
 }
 
-// AntiEntropySystem is a deployed streaming + anti-entropy overlay.
+// AntiEntropySystem is a deployed streaming + anti-entropy overlay:
+// the tree streamer (stream wiring, forwarding, crash semantics, tree
+// joins — a crash orphans the subtree exactly as it does there) plus
+// an epidemic repair path that lets survivors, and a restarted node
+// whose digests advertise what it kept, re-converge.
 type AntiEntropySystem struct {
-	participants []int
-	tree         *overlay.Tree
+	*streamer.System
 	cfg          AntiEntropyConfig
-	col          *metrics.Collector
-	src          workload.Source
-
-	nodes nodeset.Table[*aeNode]
+	participants []int
 	// pindex maps node id -> position in participants, the per-node
-	// flow-slot index.
-	pindex     nodeset.Table[int]
-	net        *netem.Network
-	dead       nodeset.Set
-	epoch      int
-	joinDegree int
-	stopped    bool
-
-	// adv, when non-nil, is the attached hostile-peer fleet (see
-	// adversary.go).
-	adv *adversary.Fleet
+	// repair-flow slot index.
+	pindex nodeset.Table[int]
+	peers  nodeset.Table[*aePeer]
 }
 
 // DeployAntiEntropy wires tree streaming plus random-peer anti-entropy
@@ -355,126 +292,64 @@ func DeployAntiEntropy(net *netem.Network, tree *overlay.Tree, cfg AntiEntropyCo
 	if cfg.Window == 0 {
 		cfg.Window = 2000
 	}
-	if cfg.Workload == nil && cfg.RateKbps <= 0 {
-		return nil, fmt.Errorf("epidemic: rate %v", cfg.RateKbps)
+	st, err := streamer.Deploy(net, tree, streamer.Config{
+		RateKbps: cfg.RateKbps, PacketSize: cfg.PacketSize,
+		Start: cfg.Start, Duration: cfg.Duration,
+		Workload: cfg.Workload, Sink: cfg.Sink,
+	}, col)
+	if err != nil {
+		return nil, err
 	}
-	sys := &AntiEntropySystem{
-		participants: append([]int(nil), tree.Participants...),
-		tree:         tree,
-		cfg:          cfg,
-		col:          col,
-		net:          net,
-		src:          workload.Default(cfg.Workload, cfg.RateKbps, cfg.PacketSize),
-	}
-	workload.InstallCompletion(sys.src, col)
-	for i, id := range sys.participants {
-		sys.pindex.Put(id, i)
-	}
+	st.Proto = "epidemic"
+	sys := &AntiEntropySystem{System: st, cfg: cfg}
 	for _, id := range tree.Participants {
-		parent := -1
-		if p, ok := tree.Parent(id); ok {
-			parent = p
-		}
-		n := &aeNode{
-			ep:       transport.NewEndpoint(net, id),
-			id:       id,
-			parent:   parent,
-			children: tree.Children(id),
-			seen:     workset.New(),
-			rng:      net.Engine().RNG(int64(id)*271828 + 0x6165),
-		}
-		col.Track(id)
-		for _, c := range n.children {
-			f, err := n.ep.OpenFlow(c, cfg.PacketSize)
-			if err != nil {
-				return nil, err
-			}
-			n.flows.set(sys.pindex.At(c), f)
-		}
-		id := id
-		n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
-		n.ep.OnControl(func(from int, payload any, size int) { sys.onControl(id, from, payload) })
-		sys.nodes.Put(id, n)
-		// Anti-entropy rounds, de-phased per node, on the node's own
-		// scheduler.
-		n.roundFn = func() { sys.aeRound(id) }
-		jitter := sim.Duration(n.rng.Int63n(int64(cfg.Epoch)))
-		n.ep.Scheduler().Schedule(cfg.Epoch+jitter, n.roundFn)
+		sys.arm(id)
 	}
-	if sys.joinDegree = tree.MaxDegree(); sys.joinDegree < 2 {
-		sys.joinDegree = 2
-	}
-	// Source pump: packet generation is owned by the workload layer,
-	// scheduled on the root node's own scheduler.
-	end := cfg.Start + cfg.Duration
-	root := sys.nodes.At(tree.Root)
-	sched := root.ep.Scheduler()
-	workload.Pump(sched, sys.src, cfg.Start,
-		func() bool { return sched.Now() >= end || sys.stopped },
-		func(seq uint64, size int) {
-			root.seen.Add(seq)
-			sys.forward(root, seq, size)
-		})
 	return sys, nil
 }
 
-// forward pushes the packet to every tree child.
-func (sys *AntiEntropySystem) forward(n *aeNode, seq uint64, size int) {
-	for _, c := range n.children {
-		if f := n.flows.at(sys.pindex.At(c)); f != nil {
-			f.TrySend(seq, size)
-		}
+// arm gives streamer participant id its anti-entropy half: a slot in
+// the full-membership view, the digest handler, and a round chain
+// de-phased per node on the node's own scheduler.
+func (sys *AntiEntropySystem) arm(id int) {
+	ep := sys.Nodes.At(id).Endpoint()
+	p := &aePeer{
+		rng:     ep.Scheduler().RNG(int64(id)*271828 + 0x6165),
+		roundFn: func() { sys.aeRound(id) },
 	}
-}
-
-// Workload returns the source driving this deployment's packet
-// generation (the configured one, or the default CBR).
-func (sys *AntiEntropySystem) Workload() workload.Source { return sys.src }
-
-func (sys *AntiEntropySystem) onData(id, from int, seq uint64, size int) {
-	n := sys.nodes.At(id)
-	now := n.ep.Scheduler().Now()
-	sys.col.Add(now, id, metrics.Raw, size)
-	if from == n.parent {
-		sys.col.Add(now, id, metrics.Parent, size)
-	}
-	if !n.seen.Add(seq) {
-		sys.col.Add(now, id, metrics.Duplicate, size)
-		return
-	}
-	sys.col.Add(now, id, metrics.Useful, size)
-	if s := sys.cfg.Sink; s != nil {
-		s.Deliver(now, id, seq)
-	}
-	if !sys.refusesRelay(id) {
-		sys.forward(n, seq, size)
-	}
+	sys.peers.Put(id, p)
+	sys.pindex.Put(id, len(sys.participants))
+	sys.participants = append(sys.participants, id)
+	ep.OnControl(func(from int, payload any, size int) { sys.onControl(id, from, payload) })
+	jitter := sim.Duration(p.rng.Int63n(int64(sys.cfg.Epoch)))
+	ep.Scheduler().ScheduleAfter(sys.cfg.Epoch+jitter, p.roundFn)
 }
 
 // aeRound sends this node's digest to a few random peers.
 func (sys *AntiEntropySystem) aeRound(id int) {
-	n := sys.nodes.At(id)
-	if n.ep.Failed() {
-		n.roundDead = true
+	n, p := sys.Nodes.At(id), sys.peers.At(id)
+	ep, seen := n.Endpoint(), n.Seen()
+	if ep.Failed() {
+		p.roundDead = true
 		return
 	}
 	// Maintain the FIFO window.
-	if hi := n.seen.High(); hi > sys.cfg.Window {
-		n.seen.TrimBelow(hi - sys.cfg.Window)
+	if hi := seen.High(); hi > sys.cfg.Window {
+		seen.TrimBelow(hi - sys.cfg.Window)
 	}
 	filter := bloom.NewForCapacity(int(sys.cfg.Window), 0.03)
-	n.seen.ForRange(n.seen.Low(), n.seen.High(), func(seq uint64) bool {
+	seen.ForRange(seen.Low(), seen.High(), func(seq uint64) bool {
 		filter.Add(seq)
 		return true
 	})
 	for i := 0; i < sys.cfg.Peers; i++ {
-		peer := sys.participants[n.rng.Intn(len(sys.participants))]
+		peer := sys.participants[p.rng.Intn(len(sys.participants))]
 		if peer == id {
 			continue
 		}
-		n.ep.SendControl(peer, &aeDigestMsg{filter: filter, low: n.seen.Low(), high: n.seen.High()}, filter.SizeBytes()+24)
+		ep.SendControl(peer, &aeDigestMsg{filter: filter, low: seen.Low(), high: seen.High()}, filter.SizeBytes()+24)
 	}
-	n.ep.Scheduler().ScheduleAfter(sys.cfg.Epoch, n.roundFn)
+	ep.Scheduler().ScheduleAfter(sys.cfg.Epoch, p.roundFn)
 }
 
 // onControl answers digests with missing packets (last-in-first-out,
@@ -484,34 +359,34 @@ func (sys *AntiEntropySystem) onControl(id, from int, payload any) {
 	if !ok {
 		return
 	}
-	if sys.refusesServe(id) {
+	if sys.RefusesServe(id) {
 		return // hostile: never answer a repair digest
 	}
-	n := sys.nodes.At(id)
 	pi, ok := sys.pindex.Get(from)
 	if !ok {
 		return // digest from a non-participant: ignore
 	}
-	f := n.flows.at(pi)
+	// A tree child is answered over its stream flow; everyone else
+	// over a repair flow opened on first use. Never both: a second
+	// flow to the same peer would split its TFRC budget.
+	n, p := sys.Nodes.At(id), sys.peers.At(id)
+	f := n.ChildFlow(from)
+	if f == nil {
+		f = p.repair.at(pi)
+	}
 	if f == nil {
 		var err error
-		f, err = n.ep.OpenFlow(from, sys.cfg.PacketSize)
+		f, err = n.Endpoint().OpenFlow(from, sys.cfg.PacketSize)
 		if err != nil {
 			return
 		}
-		n.flows.set(pi, f)
+		p.repair.set(pi, f)
 	}
 	// Serve from newest to oldest until the flow budget runs out.
-	var pendingHi uint64
-	if h := n.seen.High(); h > 0 {
-		pendingHi = h
-	}
-	lo := m.low
-	if n.seen.Low() > lo {
-		lo = n.seen.Low()
-	}
-	for seq := pendingHi; seq+1 > lo; seq-- {
-		if !n.seen.Held(seq) {
+	seen := n.Seen()
+	lo := max(m.low, seen.Low())
+	for seq := seen.High(); seq+1 > lo; seq-- {
+		if !seen.Held(seq) {
 			continue
 		}
 		if m.filter.Contains(seq) {
@@ -526,129 +401,38 @@ func (sys *AntiEntropySystem) onControl(id, from int, payload any) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Anti-entropy membership runtime. Crashes orphan the subtree like the
-// plain streamer, but the epidemic repair path lets survivors (and a
-// restarted node, whose digests advertise what it kept) re-converge.
-// ---------------------------------------------------------------------
-
-// Collector returns the metrics sink.
-func (sys *AntiEntropySystem) Collector() *metrics.Collector { return sys.col }
-
-// MemberEpoch returns the number of membership changes applied so far.
-func (sys *AntiEntropySystem) MemberEpoch() int { return sys.epoch }
-
-// Live reports whether id is a current non-crashed participant.
-func (sys *AntiEntropySystem) Live(id int) bool {
-	return sys.nodes.Contains(id) && !sys.dead.Contains(id)
-}
-
-// LiveNodes returns current non-crashed participant ids sorted.
-func (sys *AntiEntropySystem) LiveNodes() []int { return member.LiveTableIDs(&sys.nodes, &sys.dead) }
-
-// Crash fails node id; its subtree stops receiving the stream but
-// survivors' anti-entropy rounds continue. The source cannot crash.
-func (sys *AntiEntropySystem) Crash(id int) error {
-	n, ok := sys.nodes.Get(id)
-	if !ok {
-		return fmt.Errorf("epidemic: node %d is not a participant", id)
-	}
-	if sys.dead.Contains(id) {
-		return fmt.Errorf("epidemic: node %d already crashed", id)
-	}
-	if id == sys.tree.Root {
-		return fmt.Errorf("epidemic: cannot crash the source %d", id)
-	}
-	n.ep.Fail()
-	sys.dead.Add(id)
-	sys.epoch++
-	return nil
-}
-
-// Restart brings a crashed node back in place: flows to children
-// reopen, repair flows reopen lazily, and its anti-entropy rounds
-// resume (backfilling what it missed from random peers).
+// Restart brings a crashed node back in place: the streamer reopens
+// the flows to its children, repair flows reopen lazily, and its
+// anti-entropy rounds resume (backfilling what it missed from random
+// peers).
 func (sys *AntiEntropySystem) Restart(id int) error {
-	n, ok := sys.nodes.Get(id)
-	if !ok || !sys.dead.Contains(id) {
-		return fmt.Errorf("epidemic: node %d is not crashed", id)
+	if err := sys.System.Restart(id); err != nil {
+		return err
 	}
-	n.ep.Restart()
-	clear(n.flows)
-	for _, c := range n.children {
-		f, err := n.ep.OpenFlow(c, sys.cfg.PacketSize)
-		if err != nil {
-			return err
-		}
-		n.flows.set(sys.pindex.At(c), f)
-	}
-	sys.dead.Remove(id)
-	sys.epoch++
+	p := sys.peers.At(id)
+	clear(p.repair) // Fail closed them
 	// Re-arm the round chain only if it actually ended while the node
 	// was down; otherwise the pre-crash timer is still pending and will
 	// resume on its own.
-	if n.roundDead {
-		n.roundDead = false
-		n.ep.Scheduler().ScheduleAfter(sys.cfg.Epoch, n.roundFn)
+	if p.roundDead {
+		p.roundDead = false
+		sys.Nodes.At(id).Endpoint().Scheduler().ScheduleAfter(sys.cfg.Epoch, p.roundFn)
 	}
 	return nil
 }
 
-// connected reports whether n and every tree ancestor up to the root
-// is live (see streamer.System.connected).
-func (sys *AntiEntropySystem) connected(n int) bool {
-	return sys.tree.ConnectedToRoot(n, func(x int) bool { return !sys.dead.Contains(x) })
-}
-
-// Join attaches a brand-new participant at the deterministic join point
+// Join attaches a brand-new participant at the streamer's join point
 // and starts its anti-entropy rounds.
 func (sys *AntiEntropySystem) Join(id int) error {
-	if sys.nodes.Contains(id) {
-		if sys.dead.Contains(id) {
-			return fmt.Errorf("epidemic: node %d crashed; use Restart", id)
-		}
-		return fmt.Errorf("epidemic: node %d is already a participant", id)
-	}
-	ap := sys.tree.AttachPoint(sys.joinDegree, sys.connected)
-	if ap < 0 {
-		return fmt.Errorf("epidemic: no live attach point for node %d", id)
-	}
-	if err := sys.tree.Attach(id, ap); err != nil {
+	if err := sys.System.Join(id); err != nil {
 		return err
 	}
-	n := &aeNode{
-		ep:     transport.NewEndpoint(sys.net, id),
-		id:     id,
-		parent: ap,
-		seen:   workset.New(),
-		rng:    sys.net.Engine().RNG(int64(id)*271828 + 0x6165),
-	}
-	sys.col.Track(id)
-	n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
-	n.ep.OnControl(func(from int, payload any, size int) { sys.onControl(id, from, payload) })
-	sys.nodes.Put(id, n)
-	sys.pindex.Put(id, len(sys.participants))
-	sys.participants = append(sys.participants, id)
-	n.roundFn = func() { sys.aeRound(id) }
-	jitter := sim.Duration(n.rng.Int63n(int64(sys.cfg.Epoch)))
-	n.ep.Scheduler().ScheduleAfter(sys.cfg.Epoch+jitter, n.roundFn)
-	// Wire the parent's stream flow to the newcomer.
-	pn := sys.nodes.At(ap)
-	pn.children = sys.tree.Children(ap)
-	f, err := pn.ep.OpenFlow(id, sys.cfg.PacketSize)
-	if err != nil {
-		return err
-	}
-	pn.flows.set(sys.pindex.At(id), f)
-	sys.epoch++
+	sys.arm(id)
 	return nil
 }
 
-// Stop tears the deployment down.
-func (sys *AntiEntropySystem) Stop() {
-	if sys.stopped {
-		return
-	}
-	sys.stopped = true
-	member.StopTable(&sys.nodes, &sys.dead, func(id int) { sys.nodes.At(id).ep.Fail() })
-}
+// Strike activates the fleet; freeriders stop relaying to children and
+// stop answering digests. It shadows the streamer's Strike on purpose:
+// the crash-timing models (Cutvertex, Joinstorm) stay honest no-ops
+// for the epidemic baselines, as do Liar and Ballotstuff.
+func (sys *AntiEntropySystem) Strike() { sys.Roster.Strike() }

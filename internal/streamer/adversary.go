@@ -10,40 +10,15 @@ package streamer
 
 import "bullet/internal/adversary"
 
-// SetAdversary attaches fleet to the deployment (nil or a None fleet
-// detaches). The streamer needs no per-node hook rewiring.
-func (sys *System) SetAdversary(f *adversary.Fleet) {
-	if f == nil || f.Model() == adversary.None {
-		sys.adv = nil
-		return
-	}
-	sys.adv = f
-}
-
-// Adversary returns the attached fleet, or nil.
-func (sys *System) Adversary() *adversary.Fleet { return sys.adv }
-
-// refusesRelay gates tree forwarding: one nil check on the clean path.
-func (sys *System) refusesRelay(id int) bool {
-	return sys.adv != nil && sys.adv.RefusesRelay(id)
-}
-
-// Compromise adds nodes to the fleet's colluder set.
-func (sys *System) Compromise(nodes []int) {
-	if sys.adv != nil {
-		sys.adv.Compromise(nodes)
-	}
-}
-
 // Strike activates the fleet. See core's Strike for the model
 // semantics; the streamer never repairs, so the crash-timing models
 // leave permanently starved subtrees behind.
 func (sys *System) Strike() {
-	f := sys.adv
-	if f == nil || f.Model() == adversary.None {
+	sys.Roster.Strike()
+	f := sys.Adversary()
+	if f == nil {
 		return
 	}
-	f.Activate()
 	switch f.Model() {
 	case adversary.Cutvertex:
 		victims := adversary.CutSet(sys.Tree, sys.Live, f.Budget())

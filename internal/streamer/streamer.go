@@ -10,11 +10,9 @@ package streamer
 import (
 	"fmt"
 
-	"bullet/internal/adversary"
 	"bullet/internal/member"
 	"bullet/internal/metrics"
 	"bullet/internal/netem"
-	"bullet/internal/nodeset"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
 	"bullet/internal/transport"
@@ -44,34 +42,41 @@ type Config struct {
 // slices in distribution-tree order.
 type Node struct {
 	ep       *transport.Endpoint
-	id       int
 	parent   int
 	children []int
 	flows    []*transport.Flow
 	seen     *workset.Set
-	col      *metrics.Collector
 }
 
-// System is a deployed streaming overlay. Participants live in a dense
-// node-id-indexed table (see internal/nodeset): the per-packet onData
-// lookup is a slice index, and every teardown or live-set walk is in
-// ascending id order.
+// Endpoint returns the node's transport endpoint.
+func (n *Node) Endpoint() *transport.Endpoint { return n.ep }
+
+// Seen returns the set of sequence numbers the node has received.
+func (n *Node) Seen() *workset.Set { return n.seen }
+
+// ChildFlow returns the stream flow to tree child c, or nil when c is
+// not a child of n.
+func (n *Node) ChildFlow(c int) *transport.Flow {
+	for i, ci := range n.children {
+		if ci == c {
+			return n.flows[i]
+		}
+	}
+	return nil
+}
+
+// System is a deployed streaming overlay. Membership — the participant
+// table (a dense node-id-indexed table, so the per-packet onData lookup
+// is a slice index), liveness, epoch, teardown, adversary attachment —
+// is the embedded Roster's; this package adds the stream wiring and
+// its repair policy.
 type System struct {
+	member.Roster[*Node]
 	Tree *overlay.Tree
 	cfg  Config
 	col  *metrics.Collector
 	src  workload.Source
-
-	nodes      nodeset.Table[*Node]
-	net        *netem.Network
-	dead       nodeset.Set
-	epoch      int // membership epoch: churn operation count
-	joinDegree int
-	stopped    bool
-
-	// adv, when non-nil, is the attached hostile-peer fleet (see
-	// adversary.go).
-	adv *adversary.Fleet
+	net  *netem.Network
 }
 
 // Deploy creates endpoints and flows for every tree participant and
@@ -85,58 +90,71 @@ func Deploy(net *netem.Network, tree *overlay.Tree, cfg Config, col *metrics.Col
 	}
 	sys := &System{Tree: tree, cfg: cfg, col: col, net: net,
 		src: workload.Default(cfg.Workload, cfg.RateKbps, cfg.PacketSize)}
+	sys.Init("streamer", len(net.Graph().Nodes), tree.Root, tree)
 	workload.InstallCompletion(sys.src, col)
 	for _, id := range tree.Participants {
-		parent := -1
-		if p, ok := tree.Parent(id); ok {
-			parent = p
+		if err := sys.addNode(id); err != nil {
+			return nil, err
 		}
-		n := &Node{
-			ep:       transport.NewEndpoint(net, id),
-			id:       id,
-			parent:   parent,
-			children: tree.Children(id),
-			seen:     workset.New(),
-			col:      col,
-		}
-		col.Track(id)
-		for _, c := range n.children {
-			f, err := n.ep.OpenFlow(c, cfg.PacketSize)
-			if err != nil {
-				return nil, err
-			}
-			n.flows = append(n.flows, f)
-		}
-		id := id
-		n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
-		sys.nodes.Put(id, n)
-	}
-	if sys.joinDegree = tree.MaxDegree(); sys.joinDegree < 2 {
-		sys.joinDegree = 2
 	}
 	// Source pump: packet generation is owned by the workload layer,
 	// scheduled on the root node's own scheduler.
 	end := cfg.Start + cfg.Duration
-	sched := sys.nodes.At(tree.Root).ep.Scheduler()
+	sched := sys.Nodes.At(tree.Root).ep.Scheduler()
 	workload.Pump(sched, sys.src, cfg.Start,
-		func() bool { return sched.Now() >= end || sys.stopped },
+		func() bool { return sched.Now() >= end || sys.Stopped() },
 		func(seq uint64, size int) {
-			root := sys.nodes.At(tree.Root)
+			root := sys.Nodes.At(tree.Root)
 			root.seen.Add(seq)
 			root.forward(seq, size)
 		})
 	return sys, nil
 }
 
+// addNode creates the participant for id at its current tree position,
+// with a flow to each of its tree children (a late joiner has none).
+func (sys *System) addNode(id int) error {
+	parent := -1
+	if p, ok := sys.Tree.Parent(id); ok {
+		parent = p
+	}
+	n := &Node{
+		ep:       transport.NewEndpoint(sys.net, id),
+		parent:   parent,
+		children: sys.Tree.Children(id),
+		seen:     workset.New(),
+	}
+	sys.col.Track(id)
+	if err := n.openFlows(sys.cfg.PacketSize); err != nil {
+		return err
+	}
+	n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
+	sys.Nodes.Put(id, n)
+	return nil
+}
+
+// openFlows opens a fresh stream flow to every tree child.
+func (n *Node) openFlows(packetSize int) error {
+	n.flows = n.flows[:0]
+	for _, c := range n.children {
+		f, err := n.ep.OpenFlow(c, packetSize)
+		if err != nil {
+			return err
+		}
+		n.flows = append(n.flows, f)
+	}
+	return nil
+}
+
 // Workload returns the source driving this deployment's packet
 // generation (the configured one, or the default CBR).
 func (sys *System) Workload() workload.Source { return sys.src }
 
-// Node returns the participant instance for id (crashed included).
-func (sys *System) Node(id int) (*Node, bool) { return sys.nodes.Get(id) }
+// Collector returns the metrics sink.
+func (sys *System) Collector() *metrics.Collector { return sys.col }
 
 func (sys *System) onData(id, from int, seq uint64, size int) {
-	n := sys.nodes.At(id)
+	n := sys.Nodes.At(id)
 	now := n.ep.Scheduler().Now()
 	sys.col.Add(now, id, metrics.Raw, size)
 	if from == n.parent {
@@ -147,7 +165,7 @@ func (sys *System) onData(id, from int, seq uint64, size int) {
 		if s := sys.cfg.Sink; s != nil {
 			s.Deliver(now, id, seq)
 		}
-		if !sys.refusesRelay(id) {
+		if !sys.RefusesRelay(id) {
 			n.forward(seq, size)
 		}
 	} else {
@@ -162,129 +180,46 @@ func (n *Node) forward(seq uint64, size int) {
 	}
 }
 
-// Fail crashes the node with the given id.
-func (sys *System) Fail(id int) {
-	if n, ok := sys.nodes.Get(id); ok {
-		n.ep.Fail()
-	}
-}
-
 // ---------------------------------------------------------------------
-// Membership runtime. The plain streamer is the no-recovery baseline:
-// a crash orphans the node's entire subtree — there is deliberately no
-// re-parenting, so whatever the orphans miss stays missing. Restart and
-// Join are still supported so churn scenarios compose across protocols.
+// Repair policy. The plain streamer is the no-recovery baseline: a
+// crash (Roster.Crash, unadorned) orphans the node's entire subtree —
+// descendants keep their tree positions but receive nothing, and there
+// is deliberately no re-parenting, so whatever the orphans miss stays
+// missing. Restart and Join are still supported so churn scenarios
+// compose across protocols.
 // ---------------------------------------------------------------------
-
-// Collector returns the metrics sink.
-func (sys *System) Collector() *metrics.Collector { return sys.col }
-
-// MemberEpoch returns the number of membership changes applied so far.
-func (sys *System) MemberEpoch() int { return sys.epoch }
-
-// Live reports whether id is a current non-crashed participant.
-func (sys *System) Live(id int) bool {
-	return sys.nodes.Contains(id) && !sys.dead.Contains(id)
-}
-
-// LiveNodes returns the ids of current non-crashed participants sorted.
-func (sys *System) LiveNodes() []int { return member.LiveTableIDs(&sys.nodes, &sys.dead) }
-
-// Crash fails node id. Its subtree is orphaned: descendants keep their
-// tree positions but receive nothing — the baseline's weakness the
-// paper's failure experiments expose. The source cannot crash.
-func (sys *System) Crash(id int) error {
-	n, ok := sys.nodes.Get(id)
-	if !ok {
-		return fmt.Errorf("streamer: node %d is not a participant", id)
-	}
-	if sys.dead.Contains(id) {
-		return fmt.Errorf("streamer: node %d already crashed", id)
-	}
-	if id == sys.Tree.Root {
-		return fmt.Errorf("streamer: cannot crash the source (tree root %d)", id)
-	}
-	n.ep.Fail()
-	sys.dead.Add(id)
-	sys.epoch++
-	return nil
-}
 
 // Restart brings a crashed node back in place: the endpoint resumes
 // receiving from its parent's still-open flow and fresh flows reopen to
 // its children, but data streamed while it was down is gone for good.
 func (sys *System) Restart(id int) error {
-	n, ok := sys.nodes.Get(id)
-	if !ok || !sys.dead.Contains(id) {
-		return fmt.Errorf("streamer: node %d is not crashed", id)
-	}
-	n.ep.Restart()
-	for i, c := range n.children {
-		f, err := n.ep.OpenFlow(c, sys.cfg.PacketSize)
-		if err != nil {
-			return err
-		}
-		n.flows[i] = f
-	}
-	sys.dead.Remove(id)
-	sys.epoch++
-	return nil
-}
-
-// connected reports whether n and every tree ancestor up to the root
-// is live — a join point must actually receive the stream, not merely
-// be alive inside an orphaned subtree.
-func (sys *System) connected(n int) bool {
-	return sys.Tree.ConnectedToRoot(n, func(x int) bool { return !sys.dead.Contains(x) })
+	return sys.Roster.Restart(id, func(n *Node) error {
+		n.ep.Restart()
+		return n.openFlows(sys.cfg.PacketSize)
+	})
 }
 
 // Join attaches a brand-new participant at the deterministic join point
-// (first breadth-first connected node with spare degree) and starts
-// streaming to it from there.
+// and starts streaming to it from there.
 func (sys *System) Join(id int) error {
-	if sys.nodes.Contains(id) {
-		if sys.dead.Contains(id) {
-			return fmt.Errorf("streamer: node %d crashed; use Restart", id)
+	return sys.Roster.Join(id, func() error {
+		ap, err := sys.Attach(id)
+		if err != nil {
+			return err
 		}
-		return fmt.Errorf("streamer: node %d is already a participant", id)
-	}
-	ap := sys.Tree.AttachPoint(sys.joinDegree, sys.connected)
-	if ap < 0 {
-		return fmt.Errorf("streamer: no live attach point for node %d", id)
-	}
-	if err := sys.Tree.Attach(id, ap); err != nil {
-		return err
-	}
-	n := &Node{
-		ep:     transport.NewEndpoint(sys.net, id),
-		id:     id,
-		parent: ap,
-		seen:   workset.New(),
-		col:    sys.col,
-	}
-	sys.col.Track(id)
-	n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
-	sys.nodes.Put(id, n)
-	// The parent's captured children slice predates the join; refresh it
-	// (Attach appended the newcomer at the end, so existing flows stay
-	// aligned) and open the new flow.
-	pn := sys.nodes.At(ap)
-	pn.children = sys.Tree.Children(ap)
-	f, err := pn.ep.OpenFlow(id, sys.cfg.PacketSize)
-	if err != nil {
-		return err
-	}
-	pn.flows = append(pn.flows, f)
-	sys.epoch++
-	return nil
-}
-
-// Stop tears the deployment down: the source halts and every live
-// endpoint goes offline.
-func (sys *System) Stop() {
-	if sys.stopped {
-		return
-	}
-	sys.stopped = true
-	member.StopTable(&sys.nodes, &sys.dead, func(id int) { sys.nodes.At(id).ep.Fail() })
+		if err := sys.addNode(id); err != nil {
+			return err
+		}
+		// The parent's captured children slice predates the join;
+		// refresh it (Attach appended the newcomer at the end, so
+		// existing flows stay aligned) and open the new flow.
+		pn := sys.Nodes.At(ap)
+		pn.children = sys.Tree.Children(ap)
+		f, err := pn.ep.OpenFlow(id, sys.cfg.PacketSize)
+		if err != nil {
+			return err
+		}
+		pn.flows = append(pn.flows, f)
+		return nil
+	})
 }

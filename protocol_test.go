@@ -328,6 +328,50 @@ func TestScenarioChurnActions(t *testing.T) {
 	}
 }
 
+// Join with an id that names no topology node is an error under every
+// protocol — not an index-out-of-range panic in the emulator's handler
+// table — whether it arrives through Deployment.Join or a scenario's
+// JoinNode, and it leaves the membership untouched.
+func TestJoinOutsideTopologyIsAnError(t *testing.T) {
+	for _, name := range bullet.Protocols() {
+		t.Run(name, func(t *testing.T) {
+			w, err := bullet.NewWorld(bullet.WorldConfig{Seed: 27})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := w.RandomTree(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := bullet.ProtocolByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := w.Deploy(p, tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := []int{-1, len(w.Graph().Nodes), 1 << 28}
+			for _, id := range bad {
+				err := d.Join(id)
+				if err == nil || !strings.Contains(err.Error(), "is not in the topology") {
+					t.Errorf("Join(%d) = %v, want a not-in-the-topology error", id, err)
+				}
+			}
+			s := bullet.NewScenario()
+			for i, id := range bad {
+				s.At(bullet.Time(i+1)*bullet.Second, bullet.JoinNode(id))
+			}
+			w.Scenario(s)
+			w.Run(5 * bullet.Second)
+			if d.MemberEpoch() != 0 || len(d.Nodes()) != len(tree.Participants) {
+				t.Errorf("rejected joins changed membership: epoch %d, %d live of %d",
+					d.MemberEpoch(), len(d.Nodes()), len(tree.Participants))
+			}
+		})
+	}
+}
+
 // Stop halts a deployment: no useful bytes arrive afterwards.
 func TestDeploymentStop(t *testing.T) {
 	w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 800, Clients: 15, Seed: 25})
