@@ -1,0 +1,209 @@
+package topology
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"bullet/internal/sim"
+)
+
+// diff holds one graph with a flat and a hierarchical router over it
+// and compares their answers. The flat router is the reference: one
+// whole-graph Dijkstra per source, nothing shared, nothing scoped.
+type diff struct {
+	t       testing.TB
+	g       *Graph
+	flat    *Router
+	hier    *Router
+	routers []int // Transit and Stub node ids
+	stubs   []int // Stub node ids, ascending (domains are contiguous)
+}
+
+func newDiff(t testing.TB, g *Graph) *diff {
+	t.Helper()
+	d := &diff{t: t, g: g, flat: newFlatRouter(g), hier: hierRouterFor(t, g)}
+	for i := range g.Nodes {
+		switch g.Nodes[i].Kind {
+		case Stub:
+			d.stubs = append(d.stubs, i)
+			d.routers = append(d.routers, i)
+		case Transit:
+			d.routers = append(d.routers, i)
+		}
+	}
+	return d
+}
+
+// check requires the two routers to agree on from -> to: the same path
+// link by link (nil on both sides when unreachable), the same delay
+// and the same reachability.
+func (d *diff) check(from, to int) {
+	d.t.Helper()
+	fp, hp := d.flat.Path(from, to), d.hier.Path(from, to)
+	if (fp == nil) != (hp == nil) {
+		d.t.Fatalf("path(%d,%d): flat nil=%v, hier nil=%v", from, to, fp == nil, hp == nil)
+	}
+	if len(fp) != len(hp) {
+		d.t.Fatalf("path(%d,%d): flat %v, hier %v", from, to, fp, hp)
+	}
+	for i := range fp {
+		if fp[i] != hp[i] {
+			d.t.Fatalf("path(%d,%d) differs at hop %d: flat %v, hier %v", from, to, i, fp, hp)
+		}
+	}
+	fd, hd := d.flat.Delay(from, to), d.hier.Delay(from, to)
+	if fd != hd {
+		d.t.Fatalf("delay(%d,%d): flat %d, hier %d", from, to, fd, hd)
+	}
+	fr, hr := d.flat.Reachable(from, to), d.hier.Reachable(from, to)
+	if fr != hr {
+		d.t.Fatalf("reachable(%d,%d): flat %v, hier %v", from, to, fr, hr)
+	}
+	if hp == nil {
+		if hd != -1 || hr {
+			d.t.Fatalf("unreachable (%d,%d): hier delay %d reachable %v, want -1 false", from, to, hd, hr)
+		}
+		return
+	}
+	if got := pathDelay(d.t, d.g, from, to, hp); got != hd {
+		d.t.Fatalf("path(%d,%d) sums to %d, delay says %d", from, to, got, hd)
+	}
+}
+
+// mutate applies one graph mutation chosen by op, with a and b as its
+// operands. Every route-affecting mutator is covered, on every link
+// class. Latencies get pseudo-random low bits so that two distinct
+// paths of equal delay — where the routers may legitimately differ —
+// stay out of reach.
+func (d *diff) mutate(op, a, b int) {
+	g := d.g
+	lid := a % len(g.Links)
+	switch op % 6 {
+	case 0:
+		g.FailLink(lid)
+	case 1:
+		g.RestoreLink(lid)
+	case 2:
+		ns := 50_000 + (uint64(a)*7919+uint64(b)*104729)%30_000_000
+		g.SetLatency(lid, sim.Duration(ns))
+	case 3:
+		// A run of consecutive stub nodes: about one stub domain, often
+		// straddling two.
+		lo := a % len(d.stubs)
+		hi := min(lo+1+b%16, len(d.stubs))
+		g.Partition(d.stubs[lo:hi])
+	case 4:
+		g.Heal()
+	case 5:
+		g.FailLink(g.AccessLink(g.Clients[a%len(g.Clients)]))
+	}
+}
+
+// round issues queries from nsrc client and nsrc router sources (the
+// second is the shape of an in-flight reroute) to ndst client
+// destinations and one router each, plus both directions of a pair
+// made unreachable by a failed access link.
+func (d *diff) round(rng *rand.Rand, nsrc, ndst int) {
+	d.t.Helper()
+	g := d.g
+	cl := g.Clients
+	for i := 0; i < 2*nsrc; i++ {
+		src := cl[rng.Intn(len(cl))]
+		if i%2 == 1 {
+			src = d.routers[rng.Intn(len(d.routers))]
+		}
+		for j := 0; j < ndst; j++ {
+			d.check(src, cl[rng.Intn(len(cl))])
+		}
+		d.check(src, d.routers[rng.Intn(len(d.routers))])
+		d.check(src, src)
+	}
+	victim, other := cl[rng.Intn(len(cl))], cl[rng.Intn(len(cl))]
+	acc := g.AccessLink(victim)
+	wasDown := g.Links[acc].Down
+	g.FailLink(acc)
+	if victim != other {
+		if p := d.flat.Path(victim, other); p != nil {
+			d.t.Fatalf("flat path from client %d behind a failed access link: %v", victim, p)
+		}
+		d.check(victim, other)
+		d.check(other, victim)
+	}
+	if !wasDown {
+		g.RestoreLink(acc)
+	}
+}
+
+// TestHierMatchesFlat is the exactness pin of the hierarchical
+// backend: on generated transit-stub topologies of three sizes, under
+// rounds of random link failures, restorations, latency changes,
+// partitions and heals, every path it returns equals the flat
+// router's link by link.
+func TestHierMatchesFlat(t *testing.T) {
+	sizes := []struct {
+		nodes, clients, seeds, nsrc, ndst int
+	}{
+		{300, 30, 12, 10, 12},
+		{3000, 120, 10, 8, 12},
+		{20000, 1000, 10, 3, 16},
+	}
+	for _, sz := range sizes {
+		if testing.Short() && sz.nodes > 3000 {
+			continue // ~4 ms per flat source tree; the headline CI step runs it
+		}
+		for seed := int64(1); seed <= int64(sz.seeds); seed++ {
+			t.Run(fmt.Sprintf("n%d/seed%d", sz.nodes, seed), func(t *testing.T) {
+				cfg := Sized(sz.nodes, sz.clients, MediumBandwidth)
+				cfg.Seed = seed
+				g, err := Generate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := newDiff(t, g)
+				rng := rand.New(rand.NewSource(seed*1000 + int64(sz.nodes)))
+				d.round(rng, sz.nsrc, sz.ndst)
+				for r := 0; r < 4; r++ {
+					for m := 0; m < 5; m++ {
+						d.mutate(rng.Intn(6), rng.Int(), rng.Int())
+					}
+					d.round(rng, sz.nsrc, sz.ndst)
+				}
+			})
+		}
+	}
+}
+
+// FuzzHierMatchesFlat drives the same differential from a fuzzed
+// (seed, size, mutation script): the script is read four bytes at a
+// time as (op, operand, operand), and after every fourth mutation and
+// at the end the routers answer a fixed set of queries.
+func FuzzHierMatchesFlat(f *testing.F) {
+	f.Add(int64(1), uint16(120), []byte{})
+	f.Add(int64(42), uint16(300), []byte{0, 1, 2, 3, 5, 9, 9, 9, 3, 40, 0, 7, 2, 17, 0, 200, 4, 0, 0, 0})
+	f.Add(int64(7), uint16(900), []byte{3, 0, 5, 15, 3, 1, 0, 3, 0, 200, 1, 1, 4, 0, 0, 0, 1, 200, 1, 0})
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, script []byte) {
+		nodes := 60 + int(size)%1500
+		cfg := Sized(nodes, nodes/10+2, MediumBandwidth)
+		cfg.Seed = seed
+		g, err := Generate(cfg)
+		if err != nil {
+			t.Skip(err)
+		}
+		d := newDiff(t, g)
+		rng := rand.New(rand.NewSource(seed))
+		if len(script) > 4*64 {
+			script = script[:4*64]
+		}
+		for n := 0; len(script) >= 4; n++ {
+			a := int(binary.LittleEndian.Uint16(script[1:3]))
+			d.mutate(int(script[0]), a, int(script[3]))
+			script = script[4:]
+			if n%4 == 3 {
+				d.round(rng, 2, 4)
+			}
+		}
+		d.round(rng, 3, 6)
+	})
+}

@@ -6,19 +6,22 @@ import (
 	"bullet/internal/sim"
 )
 
-// forceHier installs the hierarchical backend on a router regardless of
-// topology size, failing the test when validation rejects the graph.
-func forceHier(t *testing.T, r *Router) {
+// hierRouterFor returns a router for g that answers through the
+// hierarchical backend, failing the test when validation rejects the
+// graph.
+func hierRouterFor(t testing.TB, g *Graph) *Router {
 	t.Helper()
-	r.hier = buildHier(r.g)
+	r := NewRouter(g)
+	r.hier = buildHier(g)
 	if r.hier == nil {
 		t.Fatal("buildHier rejected a generated topology")
 	}
+	return r
 }
 
 // pathDelay sums the link delays along a path and checks that it forms
 // a connected walk from -> to over live links.
-func pathDelay(t *testing.T, g *Graph, from, to int, p []int32) sim.Duration {
+func pathDelay(t testing.TB, g *Graph, from, to int, p []int32) sim.Duration {
 	t.Helper()
 	var d sim.Duration
 	cur := from
@@ -89,51 +92,14 @@ func queryPairs(g *Graph) [][2]int {
 	return pairs
 }
 
-// TestHierMatchesFlat checks the hierarchical backend against the flat
-// one: distances must be exactly equal, and every hierarchical path
-// must be a valid walk whose delay equals the reported distance.
-func TestHierMatchesFlat(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		g := genHier(t, 3, 3, 12, 6, 30, seed)
-		flat := NewRouter(g)
-		hr := NewRouter(g)
-		forceHier(t, hr)
-		for _, pr := range queryPairs(g) {
-			u, v := pr[0], pr[1]
-			fd, hd := flat.Delay(u, v), hr.Delay(u, v)
-			if fd != hd {
-				t.Fatalf("seed %d: delay(%d,%d) flat %d hier %d", seed, u, v, fd, hd)
-			}
-			hp := hr.Path(u, v)
-			if fd < 0 {
-				if hp != nil {
-					t.Fatalf("seed %d: path(%d,%d) non-nil for unreachable", seed, u, v)
-				}
-				continue
-			}
-			if hp == nil {
-				t.Fatalf("seed %d: path(%d,%d) nil but reachable", seed, u, v)
-			}
-			if got := pathDelay(t, g, u, v, hp); got != sim.Duration(fd) {
-				t.Fatalf("seed %d: path(%d,%d) delay %d want %d", seed, u, v, got, fd)
-			}
-			if flat.Reachable(u, v) != hr.Reachable(u, v) {
-				t.Fatalf("seed %d: reachable(%d,%d) disagree", seed, u, v)
-			}
-		}
-	}
-}
-
 // TestHierDeterministic checks that two independently built
 // hierarchical routers return identical paths (not just equal-length
 // ones) for every query — the property the sharded runner's
 // byte-identity contract rests on.
 func TestHierDeterministic(t *testing.T) {
 	g := genHier(t, 2, 4, 10, 5, 24, 99)
-	a := NewRouter(g)
-	b := NewRouter(g)
-	forceHier(t, a)
-	forceHier(t, b)
+	a := hierRouterFor(t, g)
+	b := hierRouterFor(t, g)
 	for _, pr := range queryPairs(g) {
 		pa, pb := a.Path(pr[0], pr[1]), b.Path(pr[0], pr[1])
 		if len(pa) != len(pb) {
@@ -153,9 +119,8 @@ func TestHierDeterministic(t *testing.T) {
 // agrees with the flat backend on the changed graph.
 func TestHierEpochRebuild(t *testing.T) {
 	g := genHier(t, 2, 3, 8, 5, 16, 5)
-	flat := NewRouter(g)
-	hr := NewRouter(g)
-	forceHier(t, hr)
+	flat := newFlatRouter(g)
+	hr := hierRouterFor(t, g)
 	// Warm both, then fail the first Transit-Transit link.
 	_ = hr.Path(g.Clients[0], g.Clients[1])
 	var tt int

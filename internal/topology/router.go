@@ -54,6 +54,17 @@ var emptyPath = []int32{}
 
 // NewRouter creates a router for g.
 func NewRouter(g *Graph) *Router {
+	r := newFlatRouter(g)
+	if len(g.Nodes) >= hierNodeThreshold {
+		r.hier = buildHier(g)
+	}
+	return r
+}
+
+// newFlatRouter returns a router that answers every query from the
+// flat per-source trees, whatever the topology. It is the reference the
+// differential tests hold the hierarchical backend against.
+func newFlatRouter(g *Graph) *Router {
 	idx := make([]int32, len(g.Nodes))
 	for i := range idx {
 		idx[i] = -1
@@ -61,11 +72,7 @@ func NewRouter(g *Graph) *Router {
 	for i, c := range g.Clients {
 		idx[c] = int32(i)
 	}
-	r := &Router{g: g, trees: make([]*spTree, len(g.Nodes)), clientIdx: idx, epoch: g.epoch}
-	if len(g.Nodes) >= hierNodeThreshold {
-		r.hier = buildHier(g)
-	}
-	return r
+	return &Router{g: g, trees: make([]*spTree, len(g.Nodes)), clientIdx: idx, epoch: g.epoch}
 }
 
 // Graph returns the underlying topology.
