@@ -1,10 +1,11 @@
 // Microbenchmarks for the event-dispatch hot path. Where bench_test.go
 // measures whole experiments (seconds per iteration, gated loosely),
-// these isolate the three layers the per-event cost decomposes into —
-// engine dispatch, netem delivery, and arena churn — so a regression
-// shows up attributed to its layer instead of smeared across a Figure 7
-// run. All three report allocations: their steady states are designed
-// to allocate nothing per event.
+// these isolate the layers the per-event cost decomposes into —
+// engine dispatch, netem delivery, arena churn, and the router's build
+// and invalidation — so a regression shows up attributed to its layer
+// instead of smeared across a Figure 7 run. All report allocations: the
+// steady states of the first three are designed to allocate nothing per
+// event.
 package bullet_test
 
 import (
@@ -92,5 +93,77 @@ func BenchmarkArenaChurn(b *testing.B) {
 		for j := range buf {
 			ar.Put(buf[j])
 		}
+	}
+}
+
+func benchTopology(b *testing.B, nodes, clients int) *topology.Graph {
+	b.Helper()
+	cfg := topology.Sized(nodes, clients, topology.MediumBandwidth)
+	cfg.Seed = 42
+	g, err := topology.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkRouterBuild times NewRouter on the topologies of the small,
+// paper and bullet-wide scales: contract validation, atom and terminal
+// indexing and table allocation, and no shortest path — those are
+// computed on first use. The cost must stay linear in the graph.
+func BenchmarkRouterBuild(b *testing.B) {
+	for _, sz := range []struct {
+		name           string
+		nodes, clients int
+	}{{"5k", 5000, 150}, {"20k", 20000, 1000}, {"60k", 60000, 3000}} {
+		b.Run(sz.name, func(b *testing.B) {
+			g := benchTopology(b, sz.nodes, sz.clients)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if topology.NewRouter(g) == nil {
+					b.Fatal("no router")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRouterInvalidate is the cost of one route change to a warm
+// router at the small scale (5,000 nodes, 150 participants): a backbone
+// link fails, the router syncs, 256 participant pairs are asked again,
+// and the link comes back. It mirrors the repo benchmark's
+// topology.invalidate_ns probe.
+func BenchmarkRouterInvalidate(b *testing.B) {
+	g := benchTopology(b, 5000, 150)
+	rt := topology.NewRouter(g)
+	srcs, dsts := g.Clients[:32], g.Clients[len(g.Clients)-8:]
+	hops := 0
+	query := func() {
+		for _, s := range srcs {
+			for _, d := range dsts {
+				hops += len(rt.Path(s, d))
+			}
+		}
+	}
+	backbone := -1
+	for i := range g.Links {
+		if g.Links[i].Class == topology.TransitTransit {
+			backbone = i
+			break
+		}
+	}
+	query()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.FailLink(backbone)
+		rt.Sync()
+		query()
+		g.RestoreLink(backbone)
+	}
+	b.StopTimer()
+	if hops == 0 {
+		b.Fatal("no path between participants")
 	}
 }

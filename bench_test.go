@@ -301,11 +301,11 @@ func BenchmarkPaperScaleStartup(b *testing.B) {
 // BenchmarkMegaStartup measures the cold path at mega scale — a
 // 100,000-node topology with 10,000 participants, five times the
 // paper's configuration — plus a short sharded run of the deployed
-// overlay's first virtual seconds. The topology size crosses the
-// hierarchical-router threshold, so this bench is the canary for the
+// overlay's first virtual seconds. This bench is the canary for the
 // subquadratic startup path: with flat per-source shortest-path trees
-// it would take minutes and tens of gigabytes; hierarchical startup is
-// a couple of seconds.
+// it would take minutes and tens of gigabytes; on the hierarchical
+// router, which fills its shared tables as the first queries need
+// them, startup is a couple of seconds.
 func BenchmarkMegaStartup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

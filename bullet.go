@@ -199,8 +199,9 @@ var (
 	XLScale    = experiments.XL
 	PaperScale = experiments.PaperScale
 	// MegaScale is the 100,000-node / 10,000-participant configuration:
-	// five times the paper's scale, exercising the hierarchical router
-	// and the sharded runner with a deliberately short stream window.
+	// five times the paper's scale, exercising the router's largest
+	// shared tables and the sharded runner with a deliberately short
+	// stream window.
 	MegaScale = experiments.Mega
 )
 

@@ -71,8 +71,8 @@ var (
 		Start: 100 * sim.Second, Duration: 300 * sim.Second, RunUntil: 400 * sim.Second, TreeDegree: 10}
 	// Mega is the 100,000-node / 10,000-participant configuration — five
 	// times the paper's topology and participant count, exercising the
-	// hierarchical router (which engages above 50k nodes) and the
-	// sharded runner at full tilt. The stream window is deliberately
+	// router's largest shared tables and the sharded runner at full
+	// tilt. The stream window is deliberately
 	// short: at this scale the interesting costs are startup and
 	// steady-state event throughput, not long-horizon protocol behavior,
 	// and the short window keeps mega runnable as a CI smoke test.

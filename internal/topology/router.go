@@ -12,33 +12,38 @@ import (
 // is static). Paths are shortest by propagation delay; failed (Down)
 // links are never used.
 //
-// All caches are flat slices indexed by node id, never maps: shortest-
-// path trees are computed lazily per source, and the materialized
-// link-id path for each (source, destination) pair is memoized on
-// first use, so the steady-state cost of a Path query is two slice
-// loads and the hot forwarding path never recomputes or reallocates a
-// route. Paths are cached only for client (overlay participant)
-// destinations — the only destinations traffic is addressed to — so
-// the cache is participants-wide, not topology-wide; queries to other
-// destinations still work but materialize per call.
+// Two backends answer the same queries with the same bytes. Every
+// topology that keeps the transit-stub contract — every generated one —
+// is served by the hierarchical backend (hier.go), which shares
+// shortest-path work between sources by routing area. A handcrafted
+// Builder graph outside the contract falls back to the flat backend
+// below: one whole-graph shortest-path tree per source, computed lazily,
+// which is also the reference the tests hold the hierarchical backend
+// against. Which one serves is a property of the graph (validateHier),
+// not of its size and not a setting.
+//
+// Neither backend keeps a Go map: the flat one memoizes the materialized
+// link-id path per (source, client destination) in slices indexed by
+// node id, the hierarchical one in a small open-addressed table per
+// source, so the steady-state cost of a Path query is a couple of loads
+// and the hot forwarding path never recomputes or reallocates a route.
 //
 // Caches are epoch-versioned: every query compares the router's epoch
 // against the graph's route epoch (advanced by runtime mutations such
-// as FailLink or SetLatency) and drops all shortest-path trees when it
-// moved, so routes re-converge instantly — modeling an idealized
-// routing protocol with zero convergence delay. On a static graph the
-// check costs two loads and the behavior is identical to a fully
-// memoized router.
+// as FailLink or SetLatency) and invalidates when it moved — the flat
+// backend every tree, the hierarchical one what the changed link class
+// can have reached — so routes re-converge instantly, modeling an
+// idealized routing protocol with zero convergence delay. On a static
+// graph the check costs two loads and the behavior is identical to a
+// fully memoized router.
 type Router struct {
-	g         *Graph
+	g     *Graph
+	epoch uint64 // graph route epoch the caches reflect
+	// hier is the hierarchical backend; when non-nil it answers every
+	// query and the flat tables below are never allocated.
+	hier      *hierRouter
 	trees     []*spTree // indexed by source node id; nil until first query
 	clientIdx []int32   // node id -> index into g.Clients, or -1
-	epoch     uint64    // graph route epoch the trees were built at
-	// hier is the hierarchical backend, engaged at construction for
-	// topologies of hierNodeThreshold nodes and above (and only when
-	// the graph passes the transit-stub validation — see hier.go). When
-	// non-nil it answers every query; the flat trees stay unused.
-	hier *hierRouter
 }
 
 type spTree struct {
@@ -52,18 +57,19 @@ type spTree struct {
 // the nil "unreachable" result.
 var emptyPath = []int32{}
 
-// NewRouter creates a router for g.
+// NewRouter creates a router for g. The transit-stub contract is
+// checked here, once: no mutator changes a node kind or a link class.
 func NewRouter(g *Graph) *Router {
-	r := newFlatRouter(g)
-	if len(g.Nodes) >= hierNodeThreshold {
-		r.hier = buildHier(g)
+	if h := newHier(g); h != nil {
+		return &Router{g: g, epoch: g.epoch, hier: h}
 	}
-	return r
+	return newFlatRouter(g)
 }
 
 // newFlatRouter returns a router that answers every query from the
-// flat per-source trees, whatever the topology. It is the reference the
-// differential tests hold the hierarchical backend against.
+// flat per-source trees, whatever the topology: the fallback for graphs
+// outside the transit-stub contract, and the reference the differential
+// tests hold the hierarchical backend against.
 func newFlatRouter(g *Graph) *Router {
 	idx := make([]int32, len(g.Nodes))
 	for i := range idx {
@@ -138,23 +144,27 @@ const unreachable = int64(-1)
 // runner calls it single-threaded at every barrier, immediately after
 // the global events that can mutate the graph: during the parallel
 // shard windows the epoch is then guaranteed stable, so concurrent
-// queries from shard goroutines never race on cache invalidation (a
-// source's tree is only ever built and read by the shard that owns the
-// source node).
+// queries from shard goroutines never race on cache invalidation. (A
+// source's tree or memo is only ever built and read by the shard that
+// owns the source node; the hierarchical backend's shared tables are
+// filled under its lock, see hier.go.)
 func (r *Router) Sync() { r.ensureEpoch() }
 
-// ensureEpoch invalidates every cached tree when the graph's route
-// epoch has advanced since they were built.
+// ensureEpoch invalidates the caches when the graph's route epoch has
+// advanced since they were filled.
 func (r *Router) ensureEpoch() {
-	if e := r.g.epoch; e != r.epoch {
-		for i := range r.trees {
-			r.trees[i] = nil
-		}
-		if r.hier != nil {
-			r.hier = buildHier(r.g)
-		}
-		r.epoch = e
+	if r.g.epoch != r.epoch {
+		r.invalidate()
 	}
+}
+
+func (r *Router) invalidate() {
+	r.epoch = r.g.epoch
+	if r.hier != nil {
+		r.hier.invalidate()
+		return
+	}
+	clear(r.trees)
 }
 
 func (r *Router) tree(src int) *spTree {
@@ -209,7 +219,7 @@ func (r *Router) Path(from, to int) []int32 {
 	}
 	if r.hier != nil {
 		r.ensureEpoch()
-		return r.hier.path(from, to)
+		return r.hier.lookup(from, to).path
 	}
 	t := r.tree(from)
 	if t.dist[to] == unreachable {
@@ -248,16 +258,13 @@ func (r *Router) Delay(from, to int) sim.Duration {
 	if from == to {
 		return 0
 	}
+	var d int64
 	if r.hier != nil {
 		r.ensureEpoch()
-		d := r.hier.dist(from, to)
-		if d == unreachable {
-			return -1
-		}
-		return sim.Duration(d)
+		d = r.hier.lookup(from, to).dist
+	} else {
+		d = r.tree(from).dist[to]
 	}
-	t := r.tree(from)
-	d := t.dist[to]
 	if d == unreachable {
 		return -1
 	}
@@ -266,28 +273,33 @@ func (r *Router) Delay(from, to int) sim.Duration {
 
 // Reachable reports whether to is reachable from from.
 func (r *Router) Reachable(from, to int) bool {
-	if from != to && r.hier != nil {
-		r.ensureEpoch()
-		return r.hier.reachable(from, to)
-	}
-	return from == to || r.tree(from).dist[to] != unreachable
+	return r.Delay(from, to) >= 0
 }
 
 // PathLoss returns the end-to-end loss probability of the path
-// (1 - prod(1-l_e)), per §4.1's l(o) definition.
+// (1 - prod(1-l_e)), per §4.1's l(o) definition: 0 for the empty path
+// (from == to), 1 when to is unreachable.
 func (r *Router) PathLoss(from, to int) float64 {
+	path := r.Path(from, to)
+	if path == nil {
+		return 1
+	}
 	keep := 1.0
-	for _, lid := range r.Path(from, to) {
+	for _, lid := range path {
 		keep *= 1 - r.g.Links[lid].Loss
 	}
 	return 1 - keep
 }
 
-// Bottleneck returns the minimum link capacity (bytes/s) along the path,
-// or +Inf for the empty path.
+// Bottleneck returns the minimum link capacity (bytes/s) along the path:
+// +Inf for the empty path (from == to), 0 when to is unreachable.
 func (r *Router) Bottleneck(from, to int) float64 {
+	path := r.Path(from, to)
+	if path == nil {
+		return 0
+	}
 	min := math.Inf(1)
-	for _, lid := range r.Path(from, to) {
+	for _, lid := range path {
 		if c := r.g.Links[lid].Bytes; c < min {
 			min = c
 		}

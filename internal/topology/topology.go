@@ -202,7 +202,12 @@ type Graph struct {
 	Clients []int // IDs of client nodes, the overlay attachment points
 	adj     [][]halfEdge
 
-	epoch        uint64  // route epoch; bumped by route-affecting mutations
+	epoch uint64 // route epoch; bumped by route-affecting mutations
+	// classEpoch counts, per link class, the route-affecting changes to
+	// links of that class. The classes of a transit-stub topology are its
+	// routing areas: the hierarchical router compares these counters to
+	// drop only the state a change can have reached (hier.go).
+	classEpoch   [numLinkClasses]uint64
 	partitionCut []int32 // links failed by Partition, restored by Heal
 }
 
@@ -477,6 +482,16 @@ func (g *Graph) LinkClassCounts() map[LinkClass]int {
 // mutation may have changed shortest-path routes.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
+// classMoved records a route-affecting change to a link of class c;
+// the caller advances the route epoch. A Builder graph may carry a
+// class outside Table 1: only the flat router serves it, and that reads
+// no class counter.
+func (g *Graph) classMoved(c LinkClass) {
+	if c < numLinkClasses {
+		g.classEpoch[c]++
+	}
+}
+
 // FindLink returns the ID of a link between nodes a and b, or -1 if no
 // such link exists. If parallel links exist, the lowest ID wins.
 func (g *Graph) FindLink(a, b int) int {
@@ -526,6 +541,7 @@ func (g *Graph) SetLatency(id int, d sim.Duration) {
 		return
 	}
 	g.Links[id].Delay = d
+	g.classMoved(g.Links[id].Class)
 	g.epoch++
 }
 
@@ -564,6 +580,7 @@ func (g *Graph) FailLink(id int) {
 		return
 	}
 	g.Links[id].Down = true
+	g.classMoved(g.Links[id].Class)
 	g.epoch++
 }
 
@@ -575,6 +592,7 @@ func (g *Graph) RestoreLink(id int) {
 		return
 	}
 	g.Links[id].Down = false
+	g.classMoved(g.Links[id].Class)
 	g.epoch++
 }
 
@@ -595,6 +613,7 @@ func (g *Graph) Partition(nodes []int) int {
 			continue
 		}
 		l.Down = true
+		g.classMoved(l.Class)
 		g.partitionCut = append(g.partitionCut, int32(i))
 		cut++
 	}
@@ -612,6 +631,7 @@ func (g *Graph) Heal() {
 	}
 	for _, id := range g.partitionCut {
 		g.Links[id].Down = false
+		g.classMoved(g.Links[id].Class)
 	}
 	g.partitionCut = g.partitionCut[:0]
 	g.epoch++
