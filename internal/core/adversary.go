@@ -126,45 +126,14 @@ func (sys *System) Compromise(nodes []int) {
 
 // Strike activates the fleet (scenario action AdversaryAt). The
 // leeching models flip their serving guards; Liar and Ballotstuff
-// additionally forge tickets; Cutvertex crashes the heaviest live cut
-// vertices within its budget; Joinstorm fires an oscillation burst —
-// calling Strike again repeats the burst (and re-crashes recovered
-// cut vertices), so a schedule of AdversaryAt actions is a sustained
-// attack.
+// additionally forge tickets; the crash-timing models (Cutvertex,
+// Joinstorm) run through this system's Crash and Restart.
 func (sys *System) Strike() {
-	sys.Roster.Strike()
-	f := sys.Adversary()
-	if f == nil {
-		return
-	}
-	switch f.Model() {
-	case adversary.Liar, adversary.Ballotstuff:
-		sys.forgeTickets()
-	case adversary.Cutvertex:
-		victims := adversary.CutSet(sys.tree, sys.Live, f.Budget())
-		f.Compromise(victims)
-		for _, v := range victims {
-			_ = sys.Crash(v)
+	sys.StrikeCrashes(sys.eng, sys.Crash, sys.Restart)
+	if f := sys.Adversary(); f != nil {
+		switch f.Model() {
+		case adversary.Liar, adversary.Ballotstuff:
+			sys.forgeTickets()
 		}
-	case adversary.Joinstorm:
-		sys.joinstormBurst()
-	}
-}
-
-// joinstormBurst crashes every live colluder now and schedules its
-// rejoin a seeded dwell later. Colluders iterate in ascending id
-// order and all draws come from the fleet stream, so the burst is a
-// pure function of (seed, schedule).
-func (sys *System) joinstormBurst() {
-	f := sys.Adversary()
-	for _, id := range f.Colluders() {
-		if !sys.Live(id) {
-			continue
-		}
-		if err := sys.Crash(id); err != nil {
-			continue
-		}
-		node := id
-		sys.eng.ScheduleAfter(f.Dwell(id), func() { _ = sys.Restart(node) })
 	}
 }

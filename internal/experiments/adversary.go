@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-
 	"bullet/internal/adversary"
-	"bullet/internal/core"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/scenario"
 	"bullet/internal/sim"
-	"bullet/internal/streamer"
-	"bullet/internal/topology"
 )
 
 // Adversary experiments: a seeded fraction of the overlay turns
@@ -26,80 +21,40 @@ import (
 // otherwise drag both protocols down identically and hide whether the
 // protocol protects the nodes that are playing by the rules.
 
-// advSystem is what an adversary variant deploys: churn-style
-// membership plus the adversary wiring.
-type advSystem interface {
-	churnSystem
-	SetAdversary(f *adversary.Fleet)
-	Compromise(nodes []int)
-	Strike()
-}
-
-// advCompare runs the same adversary model against Bullet and the
-// plain tree streamer in two independent worlds built from the same
-// seed. The strike fires at the one-third mark; summaries use the
+// advCompare runs the same adversary model against both protocols (see
+// versus). The strike fires at the one-third mark; summaries use the
 // churn phase windows so adversary and churn runs read the same way.
 func advCompare(name string, sc Scale, seed int64, cfg adversary.Config) (*Result, error) {
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
-
-	type deployFn func(w *world, tree *overlay.Tree, col *metrics.Collector) (advSystem, error)
-	variants := []struct {
-		label  string
-		deploy deployFn
-	}{
-		{"bullet", func(w *world, tree *overlay.Tree, col *metrics.Collector) (advSystem, error) {
-			return core.Deploy(w.net, tree, bulletConfig(sc, defaultRateKbps), col)
-		}},
-		{"stream", func(w *world, tree *overlay.Tree, col *metrics.Collector) (advSystem, error) {
-			return streamer.Deploy(w.net, tree, streamer.Config{
-				RateKbps: defaultRateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration,
-			}, col)
-		}},
-	}
-	for _, v := range variants {
-		w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := w.randomTree(sc)
-		if err != nil {
-			return nil, err
-		}
-		col := metrics.NewCollector(sim.Second)
-		sys, err := v.deploy(w, tree, col)
-		if err != nil {
-			return nil, err
-		}
-		fleet := adversary.New(cfg, tree.Participants, tree.Root, w.seed)
-		sys.SetAdversary(fleet)
-		sched := scenario.New().At(t1, scenario.AdversaryAt())
-		sched.Install(&scenario.Env{Eng: w.eng, G: w.g, M: sys, A: sys})
-		w.run(sc.RunUntil)
-
-		// Colluders are read after the run: cutvertex victims are only
-		// recorded at strike time, from the live tree.
-		live := sys.LiveNodes()
-		honest := metrics.Excluding(live, fleet.Colluders())
-		r.addSeries(v.label+"_useful", col.Series(metrics.Useful))
-		pre := col.MeanOverNodes(honest, t1-20*sim.Second, t1, metrics.Useful)
-		during := col.MeanOverNodes(honest, t1+5*sim.Second, t2, metrics.Useful)
-		post := col.MeanOverNodes(honest, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
-		r.Summary[v.label+"_honest_before_kbps"] = pre
-		r.Summary[v.label+"_honest_during_kbps"] = during
-		r.Summary[v.label+"_honest_after_kbps"] = post
-		if pre > 0 {
-			r.Summary[v.label+"_honest_floor_ratio"] = post / pre
-		}
-		// The source never *receives*, so it would pin the min at zero.
-		honestRecv := metrics.Excluding(honest, []int{tree.Root})
-		r.Summary[v.label+"_honest_min_kbps"] = col.MinOverNodes(honestRecv, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
-		r.Summary[v.label+"_colluders"] = float64(len(fleet.Colluders()))
-		r.Summary[v.label+"_live_nodes"] = float64(len(live))
-	}
-	r.Summary["event_start_s"] = t1.ToSeconds()
-	r.Summary["event_end_s"] = t2.ToSeconds()
-	return r, nil
+	var fleet *adversary.Fleet // of the run in flight
+	return versus(r, sc, seed, func(w *world) (*overlay.Tree, error) { return w.randomTree(sc) },
+		func(v *versusRun) {
+			fleet = adversary.New(cfg, v.tree.Participants, v.tree.Root, v.w.seed)
+			v.sys.SetAdversary(fleet)
+			sched := scenario.New().At(t1, scenario.AdversaryAt())
+			sched.Install(&scenario.Env{Eng: v.w.eng, G: v.w.g, M: v.sys, A: v.sys})
+		},
+		func(v *versusRun) {
+			// Colluders are read after the run: cutvertex victims are only
+			// recorded at strike time, from the live tree.
+			live := v.sys.LiveNodes()
+			honest := metrics.Excluding(live, fleet.Colluders())
+			pre := v.col.MeanOverNodes(honest, t1-20*sim.Second, t1, metrics.Useful)
+			during := v.col.MeanOverNodes(honest, t1+5*sim.Second, t2, metrics.Useful)
+			post := v.col.MeanOverNodes(honest, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
+			r.Summary[v.label+"_honest_before_kbps"] = pre
+			r.Summary[v.label+"_honest_during_kbps"] = during
+			r.Summary[v.label+"_honest_after_kbps"] = post
+			if pre > 0 {
+				r.Summary[v.label+"_honest_floor_ratio"] = post / pre
+			}
+			// The source never *receives*, so it would pin the min at zero.
+			honestRecv := metrics.Excluding(honest, []int{v.tree.Root})
+			r.Summary[v.label+"_honest_min_kbps"] = v.col.MinOverNodes(honestRecv, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
+			r.Summary[v.label+"_colluders"] = float64(len(fleet.Colluders()))
+			r.Summary[v.label+"_live_nodes"] = float64(len(live))
+		})
 }
 
 // AdvFreeride: a quarter of the non-root overlay receives but never
@@ -148,14 +103,4 @@ func AdvJoinstorm(sc Scale, seed int64) (*Result, error) {
 func AdvBallotstuff(sc Scale, seed int64) (*Result, error) {
 	return advCompare("Adversary: RanSub ballot stuffing", sc, seed,
 		adversary.Config{Model: adversary.Ballotstuff})
-}
-
-func init() {
-	// Self-check: every adversary experiment must be registered (the
-	// Registry literal lives in experiments.go, like the churn-* ids).
-	for _, id := range []string{"adv-freeride", "adv-liar", "adv-cutvertex", "adv-joinstorm", "adv-ballotstuff"} {
-		if _, ok := Registry[id]; !ok {
-			panic(fmt.Sprintf("experiments: %s missing from Registry", id))
-		}
-	}
 }

@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
-	"bullet/internal/core"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/scenario"
 	"bullet/internal/sim"
-	"bullet/internal/streamer"
 	"bullet/internal/topology"
 )
 
@@ -27,86 +24,49 @@ import (
 // charge both protocols identically for the dead and hide the real
 // difference — whether *survivors* keep receiving.
 
-// churnSystem is what a churn variant deploys: a scenario membership
-// plus the live-set introspection the summaries need.
-type churnSystem interface {
-	scenario.Membership
-	LiveNodes() []int
-}
-
-// churnCompare runs the same churn schedule against Bullet and the
-// plain tree streamer in two independent worlds built from the same
-// seed, and reports both useful-bandwidth series plus survivor-based
-// per-phase means. buildSched also returns the victim set (nodes the
-// schedule crashes); the live descendants those victims orphan get
-// their own orphan_* summaries — the sharpest protocol contrast, since
-// Bullet re-parents them while the streamer lets them starve.
+// churnCompare runs the same churn schedule against both protocols
+// (see versus) and reports both useful-bandwidth series plus
+// survivor-based per-phase means. buildSched also returns the victim
+// set (nodes the schedule crashes); the live descendants those victims
+// orphan get their own orphan_* summaries — the sharpest protocol
+// contrast, since Bullet re-parents them while the streamer lets them
+// starve.
 func churnCompare(name string, sc Scale, seed int64,
 	buildTree func(w *world) (*overlay.Tree, error),
 	buildSched func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int)) (*Result, error) {
 
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
-
-	type deployFn func(w *world, tree *overlay.Tree, col *metrics.Collector) (churnSystem, error)
-	variants := []struct {
-		label  string
-		deploy deployFn
-	}{
-		{"bullet", func(w *world, tree *overlay.Tree, col *metrics.Collector) (churnSystem, error) {
-			return core.Deploy(w.net, tree, bulletConfig(sc, defaultRateKbps), col)
-		}},
-		{"stream", func(w *world, tree *overlay.Tree, col *metrics.Collector) (churnSystem, error) {
-			return streamer.Deploy(w.net, tree, streamer.Config{
-				RateKbps: defaultRateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration,
-			}, col)
-		}},
-	}
-	for _, v := range variants {
-		w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := buildTree(w)
-		if err != nil {
-			return nil, err
-		}
-		col := metrics.NewCollector(sim.Second)
-		sys, err := v.deploy(w, tree, col)
-		if err != nil {
-			return nil, err
-		}
-		sched, victims := buildSched(w.g, tree)
-		orphans := orphanedBy(tree, victims)
-		sched.Install(&scenario.Env{Eng: w.eng, G: w.g, M: sys})
-		w.run(sc.RunUntil)
-
-		live := sys.LiveNodes()
-		r.addSeries(v.label+"_useful", col.Series(metrics.Useful))
-		pre := col.MeanOverNodes(live, t1-20*sim.Second, t1, metrics.Useful)
-		during := col.MeanOverNodes(live, t1+5*sim.Second, t2, metrics.Useful)
-		post := col.MeanOverNodes(live, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
-		r.Summary[v.label+"_before_kbps"] = pre
-		r.Summary[v.label+"_during_kbps"] = during
-		r.Summary[v.label+"_after_kbps"] = post
-		if pre > 0 {
-			r.Summary[v.label+"_recovery_ratio"] = post / pre
-		}
-		r.Summary[v.label+"_overall_kbps"] = col.MeanOverNodes(live, sc.Start+10*sim.Second, sc.RunUntil, metrics.Useful)
-		r.Summary[v.label+"_live_nodes"] = float64(len(live))
-		if len(orphans) > 0 {
-			opre := col.MeanOverNodes(orphans, t1-20*sim.Second, t1, metrics.Useful)
-			opost := col.MeanOverNodes(orphans, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
-			r.Summary[v.label+"_orphan_before_kbps"] = opre
-			r.Summary[v.label+"_orphan_after_kbps"] = opost
-			if opre > 0 {
-				r.Summary[v.label+"_orphan_recovery_ratio"] = opost / opre
+	var orphans []int // of the run in flight, from its pre-churn tree
+	return versus(r, sc, seed, buildTree,
+		func(v *versusRun) {
+			sched, victims := buildSched(v.w.g, v.tree)
+			orphans = orphanedBy(v.tree, victims)
+			sched.Install(&scenario.Env{Eng: v.w.eng, G: v.w.g, M: v.sys})
+		},
+		func(v *versusRun) {
+			live := v.sys.LiveNodes()
+			pre := v.col.MeanOverNodes(live, t1-20*sim.Second, t1, metrics.Useful)
+			during := v.col.MeanOverNodes(live, t1+5*sim.Second, t2, metrics.Useful)
+			post := v.col.MeanOverNodes(live, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
+			r.Summary[v.label+"_before_kbps"] = pre
+			r.Summary[v.label+"_during_kbps"] = during
+			r.Summary[v.label+"_after_kbps"] = post
+			if pre > 0 {
+				r.Summary[v.label+"_recovery_ratio"] = post / pre
 			}
-		}
-	}
-	r.Summary["event_start_s"] = t1.ToSeconds()
-	r.Summary["event_end_s"] = t2.ToSeconds()
-	return r, nil
+			r.Summary[v.label+"_overall_kbps"] = v.col.MeanOverNodes(live, sc.Start+10*sim.Second, sc.RunUntil, metrics.Useful)
+			r.Summary[v.label+"_live_nodes"] = float64(len(live))
+			if len(orphans) > 0 {
+				opre := v.col.MeanOverNodes(orphans, t1-20*sim.Second, t1, metrics.Useful)
+				opost := v.col.MeanOverNodes(orphans, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
+				r.Summary[v.label+"_orphan_before_kbps"] = opre
+				r.Summary[v.label+"_orphan_after_kbps"] = opost
+				if opre > 0 {
+					r.Summary[v.label+"_orphan_recovery_ratio"] = opost / opre
+				}
+			}
+		})
 }
 
 // orphanedBy returns the live descendants the victim set orphans in
@@ -287,14 +247,4 @@ func ChurnXL(sc Scale, seed int64) (*Result, error) {
 			}
 			return s, victims
 		})
-}
-
-func init() {
-	// Self-check: every churn experiment must be registered (the
-	// Registry literal lives in experiments.go, like the dyn-* ids).
-	for _, id := range []string{"churn-crash25", "churn-crashheal", "churn-rolling", "churn-join", "churn-xl"} {
-		if _, ok := Registry[id]; !ok {
-			panic(fmt.Sprintf("experiments: %s missing from Registry", id))
-		}
-	}
 }

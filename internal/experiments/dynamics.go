@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
+	"bullet/internal/adversary"
 	"bullet/internal/core"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
@@ -41,73 +40,106 @@ func dynVictim(g *topology.Graph, tree *overlay.Tree) (victim, accessLink, desce
 	return victim, g.AccessLink(victim), descendants
 }
 
-// dynCompare runs the same scenario against Bullet and the plain tree
-// streamer in two independent worlds built from the same seed (hence
-// identical topologies, link ids, and overlay trees), and reports both
-// useful-bandwidth series plus per-phase means.
-//
-// build receives the graph and tree of a freshly deployed world and
-// returns the scenario to install; it runs once per world, but since
-// the worlds are identical at t=0 it must produce the same schedule.
+// versusSystem is what the dyn-*, churn-* and adv-* comparisons deploy:
+// scenario membership, the live-set introspection the survivor
+// summaries need, and the adversary wiring.
+type versusSystem interface {
+	scenario.Membership
+	LiveNodes() []int
+	SetAdversary(f *adversary.Fleet)
+	Compromise(nodes []int)
+	Strike()
+}
+
+// versusRun is one protocol's side of a comparison.
+type versusRun struct {
+	label string
+	w     *world
+	tree  *overlay.Tree
+	col   *metrics.Collector
+	sys   versusSystem
+}
+
+// versusVariants is the pair those comparisons set against each other:
+// Bullet and the plain tree streamer at the same rate and window.
+var versusVariants = []struct {
+	label  string
+	deploy func(sc Scale, v *versusRun) (versusSystem, error)
+}{
+	{"bullet", func(sc Scale, v *versusRun) (versusSystem, error) {
+		return core.Deploy(v.w.net, v.tree, bulletConfig(sc, defaultRateKbps), v.col)
+	}},
+	{"stream", func(sc Scale, v *versusRun) (versusSystem, error) {
+		return streamer.Deploy(v.w.net, v.tree, streamer.Config{
+			RateKbps: defaultRateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration,
+		}, v.col)
+	}},
+}
+
+// versus runs Bullet and the plain tree streamer in two independent
+// worlds built from the same seed (hence identical topologies, link
+// ids, and overlay trees): build the tree, deploy, let arm install the
+// disturbance, run to sc.RunUntil, hand the finished run to report,
+// and stamp the disturbance window. arm runs once per world, but since
+// the worlds are identical at t=0 it must install the same schedule.
+func versus(r *Result, sc Scale, seed int64,
+	buildTree func(w *world) (*overlay.Tree, error),
+	arm, report func(v *versusRun)) (*Result, error) {
+
+	for _, variant := range versusVariants {
+		w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
+		if err != nil {
+			return nil, err
+		}
+		v := &versusRun{label: variant.label, w: w, col: metrics.NewCollector(sim.Second)}
+		if v.tree, err = buildTree(w); err != nil {
+			return nil, err
+		}
+		if v.sys, err = variant.deploy(sc, v); err != nil {
+			return nil, err
+		}
+		arm(v)
+		w.run(sc.RunUntil)
+		r.addSeries(v.label+"_useful", v.col.Series(metrics.Useful))
+		report(v)
+	}
+	t1, t2 := dynPhases(sc)
+	r.Summary["event_start_s"] = t1.ToSeconds()
+	r.Summary["event_end_s"] = t2.ToSeconds()
+	return r, nil
+}
+
+// dynCompare runs the same link scenario against both protocols and
+// reports both useful-bandwidth series plus per-phase means. build
+// receives the graph and tree of a freshly deployed world and returns
+// the scenario to install.
 func dynCompare(name string, sc Scale, seed int64,
 	build func(g *topology.Graph, tree *overlay.Tree) *scenario.Schedule) (*Result, error) {
 
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
-
-	type deployFn func(w *world, tree *overlay.Tree, col *metrics.Collector) error
-	variants := []struct {
-		label  string
-		deploy deployFn
-	}{
-		{"bullet", func(w *world, tree *overlay.Tree, col *metrics.Collector) error {
-			_, err := core.Deploy(w.net, tree, bulletConfig(sc, defaultRateKbps), col)
-			return err
-		}},
-		{"stream", func(w *world, tree *overlay.Tree, col *metrics.Collector) error {
-			_, err := streamer.Deploy(w.net, tree, streamer.Config{
-				RateKbps: defaultRateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration,
-			}, col)
-			return err
-		}},
-	}
-	for _, v := range variants {
-		w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := w.randomTree(sc)
-		if err != nil {
-			return nil, err
-		}
-		col := metrics.NewCollector(sim.Second)
-		if err := v.deploy(w, tree, col); err != nil {
-			return nil, err
-		}
-		build(w.g, tree).Install(&scenario.Env{Eng: w.eng, G: w.g})
-		w.run(sc.RunUntil)
-
-		r.addSeries(v.label+"_useful", col.Series(metrics.Useful))
-		pre := col.MeanOver(t1-20*sim.Second, t1, metrics.Useful)
-		during := col.MeanOver(t1+5*sim.Second, t2, metrics.Useful)
-		post := col.MeanOver(t2+10*sim.Second, sc.RunUntil, metrics.Useful)
-		r.Summary[v.label+"_before_kbps"] = pre
-		r.Summary[v.label+"_during_kbps"] = during
-		r.Summary[v.label+"_after_kbps"] = post
-		if pre > 0 {
-			r.Summary[v.label+"_recovery_ratio"] = post / pre
-		}
-		// Overall mean over the whole stream: data a protocol never
-		// recovers (the streamer's outage losses) stays missing here,
-		// while Bullet's mesh backfill makes the loss transient.
-		r.Summary[v.label+"_overall_kbps"] = col.MeanOver(sc.Start+10*sim.Second, sc.RunUntil, metrics.Useful)
-		st := w.net.Stats()
-		r.Summary[v.label+"_link_down_drops"] = float64(st.LinkDownDrops)
-		r.Summary[v.label+"_rerouted_packets"] = float64(st.ReroutedPackets)
-	}
-	r.Summary["event_start_s"] = t1.ToSeconds()
-	r.Summary["event_end_s"] = t2.ToSeconds()
-	return r, nil
+	return versus(r, sc, seed, func(w *world) (*overlay.Tree, error) { return w.randomTree(sc) },
+		func(v *versusRun) {
+			build(v.w.g, v.tree).Install(&scenario.Env{Eng: v.w.eng, G: v.w.g})
+		},
+		func(v *versusRun) {
+			pre := v.col.MeanOver(t1-20*sim.Second, t1, metrics.Useful)
+			during := v.col.MeanOver(t1+5*sim.Second, t2, metrics.Useful)
+			post := v.col.MeanOver(t2+10*sim.Second, sc.RunUntil, metrics.Useful)
+			r.Summary[v.label+"_before_kbps"] = pre
+			r.Summary[v.label+"_during_kbps"] = during
+			r.Summary[v.label+"_after_kbps"] = post
+			if pre > 0 {
+				r.Summary[v.label+"_recovery_ratio"] = post / pre
+			}
+			// Overall mean over the whole stream: data a protocol never
+			// recovers (the streamer's outage losses) stays missing here,
+			// while Bullet's mesh backfill makes the loss transient.
+			r.Summary[v.label+"_overall_kbps"] = v.col.MeanOver(sc.Start+10*sim.Second, sc.RunUntil, metrics.Useful)
+			st := v.w.net.Stats()
+			r.Summary[v.label+"_link_down_drops"] = float64(st.LinkDownDrops)
+			r.Summary[v.label+"_rerouted_packets"] = float64(st.ReroutedPackets)
+		})
 }
 
 // DynBottleneck throttles the worst-case subtree's access link to 15%
@@ -213,13 +245,4 @@ func DynOscillate(sc Scale, seed int64) (*Result, error) {
 			s.At(t2, scenario.SetBandwidth(lid, orig))
 			return s
 		})
-}
-
-func init() {
-	// Self-check: every dynamic experiment must be registered.
-	for _, id := range []string{"dyn-bottleneck", "dyn-partition", "dyn-flashcrowd", "dyn-oscillate"} {
-		if _, ok := Registry[id]; !ok {
-			panic(fmt.Sprintf("experiments: %s missing from Registry", id))
-		}
-	}
 }

@@ -2,6 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -36,6 +43,37 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(Names()) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(Names()), len(want))
+	}
+
+	// Every exported function of this package with Runner's signature
+	// is some entry's Run: a runner nobody registered is unreachable
+	// from bullet-sim.
+	registered := make(map[string]bool)
+	for _, e := range Registry {
+		name := runtime.FuncForPC(reflect.ValueOf(e.Run).Pointer()).Name()
+		registered[name[strings.LastIndexByte(name, '.')+1:]] = true
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() {
+				continue
+			}
+			if types.ExprString(fn.Type) == "func(sc Scale, seed int64) (*Result, error)" && !registered[fn.Name.Name] {
+				t.Errorf("runner %s is not in Registry", fn.Name.Name)
+			}
+		}
 	}
 }
 

@@ -218,13 +218,3 @@ func VBRStream(sc Scale, seed int64) (*Result, error) {
 	}
 	return r, nil
 }
-
-func init() {
-	// Self-check: every workload experiment must be registered (the
-	// Registry literal lives in experiments.go, like the dyn-* ids).
-	for _, id := range []string{"filedist-compare", "vbr-stream"} {
-		if _, ok := Registry[id]; !ok {
-			panic(fmt.Sprintf("experiments: %s missing from Registry", id))
-		}
-	}
-}

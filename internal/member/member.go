@@ -16,6 +16,7 @@ import (
 	"bullet/internal/adversary"
 	"bullet/internal/nodeset"
 	"bullet/internal/overlay"
+	"bullet/internal/sim"
 	"bullet/internal/transport"
 )
 
@@ -223,6 +224,39 @@ func (r *Roster[N]) Compromise(nodes []int) {
 func (r *Roster[N]) Strike() {
 	if r.adv != nil {
 		r.adv.Activate()
+	}
+}
+
+// StrikeCrashes is Strike for a protocol with a tree to attack: after
+// activating the fleet it runs the model's crash timing, if it has
+// any, through the protocol's own crash and restart, so each victim
+// gets that protocol's repair policy. Cutvertex crashes the heaviest
+// live cut vertices within its budget and records them as colluders;
+// Joinstorm crashes every live colluder and schedules its restart a
+// seeded dwell later. Calling it again repeats the burst (and
+// re-crashes recovered cut vertices), so a schedule of AdversaryAt
+// actions is a sustained attack. Colluders iterate in ascending id
+// order and all draws come from the fleet stream, so a strike is a
+// pure function of (seed, schedule).
+func (r *Roster[N]) StrikeCrashes(sched sim.Scheduler, crash, restart func(id int) error) {
+	r.Strike()
+	if r.adv == nil {
+		return
+	}
+	switch r.adv.Model() {
+	case adversary.Cutvertex:
+		victims := adversary.CutSet(r.tree, r.Live, r.adv.Budget())
+		r.adv.Compromise(victims)
+		for _, v := range victims {
+			_ = crash(v)
+		}
+	case adversary.Joinstorm:
+		for _, id := range r.adv.Colluders() {
+			if !r.Live(id) || crash(id) != nil {
+				continue
+			}
+			sched.ScheduleAfter(r.adv.Dwell(id), func() { _ = restart(id) })
+		}
 	}
 }
 

@@ -226,3 +226,54 @@ func TestRosterAdversary(t *testing.T) {
 		t.Fatal("SetAdversary(nil) did not detach")
 	}
 }
+
+// StrikeCrashes runs the crash-timing models through the crash and
+// restart it is handed: Cutvertex crashes the heaviest cut vertex and
+// records it as a colluder, Joinstorm crashes the live colluders (not
+// the already dead one) and restarts each after its dwell.
+func TestRosterStrikeCrashes(t *testing.T) {
+	// 1 -> {2, 3}, 2 -> {4, 5}: the heaviest cut vertex is 2.
+	ids := []int{1, 2, 3, 4, 5}
+	build := func(model adversary.Model, fraction float64) (*Roster[*peer], *sim.Engine, *adversary.Fleet) {
+		tree := overlay.NewTree(1)
+		for _, e := range [][2]int{{2, 1}, {3, 1}, {4, 2}, {5, 2}} {
+			if err := tree.Attach(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, net := roster(t, tree, ids...)
+		f := adversary.New(adversary.Config{Model: model, Fraction: fraction}, ids, 1, 1)
+		r.SetAdversary(f)
+		return r, net.Engine(), f
+	}
+	var restarted []int
+	restart := func(r *Roster[*peer]) func(int) error {
+		return func(id int) error {
+			restarted = append(restarted, id)
+			return r.Restart(id, func(p *peer) error { p.ep.Restart(); return nil })
+		}
+	}
+
+	r, eng, f := build(adversary.Cutvertex, 0.25)
+	r.StrikeCrashes(eng, r.Crash, restart(r))
+	if !f.Active() || !r.Crashed(2) || !f.Is(2) || len(r.LiveNodes()) != 4 {
+		t.Fatalf("cutvertex: active=%v crashed(2)=%v live=%v", f.Active(), r.Crashed(2), r.LiveNodes())
+	}
+
+	r, eng, f = build(adversary.Joinstorm, 0.5)
+	cols := append([]int(nil), f.Colluders()...)
+	if len(cols) != 2 {
+		t.Fatalf("joinstorm fleet chose %v, want 2 colluders", cols)
+	}
+	if err := r.Crash(cols[0]); err != nil { // already down: the burst skips it
+		t.Fatal(err)
+	}
+	r.StrikeCrashes(eng, r.Crash, restart(r))
+	if !r.Crashed(cols[1]) || eng.Pending() != 1 {
+		t.Fatalf("joinstorm: crashed(%d)=%v, %d restarts pending", cols[1], r.Crashed(cols[1]), eng.Pending())
+	}
+	eng.Run(adversary.JoinstormMinDwell + adversary.JoinstormJitter)
+	if len(restarted) != 1 || restarted[0] != cols[1] || !r.Live(cols[1]) || !r.Crashed(cols[0]) {
+		t.Fatalf("joinstorm: restarted %v, live(%d)=%v", restarted, cols[1], r.Live(cols[1]))
+	}
+}

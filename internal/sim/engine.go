@@ -8,32 +8,42 @@
 //
 // # Scheduler internals
 //
-// The queue is a calendar queue: a ring of ~0.5 ms time buckets
-// covering the next ~134 ms of virtual time, backed by a 4-ary min-heap for the
-// far future. The design is driven by the measured push profile of the
-// Figure 7 run — effectively every event is scheduled 100 µs to 100 ms
-// ahead (link latencies, serialization delays, pump and TFRC timers),
-// and exact-time ties are vanishingly rare — so a push is an O(1)
-// append to the ring bucket of its slot, and ordering work is deferred
-// to the moment a bucket becomes the earliest: it is sorted once by
-// (time, sequence) and then consumed in place, head to tail. That
-// replaces the per-event heap sift-down (~log n compares and three
-// slice moves per pop, the hottest loop in the process) with an
-// amortized O(log k) over the k events sharing a bucket.
-// Events beyond the ring's horizon go to the overflow heap — ordered
-// by (time, sequence), stored as three parallel slices so the
-// sift-down child scan reads four contiguous int64 timestamps from a
-// single cache line — and migrate into the ring as the clock advances
-// into their window. Event bodies (the callback, argument, timer slot,
-// period) live in an arena of chunked slots that never move; they are
-// recycled through the arena's free list, so the steady-state cost of
-// an event remains zero heap allocations.
+// The queue is a calendar queue: a ring of 256 time buckets of ~0.5 ms
+// each for the near future, and one unsorted list for everything past
+// it. The design is driven by the measured push profile of the Figure 7
+// run — effectively every event is scheduled 100 µs to 100 ms ahead
+// (link latencies, serialization delays, pump and TFRC timers), and
+// exact-time ties are vanishingly rare — so a push is an O(1) append to
+// the ring bucket of its slot, and ordering work is deferred to the
+// moment a bucket becomes the earliest: it is sorted once by (time,
+// sequence) and then consumed in place, head to tail. That costs an
+// amortized O(log k) over the k events sharing a bucket, where a heap
+// pays ~log n compares and three slice moves on every pop.
+//
+// The ring is refilled half at a time. Virtual time is cut into epochs
+// of 128 slots (~67 ms); the ring holds the clock's epoch and the next
+// one, and a push past those is appended to the far list. When the
+// clock enters a new epoch, one pass over the far list files the events
+// of the newly covered epoch into their buckets and keeps the rest.
+// The pass is cheap because the far list is short next to an epoch's
+// work: on the repo benchmark 1.5–3% of pushes go to the far list
+// (0.2% on streamer-forward), and a pass reads ~2,800 entries on
+// bullet-paper against ~27,000 events fired per epoch (~440 against
+// ~4,400 on bullet-dynamics, ~7,000 against ~49,000 on bullet-wide) —
+// sequentially, 24 bytes each. The earliest far time is kept exact by
+// every push and every pass, so NextAt never searches the list.
+//
+// Event bodies (the callback, argument, timer slot, period) live in an
+// arena of chunked slots that never move; they are recycled through the
+// arena's free list, so the steady-state cost of an event remains zero
+// heap allocations.
 //
 // None of this layout is observable: (time, sequence) is a strict
 // total order — sequence numbers are unique per engine — so the pop
-// sequence is fully determined by the key set regardless of which
-// structure holds an event, which is what licenses the split without
-// touching the determinism contract.
+// sequence is fully determined by the key set regardless of where an
+// event waits, which is what licenses the layout without touching the
+// determinism contract. FuzzEngineMatchesSortedSlice holds the engine
+// to exactly that, against a slice kept sorted by (time, sequence).
 //
 // The dispatch loop executes events in same-deadline batches: the pop
 // loop hoists the clock write and the run-limit comparison out of runs
@@ -142,13 +152,16 @@ type timerSlot struct {
 // Calendar-queue geometry. A slot is 2^slotShift ns of virtual time
 // (~524 µs — just under the topology's link-latency decade, so a
 // bucket holds tens of events at the small scale and sorting stays
-// cheap), and the ring covers ringSlots consecutive slots (~134 ms,
-// past the bulk of the measured push horizon of the hot paths; the
-// pump/TFRC timer tail beyond it rides the overflow heap).
+// cheap). The ring has ringSlots buckets (~134 ms) and is refilled
+// from the far list half a ring — one epoch, ~67 ms — at a time, so
+// it always reaches between one and two epochs past the clock: past
+// the bulk of the measured push horizon of the hot paths; the
+// pump/TFRC timer tail beyond it waits on the far list.
 const (
-	slotShift = 19
-	ringSlots = 256
-	ringMask  = ringSlots - 1
+	slotShift  = 19
+	ringSlots  = 256
+	ringMask   = ringSlots - 1
+	epochSlots = ringSlots / 2
 )
 
 // ev is one queued event: its ordering key and its body.
@@ -175,21 +188,20 @@ type bucket struct {
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now Time
-	// The near future: ring buckets for slots [base, base+ringSlots).
-	// base tracks slot(now); scan is the slot cursor of the earliest
-	// possibly-nonempty bucket (monotone within a window, lowered only
-	// by a push below it); ringN counts unconsumed ring events.
+	// The near future: ring buckets for slots [base, limit). base
+	// tracks slot(now); limit is two epochs past the start of base's
+	// epoch; scan is the slot cursor of the earliest possibly-nonempty
+	// bucket (monotone within a window, lowered only by a push below
+	// it); ringN counts unconsumed ring events.
 	ring  [ringSlots]bucket
 	base  int64
+	limit int64
 	scan  int64
 	ringN int
-	// The far future: a 4-ary min-heap ordered by (at, seq), stored as
-	// parallel slices so the sift-down child scan touches only the
-	// timestamp slice — four contiguous int64s, one cache line. Events
-	// here migrate into the ring as the window advances over them.
-	ofAt  []Time
-	ofSeq []uint64
-	ofB   []*evBody
+	// The far future: every event at or past limit, in push order, and
+	// the earliest of their times (meaningful while far is nonempty).
+	far    []ev
+	farMin Time
 
 	seq     uint64
 	stopped bool
@@ -205,7 +217,7 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero. The seed is used
 // to derive per-entity RNG streams via RNG.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed}
+	return &Engine{seed: seed, limit: 2 * epochSlots}
 }
 
 // Now returns the current virtual time.
@@ -219,7 +231,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still queued (including
 // cancelled timers that have not been popped yet).
-func (e *Engine) Pending() int { return e.ringN + len(e.ofAt) }
+func (e *Engine) Pending() int { return e.ringN + len(e.far) }
 
 // RNG derives a deterministic random stream for the given entity id.
 // Distinct ids yield independent streams; the same (seed, id) pair
@@ -236,19 +248,16 @@ func (e *Engine) RNG(id int64) *rand.Rand {
 }
 
 // ---------------------------------------------------------------------
-// Calendar queue: ring of per-slot buckets + far-future overflow heap.
-//
-// The ordering key (at, seq) is a strict total order — seq is unique
-// per engine — so the pop sequence is fully determined by the key set
-// regardless of which structure holds an event or how it is arranged
-// inside it. That is what licenses layout changes here without
-// touching the determinism contract.
+// Calendar queue: ring of per-slot buckets + unsorted far-future list.
 //
 // Invariants:
 //   - base == slot(now); every queued event has at >= now, so its slot
 //     is >= base.
-//   - the ring holds exactly the events with slot in
-//     [base, base+ringSlots); the overflow heap holds the rest.
+//   - limit == (base/epochSlots + 2) * epochSlots, so the window
+//     [base, limit) is never wider than the ring and no two of its
+//     slots share a bucket.
+//   - the ring holds exactly the events with slot in [base, limit);
+//     far holds the rest, and farMin is the least of their times.
 //   - scan <= the slot of the earliest unconsumed ring event, and all
 //     buckets for slots in [base, scan) are empty.
 // ---------------------------------------------------------------------
@@ -258,11 +267,14 @@ func (e *Engine) push(at Time, b *evBody) {
 	sq := e.seq
 	e.seq++
 	s := int64(at) >> slotShift
-	if s-e.base < ringSlots {
+	if s < e.limit {
 		e.ringPut(s, ev{at, sq, b})
 		return
 	}
-	e.ofPush(at, sq, b)
+	if len(e.far) == 0 || at < e.farMin {
+		e.farMin = at
+	}
+	e.far = append(e.far, ev{at, sq, b})
 }
 
 // ringPut files v into the bucket for absolute slot s, resetting a
@@ -310,10 +322,13 @@ func evLess(a, b *ev) bool {
 
 // sortEvs is a quicksort over events with the compare inlined —
 // sorting is the per-bucket cost the calendar queue amortizes over a
-// slot's events, and the generic sort's indirect comparator call was
-// the single largest queue expense when it sat here. Keys are unique
-// (seq is), so a plain Hoare partition with a median-of-three pivot
-// needs no equal-run handling.
+// slot's events, and the generic sort's indirect comparator call is
+// the single largest queue expense when it sits here: slices.SortFunc
+// in this function's place costs 10% of events_per_s on the repo
+// benchmark's streamer-forward (median of four alternating pairs, none
+// faster; an earlier trial measured 10–23%). Keys are unique (seq is),
+// so a plain Hoare partition with a median-of-three pivot needs no
+// equal-run handling.
 func sortEvs(evs []ev) {
 	for {
 		n := len(evs)
@@ -379,9 +394,8 @@ func (bk *bucket) sort() {
 }
 
 // ringHead advances scan to the earliest nonempty bucket and returns
-// it sorted, with its head entry the queue-wide minimum (ring events
-// always precede overflow events: the overflow invariant keeps them at
-// least a full window later). Callers must ensure ringN > 0.
+// it sorted, with its head entry the queue-wide minimum (every far
+// event is at or past limit). Callers must ensure ringN > 0.
 func (e *Engine) ringHead() *bucket {
 	for {
 		bk := &e.ring[e.scan&ringMask]
@@ -395,11 +409,11 @@ func (e *Engine) ringHead() *bucket {
 	}
 }
 
-// setNow advances the clock and, when the window base moves, migrates
-// every overflow event whose slot has entered [base, base+ringSlots)
-// into the ring. Buckets between the old and new base are necessarily
-// empty — their events were all at < t and have fired — so no walk is
-// needed; the base jumps directly.
+// setNow advances the clock and the window base with it. Buckets
+// between the old and new base are necessarily empty — their events
+// were all at < t and have fired — so no walk is needed; the base jumps
+// directly. When it lands in a new epoch the window is extended and
+// refilled from the far list.
 func (e *Engine) setNow(t Time) {
 	e.now = t
 	s := int64(t) >> slotShift
@@ -410,74 +424,36 @@ func (e *Engine) setNow(t Time) {
 	if e.scan < s {
 		e.scan = s
 	}
-	horizon := Time((s + ringSlots) << slotShift)
-	for len(e.ofAt) > 0 && e.ofAt[0] < horizon {
-		at, sq, b := e.ofPop()
-		e.ringPut(int64(at)>>slotShift, ev{at, sq, b})
+	if limit := (s/epochSlots + 2) * epochSlots; limit != e.limit {
+		e.limit = limit
+		e.migrate()
 	}
 }
 
-// ofPush enqueues an event on the overflow heap. Overflow entries are
-// only ever pushed with a fresh sequence number — migration moves them
-// out, never back in — so the newcomer's seq is strictly greater than
-// every queued entry's and the sift-up comparison reduces to the
-// timestamp alone (a timestamp tie can never favor the newcomer).
-func (e *Engine) ofPush(at Time, sq uint64, b *evBody) {
-	ats := append(e.ofAt, at)
-	sqs := append(e.ofSeq, sq)
-	bs := append(e.ofB, b)
-	i := len(ats) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if ats[p] <= at {
-			break
-		}
-		ats[i], sqs[i], bs[i] = ats[p], sqs[p], bs[p]
-		i = p
+// migrate moves every far event that the window now covers into its
+// bucket, in one pass that compacts the survivors in place and
+// recomputes farMin from them. Push order is kept on both sides, and
+// the buckets filled here are unsorted until they become the earliest,
+// so nothing about (at, seq) order depends on this pass. The body
+// pointers left past the new length are harmless: bodies live in arena
+// chunks either way, and Put zeroes their payload references.
+func (e *Engine) migrate() {
+	horizon := Time(e.limit << slotShift)
+	if len(e.far) == 0 || e.farMin >= horizon {
+		return
 	}
-	ats[i], sqs[i], bs[i] = at, sq, b
-	e.ofAt, e.ofSeq, e.ofB = ats, sqs, bs
-}
-
-// ofPop removes and returns the minimum overflow entry. The stale body
-// pointer left past the new length of ofB is harmless: bodies live in
-// arena chunks either way, and Put zeroes their payload references.
-func (e *Engine) ofPop() (Time, uint64, *evBody) {
-	ats, sqs, bs := e.ofAt, e.ofSeq, e.ofB
-	mat, msq, mb := ats[0], sqs[0], bs[0]
-	n := len(ats) - 1
-	kat, ksq, kb := ats[n], sqs[n], bs[n]
-	ats, sqs, bs = ats[:n], sqs[:n], bs[:n]
-	e.ofAt, e.ofSeq, e.ofB = ats, sqs, bs
-	if n == 0 {
-		return mat, msq, mb
+	keep := e.far[:0]
+	for _, v := range e.far {
+		if v.at < horizon {
+			e.ringPut(int64(v.at)>>slotShift, v)
+			continue
+		}
+		if len(keep) == 0 || v.at < e.farMin {
+			e.farMin = v.at
+		}
+		keep = append(keep, v)
 	}
-	// Sift the displaced tail entry down from the root. The child scan
-	// reads timestamps only, falling through to seq on exact ties.
-	i := 0
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if ats[j] < ats[m] || (ats[j] == ats[m] && sqs[j] < sqs[m]) {
-				m = j
-			}
-		}
-		if ats[m] > kat || (ats[m] == kat && sqs[m] > ksq) {
-			break
-		}
-		ats[i], sqs[i], bs[i] = ats[m], sqs[m], bs[m]
-		i = m
-	}
-	ats[i], sqs[i], bs[i] = kat, ksq, kb
-	return mat, msq, mb
+	e.far = keep
 }
 
 // ---------------------------------------------------------------------
@@ -606,7 +582,7 @@ func (e *Engine) RunBefore(end Time) {
 }
 
 // NextAt returns the time of the earliest queued event, if any. A
-// cancelled timer still occupying the heap head counts — callers using
+// cancelled timer that has not been popped yet counts — callers using
 // this to size an execution window may see a spuriously early bound,
 // which is harmless (the window is merely shorter than necessary).
 // NextAt is deliberately read-only — the sharded runner's deciding
@@ -615,10 +591,10 @@ func (e *Engine) RunBefore(end Time) {
 // order reads. An unsorted head bucket is scanned instead of sorted.
 func (e *Engine) NextAt() (Time, bool) {
 	if e.ringN == 0 {
-		if len(e.ofAt) == 0 {
+		if len(e.far) == 0 {
 			return 0, false
 		}
-		return e.ofAt[0], true
+		return e.farMin, true
 	}
 	for s := e.scan; ; s++ {
 		bk := &e.ring[s&ringMask]
@@ -656,19 +632,19 @@ func (e *Engine) AdvanceTo(t Time) {
 // serial schedule requires.
 func (e *Engine) exec(limit Time, strict bool) {
 	e.stopped = false
-	for e.ringN+len(e.ofAt) > 0 && !e.stopped {
+	for e.ringN+len(e.far) > 0 && !e.stopped {
 		var t Time
 		if e.ringN > 0 {
 			bk := e.ringHead()
 			t = bk.evs[bk.head].at
 		} else {
-			t = e.ofAt[0]
+			t = e.farMin
 		}
 		if t > limit || (strict && t == limit) {
 			break
 		}
 		// After the clock lands on t, the event at t is in the ring:
-		// if it came from overflow, the base advance just migrated it.
+		// if it was on the far list, the base advance just migrated it.
 		e.setNow(t)
 		for e.ringN > 0 && !e.stopped {
 			bk := e.ringHead()

@@ -377,19 +377,19 @@ func BenchmarkEngineEvery(b *testing.B) {
 }
 
 // TestCalendarHorizonOrdering schedules events across both sides of
-// the ring window — including deep overflow-heap territory — out of
-// order, and checks they fire in exact (time, scheduling) order. This
-// pins the overflow migration path: events start on the heap, move
-// into the ring as the clock advances, and must interleave perfectly
-// with events pushed straight into their buckets.
+// the ring window — including seconds past it — out of order, and
+// checks they fire in exact (time, scheduling) order. This pins the
+// migration path: events start on the far list, move into the ring as
+// the clock advances, and must interleave perfectly with events pushed
+// straight into their buckets.
 func TestCalendarHorizonOrdering(t *testing.T) {
 	e := NewEngine(1)
 	times := []Time{
-		500 * Millisecond, // overflow at push time
+		500 * Millisecond, // far list at push time
 		1 * Millisecond,
-		200 * Millisecond, // overflow at push time
+		200 * Millisecond, // far list at push time
 		133 * Millisecond,
-		10 * Second, // deep overflow
+		10 * Second, // many epochs out
 		134 * Millisecond,
 		135 * Millisecond,
 		2 * Millisecond,
@@ -414,14 +414,14 @@ func TestCalendarHorizonOrdering(t *testing.T) {
 }
 
 // TestCalendarMigrationTieOrder creates an exact-time tie between an
-// event that waited on the overflow heap and one pushed directly into
-// the ring once the window reached that slot. The overflow event was
+// event that waited on the far list and one pushed directly into the
+// ring once the window reached that slot. The far-list event was
 // scheduled first, so it must fire first.
 func TestCalendarMigrationTieOrder(t *testing.T) {
 	e := NewEngine(1)
 	const at = 200 * Millisecond
 	var got []string
-	e.Schedule(at, func() { got = append(got, "early") }) // overflow now
+	e.Schedule(at, func() { got = append(got, "early") }) // far list now
 	e.Schedule(150*Millisecond, func() {
 		// at is now inside the ring window: direct bucket push, and
 		// its fresh seq must order it after the migrated twin.
@@ -446,7 +446,7 @@ func TestCalendarClockJumps(t *testing.T) {
 	}
 	e.AdvanceTo(90 * Second)
 	e.Schedule(e.Now()+3*Millisecond, func() { fired++ })
-	e.Schedule(e.Now()+400*Millisecond, func() { fired++ }) // overflow
+	e.Schedule(e.Now()+400*Millisecond, func() { fired++ }) // far list
 	e.Schedule(e.Now(), func() { fired++ })                 // current instant
 	e.Run(100 * Second)
 	if fired != 3 {
@@ -454,5 +454,86 @@ func TestCalendarClockJumps(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("%d events still pending", e.Pending())
+	}
+}
+
+// TestEngineWindowContract pins what the sharded runner's barrier
+// relies on: NextAt is exact and changes nothing even when every event
+// is on the far list, RunBefore(end) stops short of end itself, and
+// AdvanceTo over idle epochs leaves the ring holding exactly the events
+// the new window covers.
+func TestEngineWindowContract(t *testing.T) {
+	const epoch = Time(epochSlots) << slotShift
+	nop := func() {}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, e *Engine)
+	}{
+		{"NextAt on a far-only queue", func(t *testing.T, e *Engine) {
+			for _, at := range []Time{3 * Second, 700 * Millisecond, 2 * Second} {
+				e.Schedule(at, nop)
+			}
+			for i := 0; i < 2; i++ {
+				if at, ok := e.NextAt(); !ok || at != 700*Millisecond {
+					t.Fatalf("NextAt = %v, %v; want 700ms, true", at, ok)
+				}
+			}
+			if e.ringN != 0 || len(e.far) != 3 || e.Now() != 0 || e.Pending() != 3 {
+				t.Fatalf("NextAt moved state: ring %d, far %d, now %v", e.ringN, len(e.far), e.Now())
+			}
+			e.Run(Second)
+			if at, ok := e.NextAt(); !ok || at != 2*Second {
+				t.Fatalf("NextAt after the first fired = %v, %v; want 2s, true", at, ok)
+			}
+			e.Run(4 * Second)
+			if at, ok := e.NextAt(); ok || at != 0 {
+				t.Fatalf("NextAt on an empty queue = %v, %v", at, ok)
+			}
+		}},
+		{"RunBefore leaves the event at end", func(t *testing.T, e *Engine) {
+			e.Schedule(10*Millisecond, nop)
+			e.Schedule(20*Millisecond, nop)
+			e.RunBefore(20 * Millisecond)
+			if e.Fired() != 1 || e.Now() != 10*Millisecond {
+				t.Fatalf("fired %d, now %v; want 1, 10ms", e.Fired(), e.Now())
+			}
+			if at, ok := e.NextAt(); !ok || at != 20*Millisecond {
+				t.Fatalf("NextAt = %v, %v; want 20ms, true", at, ok)
+			}
+			e.AdvanceTo(20 * Millisecond)
+			e.Schedule(e.Now(), nop) // a barrier-time handoff stamped end itself
+			e.RunBefore(20*Millisecond + 1)
+			if e.Fired() != 3 || e.Now() != 20*Millisecond {
+				t.Fatalf("fired %d, now %v; want 3, 20ms", e.Fired(), e.Now())
+			}
+		}},
+		{"AdvanceTo across epochs", func(t *testing.T, e *Engine) {
+			var got []Time
+			for k := Time(9); k >= 5; k-- {
+				e.Schedule(k*epoch+epoch/2, func() { got = append(got, e.Now()) })
+			}
+			if e.ringN != 0 {
+				t.Fatalf("%d events in the ring, want all 5 on the far list", e.ringN)
+			}
+			e.AdvanceTo(5*epoch + 1) // window is now epochs 5 and 6
+			if e.ringN != 2 || len(e.far) != 3 || e.farMin != 7*epoch+epoch/2 {
+				t.Fatalf("ring %d, far %d, farMin %v; want 2, 3, %v", e.ringN, len(e.far), e.farMin, 7*epoch+epoch/2)
+			}
+			if at, ok := e.NextAt(); !ok || at != 5*epoch+epoch/2 {
+				t.Fatalf("NextAt = %v, %v; want %v, true", at, ok, 5*epoch+epoch/2)
+			}
+			e.Run(10 * epoch)
+			for i, at := range got {
+				if at != Time(5+i)*epoch+epoch/2 {
+					t.Fatalf("fire times %v", got)
+				}
+			}
+			if len(got) != 5 {
+				t.Fatalf("fired %d events, want 5", len(got))
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { c.run(t, NewEngine(1)) })
 	}
 }
