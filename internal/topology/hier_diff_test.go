@@ -9,13 +9,14 @@ import (
 	"bullet/internal/sim"
 )
 
-// diff holds one graph with a flat and a hierarchical router over it
-// and compares their answers. The flat router is the reference: one
-// whole-graph Dijkstra per source, nothing shared, nothing scoped.
+// diff holds one graph with the flat reference (flat_test.go) and a
+// hierarchical router over it and compares their answers. The flat
+// router is the reference: one whole-graph Dijkstra per source, nothing
+// shared, nothing scoped, nothing kept.
 type diff struct {
 	t       testing.TB
 	g       *Graph
-	flat    *Router
+	flat    flatRouter
 	hier    *Router
 	routers []int // Transit and Stub node ids
 	stubs   []int // Stub node ids, ascending (domains are contiguous)
@@ -23,7 +24,7 @@ type diff struct {
 
 func newDiff(t testing.TB, g *Graph) *diff {
 	t.Helper()
-	d := &diff{t: t, g: g, flat: newFlatRouter(g), hier: hierRouterFor(t, g)}
+	d := &diff{t: t, g: g, flat: flatRouter{g}, hier: hierRouterFor(t, g)}
 	for i := range g.Nodes {
 		switch g.Nodes[i].Kind {
 		case Stub:
@@ -36,39 +37,42 @@ func newDiff(t testing.TB, g *Graph) *diff {
 	return d
 }
 
-// check requires the two routers to agree on from -> to: the same path
-// link by link (nil on both sides when unreachable), the same delay
-// and the same reachability.
-func (d *diff) check(from, to int) {
+// check requires the two routers to agree on from -> each of tos, over
+// the links up right now: the same path link by link (nil on both sides
+// when unreachable), the same delay and the same reachability.
+func (d *diff) check(from int, tos ...int) {
 	d.t.Helper()
-	fp, hp := d.flat.Path(from, to), d.hier.Path(from, to)
-	if (fp == nil) != (hp == nil) {
-		d.t.Fatalf("path(%d,%d): flat nil=%v, hier nil=%v", from, to, fp == nil, hp == nil)
-	}
-	if len(fp) != len(hp) {
-		d.t.Fatalf("path(%d,%d): flat %v, hier %v", from, to, fp, hp)
-	}
-	for i := range fp {
-		if fp[i] != hp[i] {
-			d.t.Fatalf("path(%d,%d) differs at hop %d: flat %v, hier %v", from, to, i, fp, hp)
+	ft := d.flat.tree(from)
+	for _, to := range tos {
+		fp, hp := ft.path(to), d.hier.Path(from, to)
+		if (fp == nil) != (hp == nil) {
+			d.t.Fatalf("path(%d,%d): flat nil=%v, hier nil=%v", from, to, fp == nil, hp == nil)
 		}
-	}
-	fd, hd := d.flat.Delay(from, to), d.hier.Delay(from, to)
-	if fd != hd {
-		d.t.Fatalf("delay(%d,%d): flat %d, hier %d", from, to, fd, hd)
-	}
-	fr, hr := d.flat.Reachable(from, to), d.hier.Reachable(from, to)
-	if fr != hr {
-		d.t.Fatalf("reachable(%d,%d): flat %v, hier %v", from, to, fr, hr)
-	}
-	if hp == nil {
-		if hd != -1 || hr {
-			d.t.Fatalf("unreachable (%d,%d): hier delay %d reachable %v, want -1 false", from, to, hd, hr)
+		if len(fp) != len(hp) {
+			d.t.Fatalf("path(%d,%d): flat %v, hier %v", from, to, fp, hp)
 		}
-		return
-	}
-	if got := pathDelay(d.t, d.g, from, to, hp); got != hd {
-		d.t.Fatalf("path(%d,%d) sums to %d, delay says %d", from, to, got, hd)
+		for i := range fp {
+			if fp[i] != hp[i] {
+				d.t.Fatalf("path(%d,%d) differs at hop %d: flat %v, hier %v", from, to, i, fp, hp)
+			}
+		}
+		fd, hd := ft.delay(to), d.hier.Delay(from, to)
+		if fd != hd {
+			d.t.Fatalf("delay(%d,%d): flat %d, hier %d", from, to, fd, hd)
+		}
+		hr := d.hier.Reachable(from, to)
+		if hr != (fp != nil) {
+			d.t.Fatalf("reachable(%d,%d): flat %v, hier %v", from, to, fp != nil, hr)
+		}
+		if hp == nil {
+			if hd != -1 {
+				d.t.Fatalf("unreachable (%d,%d): hier delay %d, want -1", from, to, hd)
+			}
+			continue
+		}
+		if got := pathDelay(d.t, d.g, from, to, hp); got != hd {
+			d.t.Fatalf("path(%d,%d) sums to %d, delay says %d", from, to, got, hd)
+		}
 	}
 }
 
@@ -109,23 +113,25 @@ func (d *diff) round(rng *rand.Rand, nsrc, ndst int) {
 	d.t.Helper()
 	g := d.g
 	cl := g.Clients
+	dsts := make([]int, 0, ndst+2)
 	for i := 0; i < 2*nsrc; i++ {
 		src := cl[rng.Intn(len(cl))]
 		if i%2 == 1 {
 			src = d.routers[rng.Intn(len(d.routers))]
 		}
+		dsts = dsts[:0]
 		for j := 0; j < ndst; j++ {
-			d.check(src, cl[rng.Intn(len(cl))])
+			dsts = append(dsts, cl[rng.Intn(len(cl))])
 		}
-		d.check(src, d.routers[rng.Intn(len(d.routers))])
-		d.check(src, src)
+		dsts = append(dsts, d.routers[rng.Intn(len(d.routers))], src)
+		d.check(src, dsts...)
 	}
 	victim, other := cl[rng.Intn(len(cl))], cl[rng.Intn(len(cl))]
 	acc := g.AccessLink(victim)
 	wasDown := g.Links[acc].Down
 	g.FailLink(acc)
 	if victim != other {
-		if p := d.flat.Path(victim, other); p != nil {
+		if p := d.flat.tree(victim).path(other); p != nil {
 			d.t.Fatalf("flat path from client %d behind a failed access link: %v", victim, p)
 		}
 		d.check(victim, other)
