@@ -267,9 +267,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	eng := sim.NewEngine(cfg.Seed)
 	rt := topology.NewRouter(g)
 	net := netem.New(eng, g, rt, netem.Config{})
-	if cfg.Shards > 1 || cfg.Shards == netem.AutoShardCount {
-		net.EnableShards(cfg.Shards)
-	}
+	net.EnableShards(cfg.Shards)
 	return &World{eng: eng, g: g, rt: rt, net: net}, nil
 }
 

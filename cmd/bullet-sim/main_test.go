@@ -320,41 +320,51 @@ func TestShardsAutoFlag(t *testing.T) {
 	}
 }
 
+// fig15 builds its worlds on a handcrafted topology rather than a
+// generated one; their runs must reach the stats sink like any other.
 func TestShardStatsTableOnStderr(t *testing.T) {
 	if testing.Short() {
 		t.Skip("small-scale sharded run; skipped in -short")
 	}
-	args := []string{"-q", "-experiment", "fig6", "-scale", "small", "-shards", "4"}
-	code, plain, _ := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	code, out, errb := runCLI(t, append(args, "-shardstats")...)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if out != plain {
-		t.Fatal("-shardstats changed stdout bytes")
-	}
-	if !strings.Contains(errb, "# shard load (K=4)") {
-		t.Fatalf("stderr missing shard load header:\n%s", errb)
-	}
-	if !strings.Contains(errb, "shard\tnodes\tclients\tweight\tevents\tbusy_ms") {
-		t.Fatalf("stderr missing shard table columns:\n%s", errb)
-	}
-	// Four data rows, each with measured events.
-	rows := 0
-	for _, line := range strings.Split(errb, "\n") {
-		f := strings.Split(line, "\t")
-		if len(f) == 6 && f[0] != "shard" {
-			rows++
-			if f[4] == "0" {
-				t.Errorf("shard %s reports zero executed events", f[0])
+	for _, tc := range []struct {
+		experiment string
+		shards     int
+	}{{"fig6", 4}, {"fig15", 2}} {
+		t.Run(tc.experiment, func(t *testing.T) {
+			k := strconv.Itoa(tc.shards)
+			args := []string{"-q", "-experiment", tc.experiment, "-scale", "small", "-shards", k}
+			code, plain, _ := runCLI(t, args...)
+			if code != 0 {
+				t.Fatalf("exit %d, want 0", code)
 			}
-		}
-	}
-	if rows != 4 {
-		t.Fatalf("got %d shard rows, want 4:\n%s", rows, errb)
+			code, out, errb := runCLI(t, append(args, "-shardstats")...)
+			if code != 0 {
+				t.Fatalf("exit %d, want 0", code)
+			}
+			if out != plain {
+				t.Fatal("-shardstats changed stdout bytes")
+			}
+			if !strings.Contains(errb, "# shard load (K="+k+")") {
+				t.Fatalf("stderr missing shard load header:\n%s", errb)
+			}
+			if !strings.Contains(errb, "shard\tnodes\tclients\tweight\tevents\tbusy_ms") {
+				t.Fatalf("stderr missing shard table columns:\n%s", errb)
+			}
+			// One data row per shard, each with measured events.
+			rows := 0
+			for _, line := range strings.Split(errb, "\n") {
+				f := strings.Split(line, "\t")
+				if len(f) == 6 && f[0] != "shard" {
+					rows++
+					if f[4] == "0" {
+						t.Errorf("shard %s reports zero executed events", f[0])
+					}
+				}
+			}
+			if rows != tc.shards {
+				t.Fatalf("got %d shard rows, want %d:\n%s", rows, tc.shards, errb)
+			}
+		})
 	}
 }
 

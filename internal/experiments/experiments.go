@@ -221,13 +221,17 @@ func newWorld(sc Scale, bw topology.BandwidthProfile, loss topology.LossProfile,
 	if err != nil {
 		return nil, err
 	}
+	return worldOn(g, sc, seed), nil
+}
+
+// worldOn wraps g in a fresh engine, router and emulator, sharded and
+// observed as sc asks. Every experiment world is made here.
+func worldOn(g *topology.Graph, sc Scale, seed int64) *world {
 	eng := sim.NewEngine(seed)
 	rt := topology.NewRouter(g)
 	net := netem.New(eng, g, rt, netem.Config{})
-	if sc.Shards > 1 || sc.Shards == netem.AutoShardCount {
-		net.EnableShards(sc.Shards)
-	}
-	return &world{eng: eng, net: net, g: g, rt: rt, seed: seed, statsSink: sc.ShardStatsSink}, nil
+	net.EnableShards(sc.Shards)
+	return &world{eng: eng, net: net, g: g, rt: rt, seed: seed, statsSink: sc.ShardStatsSink}
 }
 
 // run executes the world's event loop to the given virtual time,

@@ -5,7 +5,6 @@ import (
 
 	"bullet/internal/core"
 	"bullet/internal/metrics"
-	"bullet/internal/netem"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
 	"bullet/internal/streamer"
@@ -87,14 +86,7 @@ func Fig15(sc Scale, seed int64) (*Result, error) {
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		eng := sim.NewEngine(seed)
-		rt := topology.NewRouter(g)
-		net := netem.New(eng, g, rt, netem.Config{})
-		if sc.Shards > 1 || sc.Shards == netem.AutoShardCount {
-			net.EnableShards(sc.Shards)
-		}
-		w := &world{eng: eng, net: net, g: g, rt: rt, seed: seed}
-		return w, g, root, nil
+		return worldOn(g, sc, seed), g, root, nil
 	}
 
 	deployBullet := func(w *world, g *topology.Graph, root int, col *metrics.Collector) error {

@@ -282,7 +282,7 @@ func (n *Network) Unregister(node int) { n.handlers[node] = nil }
 // Send injects a packet at pkt.From at the current virtual time of
 // From's shard. The packet traverses the fixed shortest path to pkt.To;
 // it may be dropped on the way. The path is resolved once here (from
-// the router's memoized flat tables) and carried with the packet. Send
+// the router's per-source memo) and carried with the packet. Send
 // must be called from From's shard (an endpoint sending on behalf of
 // its node, or the single-threaded barrier phase).
 func (n *Network) Send(pkt Packet) {

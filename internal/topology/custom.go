@@ -47,7 +47,8 @@ func (b *Builder) AddLink(a, c int, class LinkClass, kbps float64, delay sim.Dur
 	return id
 }
 
-// Build finalizes the graph.
+// Build finalizes the graph, rejecting one outside the transit-stub
+// contract the router relies on (validateHier).
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -56,5 +57,8 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, fmt.Errorf("topology: empty custom graph")
 	}
 	b.g.buildAdjacency()
+	if err := validateHier(b.g); err != nil {
+		return nil, err
+	}
 	return b.g, nil
 }

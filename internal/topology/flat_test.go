@@ -96,8 +96,8 @@ func TestGenerateKeepsContract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate(%d, %d, %s, seed %d): %v", nodes, clients, bw.Name, seed, err)
 		}
-		if !validateHier(g) {
-			t.Fatalf("Generate(%d, %d, %s, seed %d) left the transit-stub contract", nodes, clients, bw.Name, seed)
+		if err := validateHier(g); err != nil {
+			t.Fatalf("Generate(%d, %d, %s, seed %d) left the transit-stub contract: %v", nodes, clients, bw.Name, seed, err)
 		}
 	}
 	// experiments.Small, Medium, XL, PaperScale and Mega (this package

@@ -3,23 +3,12 @@ package topology
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"bullet/internal/sim"
 )
-
-// hierRouterFor returns a router for g that answers through the
-// hierarchical backend, failing the test when validation rejects the
-// graph.
-func hierRouterFor(t testing.TB, g *Graph) *Router {
-	t.Helper()
-	r := NewRouter(g)
-	if r.hier == nil {
-		t.Fatal("NewRouter served a generated topology from the flat backend")
-	}
-	return r
-}
 
 // pathDelay sums the link delays along a path and checks that it forms
 // a connected walk from -> to over live links.
@@ -100,8 +89,8 @@ func queryPairs(g *Graph) [][2]int {
 // byte-identity contract rests on.
 func TestHierDeterministic(t *testing.T) {
 	g := genHier(t, 2, 4, 10, 5, 24, 99)
-	a := hierRouterFor(t, g)
-	b := hierRouterFor(t, g)
+	a := NewRouter(g)
+	b := NewRouter(g)
 	for _, pr := range queryPairs(g) {
 		pa, pb := a.Path(pr[0], pr[1]), b.Path(pr[0], pr[1])
 		if len(pa) != len(pb) {
@@ -131,18 +120,17 @@ func firstLink(t *testing.T, g *Graph, class LinkClass) int {
 // TestHierScopedInvalidation checks that a route change drops only the
 // shared state its link class can have reached — counted in fills of
 // atom gateway trees, the terminal graph and terminal rows — and that
-// the answers after it equal the flat backend's.
+// the answers after it equal the flat reference's.
 func TestHierScopedInvalidation(t *testing.T) {
 	g := genHier(t, 2, 3, 8, 5, 16, 5)
 	d := newDiff(t, g)
-	h := d.hier.hier
 	pairs := queryPairs(g)
 	requery := func() hierFills {
 		t.Helper()
 		for _, pr := range pairs {
 			d.check(pr[0], pr[1])
 		}
-		return h.fills
+		return d.hier.fills
 	}
 	warm := requery()
 	if warm.atoms == 0 || warm.graphs != 1 || warm.rows == 0 {
@@ -209,7 +197,7 @@ func TestHierConcurrentFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, serial := hierRouterFor(t, g), hierRouterFor(t, g)
+	conc, serial := NewRouter(g), NewRouter(g)
 	cl := g.Clients
 	want := make([][]int32, len(cl)*len(cl))
 	for round := 0; round < 3; round++ {
@@ -250,42 +238,91 @@ func TestRouterUnreachableMetrics(t *testing.T) {
 	g := genHier(t, 2, 3, 8, 5, 16, 5)
 	a, b := g.Clients[0], g.Clients[1]
 	g.FailLink(g.AccessLink(b))
-	for name, r := range map[string]*Router{"flat": newFlatRouter(g), "hier": hierRouterFor(t, g)} {
-		if r.Reachable(a, b) {
-			t.Fatalf("%s: client behind a failed access link is reachable", name)
-		}
-		if got := r.PathLoss(a, b); got != 1 {
-			t.Errorf("%s: PathLoss to an unreachable node = %g, want 1", name, got)
-		}
-		if got := r.Bottleneck(a, b); got != 0 {
-			t.Errorf("%s: Bottleneck to an unreachable node = %g, want 0", name, got)
-		}
-		if got := r.PathLoss(a, a); got != 0 {
-			t.Errorf("%s: PathLoss(a,a) = %g, want 0", name, got)
-		}
-		if got := r.Bottleneck(a, a); !math.IsInf(got, 1) {
-			t.Errorf("%s: Bottleneck(a,a) = %g, want +Inf", name, got)
-		}
+	r := NewRouter(g)
+	if r.Reachable(a, b) {
+		t.Fatal("client behind a failed access link is reachable")
+	}
+	if got := r.PathLoss(a, b); got != 1 {
+		t.Errorf("PathLoss to an unreachable node = %g, want 1", got)
+	}
+	if got := r.Bottleneck(a, b); got != 0 {
+		t.Errorf("Bottleneck to an unreachable node = %g, want 0", got)
+	}
+	if got := r.PathLoss(a, a); got != 0 {
+		t.Errorf("PathLoss(a,a) = %g, want 0", got)
+	}
+	if got := r.Bottleneck(a, a); !math.IsInf(got, 1) {
+		t.Errorf("Bottleneck(a,a) = %g, want +Inf", got)
 	}
 }
 
-// TestHierValidationFallback checks that a topology breaking the
-// transit-stub contract is rejected, leaving the flat backend in
-// charge.
-func TestHierValidationFallback(t *testing.T) {
-	b := NewBuilder()
-	n0 := b.AddNode(Transit, 0, 0)
-	n1 := b.AddNode(Stub, 1, 0)
-	c := b.AddNode(Client, 2, 0)
-	b.AddLink(n0, n1, TransitStub, 1000, sim.Millisecond, 0)
-	// Contract violation: a Client with two links.
-	b.AddLink(c, n1, ClientStub, 1000, sim.Millisecond, 0)
-	b.AddLink(c, n0, ClientStub, 1000, sim.Millisecond, 0)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
+// TestBuilderRejectsContractViolations checks that Build refuses every
+// way out of the transit-stub contract with an error naming the link or
+// node, so no Graph outside it ever reaches a router — and that it
+// accepts clients attached directly to Transit hubs, the shape of the
+// PlanetLab topology of fig15.
+func TestBuilderRejectsContractViolations(t *testing.T) {
+	// Every case starts from Transit 0 - Stub 1 - Stub 2 with client 3
+	// on Stub 1 and a second, still unattached client 4.
+	cases := []struct {
+		name string
+		add  func(b *Builder)
+		want string // "" when Build must accept
+	}{
+		{"clients on a transit hub", func(b *Builder) {
+			b.AddLink(4, 0, ClientStub, 1000, sim.Millisecond, 0)
+		}, ""},
+		{"client with two access links", func(b *Builder) {
+			b.AddLink(4, 1, ClientStub, 1000, sim.Millisecond, 0)
+			b.AddLink(4, 0, ClientStub, 1000, sim.Millisecond, 0)
+		}, "client 4 has 2 links"},
+		{"client with no access link", func(b *Builder) {}, "client 4 has 0 links"},
+		{"client-client link", func(b *Builder) {
+			b.AddLink(4, 3, ClientStub, 1000, sim.Millisecond, 0)
+		}, "Client-Stub link 3 cannot join"},
+		{"Stub-Stub link touching a Transit node", func(b *Builder) {
+			b.AddLink(4, 1, ClientStub, 1000, sim.Millisecond, 0)
+			b.AddLink(2, 0, StubStub, 1000, sim.Millisecond, 0)
+		}, "Stub-Stub link 4 cannot join"},
+		{"Transit-Stub link between two Stubs", func(b *Builder) {
+			b.AddLink(4, 1, ClientStub, 1000, sim.Millisecond, 0)
+			b.AddLink(1, 2, TransitStub, 1000, sim.Millisecond, 0)
+		}, "Transit-Stub link 4 cannot join"},
+		{"Transit-Transit link touching a Stub", func(b *Builder) {
+			b.AddLink(4, 1, ClientStub, 1000, sim.Millisecond, 0)
+			b.AddLink(0, 2, TransitTransit, 1000, sim.Millisecond, 0)
+		}, "Transit-Transit link 4 cannot join"},
+		{"unknown link class", func(b *Builder) {
+			b.AddLink(4, 1, ClientStub, 1000, sim.Millisecond, 0)
+			b.AddLink(1, 2, numLinkClasses, 1000, sim.Millisecond, 0)
+		}, "link 4 has unknown class"},
 	}
-	if NewRouter(g).hier != nil {
-		t.Fatal("hierarchical backend accepted a client with two access links")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder()
+			b.AddNode(Transit, 0, 0)
+			b.AddNode(Stub, 1, 0)
+			b.AddNode(Stub, 2, 0)
+			b.AddNode(Client, 1, 1)
+			b.AddNode(Client, 2, 1)
+			b.AddLink(0, 1, TransitStub, 1000, sim.Millisecond, 0)
+			b.AddLink(1, 2, StubStub, 1000, sim.Millisecond, 0)
+			b.AddLink(3, 1, ClientStub, 1000, sim.Millisecond, 0)
+			tc.add(b)
+			g, err := b.Build()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Build rejected a graph inside the contract: %v", err)
+				}
+				// A client on a hub routes like any other.
+				if p := NewRouter(g).Path(3, 4); len(p) != 3 {
+					t.Fatalf("path client 3 -> client 4 = %v, want the 3 links via the hub", p)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Build error = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

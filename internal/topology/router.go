@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"bullet/internal/sim"
 )
@@ -12,74 +14,117 @@ import (
 // is static). Paths are shortest by propagation delay; failed (Down)
 // links are never used.
 //
-// Two backends answer the same queries with the same bytes. Every
-// topology that keeps the transit-stub contract — every generated one —
-// is served by the hierarchical backend (hier.go), which shares
-// shortest-path work between sources by routing area. A handcrafted
-// Builder graph outside the contract falls back to the flat backend
-// below: one whole-graph shortest-path tree per source, computed lazily,
-// which is also the reference the tests hold the hierarchical backend
-// against. Which one serves is a property of the graph (validateHier),
-// not of its size and not a setting.
+// One Dijkstra over the whole graph per source — the flat reference the
+// tests keep (flat_test.go) — costs 0.85 ms and 102 KB at 5,000 nodes,
+// ~100 ms and ~2.4 MB at 100,000, all of it dropped on every route
+// change. The router instead shares shortest-path work between sources
+// by routing area, using the transit-stub contract that every Graph
+// keeps (validateHier, enforced by Generate and Builder.Build) and that
+// Table 1 describes:
 //
-// Neither backend keeps a Go map: the flat one memoizes the materialized
-// link-id path per (source, client destination) in slices indexed by
-// node id, the hierarchical one in a small open-addressed table per
-// source, so the steady-state cost of a Path query is a couple of loads
-// and the hot forwarding path never recomputes or reallocates a route.
+//   - clients are degree-one leaves behind a single access link;
+//   - stub atoms — the connected components of Stub nodes over
+//     Stub-Stub links — touch the rest of the world only through
+//     Transit-Stub links at gateway nodes (a simple path cannot pass
+//     through a degree-one client, so there is no other way in);
+//   - the backbone is the Transit nodes and Transit-Transit links.
 //
-// Caches are epoch-versioned: every query compares the router's epoch
+// Any simple path therefore decomposes into backbone links and maximal
+// stub-atom traversals, each entering and leaving an atom through
+// Transit-Stub links. The terminal graph H — one vertex per Transit
+// node, real edges for Transit-Transit links, and a virtual edge for
+// every (enter, leave) Transit-Stub pair of every atom, weighted by
+// the intra-atom shortest gateway-to-gateway distance — preserves
+// transit-to-transit distances exactly: every H edge corresponds to a
+// real path, and every real path's atom traversals are at least their
+// atom's virtual-edge weight. A router-to-router query then minimizes
+// entry(u) + dist_H + exit(v) over the (gateway, Transit-Stub link)
+// options of each endpoint's atom, against the pure intra-atom
+// distance when both ends share an atom; client queries add the unique
+// access links on both sides. Every piece is a deterministic function
+// of the graph, so answers are independent of query order — the
+// byte-identity contract of the sharded runner rests on that — and
+// TestHierMatchesFlat and FuzzHierMatchesFlat hold every path equal,
+// link by link, to the flat reference's.
+//
+// The router is split the way link-state routing splits a network into
+// areas. Structure — terminal and atom indexing, gateway lists —
+// depends only on node kinds and link classes, which no mutator
+// changes: NewRouter derives it once, in O(nodes + links), and
+// allocates every shared table. State depends on which links are up
+// and how long they are, and is filled on first use, into those tables:
+//
+//   - an atom's gateway trees, when a query first enters or leaves the
+//     atom (all atoms with two or more gateways when H is built);
+//   - H, when the first query crosses the backbone;
+//   - row t of the terminal-to-terminal tables (one Dijkstra over H),
+//     when a source first enters the backbone at terminal t;
+//   - a source's memo of answered (destination, distance, path)
+//     queries — a small open-addressed table, no Go map — which is all
+//     a warm Path or Delay reads: a couple of loads, nothing recomputed
+//     or reallocated on the hot forwarding path.
+//
+// State is epoch-versioned: every query compares the router's epoch
 // against the graph's route epoch (advanced by runtime mutations such
-// as FailLink or SetLatency) and invalidates when it moved — the flat
-// backend every tree, the hierarchical one what the changed link class
-// can have reached — so routes re-converge instantly, modeling an
-// idealized routing protocol with zero convergence delay. On a static
-// graph the check costs two loads and the behavior is identical to a
-// fully memoized router.
+// as FailLink or SetLatency) and invalidates when it moved, so routes
+// re-converge instantly, modeling an idealized routing protocol with
+// zero convergence delay; on a static graph the check costs two loads.
+// A route change drops only what it can have reached. The graph counts
+// route-affecting changes per link class, and invalidate compares: a
+// Client-Stub change (an access link flap — endpoints read their
+// access link live) drops the memos and nothing else; a Transit-Transit
+// or Transit-Stub change also drops H and the rows but keeps every
+// gateway tree, which run over Stub-Stub links only; a Stub-Stub change
+// drops those too. Dropping is a generation bump; nothing is freed and
+// nothing refilled until a query needs it.
+//
+// Shared state is read by every simulation shard and is a pure function
+// of (graph, route epoch). Generations move only in invalidate, which
+// runs single-threaded (Sync at a window barrier, or the serial
+// engine); fills take mu and publish through an atomic generation
+// stamp, which is all the fast path reads. A source's memo and
+// same-atom tree are touched only by the shard that owns the source
+// node.
+//
+// Table storage is T² × 16 B for T terminals (2% of the routers:
+// 0.2 MB at 5,000 nodes, 2.8 MB at 20,000, 52 MB at 100,000), reserved
+// at construction and touched row by row as rows fill.
 type Router struct {
-	g     *Graph
-	epoch uint64 // graph route epoch the caches reflect
-	// hier is the hierarchical backend; when non-nil it answers every
-	// query and the flat tables below are never allocated.
-	hier      *hierRouter
-	trees     []*spTree // indexed by source node id; nil until first query
-	clientIdx []int32   // node id -> index into g.Clients, or -1
-}
+	g *Graph
 
-type spTree struct {
-	prevLink []int32 // incoming link on the shortest path, -1 at source
-	prevNode []int32
-	dist     []int64   // nanoseconds of propagation delay; -1 = unreachable
-	paths    [][]int32 // memoized Path results, indexed by clientIdx
+	// Structure: fixed at construction.
+	atomOf    []int32 // node -> atom index, -1 for Transit and Client
+	atomLocal []int32 // node -> local index within its atom
+	atoms     []hatom
+	termIdx   []int32 // node -> terminal index, -1 for non-Transit
+	nterm     int     // terminals: the Transit nodes
+
+	// Generations: written by invalidate only.
+	epoch   uint64                 // graph route epoch the state reflects: owner of the memos
+	seen    [numLinkClasses]uint64 // graph class epochs the state reflects
+	atomGen uint32                 // moves when gateway trees go stale
+	hGen    uint32                 // moves when H and the rows go stale
+
+	// Shared state, filled under mu and published through hatom.gen and
+	// rowGen.
+	mu             sync.Mutex
+	q              pq // Dijkstra heap storage, reused across fills
+	gdist          []int64
+	gprevL, gprevN []int32 // link toward the root (-1 at root/unreached); parent's local index
+	hadj           [][]hedge
+	hBuilt         uint32          // hGen that hadj reflects
+	rowGen         []atomic.Uint32 // per terminal: hGen its row reflects
+	hdist          []int64         // [from terminal * T + to terminal]
+	hpredT         []int32         // predecessor terminal on the shortest path
+	hpredE         []int32         // index of the predecessor edge in hadj[predT]
+	fills          hierFills
+
+	srcs []*hsrc // per-source state by node id, nil until the node first asks
 }
 
 // emptyPath is the shared result for from == to queries, distinct from
 // the nil "unreachable" result.
 var emptyPath = []int32{}
-
-// NewRouter creates a router for g. The transit-stub contract is
-// checked here, once: no mutator changes a node kind or a link class.
-func NewRouter(g *Graph) *Router {
-	if h := newHier(g); h != nil {
-		return &Router{g: g, epoch: g.epoch, hier: h}
-	}
-	return newFlatRouter(g)
-}
-
-// newFlatRouter returns a router that answers every query from the
-// flat per-source trees, whatever the topology: the fallback for graphs
-// outside the transit-stub contract, and the reference the differential
-// tests hold the hierarchical backend against.
-func newFlatRouter(g *Graph) *Router {
-	idx := make([]int32, len(g.Nodes))
-	for i := range idx {
-		idx[i] = -1
-	}
-	for i, c := range g.Clients {
-		idx[c] = int32(i)
-	}
-	return &Router{g: g, trees: make([]*spTree, len(g.Nodes)), clientIdx: idx, epoch: g.epoch}
-}
 
 // Graph returns the underlying topology.
 func (r *Router) Graph() *Graph { return r.g }
@@ -144,69 +189,31 @@ const unreachable = int64(-1)
 // runner calls it single-threaded at every barrier, immediately after
 // the global events that can mutate the graph: during the parallel
 // shard windows the epoch is then guaranteed stable, so concurrent
-// queries from shard goroutines never race on cache invalidation. (A
-// source's tree or memo is only ever built and read by the shard that
-// owns the source node; the hierarchical backend's shared tables are
-// filled under its lock, see hier.go.)
+// queries from shard goroutines never race on invalidation.
 func (r *Router) Sync() { r.ensureEpoch() }
 
-// ensureEpoch invalidates the caches when the graph's route epoch has
-// advanced since they were filled.
+// ensureEpoch invalidates when the graph's route epoch has advanced
+// since the state was filled.
 func (r *Router) ensureEpoch() {
 	if r.g.epoch != r.epoch {
 		r.invalidate()
 	}
 }
 
+// invalidate brings the generations up to the graph's route epoch,
+// dropping the state a change of the moved link classes can have
+// reached. It runs single-threaded (see Sync).
 func (r *Router) invalidate() {
+	ce := r.g.classEpoch
+	switch {
+	case ce[StubStub] != r.seen[StubStub]:
+		r.atomGen++
+		r.hGen++
+	case ce[TransitStub] != r.seen[TransitStub], ce[TransitTransit] != r.seen[TransitTransit]:
+		r.hGen++
+	}
+	r.seen = ce
 	r.epoch = r.g.epoch
-	if r.hier != nil {
-		r.hier.invalidate()
-		return
-	}
-	clear(r.trees)
-}
-
-func (r *Router) tree(src int) *spTree {
-	r.ensureEpoch()
-	if t := r.trees[src]; t != nil {
-		return t
-	}
-	n := len(r.g.Nodes)
-	t := &spTree{
-		prevLink: make([]int32, n),
-		prevNode: make([]int32, n),
-		dist:     make([]int64, n),
-		paths:    make([][]int32, len(r.g.Clients)),
-	}
-	for i := range t.dist {
-		t.dist[i] = unreachable
-		t.prevLink[i] = -1
-		t.prevNode[i] = -1
-	}
-	t.dist[src] = 0
-	q := pq{{node: int32(src), dist: 0}}
-	for len(q) > 0 {
-		it := q.pop()
-		if t.dist[it.node] != it.dist {
-			continue // stale entry
-		}
-		for _, he := range r.g.adj[it.node] {
-			l := &r.g.Links[he.link]
-			if l.Down {
-				continue
-			}
-			nd := it.dist + int64(l.Delay)
-			if t.dist[he.to] == unreachable || nd < t.dist[he.to] {
-				t.dist[he.to] = nd
-				t.prevLink[he.to] = he.link
-				t.prevNode[he.to] = it.node
-				q.push(pqItem{node: he.to, dist: nd})
-			}
-		}
-	}
-	r.trees[src] = t
-	return t
 }
 
 // Path returns the link IDs along the shortest path from -> to, in
@@ -217,54 +224,18 @@ func (r *Router) Path(from, to int) []int32 {
 	if from == to {
 		return emptyPath
 	}
-	if r.hier != nil {
-		r.ensureEpoch()
-		return r.hier.lookup(from, to).path
-	}
-	t := r.tree(from)
-	if t.dist[to] == unreachable {
-		return nil
-	}
-	ci := r.clientIdx[to]
-	if ci >= 0 {
-		if p := t.paths[ci]; p != nil {
-			return p
-		}
-	}
-	p := materialize(t, int32(from), int32(to))
-	if ci >= 0 {
-		t.paths[ci] = p
-	}
-	return p
+	r.ensureEpoch()
+	return r.lookup(from, to).path
 }
 
-// materialize walks the predecessor chain twice: once to count hops,
-// once to fill front-to-back, so no reversal pass is needed.
-func materialize(t *spTree, from, to int32) []int32 {
-	hops := 0
-	for n := to; n != from; n = t.prevNode[n] {
-		hops++
-	}
-	p := make([]int32, hops)
-	for n := to; n != from; n = t.prevNode[n] {
-		hops--
-		p[hops] = t.prevLink[n]
-	}
-	return p
-}
-
-// Delay returns the one-way propagation delay of the shortest path.
+// Delay returns the one-way propagation delay of the shortest path, or
+// -1 if to is unreachable.
 func (r *Router) Delay(from, to int) sim.Duration {
 	if from == to {
 		return 0
 	}
-	var d int64
-	if r.hier != nil {
-		r.ensureEpoch()
-		d = r.hier.lookup(from, to).dist
-	} else {
-		d = r.tree(from).dist[to]
-	}
+	r.ensureEpoch()
+	d := r.lookup(from, to).dist
 	if d == unreachable {
 		return -1
 	}

@@ -190,8 +190,10 @@ type halfEdge struct {
 	link int32
 }
 
-// Graph is a generated topology. The node/link structure is fixed after
-// generation, but per-link state (bandwidth, latency, loss, up/down) is
+// Graph is a topology made by Generate or Builder.Build, the only two
+// constructors; both check the transit-stub contract (validateHier), so
+// every Graph keeps it. The node/link structure is fixed after
+// construction, but per-link state (bandwidth, latency, loss, up/down) is
 // mutable at runtime through the Set*/Fail*/Partition methods below, so
 // scenarios can change network conditions mid-run. Every mutation that
 // can alter shortest-path routes advances the route epoch; consumers
@@ -205,8 +207,8 @@ type Graph struct {
 	epoch uint64 // route epoch; bumped by route-affecting mutations
 	// classEpoch counts, per link class, the route-affecting changes to
 	// links of that class. The classes of a transit-stub topology are its
-	// routing areas: the hierarchical router compares these counters to
-	// drop only the state a change can have reached (hier.go).
+	// routing areas: the router compares these counters to drop only the
+	// state a change can have reached (Router.invalidate).
 	classEpoch   [numLinkClasses]uint64
 	partitionCut []int32 // links failed by Partition, restored by Heal
 }
@@ -435,6 +437,9 @@ func Generate(cfg Config) (*Graph, error) {
 	}
 
 	g.buildAdjacency()
+	if err := validateHier(g); err != nil {
+		return nil, fmt.Errorf("topology: generator bug: %w", err)
+	}
 	return g, nil
 }
 
@@ -481,16 +486,6 @@ func (g *Graph) LinkClassCounts() map[LinkClass]int {
 // Epoch returns the current route epoch. It advances whenever a
 // mutation may have changed shortest-path routes.
 func (g *Graph) Epoch() uint64 { return g.epoch }
-
-// classMoved records a route-affecting change to a link of class c;
-// the caller advances the route epoch. A Builder graph may carry a
-// class outside Table 1: only the flat router serves it, and that reads
-// no class counter.
-func (g *Graph) classMoved(c LinkClass) {
-	if c < numLinkClasses {
-		g.classEpoch[c]++
-	}
-}
 
 // FindLink returns the ID of a link between nodes a and b, or -1 if no
 // such link exists. If parallel links exist, the lowest ID wins.
@@ -541,7 +536,7 @@ func (g *Graph) SetLatency(id int, d sim.Duration) {
 		return
 	}
 	g.Links[id].Delay = d
-	g.classMoved(g.Links[id].Class)
+	g.classEpoch[g.Links[id].Class]++
 	g.epoch++
 }
 
@@ -580,7 +575,7 @@ func (g *Graph) FailLink(id int) {
 		return
 	}
 	g.Links[id].Down = true
-	g.classMoved(g.Links[id].Class)
+	g.classEpoch[g.Links[id].Class]++
 	g.epoch++
 }
 
@@ -592,7 +587,7 @@ func (g *Graph) RestoreLink(id int) {
 		return
 	}
 	g.Links[id].Down = false
-	g.classMoved(g.Links[id].Class)
+	g.classEpoch[g.Links[id].Class]++
 	g.epoch++
 }
 
@@ -613,7 +608,7 @@ func (g *Graph) Partition(nodes []int) int {
 			continue
 		}
 		l.Down = true
-		g.classMoved(l.Class)
+		g.classEpoch[l.Class]++
 		g.partitionCut = append(g.partitionCut, int32(i))
 		cut++
 	}
@@ -631,7 +626,7 @@ func (g *Graph) Heal() {
 	}
 	for _, id := range g.partitionCut {
 		g.Links[id].Down = false
-		g.classMoved(g.Links[id].Class)
+		g.classEpoch[g.Links[id].Class]++
 	}
 	g.partitionCut = g.partitionCut[:0]
 	g.epoch++
