@@ -92,12 +92,9 @@ func TestGenerateKeepsContract(t *testing.T) {
 		t.Helper()
 		cfg := Sized(nodes, clients, bw)
 		cfg.Seed = seed
-		g, err := Generate(cfg)
-		if err != nil {
+		// Generate ends on validateHier, so its error is the assertion.
+		if _, err := Generate(cfg); err != nil {
 			t.Fatalf("Generate(%d, %d, %s, seed %d): %v", nodes, clients, bw.Name, seed, err)
-		}
-		if err := validateHier(g); err != nil {
-			t.Fatalf("Generate(%d, %d, %s, seed %d) left the transit-stub contract: %v", nodes, clients, bw.Name, seed, err)
 		}
 	}
 	// experiments.Small, Medium, XL, PaperScale and Mega (this package

@@ -78,6 +78,11 @@ type hierFills struct{ atoms, graphs, rows int }
 // it. Generate and Builder.Build are its callers, so every Graph keeps
 // the contract: no mutator changes a node kind or a link class.
 func validateHier(g *Graph) error {
+	for i := range g.Nodes {
+		if k := g.Nodes[i].Kind; k > Client {
+			return fmt.Errorf("topology: node %d has unknown kind %d", i, k)
+		}
+	}
 	for i := range g.Links {
 		l := &g.Links[i]
 		ka, kb := g.Nodes[l.A].Kind, g.Nodes[l.B].Kind

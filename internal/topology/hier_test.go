@@ -296,6 +296,10 @@ func TestBuilderRejectsContractViolations(t *testing.T) {
 			b.AddLink(4, 1, ClientStub, 1000, sim.Millisecond, 0)
 			b.AddLink(1, 2, numLinkClasses, 1000, sim.Millisecond, 0)
 		}, "link 4 has unknown class"},
+		{"unknown node kind", func(b *Builder) {
+			b.AddLink(4, 1, ClientStub, 1000, sim.Millisecond, 0)
+			b.AddNode(Client+1, 3, 0) // no link: only the node pass can see it
+		}, "node 5 has unknown kind"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
