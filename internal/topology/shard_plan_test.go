@@ -1,0 +1,164 @@
+package topology
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"bullet/internal/sim"
+)
+
+// checkPlan holds plan, the answer of PartitionShards(g, k), to
+// everything a ShardPlan promises whatever rule chose the shards: it is
+// recomputed here from the graph and ShardOf alone.
+func checkPlan(t testing.TB, g *Graph, k int, plan ShardPlan) {
+	t.Helper()
+	if k < 1 {
+		k = 1
+	}
+	if plan.K < 1 || plan.K > k {
+		t.Fatalf("K = %d, want within [1, %d]", plan.K, k)
+	}
+	if len(plan.ShardOf) != len(g.Nodes) {
+		t.Fatalf("ShardOf covers %d nodes, graph has %d", len(plan.ShardOf), len(g.Nodes))
+	}
+	// Shard ids are handed out in ascending order of first member, which
+	// also means every id below K is in use.
+	next := 0
+	weights := make([]int, plan.K)
+	for i, s := range plan.ShardOf {
+		if s < 0 || s >= plan.K {
+			t.Fatalf("node %d on shard %d, K = %d", i, s, plan.K)
+		}
+		if s > next {
+			t.Fatalf("node %d opens shard %d before shard %d has a member", i, s, next)
+		}
+		if s == next {
+			next++
+		}
+		weights[s] += nodeWeight(g.Nodes[i].Kind)
+	}
+	if next != plan.K {
+		t.Fatalf("%d shards have members, K = %d", next, plan.K)
+	}
+	if !slices.Equal(plan.Weights, weights) {
+		t.Fatalf("Weights %v, members weigh %v", plan.Weights, weights)
+	}
+	var cut []int32
+	var lookahead sim.Duration
+	for i := range g.Links {
+		l := &g.Links[i]
+		if plan.ShardOf[l.A] == plan.ShardOf[l.B] {
+			continue
+		}
+		if l.Class == ClientStub || l.Class == StubStub {
+			t.Fatalf("%v link %d (%d-%d) is on the cut: an atom was split", l.Class, i, l.A, l.B)
+		}
+		cut = append(cut, int32(l.ID))
+		if lookahead == 0 || l.Delay < lookahead {
+			lookahead = l.Delay
+		}
+	}
+	if !slices.Equal(plan.CutLinks, cut) {
+		t.Fatalf("CutLinks lists %d links, not the %d whose ends are on two shards in ascending id", len(plan.CutLinks), len(cut))
+	}
+	if plan.Lookahead != lookahead {
+		t.Fatalf("Lookahead %v, minimum delay over the cut %v", plan.Lookahead, lookahead)
+	}
+	if again := PartitionShards(g, k); !reflect.DeepEqual(plan, again) {
+		t.Fatalf("second PartitionShards(g, %d) differs from the first", k)
+	}
+}
+
+// hubClientsTopo is the fig15 shape: a chain of Transit hubs with
+// clientsAt[h] clients attached straight to hub h and no Stub node
+// anywhere, so each hub and its clients form one atom and only
+// Transit-Transit links can be cut.
+func hubClientsTopo(t *testing.T, clientsAt ...int) *Graph {
+	t.Helper()
+	b := NewBuilder()
+	const huge = 1e12
+	prev := -1
+	for h, n := range clientsAt {
+		hub := b.AddNode(Transit, float64(h), 0)
+		if prev >= 0 {
+			b.AddLink(prev, hub, TransitTransit, huge, sim.Duration(10*(h+1))*sim.Millisecond, 0)
+		}
+		prev = hub
+		for c := 0; c < n; c++ {
+			cl := b.AddNode(Client, float64(h), float64(c+1))
+			b.AddLink(cl, hub, ClientStub, huge, sim.Duration(c+2)*sim.Millisecond, 0)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestPartitionPlanContract runs checkPlan over generated graphs at the
+// node and client counts of every experiments scale (the mega one is
+// skipped under -short) and over the handcrafted shapes.
+func TestPartitionPlanContract(t *testing.T) {
+	ks := []int{2, 4, 8, 16}
+	scales := []struct {
+		name           string
+		nodes, clients int
+	}{
+		{"small", 1500, 40},
+		{"medium", 5000, 150},
+		{"xl", 10000, 400},
+		{"paper", 20000, 1000},
+		{"mega", 100000, 10000},
+	}
+	for _, sc := range scales {
+		if sc.name == "mega" && testing.Short() {
+			continue
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := Sized(sc.nodes, sc.clients, MediumBandwidth)
+			cfg.Seed = seed
+			g, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range ks {
+				t.Run(fmt.Sprintf("%s/seed%d/k%d", sc.name, seed, k), func(t *testing.T) {
+					checkPlan(t, g, k, PartitionShards(g, k))
+				})
+			}
+		}
+	}
+	star, _ := starTopo(t, 7)
+	hubs := hubClientsTopo(t, 11, 18, 18) // fig15's 47 participants
+	for _, k := range append([]int{1, 3}, ks...) {
+		t.Run(fmt.Sprintf("star/k%d", k), func(t *testing.T) {
+			checkPlan(t, star, k, PartitionShards(star, k))
+		})
+		t.Run(fmt.Sprintf("hub-clients/k%d", k), func(t *testing.T) {
+			checkPlan(t, hubs, k, PartitionShards(hubs, k))
+		})
+	}
+}
+
+// FuzzPartitionShards runs checkPlan on generated graphs of fuzzed
+// seed, size, client count and shard count (0, which PartitionShards
+// reads as 1, included).
+func FuzzPartitionShards(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(0), uint16(2))
+	f.Add(int64(42), uint16(1440), uint16(39), uint16(4))
+	f.Add(int64(7), uint16(2500), uint16(900), uint16(16))
+	f.Fuzz(func(t *testing.T, seed int64, size, clients, k uint16) {
+		nodes := 60 + int(size)%4000
+		cfg := Sized(nodes, 1+int(clients)%(nodes/2), MediumBandwidth)
+		cfg.Seed = seed
+		g, err := Generate(cfg)
+		if err != nil {
+			t.Skip(err)
+		}
+		kk := int(k) % 33
+		checkPlan(t, g, kk, PartitionShards(g, kk))
+	})
+}
