@@ -343,7 +343,8 @@ func ScaleBandwidth(link int, factor float64) ScenarioAction {
 	return scenario.ScaleBandwidth(link, factor)
 }
 
-// SetLatency sets a link's propagation delay.
+// SetLatency sets a link's propagation delay. d <= 0 is ignored: link
+// delays stay positive.
 func SetLatency(link int, d Duration) ScenarioAction { return scenario.SetLatency(link, d) }
 
 // SetLoss sets a link's independent per-packet loss probability.

@@ -12,7 +12,8 @@
 //
 // Scales: small (seconds of wall-clock), medium, xl (the CI smoke
 // point for the scale path), paper (the paper's 20,000-node topologies
-// with 1000 participants; minutes to hours). -cpuprofile and
+// with 1000 participants; minutes to hours), mega (100,000 nodes and
+// 10,000 participants over a short stream). -cpuprofile and
 // -memprofile write pprof profiles covering exactly the experiment
 // runs, for diagnosing scale regressions without editing code.
 //
@@ -128,7 +129,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		experiment = fs.String("experiment", "", "experiment id, comma-separated list, or \"all\" (see -list)")
-		scaleName  = fs.String("scale", "small", "small | medium | xl | paper")
+		scaleName  = fs.String("scale", "small", strings.Join(experiments.ScaleNames(), " | "))
 		seed       = fs.Int64("seed", 42, "master RNG seed; runs are a pure function of (experiment, scale, seed)")
 		outDir     = fs.String("out", "", "directory for per-experiment TSV files (default: stdout)")
 		list       = fs.Bool("list", false, "list experiments and exit")

@@ -6,13 +6,11 @@ import (
 	"bullet/internal/netem"
 )
 
-// TestShardStatsAndCalibration runs Figure 7 sharded and checks the
-// load-observability loop end to end: every shard reports its planned
-// weight and measured load, the sink fires through world.run, and the
-// measured event counts support a client-weight fit in the same decade
-// as topology.DefaultClientWeight (which was derived from exactly this
-// run shape — see the constant's comment).
-func TestShardStatsAndCalibration(t *testing.T) {
+// TestShardStats runs Figure 7 sharded and checks the load-observability
+// loop end to end: every shard reports its planned weight and measured
+// load, the sink fires through world.run, and the shards' events plus
+// the global engine's add up to the serial run's.
+func TestShardStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full small-scale run; skipped in -short")
 	}
@@ -55,15 +53,6 @@ func TestShardStatsAndCalibration(t *testing.T) {
 	if totalNodes != len(w.g.Nodes) || totalClients != len(w.g.Clients) {
 		t.Fatalf("stats cover %d nodes / %d clients, world has %d / %d",
 			totalNodes, totalClients, len(w.g.Nodes), len(w.g.Clients))
-	}
-	wgt, ok := netem.CalibrateClientWeight(stats)
-	if !ok {
-		t.Fatal("calibration failed on a real run")
-	}
-	// The measured ratio is noisy run to run but sits around 10^4 —
-	// far above the 101:1 the balancer once assumed.
-	if wgt < 1000 || wgt > 1000000 {
-		t.Fatalf("calibrated client weight %d outside plausible band [1e3, 1e6]", wgt)
 	}
 
 	// Executed-event identity: sharding neither adds nor drops logical

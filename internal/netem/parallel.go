@@ -543,9 +543,7 @@ func (n *Network) ShardStats() []ShardStat {
 		st[i].Shard = i
 		st[i].Events = n.engines[i].Fired()
 		st[i].BusyNanos = n.ctxs[i].busyNanos
-		if i < len(n.plan.Weights) {
-			st[i].Weight = n.plan.Weights[i]
-		}
+		st[i].Weight = n.plan.Weights[i]
 	}
 	for node, s := range n.plan.ShardOf {
 		st[s].Nodes++
@@ -583,24 +581,6 @@ func (l RunLoad) TotalEvents() uint64 {
 // across run segments.
 func (n *Network) RunLoad() RunLoad {
 	return RunLoad{Shards: n.ShardStats(), GlobalEvents: n.eng.Fired()}
-}
-
-// CalibrateClientWeight fits a sharded run's measured per-shard event
-// counts to the client/router load model and returns the client weight
-// that would have balanced it (see topology.CalibrateClientWeight).
-// The false return means the run's shard mix cannot support a fit.
-// topology.DefaultClientWeight was derived exactly this way from
-// Figure 7 runs.
-func CalibrateClientWeight(stats []ShardStat) (int, bool) {
-	clients := make([]int, len(stats))
-	routers := make([]int, len(stats))
-	events := make([]int64, len(stats))
-	for i, s := range stats {
-		clients[i] = s.Clients
-		routers[i] = s.Nodes - s.Clients
-		events[i] = int64(s.Events)
-	}
-	return topology.CalibrateClientWeight(clients, routers, events)
 }
 
 // exchange drains every shard's outboxes into the destination shard

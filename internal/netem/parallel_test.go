@@ -232,3 +232,44 @@ func TestLookaheadRecomputeMidRun(t *testing.T) {
 		t.Fatalf("sharded deliveries %v, serial %v", sharded, serial)
 	}
 }
+
+// TestZeroLatencyCutLinkIsRefused: LookaheadNow reads a zero delay as
+// "no live cut link", so a cut link shortened to zero would drop out of
+// the window sizing — the line topology's only cut link leaves the
+// windows unbounded, a 1ms timer keeps the far shard running ahead, and
+// the handoff lands inside a window its destination has already run.
+// Graph.SetLatency refuses the zero, so the link keeps its 5ms and both
+// sends arrive at the serial run's times.
+func TestZeroLatencyCutLinkIsRefused(t *testing.T) {
+	run := func(shards int) [2]sim.Time {
+		g, c0, c1, _ := barrierTopo(t)
+		cut := int(topology.PartitionShards(g, 2).CutLinks[0])
+		eng := sim.NewEngine(5)
+		net := New(eng, g, topology.NewRouter(g), Config{})
+		if shards > 1 {
+			if got := net.EnableShards(shards); got != shards {
+				t.Fatalf("EnableShards(%d) = %d", shards, got)
+			}
+		}
+		var at [2]sim.Time
+		net.Register(c1, func(p Packet) { at[p.Seq-1] = net.SchedulerFor(c1).Now() })
+		net.SchedulerFor(c1).Every(sim.Millisecond, func() {})
+		for i, ms := range []sim.Time{10, 30} {
+			seq := uint64(i + 1)
+			eng.At(ms*sim.Millisecond, func() {
+				net.Send(Packet{Kind: Data, Seq: seq, Size: 1000, From: c0, To: c1})
+			})
+		}
+		eng.At(15*sim.Millisecond, func() { g.SetLatency(cut, 0) })
+		net.Run(sim.Second)
+		return at
+	}
+	serial := run(1)
+	// 10 + 7 + 5 + 2 + 3 + 1 = 28ms, and 20ms later.
+	if want := [2]sim.Time{28 * sim.Millisecond, 48 * sim.Millisecond}; serial != want {
+		t.Fatalf("serial deliveries %v, want %v", serial, want)
+	}
+	if sharded := run(2); sharded != serial {
+		t.Fatalf("sharded deliveries %v, serial %v", sharded, serial)
+	}
+}

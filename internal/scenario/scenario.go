@@ -87,7 +87,8 @@ func ScaleBandwidth(link int, factor float64) Action {
 	return func(env *Env) { env.G.ScaleBandwidth(link, factor) }
 }
 
-// SetLatency sets the link propagation delay.
+// SetLatency sets the link propagation delay. d <= 0 is ignored: link
+// delays stay positive.
 func SetLatency(link int, d sim.Duration) Action {
 	return func(env *Env) { env.G.SetLatency(link, d) }
 }

@@ -46,6 +46,13 @@ func TestMutatorsAdvanceEpoch(t *testing.T) {
 	if g.Epoch() != e0+1 {
 		t.Fatal("no-op SetLatency advanced epoch")
 	}
+	// A link delay stays positive: zero is refused like a negative one.
+	for _, d := range []sim.Duration{0, -sim.Millisecond} {
+		g.SetLatency(0, d)
+		if g.Links[0].Delay != 5*sim.Millisecond || g.Epoch() != e0+1 {
+			t.Fatalf("SetLatency(%d): delay %d, epoch %d; want it ignored", d, g.Links[0].Delay, g.Epoch())
+		}
+	}
 	g.FailLink(0)
 	if !g.Links[0].Down || g.Epoch() != e0+2 {
 		t.Fatalf("FailLink: down=%v epoch=%d", g.Links[0].Down, g.Epoch())

@@ -7,12 +7,12 @@ import (
 )
 
 // ShardPlan is a deterministic partition of the topology into shards
-// for single-run parallel simulation. Shards follow the transit-stub
-// structure: every stub domain (with its clients) is an indivisible
-// atom, atoms are merged across their cheapest connecting links first,
-// and the links left crossing shards are therefore the longest-delay
-// ones available — maximizing the conservative-PDES lookahead, which
-// is the minimum propagation delay over the cut.
+// for single-run parallel simulation, made by PartitionShards: stub
+// domains (with their clients) are indivisible atoms, atoms merge
+// across their shortest connecting links while a shard's fair share
+// allows, and the links left crossing shards are therefore the longer
+// ones — the conservative-PDES lookahead is the minimum propagation
+// delay over the cut.
 type ShardPlan struct {
 	// K is the effective shard count (>= 1). It can be lower than the
 	// requested count when the topology has fewer atoms.
@@ -93,16 +93,16 @@ func (u *uf) union(a, b int32) {
 
 // DefaultClientWeight is the relative event load of a client node
 // versus a router node, used by PartitionShards to balance shards.
-// The value is measured, not guessed: fitting per-shard executed-event
-// counters (netem.ShardStats on Figure 7 runs) to per-shard client and
-// router counts with CalibrateClientWeight gives ≈150k events per
-// client against ≈15 per router — clients own the protocol timers,
-// endpoint packet processing, and most hop events, while routers only
-// forward through. The earlier hand-picked 101:1 underweighted clients
-// by two orders of magnitude, which let a client-heavy stub domain
-// pair with a router-heavy one and stall every barrier window on the
-// hot shard. Partition choice never affects simulation output bytes —
-// only load balance — so re-deriving this constant is always safe.
+// The value is measured, not guessed: per-shard executed-event counters
+// (netem.ShardStats on Figure 7 runs) against per-shard client and
+// router counts come to ≈150k events per client and ≈15 per router —
+// clients own the protocol timers, endpoint packet processing, and most
+// hop events, while routers only forward through. The earlier
+// hand-picked 101:1 underweighted clients by two orders of magnitude,
+// which let a client-heavy stub domain pair with a router-heavy one and
+// stall every barrier window on the hot shard. Partition choice never
+// affects simulation output bytes — only load balance — so re-deriving
+// this constant is always safe.
 const DefaultClientWeight = 10000
 
 // nodeWeight approximates a node's event load.
@@ -111,42 +111,6 @@ func nodeWeight(k NodeKind) int {
 		return DefaultClientWeight
 	}
 	return 1
-}
-
-// CalibrateClientWeight fits measured per-shard event counts to the
-// two-parameter load model events ≈ a·clients + b·routers (least
-// squares through the origin) and returns the rounded ratio a/b — the
-// client weight that would have balanced the observed run. The second
-// return is false when the data cannot support a fit: fewer than two
-// shards, a singular system (e.g. all shards have identical client:
-// router proportions), or a non-positive router coefficient.
-func CalibrateClientWeight(clients, routers []int, events []int64) (int, bool) {
-	if len(clients) < 2 || len(routers) != len(clients) || len(events) != len(clients) {
-		return 0, false
-	}
-	var cc, cr, rr, ce, re float64
-	for i := range clients {
-		c, r, e := float64(clients[i]), float64(routers[i]), float64(events[i])
-		cc += c * c
-		cr += c * r
-		rr += r * r
-		ce += c * e
-		re += r * e
-	}
-	det := cc*rr - cr*cr
-	if det == 0 {
-		return 0, false
-	}
-	a := (ce*rr - cr*re) / det
-	b := (cc*re - cr*ce) / det
-	if a <= 0 || b <= 0 {
-		return 0, false
-	}
-	w := int(a/b + 0.5)
-	if w < 1 {
-		w = 1
-	}
-	return w, true
 }
 
 // Auto-shard tuning constants. All weights are in nodeWeight units
@@ -166,12 +130,10 @@ const (
 	// cross-shard handoff overtake any locality or parallelism gain on
 	// the machines this simulator targets.
 	autoMaxShards = 16
-	// autoBarrierCost models one barrier round's overhead as virtual
-	// lookahead time: a candidate plan whose cut lookahead is comparable
-	// to this spends as long synchronizing as simulating, and scores
-	// accordingly. Transit-stub cut links (the longest-delay links the
-	// partitioner can leave on the cut) sit in the tens of milliseconds,
-	// so well-cut plans are barely penalized.
+	// autoBarrierCost is one barrier round's overhead as virtual lookahead
+	// time: a plan whose cut lookahead is shorter than this spends longer
+	// synchronizing than simulating, and AutoShards answers 1 for it.
+	// Generated transit-stub graphs leave 3-8 ms on the cut.
 	autoBarrierCost = 1 * sim.Millisecond
 )
 
@@ -182,23 +144,15 @@ const (
 // output bytes — sharded runs are byte-identical to serial at any K —
 // only wall-clock and memory locality.
 //
-// The heuristic has three stages. First, a load floor: below
-// autoMinWeight of calibrated node weight the answer is always 1.
-// Second, a candidate ceiling from both supply and demand: enough
-// shards that each carries about autoTargetWeight (locality — a
-// 100k-node topology wants several shards even on one core, because
-// each shard's event heap then stays hot), and at least one shard per
-// core (parallelism), clamped to autoMaxShards. Third, candidate plans
-// from PartitionShards are scored by effective parallelism (total
-// weight over heaviest shard — how much of K the balance actually
-// delivers) discounted by lookahead quality (the fraction of a barrier
-// window spent simulating rather than synchronizing, with one round
-// costed at autoBarrierCost). A larger K must beat the incumbent by 5%
-// to win, so ties and near-ties resolve to the smaller count.
+// Below autoMinWeight of node weight the answer is 1. Above it the
+// count comes from both supply and demand: enough shards that each
+// carries about autoTargetWeight (locality — a 100k-node topology wants
+// several shards even on one core, because each shard's event heap then
+// stays hot), and at least one shard per core (parallelism), clamped to
+// autoMaxShards. PartitionShards balances whatever count it is given,
+// so the plan at that count is taken as it comes, unless its lookahead
+// is below autoBarrierCost: then the answer is 1.
 func AutoShards(g *Graph, cores int) int {
-	if cores < 1 {
-		cores = 1
-	}
 	total := 0
 	for i := range g.Nodes {
 		total += nodeWeight(g.Nodes[i].Kind)
@@ -216,34 +170,32 @@ func AutoShards(g *Graph, cores int) int {
 	if want > autoMaxShards {
 		want = autoMaxShards
 	}
-	best, bestScore := 1, 1.0 // serial: eff 1, no barriers
-	for k := 2; ; k *= 2 {
-		if k > want {
-			k = want
-		}
-		plan := PartitionShards(g, k)
-		if plan.K > 1 {
-			maxW := 0
-			for _, w := range plan.Weights {
-				if w > maxW {
-					maxW = w
-				}
-			}
-			eff := float64(total) / float64(maxW)
-			q := 1.0 // Lookahead 0 with K > 1 means no cut links: unbounded windows
-			if plan.Lookahead > 0 {
-				q = float64(plan.Lookahead) / float64(plan.Lookahead+autoBarrierCost)
-			}
-			if score := eff * q; score > bestScore*1.05 {
-				best, bestScore = plan.K, score
-			}
-		}
-		if k == want {
-			break
-		}
+	plan := PartitionShards(g, want)
+	// Lookahead 0 with K > 1 means no cut links: unbounded windows.
+	if plan.Lookahead > 0 && plan.Lookahead < autoBarrierCost {
+		return 1
 	}
-	return best
+	return plan.K
 }
+
+// mergeSlackDiv sets how far past a shard's fair share a merged group
+// may grow: cap = ideal + ideal/mergeSlackDiv. The giant component of a
+// generated transit-stub graph percolates between 5 and 7 ms of link
+// delay, so slack buys about 1% of lookahead per 25% of imbalance
+// (cap = f × ideal, lookahead and participants per shard):
+//
+//	f     60,000 nodes / 3,000 clients, K=2   100,000 / 10,000, K=8
+//	0.25  5.46 ms  1500/1500                  4.92 ms  8 × 1250
+//	0.5   6.35 ms  1500/1500                  5.10 ms  8 × 1250
+//	1.0   6.71 ms  1500/1500                  5.50 ms  8 × 1250
+//	1.1   6.71 ms  1500/1500                  5.50 ms  8 × 1250
+//	1.25  6.80 ms  1126/1874                  5.66 ms  7 × 1218 + 1471
+//	1.5   7.85 ms  2230/770                   5.76 ms  7 × ~1168 + 1826
+//	2.0   18.85 ms 2978/22                    5.83 ms  7 × ~1086 + 2402
+//
+// The tenth over 1.0 is there for handcrafted graphs of a few clients,
+// where a weight-1 transit node would otherwise tip an exact half.
+const mergeSlackDiv = 10
 
 // PartitionShards partitions g into at most k shards.
 //
@@ -252,10 +204,13 @@ func AutoShards(g *Graph, cores int) int {
 // (so do clients attached directly to transit hubs in handcrafted
 // topologies), which keeps the dense intra-domain traffic off the
 // cut. Atoms are then merged single-linkage style across inter-atom
-// links in ascending (delay, link id) order — subject to a balance cap
-// of twice the ideal shard weight — until k groups remain; if the cap
-// stops merging early, the surplus groups are packed onto the k
-// lightest shards. The result is a pure function of (g, k).
+// links in ascending (delay, link id) order until k groups remain or a
+// merge would put a group past a shard's fair share of the weight plus
+// a tenth. The first refused link is left between two groups, where it
+// bounds the lookahead, so merging anything longer buys nothing and the
+// merging stops there: the groups left over are packed, heaviest first,
+// each onto the lightest shard so far. The result is a pure function of
+// (g, k).
 func PartitionShards(g *Graph, k int) ShardPlan {
 	n := len(g.Nodes)
 	if k < 1 {
@@ -285,8 +240,8 @@ func PartitionShards(g *Graph, k int) ShardPlan {
 	}
 
 	if k > 1 && groups > k {
-		// Merge phase: cheapest inter-atom links first, so the links
-		// that remain on the cut are the longest-delay ones available.
+		// Merge phase: shortest inter-atom links first, so the links
+		// that remain on the cut are the longer ones.
 		type edge struct {
 			delay sim.Duration
 			id    int32
@@ -304,7 +259,8 @@ func PartitionShards(g *Graph, k int) ShardPlan {
 			}
 			return edges[i].id < edges[j].id
 		})
-		cap := 2 * ((total + k - 1) / k)
+		ideal := (total + k - 1) / k
+		cap := ideal + ideal/mergeSlackDiv
 		for _, e := range edges {
 			if groups == k {
 				break
@@ -314,13 +270,12 @@ func PartitionShards(g *Graph, k int) ShardPlan {
 			if ra == rb {
 				continue
 			}
-			if weight[ra]+weight[rb] > cap {
-				continue
-			}
 			w := weight[ra] + weight[rb]
+			if w > cap {
+				break
+			}
 			u.union(ra, rb)
-			r := u.find(ra)
-			weight[r] = w
+			weight[u.find(ra)] = w
 			groups--
 		}
 	}
@@ -347,7 +302,7 @@ func PartitionShards(g *Graph, k int) ShardPlan {
 		return gs[i].root < gs[j].root
 	})
 	shardW := make([]int, k)
-	shardOfRoot := make(map[int32]int, len(gs))
+	shardOfRoot := make([]int, n)
 	for _, gr := range gs {
 		best := 0
 		for s := 1; s < k; s++ {

@@ -10,8 +10,8 @@ import (
 )
 
 // checkPlan holds plan, the answer of PartitionShards(g, k), to
-// everything a ShardPlan promises whatever rule chose the shards: it is
-// recomputed here from the graph and ShardOf alone.
+// everything a ShardPlan promises, recomputed here from the graph and
+// ShardOf alone, and to the balance the partition rule guarantees.
 func checkPlan(t testing.TB, g *Graph, k int, plan ShardPlan) {
 	t.Helper()
 	if k < 1 {
@@ -65,6 +65,26 @@ func checkPlan(t testing.TB, g *Graph, k int, plan ShardPlan) {
 	}
 	if plan.Lookahead != lookahead {
 		t.Fatalf("Lookahead %v, minimum delay over the cut %v", plan.Lookahead, lookahead)
+	}
+	// Balance, by the list-scheduling argument: no group outgrows the
+	// merge cap unless it is a single atom, and a group is only ever put
+	// on the lightest shard, which holds at most the mean.
+	atoms := newUF(len(g.Nodes))
+	for i := range g.Links {
+		if l := &g.Links[i]; l.Class == ClientStub || l.Class == StubStub {
+			atoms.union(int32(l.A), int32(l.B))
+		}
+	}
+	atomW := make([]int, len(g.Nodes))
+	total := 0
+	for i := range g.Nodes {
+		atomW[atoms.find(int32(i))] += nodeWeight(g.Nodes[i].Kind)
+		total += nodeWeight(g.Nodes[i].Kind)
+	}
+	ideal := (total + k - 1) / k
+	bound := ideal + max(ideal+ideal/mergeSlackDiv, slices.Max(atomW))
+	if heaviest := slices.Max(plan.Weights); heaviest > bound {
+		t.Fatalf("heaviest shard weighs %d of %d over k=%d, bound %d", heaviest, total, k, bound)
 	}
 	if again := PartitionShards(g, k); !reflect.DeepEqual(plan, again) {
 		t.Fatalf("second PartitionShards(g, %d) differs from the first", k)
@@ -140,6 +160,49 @@ func TestPartitionPlanContract(t *testing.T) {
 		t.Run(fmt.Sprintf("hub-clients/k%d", k), func(t *testing.T) {
 			checkPlan(t, hubs, k, PartitionShards(hubs, k))
 		})
+	}
+}
+
+// TestPartitionBalancedAtScale holds the partition to what the sharded
+// runs need at the two scales they are run at: shards within 15% of the
+// mean weight and a lookahead of at least a millisecond. It logs the
+// plan: participants per shard, cut size, lookahead.
+func TestPartitionBalancedAtScale(t *testing.T) {
+	cases := []struct {
+		nodes, clients, k int
+		seed              int64
+	}{
+		{60000, 3000, 2, 336}, // the benchmark's bullet-wide-sharded graph
+		{100000, 10000, 8, 42},
+	}
+	for _, c := range cases {
+		if c.nodes > 60000 && testing.Short() {
+			continue
+		}
+		cfg := Sized(c.nodes, c.clients, MediumBandwidth)
+		cfg.Seed = c.seed
+		g, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := PartitionShards(g, c.k)
+		checkPlan(t, g, c.k, plan)
+		clients := make([]int, plan.K)
+		for _, cl := range g.Clients {
+			clients[plan.ShardOf[cl]]++
+		}
+		t.Logf("%d nodes, %d clients, k=%d: clients per shard %v, %d cut links, lookahead %.2f ms",
+			len(g.Nodes), len(g.Clients), c.k, clients, len(plan.CutLinks), float64(plan.Lookahead)/float64(sim.Millisecond))
+		total := 0
+		for _, w := range plan.Weights {
+			total += w
+		}
+		if r := float64(slices.Max(plan.Weights)) * float64(plan.K) / float64(total); plan.K != c.k || r > 1.15 {
+			t.Errorf("K = %d, heaviest shard at %.2f of the mean; want K = %d within 1.15", plan.K, r, c.k)
+		}
+		if plan.Lookahead < sim.Millisecond {
+			t.Errorf("lookahead %v, want at least 1ms", plan.Lookahead)
+		}
 	}
 }
 

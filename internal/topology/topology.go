@@ -175,8 +175,8 @@ type Link struct {
 	ID       int
 	A, B     int
 	Class    LinkClass
-	Bytes    float64 // capacity per direction, bytes/second
-	Delay    sim.Duration
+	Bytes    float64      // capacity per direction, bytes/second
+	Delay    sim.Duration // every link delay is positive: ShardPlan.LookaheadNow reads 0 as "no live cut link"
 	Loss     float64
 	Overload bool
 	Down     bool
@@ -530,9 +530,10 @@ func (g *Graph) ScaleBandwidth(id int, factor float64) {
 }
 
 // SetLatency changes the propagation delay of link id. Routing is
-// shortest-by-delay, so this advances the route epoch.
+// shortest-by-delay, so this advances the route epoch. d <= 0 is
+// ignored (see Link.Delay).
 func (g *Graph) SetLatency(id int, d sim.Duration) {
-	if d < 0 || g.Links[id].Delay == d {
+	if d <= 0 || g.Links[id].Delay == d {
 		return
 	}
 	g.Links[id].Delay = d
