@@ -82,6 +82,10 @@ func (t *flatTree) path(to int) []int32 {
 // delay has Router.Delay's contract: -1 when to is unreachable.
 func (t *flatTree) delay(to int) sim.Duration { return sim.Duration(t.dist[to]) }
 
+// scaleSizes are the node and client counts of experiments.Small,
+// Medium, XL, PaperScale and Mega (this package cannot import them).
+var scaleSizes = [][2]int{{1500, 40}, {5000, 150}, {10000, 400}, {20000, 1000}, {100000, 10000}}
+
 // TestGenerateKeepsContract checks that the generator never leaves the
 // transit-stub contract the router's decomposition relies on: at the
 // node and client counts of every experiments scale, and at the three
@@ -97,10 +101,7 @@ func TestGenerateKeepsContract(t *testing.T) {
 			t.Fatalf("Generate(%d, %d, %s, seed %d): %v", nodes, clients, bw.Name, seed, err)
 		}
 	}
-	// experiments.Small, Medium, XL, PaperScale and Mega (this package
-	// cannot import them).
-	scales := [][2]int{{1500, 40}, {5000, 150}, {10000, 400}, {20000, 1000}, {100000, 10000}}
-	for _, sc := range scales {
+	for _, sc := range scaleSizes {
 		if testing.Short() && sc[0] > 20000 {
 			continue
 		}

@@ -123,29 +123,19 @@ func hubClientsTopo(t *testing.T, clientsAt ...int) *Graph {
 // skipped under -short) and over the handcrafted shapes.
 func TestPartitionPlanContract(t *testing.T) {
 	ks := []int{2, 4, 8, 16}
-	scales := []struct {
-		name           string
-		nodes, clients int
-	}{
-		{"small", 1500, 40},
-		{"medium", 5000, 150},
-		{"xl", 10000, 400},
-		{"paper", 20000, 1000},
-		{"mega", 100000, 10000},
-	}
-	for _, sc := range scales {
-		if sc.name == "mega" && testing.Short() {
+	for _, sc := range scaleSizes {
+		if testing.Short() && sc[0] > 20000 {
 			continue
 		}
 		for seed := int64(1); seed <= 3; seed++ {
-			cfg := Sized(sc.nodes, sc.clients, MediumBandwidth)
+			cfg := Sized(sc[0], sc[1], MediumBandwidth)
 			cfg.Seed = seed
 			g, err := Generate(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range ks {
-				t.Run(fmt.Sprintf("%s/seed%d/k%d", sc.name, seed, k), func(t *testing.T) {
+				t.Run(fmt.Sprintf("n%d/seed%d/k%d", sc[0], seed, k), func(t *testing.T) {
 					checkPlan(t, g, k, PartitionShards(g, k))
 				})
 			}
