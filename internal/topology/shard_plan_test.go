@@ -78,8 +78,9 @@ func checkPlan(t testing.TB, g *Graph, k int, plan ShardPlan) {
 	atomW := make([]int, len(g.Nodes))
 	total := 0
 	for i := range g.Nodes {
-		atomW[atoms.find(int32(i))] += nodeWeight(g.Nodes[i].Kind)
-		total += nodeWeight(g.Nodes[i].Kind)
+		w := nodeWeight(g.Nodes[i].Kind)
+		atomW[atoms.find(int32(i))] += w
+		total += w
 	}
 	ideal := (total + k - 1) / k
 	bound := ideal + max(ideal+ideal/mergeSlackDiv, slices.Max(atomW))
