@@ -404,11 +404,8 @@ func (w *World) OvercastTree(maxDegree int) (*Tree, error) {
 // RunExperiment executes one of the paper's table/figure reproductions
 // by id ("table1", "fig6" ... "fig15", "overcast").
 func RunExperiment(id string, scale ExperimentScale, seed int64) (*ExperimentResult, error) {
-	entry, ok := experiments.Registry[id]
-	if !ok {
-		return nil, &UnknownExperimentError{ID: id, Suggestion: experiments.Suggest(id)}
-	}
-	return entry.Run(scale, seed)
+	res := RunExperiments([]ExperimentRun{{ID: id, Scale: scale, Seed: seed}}, 1)[0]
+	return res.Result, res.Err
 }
 
 // RunExperiments executes several experiment runs concurrently across

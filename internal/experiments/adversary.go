@@ -3,7 +3,6 @@ package experiments
 import (
 	"bullet/internal/adversary"
 	"bullet/internal/metrics"
-	"bullet/internal/overlay"
 	"bullet/internal/scenario"
 	"bullet/internal/sim"
 )
@@ -28,14 +27,13 @@ func advCompare(name string, sc Scale, seed int64, cfg adversary.Config) (*Resul
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
 	var fleet *adversary.Fleet // of the run in flight
-	return versus(r, sc, seed, func(w *world) (*overlay.Tree, error) { return w.randomTree(sc) },
-		func(v *versusRun) {
+	return versus(r, sc, seed, nil,
+		func(v *armRun) {
 			fleet = adversary.New(cfg, v.tree.Participants, v.tree.Root, v.w.seed)
 			v.sys.SetAdversary(fleet)
-			sched := scenario.New().At(t1, scenario.AdversaryAt())
-			sched.Install(&scenario.Env{Eng: v.w.eng, G: v.w.g, M: v.sys, A: v.sys})
+			v.install(scenario.New().At(t1, scenario.AdversaryAt()))
 		},
-		func(v *versusRun) {
+		func(v *armRun) {
 			// Colluders are read after the run: cutvertex victims are only
 			// recorded at strike time, from the live tree.
 			live := v.sys.LiveNodes()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"sort"
 
 	"bullet/internal/metrics"
@@ -25,26 +24,26 @@ import (
 // difference — whether *survivors* keep receiving.
 
 // churnCompare runs the same churn schedule against both protocols
-// (see versus) and reports both useful-bandwidth series plus
-// survivor-based per-phase means. buildSched also returns the victim
-// set (nodes the schedule crashes); the live descendants those victims
-// orphan get their own orphan_* summaries — the sharpest protocol
-// contrast, since Bullet re-parents them while the streamer lets them
-// starve.
+// (see versus) over tree (nil: the random tree over every client) and
+// reports both useful-bandwidth series plus survivor-based per-phase
+// means. buildSched also returns the victim set (nodes the schedule
+// crashes); the live descendants those victims orphan get their own
+// orphan_* summaries — the sharpest protocol contrast, since Bullet
+// re-parents them while the streamer lets them starve.
 func churnCompare(name string, sc Scale, seed int64,
-	buildTree func(w *world) (*overlay.Tree, error),
+	tree func(w *world) (*overlay.Tree, error),
 	buildSched func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int)) (*Result, error) {
 
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
 	var orphans []int // of the run in flight, from its pre-churn tree
-	return versus(r, sc, seed, buildTree,
-		func(v *versusRun) {
+	return versus(r, sc, seed, tree,
+		func(v *armRun) {
 			sched, victims := buildSched(v.w.g, v.tree)
 			orphans = orphanedBy(v.tree, victims)
-			sched.Install(&scenario.Env{Eng: v.w.eng, G: v.w.g, M: v.sys})
+			v.install(sched)
 		},
-		func(v *versusRun) {
+		func(v *armRun) {
 			live := v.sys.LiveNodes()
 			pre := v.col.MeanOverNodes(live, t1-20*sim.Second, t1, metrics.Useful)
 			during := v.col.MeanOverNodes(live, t1+5*sim.Second, t2, metrics.Useful)
@@ -126,8 +125,7 @@ func pickVictims(participants []int, root int, stride int) []int {
 // live peers, so survivors recover their bandwidth; the streamer's
 // orphaned subtrees starve for the rest of the run.
 func ChurnCrash25(sc Scale, seed int64) (*Result, error) {
-	return churnCompare("Churn: mass failure of 25% of the overlay", sc, seed,
-		func(w *world) (*overlay.Tree, error) { return w.randomTree(sc) },
+	return churnCompare("Churn: mass failure of 25% of the overlay", sc, seed, nil,
 		func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int) {
 			t1, _ := dynPhases(sc)
 			victims := pickVictims(tree.Participants, tree.Root, 4)
@@ -142,8 +140,7 @@ func ChurnCrash25(sc Scale, seed int64) (*Result, error) {
 // starves during the outage and the restarted node rejoins with
 // whatever keeps arriving — the outage data is gone.
 func ChurnCrashHeal(sc Scale, seed int64) (*Result, error) {
-	return churnCompare("Churn: worst-case subtree root crash and restart", sc, seed,
-		func(w *world) (*overlay.Tree, error) { return w.randomTree(sc) },
+	return churnCompare("Churn: worst-case subtree root crash and restart", sc, seed, nil,
 		func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int) {
 			t1, t2 := dynPhases(sc)
 			victim, _ := tree.HeaviestChild(tree.Root)
@@ -160,8 +157,7 @@ func ChurnCrashHeal(sc Scale, seed int64) (*Result, error) {
 // and two-thirds marks, a new victim crashes at a fixed interval and
 // each stays down for a sixth of the stream before restarting.
 func ChurnRolling(sc Scale, seed int64) (*Result, error) {
-	return churnCompare("Churn: rolling crash/restart wave", sc, seed,
-		func(w *world) (*overlay.Tree, error) { return w.randomTree(sc) },
+	return churnCompare("Churn: rolling crash/restart wave", sc, seed, nil,
 		func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int) {
 			t1, t2 := dynPhases(sc)
 			victims := pickVictims(tree.Participants, tree.Root, 6)
@@ -179,11 +175,7 @@ func ChurnRolling(sc Scale, seed int64) (*Result, error) {
 // deterministic join point.
 func ChurnJoin(sc Scale, seed int64) (*Result, error) {
 	return churnCompare("Churn: late joiners attach mid-stream", sc, seed,
-		func(w *world) (*overlay.Tree, error) {
-			members := w.g.Clients[:len(w.g.Clients)*3/4]
-			return overlay.Random(members, members[0], sc.TreeDegree,
-				rand.New(rand.NewSource(w.seed^0x74726565)))
-		},
+		func(w *world) (*overlay.Tree, error) { return w.randomTree(w.g.Clients[:len(w.g.Clients)*3/4]) },
 		func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int) {
 			t1, t2 := dynPhases(sc)
 			var joiners []int
@@ -217,11 +209,7 @@ func ChurnJoin(sc Scale, seed int64) (*Result, error) {
 // derived from the participant count, so it composes with any scale.
 func ChurnXL(sc Scale, seed int64) (*Result, error) {
 	return churnCompare("Churn: sustained crash/restart/join mix (scale smoke)", sc, seed,
-		func(w *world) (*overlay.Tree, error) {
-			members := w.g.Clients[:len(w.g.Clients)*7/8]
-			return overlay.Random(members, members[0], sc.TreeDegree,
-				rand.New(rand.NewSource(w.seed^0x74726565)))
-		},
+		func(w *world) (*overlay.Tree, error) { return w.randomTree(w.g.Clients[:len(w.g.Clients)*7/8]) },
 		func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int) {
 			t1, t2 := dynPhases(sc)
 			victims := pickVictims(tree.Participants, tree.Root, 5)

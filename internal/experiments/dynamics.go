@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"bullet/internal/adversary"
-	"bullet/internal/core"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/scenario"
 	"bullet/internal/sim"
-	"bullet/internal/streamer"
 	"bullet/internal/topology"
 )
 
@@ -40,68 +37,26 @@ func dynVictim(g *topology.Graph, tree *overlay.Tree) (victim, accessLink, desce
 	return victim, g.AccessLink(victim), descendants
 }
 
-// versusSystem is what the dyn-*, churn-* and adv-* comparisons deploy:
-// scenario membership, the live-set introspection the survivor
-// summaries need, and the adversary wiring.
-type versusSystem interface {
-	scenario.Membership
-	LiveNodes() []int
-	SetAdversary(f *adversary.Fleet)
-	Compromise(nodes []int)
-	Strike()
-}
-
-// versusRun is one protocol's side of a comparison.
-type versusRun struct {
-	label string
-	w     *world
-	tree  *overlay.Tree
-	col   *metrics.Collector
-	sys   versusSystem
-}
-
-// versusVariants is the pair those comparisons set against each other:
-// Bullet and the plain tree streamer at the same rate and window.
-var versusVariants = []struct {
-	label  string
-	deploy func(sc Scale, v *versusRun) (versusSystem, error)
-}{
-	{"bullet", func(sc Scale, v *versusRun) (versusSystem, error) {
-		return core.Deploy(v.w.net, v.tree, bulletConfig(sc, defaultRateKbps), v.col)
-	}},
-	{"stream", func(sc Scale, v *versusRun) (versusSystem, error) {
-		return streamer.Deploy(v.w.net, v.tree, streamer.Config{
-			RateKbps: defaultRateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration,
-		}, v.col)
-	}},
-}
-
-// versus runs Bullet and the plain tree streamer in two independent
-// worlds built from the same seed (hence identical topologies, link
-// ids, and overlay trees): build the tree, deploy, let arm install the
-// disturbance, run to sc.RunUntil, hand the finished run to report,
-// and stamp the disturbance window. arm runs once per world, but since
-// the worlds are identical at t=0 it must install the same schedule.
+// versus runs Bullet and the plain tree streamer, at the same rate and
+// window, as two arms in independent worlds built from the same seed
+// (hence identical topologies, link ids, and overlay trees): build the
+// tree, deploy, let before install the disturbance, run to sc.RunUntil,
+// hand the finished run to report, and stamp the disturbance window.
+// before runs once per world, but since the worlds are identical at t=0
+// it must install the same schedule.
 func versus(r *Result, sc Scale, seed int64,
-	buildTree func(w *world) (*overlay.Tree, error),
-	arm, report func(v *versusRun)) (*Result, error) {
+	tree func(w *world) (*overlay.Tree, error),
+	before, report func(v *armRun)) (*Result, error) {
 
-	for _, variant := range versusVariants {
-		w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
-		if err != nil {
-			return nil, err
-		}
-		v := &versusRun{label: variant.label, w: w, col: metrics.NewCollector(sim.Second)}
-		if v.tree, err = buildTree(w); err != nil {
-			return nil, err
-		}
-		if v.sys, err = variant.deploy(sc, v); err != nil {
-			return nil, err
-		}
-		arm(v)
-		w.run(sc.RunUntil)
-		r.addSeries(v.label+"_useful", v.col.Series(metrics.Useful))
-		report(v)
+	err := runArms(sc, seed,
+		func(v *armRun) {
+			r.addSeries(v.label+"_useful", v.col.Series(metrics.Useful))
+			report(v)
+		},
+		arm{label: "bullet", tree: tree, before: before, deploy: bulletOn(bulletConfig(sc, defaultRateKbps))},
+		arm{label: "stream", tree: tree, before: before, deploy: streamOn(streamConfig(sc, defaultRateKbps))})
+	if err != nil {
+		return nil, err
 	}
 	t1, t2 := dynPhases(sc)
 	r.Summary["event_start_s"] = t1.ToSeconds()
@@ -109,20 +64,18 @@ func versus(r *Result, sc Scale, seed int64,
 	return r, nil
 }
 
-// dynCompare runs the same link scenario against both protocols and
-// reports both useful-bandwidth series plus per-phase means. build
-// receives the graph and tree of a freshly deployed world and returns
-// the scenario to install.
+// dynCompare runs the same link scenario against both protocols over
+// the random tree and reports both useful-bandwidth series plus
+// per-phase means. build receives the graph and tree of a freshly
+// deployed world and returns the scenario to install.
 func dynCompare(name string, sc Scale, seed int64,
 	build func(g *topology.Graph, tree *overlay.Tree) *scenario.Schedule) (*Result, error) {
 
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
-	return versus(r, sc, seed, func(w *world) (*overlay.Tree, error) { return w.randomTree(sc) },
-		func(v *versusRun) {
-			build(v.w.g, v.tree).Install(&scenario.Env{Eng: v.w.eng, G: v.w.g})
-		},
-		func(v *versusRun) {
+	return versus(r, sc, seed, nil,
+		func(v *armRun) { v.install(build(v.w.g, v.tree)) },
+		func(v *armRun) {
 			pre := v.col.MeanOver(t1-20*sim.Second, t1, metrics.Useful)
 			during := v.col.MeanOver(t1+5*sim.Second, t2, metrics.Useful)
 			post := v.col.MeanOver(t2+10*sim.Second, sc.RunUntil, metrics.Useful)

@@ -1,8 +1,11 @@
 // Package experiments reproduces every table and figure of the Bullet
-// paper's evaluation (§4). Each runner builds the topology, tree(s) and
-// protocol deployment the paper describes, executes the run in the
-// deterministic emulator, and returns labeled bandwidth-versus-time
-// series plus run summaries in the shape the paper plots.
+// paper's evaluation (§4). Every plot there is a set of curves that
+// differ in three things — the topology, the tree, and the protocol
+// deployed on it — so each runner is a list of such arms (arm.go) plus
+// a report that turns every finished run into labeled
+// bandwidth-versus-time series and run summaries in the shape the paper
+// plots. arm.run is the one place a world is built, deployed into and
+// executed in the deterministic emulator.
 //
 // Runners accept a Scale so the same experiment can execute at reduced
 // scale (tests, benchmarks) or at the paper's full scale
@@ -51,7 +54,7 @@ type Scale struct {
 	ShardStatsSink func(netem.RunLoad)
 }
 
-// The four standard scales.
+// The standard scales.
 var (
 	// Small finishes in seconds of wall-clock; used by tests and benches.
 	Small = Scale{Name: "small", TopoNodes: 1500, Clients: 40,
@@ -80,23 +83,26 @@ var (
 		Start: 20 * sim.Second, Duration: 15 * sim.Second, RunUntil: 40 * sim.Second, TreeDegree: 10}
 )
 
+// scales is every named scale, smallest first: the one list ScaleNames
+// and ScaleByName read.
+var scales = []Scale{Small, Medium, XL, PaperScale, Mega}
+
 // ScaleNames returns the recognized scale names, smallest first.
-func ScaleNames() []string { return []string{"small", "medium", "xl", "paper", "mega"} }
+func ScaleNames() []string {
+	var names []string
+	for _, sc := range scales {
+		names = append(names, sc.Name)
+	}
+	return names
+}
 
 // ScaleByName resolves a scale name. Unknown names yield an
 // UnknownScaleError carrying a did-you-mean suggestion.
 func ScaleByName(name string) (Scale, error) {
-	switch name {
-	case "small":
-		return Small, nil
-	case "medium":
-		return Medium, nil
-	case "xl":
-		return XL, nil
-	case "paper":
-		return PaperScale, nil
-	case "mega":
-		return Mega, nil
+	for _, sc := range scales {
+		if sc.Name == name {
+			return sc, nil
+		}
 	}
 	return Scale{}, &UnknownScaleError{Name: name, Suggestion: Nearest(name, ScaleNames())}
 }
@@ -203,25 +209,21 @@ func (r *Result) Print(w io.Writer) {
 
 // world bundles one emulated network instance.
 type world struct {
-	eng       *sim.Engine
-	net       *netem.Network
-	g         *topology.Graph
-	rt        *topology.Router
-	seed      int64
-	statsSink func(netem.RunLoad)
+	eng  *sim.Engine
+	net  *netem.Network
+	g    *topology.Graph
+	rt   *topology.Router
+	sc   Scale
+	seed int64
 }
 
-// newWorld generates a topology at the given scale/profile and wraps
-// it in a fresh engine and emulator.
-func newWorld(sc Scale, bw topology.BandwidthProfile, loss topology.LossProfile, seed int64) (*world, error) {
+// generate builds the transit-stub topology of the given scale and
+// profile.
+func generate(sc Scale, bw topology.BandwidthProfile, loss topology.LossProfile, seed int64) (*topology.Graph, error) {
 	cfg := topology.Sized(sc.TopoNodes, sc.Clients, bw)
 	cfg.Loss = loss
 	cfg.Seed = seed
-	g, err := topology.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return worldOn(g, sc, seed), nil
+	return topology.Generate(cfg)
 }
 
 // worldOn wraps g in a fresh engine, router and emulator, sharded and
@@ -231,26 +233,24 @@ func worldOn(g *topology.Graph, sc Scale, seed int64) *world {
 	rt := topology.NewRouter(g)
 	net := netem.New(eng, g, rt, netem.Config{})
 	net.EnableShards(sc.Shards)
-	return &world{eng: eng, net: net, g: g, rt: rt, seed: seed, statsSink: sc.ShardStatsSink}
+	return &world{eng: eng, net: net, g: g, rt: rt, sc: sc, seed: seed}
 }
 
 // run executes the world's event loop to the given virtual time,
-// through the emulator so sharded worlds run their parallel loop.
-// All experiment runners must use this instead of w.eng.Run: driving
-// the engine directly would strand events on shard heaps.
+// through the emulator so sharded worlds run their parallel loop
+// (driving w.eng directly would strand events on shard heaps), and
+// reports the executed-event accounting to the scale's sink.
 func (w *world) run(until sim.Time) {
 	w.net.Run(until)
-	if w.statsSink != nil {
-		w.statsSink(w.net.RunLoad())
+	if w.sc.ShardStatsSink != nil {
+		w.sc.ShardStatsSink(w.net.RunLoad())
 	}
 }
 
-func (w *world) randomTree(sc Scale) (*overlay.Tree, error) {
-	return overlay.Random(w.g.Clients, w.g.Clients[0], sc.TreeDegree, rand.New(rand.NewSource(w.seed^0x74726565)))
-}
-
-func (w *world) bottleneckTree(packetSize float64) (*overlay.Tree, error) {
-	return overlay.Bottleneck(w.rt, w.g.Clients, w.g.Clients[0], packetSize, 0)
+// randomTree is the seeded random tree over members, rooted at the
+// first: the same tree in every world of a seed.
+func (w *world) randomTree(members []int) (*overlay.Tree, error) {
+	return overlay.Random(members, members[0], w.sc.TreeDegree, rand.New(rand.NewSource(w.seed^0x74726565)))
 }
 
 // Runner is an experiment entry point.

@@ -3,11 +3,9 @@ package experiments
 import (
 	"math/rand"
 
-	"bullet/internal/core"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
-	"bullet/internal/streamer"
 	"bullet/internal/topology"
 )
 
@@ -17,8 +15,8 @@ import (
 // nodes, and 36 well-provisioned US nodes across two coasts, joined by
 // a transatlantic backbone. constrainedRoot=false models the paper's
 // follow-up where the constrained source is replaced by a
-// well-connected US host.
-func planetLab(constrainedRoot bool, seed int64) (*topology.Graph, int, error) {
+// well-connected US host. The source is the graph's first client.
+func planetLab(constrainedRoot bool, seed int64) (*topology.Graph, error) {
 	b := topology.NewBuilder()
 	rng := rand.New(rand.NewSource(seed ^ 0x706c616e))
 	ms := func(f float64) sim.Duration { return sim.Duration(f * float64(sim.Millisecond)) }
@@ -30,8 +28,9 @@ func planetLab(constrainedRoot bool, seed int64) (*topology.Graph, int, error) {
 	b.AddLink(eu, usEast, topology.TransitTransit, 155000, ms(40), 0) // transatlantic
 	b.AddLink(usEast, usWest, topology.TransitTransit, 622000, ms(30), 0)
 
-	// Root in Europe. The constrained variant throttles its access
-	// link to ~1 Mbps (cannot even source the 1.5 Mbps stream alone).
+	// Root in Europe, added before any other client. The constrained
+	// variant throttles its access link to ~1 Mbps (cannot even source
+	// the 1.5 Mbps stream alone).
 	root := b.AddNode(topology.Client, -2, 1)
 	rootKbps := 1000.0
 	if !constrainedRoot {
@@ -63,8 +62,7 @@ func planetLab(constrainedRoot bool, seed int64) (*topology.Graph, int, error) {
 		c := b.AddNode(topology.Client, x+rng.Float64()*6, -3+rng.Float64()*6)
 		b.AddLink(c, hub, topology.ClientStub, kbps, ms(2+rng.Float64()*20), 0)
 	}
-	g, err := b.Build()
-	return g, root, err
+	return b.Build()
 }
 
 // Fig15 reproduces Figure 15: on the PlanetLab-style topology with a
@@ -76,88 +74,35 @@ func planetLab(constrainedRoot bool, seed int64) (*topology.Graph, int, error) {
 func Fig15(sc Scale, seed int64) (*Result, error) {
 	const rate = 1500
 	r := newResult("Figure 15: PlanetLab-style constrained-source streaming")
-
-	type deployment struct {
-		label string
-		run   func(w *world, g *topology.Graph, root int, col *metrics.Collector) error
+	constrained := func(seed int64) (*topology.Graph, error) { return planetLab(true, seed) }
+	bullet := arm{label: "bullet", graph: constrained, deploy: bulletOn(bulletConfig(sc, rate)),
+		tree: func(w *world) (*overlay.Tree, error) {
+			return overlay.Random(w.g.Clients, w.g.Clients[0], 4, rand.New(rand.NewSource(w.seed^0x66313562)))
+		}}
+	// The paper handcrafted trees from pathload measurements; the static
+	// estimator plays that role, with the root's three children chosen
+	// best-first or worst-first.
+	handcrafted := func(label string, good bool) arm {
+		return arm{label: label, graph: constrained, deploy: streamOn(streamConfig(sc, rate)),
+			tree: func(w *world) (*overlay.Tree, error) {
+				return overlay.Handcrafted(w.rt, w.g.Clients, w.g.Clients[0], 1500, 3, good)
+			}}
 	}
-	mkWorld := func(constrained bool) (*world, *topology.Graph, int, error) {
-		g, root, err := planetLab(constrained, seed)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return worldOn(g, sc, seed), g, root, nil
-	}
-
-	deployBullet := func(w *world, g *topology.Graph, root int, col *metrics.Collector) error {
-		tree, err := overlay.Random(reorderRootFirst(g.Clients, root), root, 4,
-			rand.New(rand.NewSource(seed^0x66313562)))
-		if err != nil {
-			return err
-		}
-		cfg := bulletConfig(sc, rate)
-		_, err = core.Deploy(w.net, tree, cfg, col)
-		return err
-	}
-	deployTree := func(good bool) func(w *world, g *topology.Graph, root int, col *metrics.Collector) error {
-		return func(w *world, g *topology.Graph, root int, col *metrics.Collector) error {
-			// The paper handcrafted trees from pathload measurements;
-			// the static estimator plays that role, with the root's
-			// three children chosen best-first or worst-first.
-			tree, err := overlay.Handcrafted(w.rt, g.Clients, root, 1500, 3, good)
-			if err != nil {
-				return err
-			}
-			_, err = streamer.Deploy(w.net, tree, streamer.Config{
-				RateKbps: rate, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration,
-			}, col)
-			return err
-		}
-	}
-
-	for _, d := range []deployment{
-		{"bullet", deployBullet},
-		{"good_tree", deployTree(true)},
-		{"worst_tree", deployTree(false)},
-	} {
-		w, g, root, err := mkWorld(true)
-		if err != nil {
-			return nil, err
-		}
-		col := metrics.NewCollector(sim.Second)
-		if err := d.run(w, g, root, col); err != nil {
-			return nil, err
-		}
-		w.run(sc.RunUntil)
-		r.addSeries(d.label, col.Series(metrics.Useful))
+	err := runArms(sc, seed, usefulSeries(r),
+		bullet, handcrafted("good_tree", true), handcrafted("worst_tree", false))
+	if err != nil {
+		return nil, err
 	}
 
 	// Unconstrained-source control (in-text: Bullet achieves the full
 	// 1.5 Mbps on the high-bandwidth topology).
-	w, g, root, err := mkWorld(false)
+	control := bullet
+	control.graph = func(seed int64) (*topology.Graph, error) { return planetLab(false, seed) }
+	run, err := control.run(sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	col := metrics.NewCollector(sim.Second)
-	if err := deployBullet(w, g, root, col); err != nil {
-		return nil, err
-	}
-	w.run(sc.RunUntil)
 	tail := sc.Start + sim.Duration(0.5*float64(sc.Duration))
-	r.Summary["bullet_unconstrained_kbps"] = col.MeanOver(tail, sc.RunUntil, metrics.Useful)
+	r.Summary["bullet_unconstrained_kbps"] = run.col.MeanOver(tail, sc.RunUntil, metrics.Useful)
 	return r, nil
-}
-
-// reorderRootFirst returns participants with root moved to the front
-// (overlay.Random treats the first element's position irrelevantly but
-// root must be a member).
-func reorderRootFirst(participants []int, root int) []int {
-	out := make([]int, 0, len(participants))
-	out = append(out, root)
-	for _, p := range participants {
-		if p != root {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -8,7 +8,6 @@ import (
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
-	"bullet/internal/streamer"
 	"bullet/internal/topology"
 )
 
@@ -22,15 +21,14 @@ func Table1(sc Scale, seed int64) (*Result, error) {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s / %s: %g-%g", p.Name, cls, rg.Lo, rg.Hi))
 		}
 	}
-	w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
+	g, err := generate(sc, topology.MediumBandwidth, topology.NoLoss, seed)
 	if err != nil {
 		return nil, err
 	}
-	counts := w.g.LinkClassCounts()
-	r.Summary["generated.nodes"] = float64(len(w.g.Nodes))
-	r.Summary["generated.links"] = float64(len(w.g.Links))
-	r.Summary["generated.clients"] = float64(len(w.g.Clients))
-	for cls, c := range counts {
+	r.Summary["generated.nodes"] = float64(len(g.Nodes))
+	r.Summary["generated.links"] = float64(len(g.Links))
+	r.Summary["generated.clients"] = float64(len(g.Clients))
+	for cls, c := range g.LinkClassCounts() {
 		r.Summary["links."+cls.String()] = float64(c)
 	}
 	return r, nil
@@ -41,58 +39,25 @@ func Table1(sc Scale, seed int64) (*Result, error) {
 // bandwidth topology).
 func Fig06(sc Scale, seed int64) (*Result, error) {
 	r := newResult("Figure 6: streaming over bottleneck vs random tree")
-	type variant struct {
-		label  string
-		random bool
-	}
-	for _, v := range []variant{{"bottleneck_tree", false}, {"random_tree", true}} {
-		w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
-		if err != nil {
-			return nil, err
-		}
-		var tree *overlay.Tree
-		if v.random {
-			tree, err = w.randomTree(sc)
-		} else {
-			tree, err = w.bottleneckTree(1500)
-		}
-		if err != nil {
-			return nil, err
-		}
-		col := metrics.NewCollector(sim.Second)
-		if _, err := streamer.Deploy(w.net, tree, streamer.Config{
-			RateKbps: defaultRateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration,
-		}, col); err != nil {
-			return nil, err
-		}
-		w.run(sc.RunUntil)
-		r.addSeries(v.label, col.Series(metrics.Useful))
+	stream := streamOn(streamConfig(sc, defaultRateKbps))
+	err := runArms(sc, seed, usefulSeries(r),
+		arm{label: "bottleneck_tree", tree: bottleneckTree, deploy: stream},
+		arm{label: "random_tree", deploy: stream})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
 // fig7Run executes the Figure 7 configuration (Bullet over a random
-// tree, medium bandwidth) and returns the system and collector.
-func fig7Run(sc Scale, seed int64, mutate func(*core.Config)) (*world, *core.System, *metrics.Collector, error) {
-	w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tree, err := w.randomTree(sc)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// tree, medium bandwidth) with mutate applied to the Bullet config: the
+// all-defaults arm. Its system is a *core.System.
+func fig7Run(sc Scale, seed int64, mutate func(*core.Config)) (*armRun, error) {
 	cfg := bulletConfig(sc, defaultRateKbps)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	col := metrics.NewCollector(sim.Second)
-	sys, err := core.Deploy(w.net, tree, cfg, col)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	w.run(sc.RunUntil)
-	return w, sys, col, nil
+	return arm{deploy: bulletOn(cfg)}.run(sc, seed)
 }
 
 // Fig07 reproduces Figure 7: Bullet over a random tree — raw total,
@@ -100,17 +65,18 @@ func fig7Run(sc Scale, seed int64, mutate func(*core.Config)) (*world, *core.Sys
 // summaries (≈30 Kbps control overhead, link stress ≈1.5 avg / 22 max,
 // <10% duplicates).
 func Fig07(sc Scale, seed int64) (*Result, error) {
-	w, sys, col, err := fig7Run(sc, seed, nil)
+	run, err := fig7Run(sc, seed, nil)
 	if err != nil {
 		return nil, err
 	}
+	col, sys := run.col, run.sys.(*core.System)
 	r := newResult("Figure 7: Bullet over a random tree")
 	r.addSeries("raw_total", col.Series(metrics.Raw))
 	r.addSeries("useful_total", col.Series(metrics.Useful))
 	r.addSeries("from_parent", col.Series(metrics.Parent))
 	r.Summary["control_overhead_kbps"] = sys.ControlOverheadKbps()
 	r.Summary["duplicate_ratio"] = col.DuplicateRatio()
-	avg, max := w.net.LinkStress()
+	avg, max := run.w.net.LinkStress()
 	r.Summary["link_stress_avg"] = avg
 	r.Summary["link_stress_max"] = float64(max)
 	r.Summary["mean_senders"] = sys.MeanSenders()
@@ -121,13 +87,13 @@ func Fig07(sc Scale, seed int64) (*Result, error) {
 // bandwidth late in the Figure 7 run (the paper samples t=430 s of a
 // 500 s run; at other scales the same 0.8 fraction of the run is used).
 func Fig08(sc Scale, seed int64) (*Result, error) {
-	_, _, col, err := fig7Run(sc, seed, nil)
+	run, err := fig7Run(sc, seed, nil)
 	if err != nil {
 		return nil, err
 	}
 	r := newResult("Figure 8: CDF of instantaneous achieved bandwidth")
 	at := sc.Start + sim.Duration(0.8*float64(sc.Duration))
-	r.CDF = col.CDFAt(at, metrics.Useful)
+	r.CDF = run.col.CDFAt(at, metrics.Useful)
 	r.Summary["sample_time_s"] = at.ToSeconds()
 	return r, nil
 }
@@ -146,40 +112,16 @@ func Fig12(sc Scale, seed int64) (*Result, error) {
 
 func bulletVsTree(sc Scale, seed int64, loss topology.LossProfile, name string) (*Result, error) {
 	r := newResult(name)
+	var arms []arm
 	for _, bw := range []topology.BandwidthProfile{topology.HighBandwidth, topology.MediumBandwidth, topology.LowBandwidth} {
-		// Bullet over a random tree.
-		w, err := newWorld(sc, bw, loss, seed)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := w.randomTree(sc)
-		if err != nil {
-			return nil, err
-		}
-		col := metrics.NewCollector(sim.Second)
-		if _, err := core.Deploy(w.net, tree, bulletConfig(sc, defaultRateKbps), col); err != nil {
-			return nil, err
-		}
-		w.run(sc.RunUntil)
-		r.addSeries("bullet_"+bw.Name, col.Series(metrics.Useful))
-
-		// TFRC streaming over the offline bottleneck tree.
-		w2, err := newWorld(sc, bw, loss, seed)
-		if err != nil {
-			return nil, err
-		}
-		btree, err := w2.bottleneckTree(1500)
-		if err != nil {
-			return nil, err
-		}
-		col2 := metrics.NewCollector(sim.Second)
-		if _, err := streamer.Deploy(w2.net, btree, streamer.Config{
-			RateKbps: defaultRateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration,
-		}, col2); err != nil {
-			return nil, err
-		}
-		w2.run(sc.RunUntil)
-		r.addSeries("bottleneck_tree_"+bw.Name, col2.Series(metrics.Useful))
+		arms = append(arms,
+			arm{label: "bullet_" + bw.Name, bw: bw, loss: loss,
+				deploy: bulletOn(bulletConfig(sc, defaultRateKbps))},
+			arm{label: "bottleneck_tree_" + bw.Name, bw: bw, loss: loss, tree: bottleneckTree,
+				deploy: streamOn(streamConfig(sc, defaultRateKbps))})
+	}
+	if err := runArms(sc, seed, usefulSeries(r), arms...); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -189,10 +131,11 @@ func bulletVsTree(sc Scale, seed int64, loss topology.LossProfile, name string) 
 // child). Compare with Figure 7; the paper reports ≈25% lower useful
 // bandwidth.
 func Fig10(sc Scale, seed int64) (*Result, error) {
-	_, sys, col, err := fig7Run(sc, seed, func(c *core.Config) { c.DisjointSend = false })
+	run, err := fig7Run(sc, seed, func(c *core.Config) { c.DisjointSend = false })
 	if err != nil {
 		return nil, err
 	}
+	col, sys := run.col, run.sys.(*core.System)
 	r := newResult("Figure 10: non-disjoint transmission ablation")
 	r.addSeries("raw_total", col.Series(metrics.Raw))
 	r.addSeries("useful_total", col.Series(metrics.Useful))
@@ -216,58 +159,20 @@ func Fig11(sc Scale, seed int64) (*Result, error) {
 	}
 	const rate = 900
 	r := newResult("Figure 11: Bullet vs epidemic approaches")
-
-	// Bullet over a random tree.
-	w, err := newWorld(fsc, topology.MediumBandwidth, topology.NoLoss, seed)
+	err := runArms(fsc, seed,
+		func(v *armRun) {
+			r.addSeries(v.label+"_raw", v.col.Series(metrics.Raw))
+			r.addSeries(v.label+"_useful", v.col.Series(metrics.Useful))
+		},
+		arm{label: "bullet", deploy: bulletOn(bulletConfig(fsc, rate))},
+		arm{label: "gossip", tree: noTree, deploy: gossipOn(epidemic.GossipConfig{
+			RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration, Fanout: 5})},
+		arm{label: "antientropy", tree: bottleneckTree, deploy: antiEntropyOn(epidemic.AntiEntropyConfig{
+			RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration,
+			Epoch: 20 * sim.Second, Peers: 5})})
 	if err != nil {
 		return nil, err
 	}
-	tree, err := w.randomTree(fsc)
-	if err != nil {
-		return nil, err
-	}
-	col := metrics.NewCollector(sim.Second)
-	if _, err := core.Deploy(w.net, tree, bulletConfig(fsc, rate), col); err != nil {
-		return nil, err
-	}
-	w.run(fsc.RunUntil)
-	r.addSeries("bullet_raw", col.Series(metrics.Raw))
-	r.addSeries("bullet_useful", col.Series(metrics.Useful))
-
-	// Push gossiping.
-	w2, err := newWorld(fsc, topology.MediumBandwidth, topology.NoLoss, seed)
-	if err != nil {
-		return nil, err
-	}
-	col2 := metrics.NewCollector(sim.Second)
-	if _, err := epidemic.DeployGossip(w2.net, w2.g.Clients, w2.g.Clients[0], epidemic.GossipConfig{
-		RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration, Fanout: 5,
-	}, col2); err != nil {
-		return nil, err
-	}
-	w2.run(fsc.RunUntil)
-	r.addSeries("gossip_raw", col2.Series(metrics.Raw))
-	r.addSeries("gossip_useful", col2.Series(metrics.Useful))
-
-	// Streaming over the bottleneck tree with anti-entropy recovery.
-	w3, err := newWorld(fsc, topology.MediumBandwidth, topology.NoLoss, seed)
-	if err != nil {
-		return nil, err
-	}
-	btree, err := w3.bottleneckTree(1500)
-	if err != nil {
-		return nil, err
-	}
-	col3 := metrics.NewCollector(sim.Second)
-	if _, err := epidemic.DeployAntiEntropy(w3.net, btree, epidemic.AntiEntropyConfig{
-		RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration,
-		Epoch: 20 * sim.Second, Peers: 5,
-	}, col3); err != nil {
-		return nil, err
-	}
-	w3.run(fsc.RunUntil)
-	r.addSeries("antientropy_raw", col3.Series(metrics.Raw))
-	r.addSeries("antientropy_useful", col3.Series(metrics.Useful))
 	return r, nil
 }
 
@@ -276,27 +181,22 @@ func Fig11(sc Scale, seed int64) (*Result, error) {
 // most descendants fails (the paper's worst single failure: 110 of
 // 1000 descendants).
 func failureRun(sc Scale, seed int64, detection bool) (*Result, error) {
-	w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := w.randomTree(sc)
-	if err != nil {
-		return nil, err
-	}
 	cfg := bulletConfig(sc, defaultRateKbps)
 	cfg.RanSub.FailureDetection = detection
-	col := metrics.NewCollector(sim.Second)
-	sys, err := core.Deploy(w.net, tree, cfg, col)
+	failAt := sc.Start + sc.Duration/2
+	var best int
+	// Fail, not Crash: the node goes silent with no membership bookkeeping.
+	silentFailure := func(v *armRun) {
+		var victim int
+		if victim, best = v.tree.HeaviestChild(v.tree.Root); victim >= 0 {
+			v.w.eng.At(failAt, func() { v.sys.Fail(victim) })
+		}
+	}
+	run, err := arm{deploy: bulletOn(cfg), before: silentFailure}.run(sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	victim, best := tree.HeaviestChild(tree.Root)
-	failAt := sc.Start + sc.Duration/2
-	if victim >= 0 {
-		w.eng.At(failAt, func() { sys.Fail(victim) })
-	}
-	w.run(sc.RunUntil)
+	col := run.col
 	name := "Figure 13: worst-case failure, no RanSub recovery"
 	if detection {
 		name = "Figure 14: worst-case failure, RanSub recovery enabled"
@@ -327,21 +227,21 @@ func OvercastComparison(sc Scale, seed int64) (*Result, error) {
 	r := newResult("Overcast-like online tree vs offline bottleneck tree")
 	var ratios []float64
 	for i := int64(0); i < 3; i++ {
-		w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed+i)
+		g, err := generate(sc, topology.MediumBandwidth, topology.NoLoss, seed+i)
 		if err != nil {
 			return nil, err
 		}
-		root := w.g.Clients[0]
-		ombt, err := overlay.Bottleneck(w.rt, w.g.Clients, root, 1500, 0)
+		rt, root := topology.NewRouter(g), g.Clients[0]
+		ombt, err := overlay.Bottleneck(rt, g.Clients, root, 1500, 0)
 		if err != nil {
 			return nil, err
 		}
-		oc, err := overlay.Overcast(w.rt, w.g.Clients, root, 1500, sc.TreeDegree)
+		oc, err := overlay.Overcast(rt, g.Clients, root, 1500, sc.TreeDegree)
 		if err != nil {
 			return nil, err
 		}
-		a := overlay.BottleneckRate(w.rt, ombt, 1500)
-		b := overlay.BottleneckRate(w.rt, oc, 1500)
+		a := overlay.BottleneckRate(rt, ombt, 1500)
+		b := overlay.BottleneckRate(rt, oc, 1500)
 		if a > 0 {
 			ratios = append(ratios, b/a)
 		}

@@ -22,10 +22,11 @@ func TestShardStats(t *testing.T) {
 		sunk = append(sunk[:0], l.Shards...)
 		sunkGlobal = l.GlobalEvents
 	}
-	w, _, _, err := fig7Run(sc, 42, nil)
+	run, err := fig7Run(sc, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := run.w
 	stats := w.net.ShardStats()
 	if len(stats) != 4 {
 		t.Fatalf("got %d shard stats, want 4", len(stats))
@@ -64,11 +65,11 @@ func TestShardStats(t *testing.T) {
 	if sunkGlobal != load.GlobalEvents {
 		t.Errorf("sink saw %d global events, final load %d", sunkGlobal, load.GlobalEvents)
 	}
-	ws, _, _, err := fig7Run(Small, 42, nil)
+	srun, err := fig7Run(Small, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := ws.net.RunLoad()
+	serial := srun.w.net.RunLoad()
 	if serial.Shards != nil {
 		t.Fatal("serial run reports shard stats")
 	}

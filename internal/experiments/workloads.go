@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"bullet/internal/core"
 	"bullet/internal/epidemic"
 	"bullet/internal/metrics"
 	"bullet/internal/sim"
-	"bullet/internal/streamer"
-	"bullet/internal/topology"
 	"bullet/internal/workload"
 )
 
@@ -21,61 +18,21 @@ import (
 // sharply than steady-state bandwidth does.
 
 // workloadCompare deploys Bullet, the plain streamer, and push gossip
-// in three independent worlds built from the same seed (identical
-// topologies, trees, and sources) with the identical workload, runs
-// each to sc.RunUntil, and hands every (label, world, collector) to
-// report. mkSource is called once per variant so stateful sources
-// never leak state across runs.
-func workloadCompare(sc Scale, seed int64, mkSource func() workload.Source,
-	report func(label string, w *world, col *metrics.Collector)) error {
-
-	variants := []struct {
-		label  string
-		deploy func(w *world, src workload.Source, col *metrics.Collector) error
-	}{
-		{"bullet", func(w *world, src workload.Source, col *metrics.Collector) error {
-			tree, err := w.randomTree(sc)
-			if err != nil {
-				return err
-			}
-			cfg := bulletConfig(sc, defaultRateKbps)
-			cfg.Workload = src
-			_, err = core.Deploy(w.net, tree, cfg, col)
-			return err
-		}},
-		{"stream", func(w *world, src workload.Source, col *metrics.Collector) error {
-			tree, err := w.randomTree(sc)
-			if err != nil {
-				return err
-			}
-			_, err = streamer.Deploy(w.net, tree, streamer.Config{
-				PacketSize: 1500, Start: sc.Start, Duration: sc.Duration, Workload: src,
-			}, col)
-			return err
-		}},
-		{"gossip", func(w *world, src workload.Source, col *metrics.Collector) error {
-			// Gossip needs no tree; the source matches the trees' root
-			// (the first client) so all three variants emit from the
-			// same physical node.
-			_, err := epidemic.DeployGossip(w.net, w.g.Clients, w.g.Clients[0], epidemic.GossipConfig{
-				PacketSize: 1500, Start: sc.Start, Duration: sc.Duration, Fanout: 5, Workload: src,
-			}, col)
-			return err
-		}},
-	}
-	for _, v := range variants {
-		w, err := newWorld(sc, topology.MediumBandwidth, topology.NoLoss, seed)
-		if err != nil {
-			return err
-		}
-		col := metrics.NewCollector(sim.Second)
-		if err := v.deploy(w, mkSource(), col); err != nil {
-			return err
-		}
-		w.run(sc.RunUntil)
-		report(v.label, w, col)
-	}
-	return nil
+// as three arms in independent worlds built from the same seed
+// (identical topologies, trees, and sources) with the identical
+// workload, runs each to sc.RunUntil, and hands every finished run to
+// report. src is shared by the three: the workloads compared here are
+// stateless values.
+func workloadCompare(sc Scale, seed int64, src workload.Source, report func(v *armRun)) error {
+	bcfg := bulletConfig(sc, defaultRateKbps)
+	bcfg.Workload = src
+	scfg := streamConfig(sc, 0) // the workload sets the rate
+	scfg.Workload = src
+	return runArms(sc, seed, report,
+		arm{label: "bullet", deploy: bulletOn(bcfg)},
+		arm{label: "stream", deploy: streamOn(scfg)},
+		arm{label: "gossip", tree: noTree, deploy: gossipOn(epidemic.GossipConfig{
+			PacketSize: 1500, Start: sc.Start, Duration: sc.Duration, Fanout: 5, Workload: src})})
 }
 
 // fileWorkloadFor sizes the fountain-coded file to the scale: a
@@ -107,10 +64,11 @@ func FileDistCompare(sc Scale, seed int64) (*Result, error) {
 
 	cols := make(map[string]*metrics.Collector)
 	var clients []int
-	err := workloadCompare(sc, seed, func() workload.Source { return wl },
-		func(label string, w *world, col *metrics.Collector) {
+	err := workloadCompare(sc, seed, wl,
+		func(v *armRun) {
+			label, col := v.label, v.col
 			cols[label] = col
-			clients = w.g.Clients // identical across same-seed worlds
+			clients = v.w.g.Clients // identical across same-seed worlds
 			r.addSeries(label+"_useful", col.Series(metrics.Useful))
 			cdf := col.CompletionCDF()
 			// The source node never receives, so it is absent from the
@@ -204,8 +162,9 @@ func VBRStream(sc Scale, seed int64) (*Result, error) {
 	r.Summary["vbr_high_kbps"] = wl.HighKbps
 	r.Summary["vbr_low_kbps"] = wl.LowKbps
 	r.Summary["vbr_period_s"] = wl.Period.ToSeconds()
-	err := workloadCompare(sc, seed, func() workload.Source { return wl },
-		func(label string, w *world, col *metrics.Collector) {
+	err := workloadCompare(sc, seed, wl,
+		func(v *armRun) {
+			label, col := v.label, v.col
 			r.addSeries(label+"_useful", col.Series(metrics.Useful))
 			on, off := vbrPhaseMeans(col, sc, wl)
 			r.Summary[label+"_on_kbps"] = on

@@ -97,7 +97,9 @@ type Deployment interface {
 }
 
 // runtimeSystem is the contract every internal protocol system
-// satisfies; deployment adapts it to the public Deployment interface.
+// satisfies — membership, introspection, teardown, and the narrow
+// adversary hooks (see internal/adversary); deployment adapts it to the
+// public Deployment interface.
 type runtimeSystem interface {
 	Crash(node int) error
 	Restart(node int) error
@@ -107,11 +109,6 @@ type runtimeSystem interface {
 	LiveNodes() []int
 	MemberEpoch() int
 	Workload() workload.Source
-}
-
-// advSystem is the adversary contract the internal protocol systems
-// satisfy (narrow hooks; see internal/adversary).
-type advSystem interface {
 	SetAdversary(*adversary.Fleet)
 	Compromise(nodes []int)
 	Strike()
@@ -126,10 +123,26 @@ type deployment struct {
 	sys  runtimeSystem
 	net  *netem.Network
 
-	// fleet/adv are set by WithAdversary: the seeded hostile fleet and
-	// the protocol system's adversary hook surface.
+	// fleet is the seeded hostile fleet WithAdversary attached, if any.
 	fleet *adversary.Fleet
-	adv   advSystem
+}
+
+// deployStock is the body the built-in protocols' Deploy methods share:
+// refuse a missing tree when the protocol needs one, make the
+// one-second collector, run the protocol's own deploy, and wrap the
+// system in the stock handle. tree is the handle's Tree().
+func deployStock[S runtimeSystem](w *World, p Protocol, tree *Tree, needsTree bool,
+	deploy func(col *Collector) (S, error)) (Deployment, error) {
+
+	if needsTree && tree == nil {
+		return nil, fmt.Errorf("bullet: protocol %q needs a tree", p.Name())
+	}
+	col := metrics.NewCollector(sim.Second)
+	sys, err := deploy(col)
+	if err != nil {
+		return nil, err
+	}
+	return &deployment{name: p.Name(), col: col, tree: tree, sys: sys, net: w.net}, nil
 }
 
 func (d *deployment) Protocol() string       { return d.name }
@@ -156,14 +169,14 @@ func (d *deployment) Colluders() []int {
 // compromise/strike forward scenario adversary actions to the
 // protocol system; no-ops without WithAdversary.
 func (d *deployment) compromise(nodes []int) {
-	if d.adv != nil {
-		d.adv.Compromise(nodes)
+	if d.fleet != nil {
+		d.sys.Compromise(nodes)
 	}
 }
 
 func (d *deployment) strike() {
-	if d.adv != nil {
-		d.adv.Strike()
+	if d.fleet != nil {
+		d.sys.Strike()
 	}
 }
 
@@ -200,6 +213,9 @@ func (w *World) Deploy(p Protocol, tree *Tree, opts ...DeployOption) (Deployment
 	}
 	if o.adv.Model != AdvNone {
 		if err := attachAdversary(w, d, tree, o.adv); err != nil {
+			// p.Deploy already wired the system into the emulator, and
+			// the caller gets no handle to stop it with.
+			d.Stop()
 			return nil, err
 		}
 	}
@@ -214,17 +230,12 @@ func attachAdversary(w *World, d Deployment, tree *Tree, cfg Adversary) error {
 	if !ok {
 		return fmt.Errorf("bullet: deployment %q does not support adversaries", d.Protocol())
 	}
-	sys, ok := dd.sys.(advSystem)
-	if !ok {
-		return fmt.Errorf("bullet: protocol %q does not support adversaries", d.Protocol())
-	}
 	participants, root := w.g.Clients, w.g.Clients[0]
 	if tree != nil {
 		participants, root = tree.Participants, tree.Root
 	}
-	fleet := adversary.New(cfg, participants, root, w.eng.Seed())
-	sys.SetAdversary(fleet)
-	dd.fleet, dd.adv = fleet, sys
+	dd.fleet = adversary.New(cfg, participants, root, w.eng.Seed())
+	dd.sys.SetAdversary(dd.fleet)
 	return nil
 }
 
@@ -372,15 +383,9 @@ func (BulletProtocol) Name() string { return "bullet" }
 
 // Deploy implements Protocol.
 func (p BulletProtocol) Deploy(w *World, tree *Tree) (Deployment, error) {
-	if tree == nil {
-		return nil, fmt.Errorf("bullet: protocol %q needs a tree", p.Name())
-	}
-	col := metrics.NewCollector(sim.Second)
-	sys, err := core.Deploy(w.net, tree, p.Config, col)
-	if err != nil {
-		return nil, err
-	}
-	return &deployment{name: p.Name(), col: col, tree: tree, sys: sys, net: w.net}, nil
+	return deployStock(w, p, tree, true, func(col *Collector) (*core.System, error) {
+		return core.Deploy(w.net, tree, p.Config, col)
+	})
 }
 
 // StreamerProtocol deploys the plain tree-streaming baseline (§4.2).
@@ -393,15 +398,9 @@ func (StreamerProtocol) Name() string { return "streamer" }
 
 // Deploy implements Protocol.
 func (p StreamerProtocol) Deploy(w *World, tree *Tree) (Deployment, error) {
-	if tree == nil {
-		return nil, fmt.Errorf("bullet: protocol %q needs a tree", p.Name())
-	}
-	col := metrics.NewCollector(sim.Second)
-	sys, err := streamer.Deploy(w.net, tree, p.Config, col)
-	if err != nil {
-		return nil, err
-	}
-	return &deployment{name: p.Name(), col: col, tree: tree, sys: sys, net: w.net}, nil
+	return deployStock(w, p, tree, true, func(col *Collector) (*streamer.System, error) {
+		return streamer.Deploy(w.net, tree, p.Config, col)
+	})
 }
 
 // GossipProtocol deploys the push-gossip baseline (§4.4). It needs no
@@ -419,12 +418,9 @@ func (p GossipProtocol) Deploy(w *World, tree *Tree) (Deployment, error) {
 	if tree != nil {
 		source = tree.Root
 	}
-	col := metrics.NewCollector(sim.Second)
-	sys, err := epidemic.DeployGossip(w.net, w.g.Clients, source, p.Config, col)
-	if err != nil {
-		return nil, err
-	}
-	return &deployment{name: p.Name(), col: col, sys: sys, net: w.net}, nil
+	return deployStock(w, p, nil, false, func(col *Collector) (*epidemic.GossipSystem, error) {
+		return epidemic.DeployGossip(w.net, w.g.Clients, source, p.Config, col)
+	})
 }
 
 // AntiEntropyProtocol deploys streaming + anti-entropy recovery
@@ -437,13 +433,7 @@ func (AntiEntropyProtocol) Name() string { return "anti-entropy" }
 
 // Deploy implements Protocol.
 func (p AntiEntropyProtocol) Deploy(w *World, tree *Tree) (Deployment, error) {
-	if tree == nil {
-		return nil, fmt.Errorf("bullet: protocol %q needs a tree", p.Name())
-	}
-	col := metrics.NewCollector(sim.Second)
-	sys, err := epidemic.DeployAntiEntropy(w.net, tree, p.Config, col)
-	if err != nil {
-		return nil, err
-	}
-	return &deployment{name: p.Name(), col: col, tree: tree, sys: sys, net: w.net}, nil
+	return deployStock(w, p, tree, true, func(col *Collector) (*epidemic.AntiEntropySystem, error) {
+		return epidemic.DeployAntiEntropy(w.net, tree, p.Config, col)
+	})
 }

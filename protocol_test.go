@@ -433,3 +433,45 @@ func TestChurnDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal("nothing delivered")
 	}
 }
+
+// foreignProtocol deploys Bullet but returns its own Deployment type,
+// as a protocol registered from outside this package would.
+type foreignProtocol struct{ bullet.BulletProtocol }
+
+type foreignDeployment struct{ bullet.Deployment }
+
+func (p foreignProtocol) Deploy(w *bullet.World, tree *bullet.Tree) (bullet.Deployment, error) {
+	d, err := p.BulletProtocol.Deploy(w, tree)
+	if err != nil {
+		return nil, err
+	}
+	return foreignDeployment{d}, nil
+}
+
+// A Deploy that fails after the protocol is already wired in (here: an
+// adversary asked of a Deployment type that cannot take one) stops it
+// again: the caller gets no handle, so nothing may keep streaming.
+func TestDeployFailureLeavesNothingRunning(t *testing.T) {
+	w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 600, Clients: 12, Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := w.RandomTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := foreignProtocol{bullet.BulletProtocol{Config: bullet.DefaultConfig(600)}}
+	if _, err := w.Deploy(p, tree, bullet.WithAdversary(bullet.Adversary{Model: bullet.AdvFreeride})); err == nil {
+		t.Fatal("adversary attached to a foreign Deployment type")
+	}
+	if n := len(w.Deployments()); n != 0 {
+		t.Fatalf("%d deployments tracked after a failed Deploy", n)
+	}
+	// Deploy itself sends (RanSub's first distribute), so the counters
+	// are compared with their post-Deploy values, not with zero.
+	before := w.Network().Stats()
+	w.Run(10 * bullet.Second)
+	if after := w.Network().Stats(); after != before {
+		t.Errorf("traffic after a failed Deploy:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
