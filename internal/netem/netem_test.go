@@ -235,3 +235,42 @@ func TestThroughputMatchesBottleneck(t *testing.T) {
 		t.Fatalf("throughput %.0f well under bottleneck %.0f", got, bottleneck)
 	}
 }
+
+// TestSteadyStateAllocatesNothing sends across a three-link line once
+// the route memo, the inflight arena and the engine's buckets are warm:
+// the Send, its three hop events and the delivery allocate nothing.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	b := topology.NewBuilder()
+	src := b.AddNode(topology.Client, 0, 0)
+	s1 := b.AddNode(topology.Stub, 1, 0)
+	s2 := b.AddNode(topology.Stub, 2, 0)
+	dst := b.AddNode(topology.Client, 3, 0)
+	b.AddLink(src, s1, topology.ClientStub, 10000, sim.Millisecond, 0)
+	b.AddLink(s1, s2, topology.StubStub, 10000, sim.Millisecond, 0)
+	b.AddLink(s2, dst, topology.ClientStub, 10000, sim.Millisecond, 0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(1)
+	net := New(eng, g, topology.NewRouter(g), Config{})
+	delivered := 0
+	net.Register(dst, func(Packet) { delivered++ })
+	step := func() {
+		net.Send(Packet{Kind: Data, Seq: uint64(delivered), Size: 1000, From: src, To: dst})
+		net.Send(Packet{Kind: Control, Size: 48, From: src, To: dst})
+		eng.Run(eng.Now() + sim.Second)
+	}
+	// Warm-up: a step moves the clock a second, which walks the hop
+	// events over every bucket of the engine's 256-slot calendar ring.
+	const warm = 512
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(20, step); avg != 0 {
+		t.Fatalf("%v allocations per Send in steady state, want 0", avg)
+	}
+	if want := 2 * (warm + 21); delivered != want { // AllocsPerRun adds a run of its own
+		t.Fatalf("delivered %d packets, want %d", delivered, want)
+	}
+}

@@ -20,6 +20,19 @@ import (
 // the clock, seconds, minutes), and x picks what the callback does
 // when it fires (see fuzzDriver.fire). Regenerate nothing: the corpus
 // under testdata/fuzz is hand-assembled from these ops.
+//
+// The key-* scripts hold the orders a same-instant tie-break by bucket
+// position (rather than by a queue-wide sequence number) has to get
+// right: far-then-direct-after-advance and -in-callback tie events
+// that waited on the far list with later direct pushes at the same
+// instant of the same slot, the push made after an AdvanceTo and from a
+// callback of the step that migrated; insert-while-consuming re-arms
+// three same-instant events into the bucket being consumed, onto an
+// instant where one already waits; epoch-jump-then-direct lands a
+// 14-epoch AdvanceTo on a far event and pushes at that instant;
+// cancelled-between-plain pops cancelled At timers between plain
+// events (Fired must skip them); every-cancels-itself ends series from
+// their own callbacks, near and on the far list.
 
 // fuzzHandle is the part of Timer the driver uses.
 type fuzzHandle interface {

@@ -537,3 +537,54 @@ func TestEngineWindowContract(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) { c.run(t, NewEngine(1)) })
 	}
 }
+
+// TestSteadyStateAllocatesNothing holds the three ways protocol code
+// keeps an event in flight — ScheduleArg, Schedule, an Every series —
+// to zero heap allocations per event once the buckets, the far list and
+// the pools have reached their working size.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	var sink int
+	argFn := func(a any) { sink += a.(int) }
+	arg := any(1) // pre-boxed, as a pooled caller-owned argument is
+	fn := func() { sink++ }
+	cases := []struct {
+		name string
+		step func(e *Engine)
+	}{
+		{"ScheduleArg+Run", func(e *Engine) {
+			for i := 0; i < 64; i++ {
+				e.ScheduleArg(e.Now()+Time(i%16)*100*Microsecond, argFn, arg)
+			}
+			e.ScheduleArg(e.Now()+300*Millisecond, argFn, arg) // far list
+			e.Run(e.Now() + Second)
+		}},
+		{"Schedule+Run", func(e *Engine) {
+			for i := 0; i < 64; i++ {
+				e.Schedule(e.Now()+Time(i%16)*100*Microsecond, fn)
+			}
+			e.ScheduleAfter(300*Millisecond, fn) // far list
+			e.Run(e.Now() + Second)
+		}},
+		{"Every ticks", func(e *Engine) {
+			if e.Pending() == 0 {
+				e.Every(Millisecond, fn)
+				e.Every(200*Millisecond, fn) // re-arms onto the far list
+			}
+			e.Run(e.Now() + Second)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(1)
+			// Warm-up: a step moves the clock a second, an odd number of
+			// slots, so 2*ringSlots steps grow every bucket of the ring.
+			for i := 0; i < 2*ringSlots; i++ {
+				c.step(e)
+			}
+			if avg := testing.AllocsPerRun(20, func() { c.step(e) }); avg != 0 {
+				t.Fatalf("%v allocations per step in steady state, want 0", avg)
+			}
+		})
+	}
+	_ = sink
+}
