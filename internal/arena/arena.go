@@ -1,13 +1,13 @@
 // Package arena provides chunked, owner-local allocators for the
 // high-churn value types on the simulation hot path (netem in-flight
-// packets, TFRC feedback reports, scheduler event bodies).
+// packets, the scheduler's timer bodies).
 //
 // An Arena[T] hands out stable pointers into fixed-size chunks it
 // allocates as needed, and recycles freed values through a LIFO free
 // list. Compared to allocating each value individually on the Go heap:
 //
 //   - values of one arena pack into contiguous chunks, so an owner's
-//     working set (one shard's in-flight packets, one engine's event
+//     working set (one shard's in-flight packets, one engine's timer
 //     bodies) stays on its own cache lines instead of being interleaved
 //     with every other allocation of the process;
 //   - the LIFO free list re-issues the most recently retired value
@@ -17,11 +17,13 @@
 //
 // An Arena is deliberately not goroutine-safe. Ownership follows the
 // sharded runner's single-writer discipline: each arena belongs to
-// exactly one shard context (or one engine, or one endpoint) and is
-// only touched by events executing there. Values may migrate between
-// owners — a packet handed off across shards retires into the arena of
-// the shard it was delivered on — as long as every Get and Put runs on
-// the owning shard; arenas only ever grow, so drift is harmless.
+// exactly one shard context (or one engine) and is only touched by
+// events executing there. One client's values migrate between owners:
+// a packet handed off across shards retires into the arena of the shard
+// it was delivered on. Arenas only ever grow, so that drift is harmless
+// where traffic crosses a cut both ways; a value that only ever flows
+// one way must not be pooled like this — the taker backs new chunks for
+// ever and the returner's free list grows to match.
 //
 // The zero Arena is ready to use.
 package arena

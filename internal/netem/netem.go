@@ -38,21 +38,24 @@ const (
 )
 
 // Packet is the unit of transfer between two overlay participants.
+// What every hop reads (Kind, Trace, Size) leads: see inflight.
 type Packet struct {
 	Kind    Kind
-	Seq     uint64 // data sequence number (Data packets)
-	Size    int    // bytes on the wire
-	From    int    // source graph node
-	To      int    // destination graph node
-	Payload any    // protocol message for Control packets
 	Trace   bool   // participate in link-stress accounting
-	SentAt  sim.Time
+	FlowID  uint32 // transport framing, see below
+	Size    int    // bytes on the wire
+	To      int    // destination graph node
+	From    int    // source graph node
+	Seq     uint64 // data sequence number (Data packets)
+	Payload any    // protocol message for Control packets
 
-	// Transport framing for Data packets, carried inline so the
-	// per-packet send path allocates no payload box: the flow id and
-	// per-flow sequence, the sender timestamp, and the sender's RTT
-	// estimate (see package transport). Unused by Control packets.
-	FlowID  uint32
+	// Transport framing, carried inline so neither a data packet nor a
+	// TFRC report allocates a payload box (see package transport). Data:
+	// FlowID, the per-flow sequence FlowSeq, the sender timestamp TS and
+	// the sender's RTT estimate RTT. TFRC feedback (a Control packet
+	// whose Payload is transport's marker value): FlowID, the loss event
+	// rate in TS, the RTT sample in RTT, math.Float64bits of the receive
+	// rate in FlowSeq. Unused by other Control packets.
 	FlowSeq uint64
 	TS      float64
 	RTT     float64
@@ -68,12 +71,12 @@ type Config struct {
 	QueueDelayLimit sim.Duration
 }
 
+// dirState is the mutable state of one link direction, padded to 32
+// bytes so a link's two directions share one cache line and neither
+// straddles two. Drop and packet totals are per shard, in shardCtx.
 type dirState struct {
 	busyUntil sim.Time
 	bytes     uint64
-	drops     uint64 // congestion drops
-	lossDrops uint64 // random loss drops
-	packets   uint64
 	// draws counts the random numbers consumed by this link direction
 	// (RED early drop, random loss). Each draw is a pure function of
 	// (seed, direction, draw index), so the loss pattern a direction
@@ -83,6 +86,7 @@ type dirState struct {
 	// direction's traversals happen in the same relative order on its
 	// owning shard as they do serially.
 	draws uint64
+	_     uint64
 }
 
 // inflight is the pooled per-packet forwarding state. The routed path
@@ -92,13 +96,15 @@ type dirState struct {
 // route epoch it was resolved at; if the epoch advances while the
 // packet is in flight (a scenario failed a link, healed a partition,
 // ...), the next hop re-resolves the remaining path from the packet's
-// current node.
+// current node. It is 128 bytes — two cache lines, arena chunks being
+// line-aligned — and a steady hop reads only the first: the header and
+// the packet's Kind, Trace and Size.
 type inflight struct {
-	pkt   Packet
 	path  []int32 // link ids, traversal order; owned by the router cache
 	i     int     // next path index to traverse
 	cur   int     // current node
 	epoch uint64  // route epoch path was resolved at
+	pkt   Packet
 }
 
 // shardCtx is the mutable per-shard forwarding state. In a serial run
@@ -288,7 +294,6 @@ func (n *Network) Unregister(node int) { n.handlers[node] = nil }
 func (n *Network) Send(pkt Packet) {
 	sh := n.shardIdx(pkt.From)
 	c := &n.ctxs[sh]
-	pkt.SentAt = n.engineFor(sh).Now()
 	if pkt.Kind == Control {
 		c.controlBytes += uint64(pkt.Size)
 	} else {
@@ -381,7 +386,6 @@ func (n *Network) hop(f *inflight) {
 		if wait > limit/2 {
 			p := float64(wait-limit/2) / float64(limit-limit/2)
 			if p >= 1 || n.dirFloat(dirIdx, ds) < p {
-				ds.drops++
 				c.congestionDrops++
 				c.putInflight(f)
 				return
@@ -390,7 +394,6 @@ func (n *Network) hop(f *inflight) {
 	}
 	// Random loss is applied per traversal, before transmission.
 	if f.pkt.Kind == Data && l.Loss > 0 && n.dirFloat(dirIdx, ds) < l.Loss {
-		ds.lossDrops++
 		c.randomLossDrops++
 		c.putInflight(f)
 		return
@@ -398,7 +401,6 @@ func (n *Network) hop(f *inflight) {
 	ser := sim.Duration(float64(f.pkt.Size) / l.Bytes * float64(sim.Second))
 	ds.busyUntil = start + ser
 	ds.bytes += uint64(f.pkt.Size)
-	ds.packets++
 	if f.pkt.Trace {
 		if c.traceStress == nil {
 			c.traceStress = make(map[uint64]map[int32]int)

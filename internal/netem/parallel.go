@@ -427,9 +427,9 @@ func (n *Network) coordRound(active bool, end sim.Time, sense *uint32) sim.Time 
 //     during the round's final window are drained in deterministically
 //     sorted order into the destination heaps (mid-round boundaries
 //     were already drained by barrier deciders), before the next
-//     global phase so handoffs precede (get lower sequence numbers
-//     than) anything the next round schedules at the same instant,
-//     exactly as they would serially.
+//     global phase so handoffs precede (are pushed before) anything
+//     the next round schedules at the same instant, exactly as they
+//     would serially.
 func (n *Network) runSharded(until sim.Time) {
 	K := n.plan.K
 	n.wb = newBarrier(K)
@@ -586,8 +586,8 @@ func (n *Network) RunLoad() RunLoad {
 // exchange drains every shard's outboxes into the destination shard
 // heaps. Handoffs bound for one shard are merged across sources and
 // stably sorted by (arrival time, producing-hop time, source shard) —
-// a pure function of the simulation state — so the sequence numbers
-// they receive, and hence tie-breaking against all other events, are
+// a pure function of the simulation state — so the order they are
+// pushed in, and hence tie-breaking against all other events, is
 // independent of goroutine timing.
 func (n *Network) exchange() {
 	K := n.plan.K

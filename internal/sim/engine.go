@@ -16,7 +16,7 @@
 // exact-time ties are vanishingly rare — so a push is an O(1) append to
 // the ring bucket of its slot, and ordering work is deferred to the
 // moment a bucket becomes the earliest: it is sorted once by (time,
-// sequence) and then consumed in place, head to tail. That costs an
+// push position) and then consumed in place, head to tail. That costs an
 // amortized O(log k) over the k events sharing a bucket, where a heap
 // pays ~log n compares and three slice moves on every pop.
 //
@@ -30,41 +30,33 @@
 // (0.2% on streamer-forward), and a pass reads ~2,800 entries on
 // bullet-paper against ~27,000 events fired per epoch (~440 against
 // ~4,400 on bullet-dynamics, ~7,000 against ~49,000 on bullet-wide) —
-// sequentially, 24 bytes each. The earliest far time is kept exact by
+// sequentially, 32 bytes each. The earliest far time is kept exact by
 // every push and every pass, so NextAt never searches the list.
 //
-// Event bodies (the callback, argument, timer slot, period) live in an
-// arena of chunked slots that never move; they are recycled through the
-// arena's free list, so the steady-state cost of an event remains zero
-// heap allocations.
+// A queued event is a value: its ordering key, the callback and the
+// callback's argument sit in the bucket entry itself (32 bytes), so
+// dispatch reads the line the sort just touched and nothing behind it,
+// and the steady-state cost of an event is zero heap allocations. Only
+// a cancellable or periodic timer has a body (evBody, in an arena of
+// chunked slots that never move), reached through the entry's argument.
 //
-// None of this layout is observable: (time, sequence) is a strict
-// total order — sequence numbers are unique per engine — so the pop
-// sequence is fully determined by the key set regardless of where an
-// event waits, which is what licenses the layout without touching the
-// determinism contract. FuzzEngineMatchesSortedSlice holds the engine
-// to exactly that, against a slice kept sorted by (time, sequence).
-//
-// The dispatch loop executes events in same-deadline batches: the pop
-// loop hoists the clock write and the run-limit comparison out of runs
-// of events sharing one timestamp, so a burst scheduled for the same
-// instant pays the loop overhead once. Batching never reorders
-// anything — events within a batch still fire in exact (time, seq)
-// order, and a callback scheduling more work at the current instant
-// joins the tail of the batch exactly as the serial contract requires.
+// None of this layout is observable. The contract is that events fire
+// in (time, scheduling order), and a bucket receives its events in
+// scheduling order (see ev), so an entry's position at push breaks ties
+// exactly as a queue-wide sequence number would — without the counter.
+// FuzzEngineMatchesSortedSlice holds the engine to exactly that,
+// against a slice kept sorted by (time, sequence).
 //
 // Cancellable timers are handled through a slot table with generation
 // counters: At/After/Every allocate a slot from a free list and return a
 // value-type Timer naming (slot, generation). Cancel and Stopped check
 // the generation, so stale handles are always safe no-ops. The hot
-// fire-and-forget paths (Schedule, ScheduleArg) skip the slot table
-// entirely; ScheduleArg additionally avoids per-event closures by
-// carrying a caller-owned argument to a reusable callback.
-//
-// Periodic timers created with Every re-arm in place: the body is
-// reused and the engine re-pushes a fresh key with a new sequence
-// number, so a periodic series costs zero allocations per tick after
-// setup.
+// fire-and-forget paths (Schedule, ScheduleArg) skip the slot table and
+// the body arena entirely — the dispatch loop knows nothing of timers,
+// which are ordinary events whose callback is the engine's fireTimer;
+// ScheduleArg additionally avoids per-event closures by carrying a
+// caller-owned argument to a reusable callback. Every re-arms in place:
+// the body is reused, so a series allocates nothing per tick.
 package sim
 
 import (
@@ -129,18 +121,14 @@ func (t Timer) Stopped() bool {
 	return s.done || s.cancelled
 }
 
-// evBody is the non-ordering payload of one queued event, allocated
-// from the engine's arena and stationary for its queued lifetime.
-// Exactly one of fn and afn is set.
+// evBody is what a cancellable or periodic timer keeps behind its
+// queued event (it is the event's arg; fireTimer is its fn), allocated
+// from the engine's arena and stationary until the timer finishes.
 type evBody struct {
 	fn     func()
-	afn    func(any)
-	arg    any
-	slot   int32    // timer slot index, or noSlot for fire-and-forget
+	slot   int32    // timer slot index
 	period Duration // > 0: periodic, re-armed after each fire
 }
-
-const noSlot = int32(-1)
 
 // timerSlot tracks the liveness of one outstanding Timer handle.
 type timerSlot struct {
@@ -164,16 +152,36 @@ const (
 	epochSlots = ringSlots / 2
 )
 
-// ev is one queued event: its ordering key and its body.
+// ev is one event queued in a ring bucket. key is the event's offset
+// within the bucket's slot (at & slotMask) in the high 32 bits and the
+// bucket's length when the event was pushed in the low 32, so within a
+// bucket one integer compare is (time, push order), keys are unique,
+// and the event's time is bucket.slot<<slotShift | key>>32.
+//
+// Push order within a bucket is scheduling order, which is what lets
+// the key stand in for a queue-wide sequence number: a slot takes
+// direct pushes only once limit covers it; setNow runs migrate in the
+// same call that advances limit, so a slot's far events are filed
+// before any direct push can reach it; and migrate files them in
+// far-list (= push) order into a bucket its stale stamp reset to empty.
 type ev struct {
-	at  Time
-	seq uint64
-	b   *evBody
+	key uint64
+	fn  func(any)
+	arg any
 }
+
+// farEv is one event on the far list: unordered, its time stored whole.
+type farEv struct {
+	at  Time
+	fn  func(any)
+	arg any
+}
+
+const slotMask = 1<<slotShift - 1
 
 // bucket holds the events of one absolute slot. Future buckets are
 // unsorted append targets; when a bucket becomes the earliest nonempty
-// one it is sorted by (at, seq) once and consumed in place via head.
+// one it is sorted by key once and consumed in place via head.
 // Ring indices are reused as the window advances, so each bucket is
 // stamped with the absolute slot it currently holds: a stale stamp
 // means "empty, reset me on next use".
@@ -200,15 +208,17 @@ type Engine struct {
 	ringN int
 	// The far future: every event at or past limit, in push order, and
 	// the earliest of their times (meaningful while far is nonempty).
-	far    []ev
+	far    []farEv
 	farMin Time
 
-	seq     uint64
 	stopped bool
 	seed    int64
 	fired   uint64
 
-	bodies arena.Arena[evBody]
+	// Timers: the fireTimer method value every At/After/Every event
+	// carries (made once), their bodies and slot table.
+	timerFn func(any)
+	bodies  arena.Arena[evBody]
 
 	slots []timerSlot
 	free  []int32 // free slot indices
@@ -217,7 +227,9 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero. The seed is used
 // to derive per-entity RNG streams via RNG.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, limit: 2 * epochSlots}
+	e := &Engine{seed: seed, limit: 2 * epochSlots}
+	e.timerFn = e.fireTimer
+	return e
 }
 
 // Now returns the current virtual time.
@@ -262,40 +274,44 @@ func (e *Engine) RNG(id int64) *rand.Rand {
 //     buckets for slots in [base, scan) are empty.
 // ---------------------------------------------------------------------
 
-// push enqueues b at time at, assigning the next sequence number.
-func (e *Engine) push(at Time, b *evBody) {
-	sq := e.seq
-	e.seq++
-	s := int64(at) >> slotShift
-	if s < e.limit {
-		e.ringPut(s, ev{at, sq, b})
+// push enqueues fn(arg) at time at. A time in the past runs at the
+// current instant, after the events already queued for it (FIFO).
+func (e *Engine) push(at Time, fn func(any), arg any) {
+	if at < e.now {
+		at = e.now
+	}
+	if int64(at)>>slotShift < e.limit {
+		e.ringPut(at, fn, arg)
 		return
 	}
 	if len(e.far) == 0 || at < e.farMin {
 		e.farMin = at
 	}
-	e.far = append(e.far, ev{at, sq, b})
+	e.far = append(e.far, farEv{at, fn, arg})
 }
 
-// ringPut files v into the bucket for absolute slot s, resetting a
+// ringPut files an event into the bucket of at's slot, resetting a
 // bucket whose stamp says it still belongs to a slot that has left the
 // window (such a bucket is always fully consumed — every event below
 // now has fired). A sorted bucket is the one being (or about to be)
-// consumed: keep it sorted with an ordered insert. The (at, seq) upper
-// bound can never land below head, because everything consumed so far
-// is strictly smaller than any event still arriving.
-func (e *Engine) ringPut(s int64, v ev) {
+// consumed: keep it sorted with an ordered insert. The new key's push
+// position exceeds every one in the bucket, so its upper bound can
+// never land below head: everything consumed so far is strictly smaller
+// than any event still arriving.
+func (e *Engine) ringPut(at Time, fn func(any), arg any) {
+	s := int64(at) >> slotShift
 	bk := &e.ring[s&ringMask]
 	if bk.slot != s {
 		bk.slot, bk.head, bk.sorted = s, 0, false
 		bk.evs = bk.evs[:0]
 	}
+	v := ev{uint64(at&slotMask)<<32 | uint64(len(bk.evs)), fn, arg}
 	if bk.sorted {
 		evs := bk.evs
 		lo, hi := bk.head, len(evs)
 		for lo < hi {
 			m := int(uint(lo+hi) >> 1)
-			if evs[m].at < v.at || (evs[m].at == v.at && evs[m].seq < v.seq) {
+			if evs[m].key < v.key {
 				lo = m + 1
 			} else {
 				hi = m
@@ -314,11 +330,9 @@ func (e *Engine) ringPut(s int64, v ev) {
 	e.ringN++
 }
 
-// evLess orders events by (at, seq). Taking pointers keeps the 24-byte
-// copies out of the compare; the call inlines.
-func evLess(a, b *ev) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
+// evLess orders the events of one bucket. Taking pointers keeps the
+// 32-byte copies out of the compare; the call inlines.
+func evLess(a, b *ev) bool { return a.key < b.key }
 
 // sortEvs is a quicksort over events with the compare inlined —
 // sorting is the per-bucket cost the calendar queue amortizes over a
@@ -326,9 +340,9 @@ func evLess(a, b *ev) bool {
 // the single largest queue expense when it sits here: slices.SortFunc
 // in this function's place costs 10% of events_per_s on the repo
 // benchmark's streamer-forward (median of four alternating pairs, none
-// faster; an earlier trial measured 10–23%). Keys are unique (seq is),
-// so a plain Hoare partition with a median-of-three pivot needs no
-// equal-run handling.
+// faster; an earlier trial measured 10–23%). Keys are unique (the push
+// position is), so a plain Hoare partition with a median-of-three pivot
+// needs no equal-run handling.
 func sortEvs(evs []ev) {
 	for {
 		n := len(evs)
@@ -386,7 +400,10 @@ func sortEvs(evs []ev) {
 	}
 }
 
-// sort orders the bucket by (at, seq). Only a never-consumed bucket
+// at rebuilds the time of the bucket's event with the given key.
+func (bk *bucket) at(key uint64) Time { return Time(bk.slot<<slotShift | int64(key>>32)) }
+
+// sort orders the bucket by key. Only a never-consumed bucket
 // can be unsorted, so head is 0 and the whole slice is fair game.
 func (bk *bucket) sort() {
 	sortEvs(bk.evs)
@@ -432,11 +449,9 @@ func (e *Engine) setNow(t Time) {
 
 // migrate moves every far event that the window now covers into its
 // bucket, in one pass that compacts the survivors in place and
-// recomputes farMin from them. Push order is kept on both sides, and
-// the buckets filled here are unsorted until they become the earliest,
-// so nothing about (at, seq) order depends on this pass. The body
-// pointers left past the new length are harmless: bodies live in arena
-// chunks either way, and Put zeroes their payload references.
+// recomputes farMin from them. Push order is kept on both sides — the
+// buckets' keys depend on it (see ev). The tail compacted away is
+// cleared so the list does not keep filed callbacks reachable.
 func (e *Engine) migrate() {
 	horizon := Time(e.limit << slotShift)
 	if len(e.far) == 0 || e.farMin >= horizon {
@@ -445,7 +460,7 @@ func (e *Engine) migrate() {
 	keep := e.far[:0]
 	for _, v := range e.far {
 		if v.at < horizon {
-			e.ringPut(int64(v.at)>>slotShift, v)
+			e.ringPut(v.at, v.fn, v.arg)
 			continue
 		}
 		if len(keep) == 0 || v.at < e.farMin {
@@ -453,6 +468,7 @@ func (e *Engine) migrate() {
 		}
 		keep = append(keep, v)
 	}
+	clear(e.far[len(keep):])
 	e.far = keep
 }
 
@@ -490,30 +506,53 @@ func (e *Engine) freeSlot(idx int32) {
 // Scheduling API.
 // ---------------------------------------------------------------------
 
-// clamp maps past times to the current instant: scheduling in the past
-// runs the event at the current time, after already-queued same-instant
-// events (FIFO by sequence number).
-func (e *Engine) clamp(t Time) Time {
-	if t < e.now {
-		return e.now
-	}
-	return t
+// timer queues a new cancellable event: a body from the arena behind
+// the engine's fireTimer callback.
+func (e *Engine) timer(t Time, period Duration, fn func()) Timer {
+	slot, gen := e.allocSlot()
+	b := e.bodies.Get()
+	b.fn, b.slot, b.period = fn, slot, period
+	e.push(t, e.timerFn, b)
+	return Timer{e: e, slot: slot, gen: gen}
 }
 
-// newBody takes a zeroed body from the arena.
-func (e *Engine) newBody() *evBody { return e.bodies.Get() }
+// fireTimer is the callback of every At/After/Every event. A cancelled
+// timer is popped without counting as fired; a one-shot reports stopped
+// from the moment it fires; a periodic one re-arms after its callback
+// unless that cancelled the series.
+func (e *Engine) fireTimer(a any) {
+	b := a.(*evBody)
+	switch {
+	case e.slots[b.slot].cancelled:
+		e.fired-- // exec counted the pop; Fired counts callbacks run
+	case b.period <= 0:
+		// It is firing now, so the handle reports stopped from here on
+		// (matching historical behavior even for Stopped calls made
+		// during the callback).
+		e.freeSlot(b.slot)
+		b.fn()
+		e.bodies.Put(b)
+		return
+	default:
+		b.fn()
+		if !e.slots[b.slot].cancelled {
+			// The body is reused; only a fresh entry is pushed.
+			e.push(e.now+b.period, e.timerFn, b)
+			return
+		}
+	}
+	e.freeSlot(b.slot)
+	e.bodies.Put(b)
+}
+
+// runFunc is the callback behind Schedule: the event's arg is the
+// caller's func() (pointer-shaped, so boxing it allocates nothing).
+func runFunc(a any) { a.(func())() }
 
 // At schedules fn to run at absolute time t and returns a cancellable
 // Timer. Callers that never cancel should prefer Schedule, which skips
 // the timer slot table.
-func (e *Engine) At(t Time, fn func()) Timer {
-	slot, gen := e.allocSlot()
-	b := e.newBody()
-	b.fn = fn
-	b.slot = slot
-	e.push(e.clamp(t), b)
-	return Timer{e: e, slot: slot, gen: gen}
-}
+func (e *Engine) At(t Time, fn func()) Timer { return e.timer(t, 0, fn) }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Duration, fn func()) Timer {
@@ -524,22 +563,13 @@ func (e *Engine) After(d Duration, fn func()) Timer {
 // period elapses. The returned Timer cancels the whole series. The
 // series re-arms in place: no allocation per tick.
 func (e *Engine) Every(period Duration, fn func()) Timer {
-	slot, gen := e.allocSlot()
-	b := e.newBody()
-	b.fn = fn
-	b.slot = slot
-	b.period = period
-	e.push(e.clamp(e.now+period), b)
-	return Timer{e: e, slot: slot, gen: gen}
+	return e.timer(e.now+period, period, fn)
 }
 
 // Schedule runs fn at absolute time t with no cancellation handle.
 // This is the allocation-free fast path for fire-and-forget events.
 func (e *Engine) Schedule(t Time, fn func()) {
-	b := e.newBody()
-	b.fn = fn
-	b.slot = noSlot
-	e.push(e.clamp(t), b)
+	e.push(t, runFunc, fn)
 }
 
 // ScheduleAfter runs fn d after the current time with no handle.
@@ -552,11 +582,7 @@ func (e *Engine) ScheduleAfter(d Duration, fn func()) {
 // avoids allocating a closure per event; combined with caller-side arg
 // pooling the steady-state cost of an event is zero allocations.
 func (e *Engine) ScheduleArg(t Time, fn func(any), arg any) {
-	b := e.newBody()
-	b.afn = fn
-	b.arg = arg
-	b.slot = noSlot
-	e.push(e.clamp(t), b)
+	e.push(t, fn, arg)
 }
 
 // Run executes events until the queue drains, the clock passes until,
@@ -601,15 +627,15 @@ func (e *Engine) NextAt() (Time, bool) {
 		if bk.slot != s || bk.head >= len(bk.evs) {
 			continue
 		}
-		min := bk.evs[bk.head].at
+		min := bk.evs[bk.head].key
 		if !bk.sorted {
-			for _, v := range bk.evs[bk.head+1:] {
-				if v.at < min {
-					min = v.at
+			for i := bk.head + 1; i < len(bk.evs); i++ {
+				if k := bk.evs[i].key; k < min {
+					min = k
 				}
 			}
 		}
-		return min, true
+		return bk.at(min), true
 	}
 }
 
@@ -636,7 +662,7 @@ func (e *Engine) exec(limit Time, strict bool) {
 		var t Time
 		if e.ringN > 0 {
 			bk := e.ringHead()
-			t = bk.evs[bk.head].at
+			t = bk.at(bk.evs[bk.head].key)
 		} else {
 			t = e.farMin
 		}
@@ -648,44 +674,18 @@ func (e *Engine) exec(limit Time, strict bool) {
 		e.setNow(t)
 		for e.ringN > 0 && !e.stopped {
 			bk := e.ringHead()
-			if bk.evs[bk.head].at != t {
+			v := &bk.evs[bk.head]
+			if bk.at(v.key) != t {
 				break
 			}
-			b := bk.evs[bk.head].b
+			// Consumed: drop its references (the line is hot), so what
+			// the caller scheduled is collectable once it has run.
+			fn, arg := v.fn, v.arg
+			v.fn, v.arg = nil, nil
 			bk.head++
 			e.ringN--
-			if b.slot != noSlot {
-				s := &e.slots[b.slot]
-				if s.cancelled {
-					e.freeSlot(b.slot)
-					e.bodies.Put(b)
-					continue
-				}
-				if b.period <= 0 {
-					// One-shot: it is firing now, so the handle reports
-					// stopped from here on (matching historical behavior
-					// even for Stopped calls made during the callback).
-					e.freeSlot(b.slot)
-				}
-			}
 			e.fired++
-			if b.fn != nil {
-				b.fn()
-			} else {
-				b.afn(b.arg)
-			}
-			if b.period > 0 {
-				// Periodic: re-arm unless the callback cancelled the
-				// series. The body is reused; only a fresh key is pushed.
-				if e.slots[b.slot].cancelled {
-					e.freeSlot(b.slot)
-					e.bodies.Put(b)
-				} else {
-					e.push(e.now+b.period, b)
-				}
-			} else {
-				e.bodies.Put(b)
-			}
+			fn(arg)
 		}
 	}
 }

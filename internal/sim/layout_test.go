@@ -1,0 +1,60 @@
+package sim
+
+import (
+	"runtime"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// TestHotLayout pins the size of a queued event: two entries per cache
+// line in a bucket and on the far list. A field added to either fails.
+func TestHotLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is pinned for 64-bit targets only")
+	}
+	if n := unsafe.Sizeof(ev{}); n != 32 {
+		t.Errorf("ev is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(farEv{}); n != 32 {
+		t.Errorf("farEv is %d bytes, want 32", n)
+	}
+}
+
+// TestConsumedEntriesDropReferences holds the ring and the far list to
+// releasing what they were handed: a closure given to Schedule, and an
+// argument given to ScheduleArg, are collectable once they have run,
+// though the bucket slots and the far list's spare capacity they sat
+// in live on.
+func TestConsumedEntriesDropReferences(t *testing.T) {
+	e := NewEngine(1)
+	freed := make(chan string, 4)
+	track := func(name string) *[64]byte {
+		p := new([64]byte)
+		runtime.SetFinalizer(p, func(*[64]byte) { freed <- name })
+		return p
+	}
+	schedule := func(name string, at Time) {
+		p := track(name + " closure")
+		e.Schedule(at, func() { p[0]++ })
+		e.ScheduleArg(at, func(a any) { a.(*[64]byte)[0]++ }, track(name+" arg"))
+	}
+	schedule("ring", Millisecond)
+	schedule("far", Second) // waits on the far list, then in a bucket
+	e.Schedule(3*Second, func() {})
+	e.Run(2 * Second)
+	if e.Fired() != 4 || e.Pending() != 1 {
+		t.Fatalf("fired %d, pending %d; want 4, 1", e.Fired(), e.Pending())
+	}
+	want := map[string]bool{"ring closure": true, "ring arg": true, "far closure": true, "far arg": true}
+	for len(want) > 0 {
+		runtime.GC() // finalizers run on their own goroutine afterwards
+		select {
+		case name := <-freed:
+			delete(want, name)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("still reachable after running and GC: %v", want)
+		}
+	}
+	runtime.KeepAlive(e)
+}

@@ -8,8 +8,8 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
-	"bullet/internal/arena"
 	"bullet/internal/netem"
 	"bullet/internal/sim"
 	"bullet/internal/tfrc"
@@ -29,11 +29,21 @@ type flowKey struct {
 
 // Data packets carry their transport framing (flow id, flow sequence,
 // timestamp, RTT echo) inline in netem.Packet fields — no per-packet
-// payload allocation on the send path.
+// payload allocation on the send path. A TFRC feedback report rides in
+// the same fields: feedbackMsg, a zero-size marker, is its Payload,
+// and feedbackPacket / feedbackOf are the only code that knows which
+// field holds what.
+type feedbackMsg struct{}
 
-type feedbackMsg struct {
-	flowID uint32
-	fb     tfrc.Feedback
+func feedbackPacket(to int, flowID uint32, fb tfrc.Feedback) netem.Packet {
+	return netem.Packet{
+		Size: FeedbackSize, To: to, Payload: feedbackMsg{},
+		FlowID: flowID, TS: fb.P, RTT: fb.RTTSample, FlowSeq: math.Float64bits(fb.RecvRate),
+	}
+}
+
+func feedbackOf(pkt netem.Packet) tfrc.Feedback {
+	return tfrc.Feedback{P: pkt.TS, RTTSample: pkt.RTT, RecvRate: math.Float64frombits(pkt.FlowSeq)}
 }
 
 type closeMsg struct {
@@ -62,7 +72,8 @@ type DataHandler func(from int, seq uint64, size int)
 // ControlHandler is invoked on arrival of a protocol control message.
 type ControlHandler func(from int, payload any, size int)
 
-// Endpoint is one node's attachment to the network.
+// Endpoint is one node's attachment to the network. It owns no pool:
+// data headers and TFRC reports travel inside the packet value.
 type Endpoint struct {
 	net  *netem.Network
 	eng  sim.Scheduler // the node's shard scheduler; all timers/clock reads
@@ -87,16 +98,6 @@ type Endpoint struct {
 	controlBytesOut uint64
 	transportCtlIn  uint64
 	transportCtlOut uint64
-
-	// fbArena recycles feedback messages, replacing a process-global
-	// sync.Pool: every Get and Put runs inside one of this endpoint's
-	// own events, so the arena is shard-local with no pool-internal
-	// synchronization or per-P caches. Messages drift between
-	// endpoints by design — a report is allocated by the data receiver
-	// and retired by the data sender once applied — which the arena's
-	// ownership model permits (arenas only grow). Reports dropped in
-	// flight (failed links, crashed endpoints) are collected by the GC.
-	fbArena arena.Arena[feedbackMsg]
 }
 
 // NewEndpoint attaches node to the network and registers its handler.
@@ -179,16 +180,15 @@ func (ep *Endpoint) TransportControlBytes() (in, out uint64) {
 	return ep.transportCtlIn, ep.transportCtlOut
 }
 
-// sendTransportControl transmits transport-internal control.
-func (ep *Endpoint) sendTransportControl(to int, payload any, size int) {
+// sendTransportControl transmits pkt (TFRC feedback, flow teardown) as
+// transport-internal Control traffic from this node.
+func (ep *Endpoint) sendTransportControl(pkt netem.Packet) {
 	if ep.failed {
 		return
 	}
-	ep.transportCtlOut += uint64(size)
-	ep.net.Send(netem.Packet{
-		Kind: netem.Control, Size: size,
-		From: ep.node, To: to, Payload: payload,
-	})
+	ep.transportCtlOut += uint64(pkt.Size)
+	pkt.Kind, pkt.From = netem.Control, ep.node
+	ep.net.Send(pkt)
 }
 
 // DataBytes returns (in, out) data byte counters.
@@ -289,7 +289,7 @@ func (f *Flow) Close() {
 	}
 	f.closed = true
 	delete(f.ep.sendFlows, f.id)
-	f.ep.sendTransportControl(f.to, &closeMsg{flowID: f.id}, 16)
+	f.ep.sendTransportControl(netem.Packet{Size: 16, To: f.to, Payload: &closeMsg{flowID: f.id}})
 }
 
 // recvFlow is the receiving half, created on first data arrival.
@@ -341,10 +341,7 @@ func (rf *recvFlow) sendFeedback() {
 		}
 	}
 	fb.RTTSample = sample
-	m := rf.ep.fbArena.Get()
-	m.flowID = rf.key.id
-	m.fb = fb
-	rf.ep.sendTransportControl(rf.key.src, m, FeedbackSize)
+	rf.ep.sendTransportControl(feedbackPacket(rf.key.src, rf.key.id, fb))
 	rf.scheduleFeedback()
 }
 
@@ -374,12 +371,11 @@ func (ep *Endpoint) onPacket(pkt netem.Packet) {
 		return
 	}
 	switch m := pkt.Payload.(type) {
-	case *feedbackMsg:
+	case feedbackMsg:
 		ep.transportCtlIn += uint64(pkt.Size)
-		if f, ok := ep.sendFlows[m.flowID]; ok {
-			f.snd.OnFeedback(ep.eng.Now().ToSeconds(), m.fb)
+		if f, ok := ep.sendFlows[pkt.FlowID]; ok {
+			f.snd.OnFeedback(ep.eng.Now().ToSeconds(), feedbackOf(pkt))
 		}
-		ep.fbArena.Put(m)
 	case *closeMsg:
 		ep.transportCtlIn += uint64(pkt.Size)
 		key := flowKey{src: pkt.From, id: m.flowID}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"testing"
 
 	"bullet/internal/netem"
@@ -234,5 +235,39 @@ func TestAppLimitedFlowDoesNotBlowUp(t *testing.T) {
 	got := float64(bytes) / 20
 	if got < 3000 || got > 7000 {
 		t.Fatalf("app-limited flow delivered %.0f B/s, offered ~5000", got)
+	}
+}
+
+// TestFeedbackMemoryIsBounded pumps one one-way flow for ten virtual
+// minutes and holds the heap growth after the first to 64 KiB. On a
+// one-way flow the receiver only ever builds TFRC reports and the
+// sender only ever consumes them, so any pool a report is taken from
+// on one side and returned to on the other grows with the run.
+func TestFeedbackMemoryIsBounded(t *testing.T) {
+	eng, net, g := testWorld(t, 1, topology.MediumBandwidth, topology.NoLoss)
+	src, dst := g.Clients[0], g.Clients[1]
+	a, b := NewEndpoint(net, src), NewEndpoint(net, dst)
+	var bytes int
+	b.OnData(func(from int, seq uint64, size int) { bytes += size })
+	f, err := a.OpenFlow(dst, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pump(eng, f, 600*sim.Second)
+	eng.Run(60 * sim.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	eng.Run(600 * sim.Second)
+	runtime.ReadMemStats(&after)
+	if bytes == 0 {
+		t.Fatal("nothing delivered")
+	}
+	if in, _ := a.TransportControlBytes(); in == 0 {
+		t.Fatal("no feedback report reached the sender")
+	}
+	grew, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("t = 60 s to 600 s: %d bytes in %d mallocs", grew, mallocs)
+	if grew > 64<<10 {
+		t.Fatalf("heap advanced %d bytes (%d mallocs) over 540 s of one flow, want at most %d", grew, mallocs, 64<<10)
 	}
 }
