@@ -77,6 +77,27 @@ func TestChunkGrowthAndStability(t *testing.T) {
 	}
 }
 
+// TestSteadyChurnAllocatesNothing cycles 512 values out and back — the
+// issue/retire rhythm of packet delivery — and holds every lap after
+// the first to zero heap allocations: each Get is served from the free
+// list, and the free list's backing array has reached its size.
+func TestSteadyChurnAllocatesNothing(t *testing.T) {
+	var a Arena[[64]byte]
+	buf := make([]*[64]byte, 512)
+	lap := func() {
+		for i := range buf {
+			buf[i] = a.Get()
+		}
+		for _, p := range buf {
+			a.Put(p)
+		}
+	}
+	lap()
+	if avg := testing.AllocsPerRun(20, lap); avg != 0 {
+		t.Fatalf("%v allocations per lap of 512 values after warm-up, want 0", avg)
+	}
+}
+
 func TestChunkLocality(t *testing.T) {
 	// Consecutive Gets from a fresh chunk are adjacent in memory — the
 	// property the hot paths rely on for cache locality. Both pointers

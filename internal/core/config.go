@@ -73,12 +73,6 @@ type Config struct {
 	// ModRows enables the Figure 4 sequence-matrix row partitioning
 	// across senders; when false, senders serve the whole range.
 	ModRows bool
-	// MinResemblance enables choosing the RanSub candidate with the
-	// lowest summary-ticket resemblance; when false, a uniformly
-	// random candidate is chosen.
-	MinResemblance bool
-	// Eviction enables §3.4 sender/receiver re-evaluation.
-	Eviction bool
 }
 
 // DefaultConfig returns the paper's operating point for a given
@@ -100,8 +94,6 @@ func DefaultConfig(rateKbps float64) Config {
 		TraceEvery:         0,
 		DisjointSend:       true,
 		ModRows:            true,
-		MinResemblance:     true,
-		Eviction:           true,
 	}
 }
 

@@ -642,7 +642,8 @@ func (n *Node) epochHousekeeping() {
 }
 
 // maybeRequestPeer fills a free sender slot with the best candidate of
-// the latest RanSub set.
+// the latest RanSub set: the one whose summary ticket resembles this
+// node's least (§3.3).
 func (n *Node) maybeRequestPeer() {
 	if len(n.senders) >= n.sys.cfg.MaxSenders || n.pending >= 0 || len(n.lastSet) == 0 {
 		return
@@ -665,20 +666,16 @@ func (n *Node) maybeRequestPeer() {
 		return
 	}
 	var chosen ransub.Entry
-	if n.sys.cfg.MinResemblance {
-		best := math.Inf(1)
-		for _, e := range candidates {
-			r := 1.0
-			if e.Ticket != nil {
-				r = sketch.Resemblance(n.ticket, e.Ticket)
-			}
-			if r < best {
-				best = r
-				chosen = e
-			}
+	best := math.Inf(1)
+	for _, e := range candidates {
+		r := 1.0
+		if e.Ticket != nil {
+			r = sketch.Resemblance(n.ticket, e.Ticket)
 		}
-	} else {
-		chosen = candidates[n.rng.Intn(len(candidates))]
+		if r < best {
+			best = r
+			chosen = e
+		}
 	}
 	n.pending = chosen.Node
 	msg := &peerRequestMsg{filter: n.filter.Clone(), low: n.ws.Low(), high: n.ws.High()}
@@ -1011,10 +1008,8 @@ func (n *Node) evalTick() {
 	if n.ep.Failed() {
 		return
 	}
-	if n.sys.cfg.Eviction {
-		n.evalSenders()
-		n.evalReceivers()
-	}
+	n.evalSenders()
+	n.evalReceivers()
 	n.ep.Scheduler().ScheduleAfter(n.sys.cfg.EvalInterval, n.evalFn)
 }
 

@@ -218,7 +218,7 @@ func TestFig10Shape(t *testing.T) {
 	// On the medium topology at small scale both variants can saturate
 	// the stream, so allow a small tolerance; the disjoint strategy's
 	// advantage under constrained child links is asserted by the
-	// low-bandwidth ablation in internal/core and the ablation benches.
+	// low-bandwidth ablation in internal/core (TestDisjointSendAblation).
 	with := r7.MeanTail("useful_total", 0.4)
 	without := r10.MeanTail("useful_total", 0.4)
 	if without > with*1.05 {

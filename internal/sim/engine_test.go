@@ -538,10 +538,11 @@ func TestEngineWindowContract(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocatesNothing holds the three ways protocol code
-// keeps an event in flight — ScheduleArg, Schedule, an Every series —
-// to zero heap allocations per event once the buckets, the far list and
-// the pools have reached their working size.
+// TestSteadyStateAllocatesNothing holds the ways protocol code keeps an
+// event in flight — ScheduleArg, Schedule, an Every series, a cancelled
+// After — to zero heap allocations per event once the buckets, the far
+// list, the slot table and the body arena have reached their working
+// size.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	var sink int
 	argFn := func(a any) { sink += a.(int) }
@@ -569,6 +570,12 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 			if e.Pending() == 0 {
 				e.Every(Millisecond, fn)
 				e.Every(200*Millisecond, fn) // re-arms onto the far list
+			}
+			e.Run(e.Now() + Second)
+		}},
+		{"After+Cancel", func(e *Engine) {
+			for i := 0; i < 64; i++ {
+				e.After(50*Millisecond, fn).Cancel() // recycles a slot and a body
 			}
 			e.Run(e.Now() + Second)
 		}},
