@@ -15,9 +15,12 @@
 // (link latencies, serialization delays, pump and TFRC timers), and
 // exact-time ties are vanishingly rare — so a push is an O(1) append to
 // the ring bucket of its slot, and ordering work is deferred to the
-// moment a bucket becomes the earliest: it is sorted once by (time,
-// push position) and then consumed in place, head to tail. That costs an
-// amortized O(log k) over the k events sharing a bucket, where a heap
+// moment a bucket becomes the earliest: it is sorted once and then
+// consumed in place, head to tail. A bucket is filled in push order, so
+// a stable sort by the time's offset within the slot alone puts it in
+// (time, push position) order — push order breaks the ties for free —
+// and a stable LSD radix sort does that in one counting pass and three
+// scatter passes per entry, whatever the input order, where a heap
 // pays ~log n compares and three slice moves on every pop.
 //
 // The ring is refilled half at a time. Virtual time is cut into epochs
@@ -138,13 +141,17 @@ type timerSlot struct {
 }
 
 // Calendar-queue geometry. A slot is 2^slotShift ns of virtual time
-// (~524 µs — just under the topology's link-latency decade, so a
-// bucket holds tens of events at the small scale and sorting stays
-// cheap). The ring has ringSlots buckets (~134 ms) and is refilled
-// from the far list half a ring — one epoch, ~67 ms — at a time, so
-// it always reaches between one and two epochs past the clock: past
-// the bulk of the measured push horizon of the hot paths; the
-// pump/TFRC timer tail beyond it waits on the far list.
+// (~524 µs — just under the topology's link-latency decade). At the
+// repo benchmark's scales a sorted bucket holds 73 events on average
+// on bullet-steady, 131 on streamer-forward, 211 on bullet-paper and
+// 379 on bullet-wide (under 2,048), which is what sortBucket's radix
+// path is for; finer slots would not spare the sort, since 99.9% of
+// events have an instant to themselves and one instant per bucket
+// would take ~200× more of them. The ring has ringSlots buckets
+// (~134 ms) and is refilled from the far list half a ring — one epoch,
+// ~67 ms — at a time, so it always reaches between one and two epochs
+// past the clock: past the bulk of the measured push horizon of the
+// hot paths; the pump/TFRC timer tail beyond it waits on the far list.
 const (
 	slotShift  = 19
 	ringSlots  = 256
@@ -210,6 +217,9 @@ type Engine struct {
 	// the earliest of their times (meaningful while far is nonempty).
 	far    []farEv
 	farMin Time
+	// The radix sort's other half (see sortBucket): at least as long as
+	// the largest bucket sorted, and all zero between sorts.
+	scratch []ev
 
 	stopped bool
 	seed    int64
@@ -330,84 +340,73 @@ func (e *Engine) ringPut(at Time, fn func(any), arg any) {
 	e.ringN++
 }
 
-// evLess orders the events of one bucket. Taking pointers keeps the
-// 32-byte copies out of the compare; the call inlines.
-func evLess(a, b *ev) bool { return a.key < b.key }
-
-// sortEvs is a quicksort over events with the compare inlined —
-// sorting is the per-bucket cost the calendar queue amortizes over a
-// slot's events, and the generic sort's indirect comparator call is
-// the single largest queue expense when it sits here: slices.SortFunc
-// in this function's place costs 10% of events_per_s on the repo
-// benchmark's streamer-forward (median of four alternating pairs, none
-// faster; an earlier trial measured 10–23%). Keys are unique (the push
-// position is), so a plain Hoare partition with a median-of-three pivot
-// needs no equal-run handling.
-func sortEvs(evs []ev) {
-	for {
-		n := len(evs)
-		if n <= 16 {
-			for i := 1; i < n; i++ {
-				v := evs[i]
-				j := i
-				for j > 0 && evLess(&v, &evs[j-1]) {
-					evs[j] = evs[j-1]
-					j--
-				}
-				evs[j] = v
-			}
-			return
-		}
-		m := n / 2
-		if evLess(&evs[m], &evs[0]) {
-			evs[0], evs[m] = evs[m], evs[0]
-		}
-		if evLess(&evs[n-1], &evs[0]) {
-			evs[0], evs[n-1] = evs[n-1], evs[0]
-		}
-		if evLess(&evs[n-1], &evs[m]) {
-			evs[m], evs[n-1] = evs[n-1], evs[m]
-		}
-		p := evs[m]
-		i, j := -1, n
-		for {
-			for {
-				i++
-				if !evLess(&evs[i], &p) {
-					break
-				}
-			}
-			for {
-				j--
-				if !evLess(&p, &evs[j]) {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			evs[i], evs[j] = evs[j], evs[i]
-		}
-		// Recurse into the smaller half, iterate on the larger: the
-		// stack stays O(log n) regardless of pivot luck.
-		if j+1 <= n-j-1 {
-			sortEvs(evs[:j+1])
-			evs = evs[j+1:]
-		} else {
-			sortEvs(evs[j+1:])
-			evs = evs[:j+1]
-		}
-	}
-}
-
 // at rebuilds the time of the bucket's event with the given key.
 func (bk *bucket) at(key uint64) Time { return Time(bk.slot<<slotShift | int64(key>>32)) }
 
-// sort orders the bucket by key. Only a never-consumed bucket
-// can be unsorted, so head is 0 and the whole slice is fair game.
-func (bk *bucket) sort() {
-	sortEvs(bk.evs)
+// sortBucket orders a never-consumed bucket (head 0, entries in push
+// order) by key. Since entry i was pushed i-th, a stable sort by the
+// in-slot offset alone is a sort by key: push order breaks the ties.
+// Up to 16 entries take an insertion sort on the whole key; a larger
+// bucket takes a stable LSD radix sort on the 19-bit offset, in digits
+// of 7, 6 and 6 bits: one pass counts all three digits, then three
+// scatter passes bounce the entries bucket → scratch → bucket →
+// scratch. Copied back, the scratch is cleared so it keeps no callback
+// or argument reachable.
+func (e *Engine) sortBucket(bk *bucket) {
 	bk.sorted = true
+	evs := bk.evs
+	n := len(evs)
+	if n <= 16 {
+		for i := 1; i < n; i++ {
+			v := evs[i]
+			j := i
+			for j > 0 && v.key < evs[j-1].key {
+				evs[j] = evs[j-1]
+				j--
+			}
+			evs[j] = v
+		}
+		return
+	}
+	var c0 [128]int32
+	var c1, c2 [64]int32
+	for i := range evs {
+		o := evs[i].key >> 32
+		c0[o&127]++
+		c1[o>>7&63]++
+		c2[o>>13&63]++
+	}
+	var s0, s1, s2 int32
+	for d := range c0 {
+		c0[d], s0 = s0, s0+c0[d]
+	}
+	for d := range c1 {
+		c1[d], s1 = s1, s1+c1[d]
+		c2[d], s2 = s2, s2+c2[d]
+	}
+	if cap(e.scratch) < n {
+		// Doubled: bucket sizes creep up over a run, so growing to just
+		// each new largest bucket would reallocate ~50 times per engine.
+		e.scratch = make([]ev, max(n, 2*cap(e.scratch)))
+	}
+	tmp := e.scratch[:n]
+	for i := range evs {
+		d := evs[i].key >> 32 & 127
+		tmp[c0[d]] = evs[i]
+		c0[d]++
+	}
+	for i := range tmp {
+		d := tmp[i].key >> 39 & 63
+		evs[c1[d]] = tmp[i]
+		c1[d]++
+	}
+	for i := range evs {
+		d := evs[i].key >> 45 & 63
+		tmp[c2[d]] = evs[i]
+		c2[d]++
+	}
+	copy(evs, tmp)
+	clear(tmp)
 }
 
 // ringHead advances scan to the earliest nonempty bucket and returns
@@ -418,7 +417,7 @@ func (e *Engine) ringHead() *bucket {
 		bk := &e.ring[e.scan&ringMask]
 		if bk.slot == e.scan && bk.head < len(bk.evs) {
 			if !bk.sorted {
-				bk.sort()
+				e.sortBucket(bk)
 			}
 			return bk
 		}

@@ -33,6 +33,12 @@ import (
 // cancelled-between-plain pops cancelled At timers between plain
 // events (Fired must skip them); every-cancels-itself ends series from
 // their own callbacks, near and on the far list.
+//
+// The radix-* scripts put same-instant ties into buckets large enough
+// for the radix sort (see burstOffsets): ties-consumed stops a run
+// inside such a bucket and bursts into it again, onto the instant being
+// consumed; ties-far ties migrated far events with direct pushes made
+// after the advance; cutoff fills buckets of 16 and 17 entries.
 
 // fuzzHandle is the part of Timer the driver uses.
 type fuzzHandle interface {
@@ -206,6 +212,19 @@ type fuzzDriver struct {
 
 const slotNs = Time(1) << slotShift
 
+// burstOffsets, indexed by x>>6 of a burst, is the set of in-slot
+// offsets its events take: none (0) spreads them over two slots, one
+// instant each; the others put up to 65 events on at most four
+// instants of one slot, on both sides of the radix sort's digit
+// boundaries (bits 6|7 and 12|13), so same-instant ties from many push
+// positions reach a bucket too large for the insertion sort.
+var burstOffsets = [4][]Time{
+	nil,
+	{0, slotMask},
+	{127, 128, 8191, 8192},
+	{slotMask, 8192, 128, 0},
+}
+
 // deadline maps (cls, j) to an absolute time around the current clock.
 // Offsets come from small sets so exact-time ties between events
 // pushed at different clock positions are common.
@@ -325,9 +344,15 @@ func (d *fuzzDriver) step(op, cls, j, x byte) {
 			q.AdvanceTo(at)
 		}
 	case 11: // burst: enough events per bucket to leave insertion sort
+		offs := burstOffsets[x>>6]
 		for i := 0; i < int(x%64)+2; i++ {
 			k := d.newCB(0, 0, 0)
-			q.Schedule(at+Time(uint32(i)*2654435761>>12)%(2*slotNs), func() { d.fire(k) })
+			h := uint32(i) * 2654435761
+			t := at + Time(h>>12)%(2*slotNs)
+			if offs != nil { // ties: few offsets within at's slot
+				t = at&^slotMask | offs[h>>28%uint32(len(offs))]
+			}
+			q.Schedule(t, func() { d.fire(k) })
 		}
 	}
 	now, fired, pending := q.Now(), q.Fired(), q.Pending()

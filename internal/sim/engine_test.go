@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -376,6 +379,82 @@ func BenchmarkEngineEvery(b *testing.B) {
 	}
 }
 
+// BenchmarkBucketSort sorts one bucket of uniform in-slot offsets, at
+// the sizes buckets reach on the repo benchmark's paper-scale
+// workloads (the bulk of bullet-paper's and bullet-wide's fall between
+// 33 and 1024 entries); ns/entry is the figure to compare.
+func BenchmarkBucketSort(b *testing.B) {
+	for _, n := range []int{64, 256, 1024} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			src := make([]ev, n)
+			for i := range src {
+				src[i].key = uint64(rng.Int63n(slotMask+1))<<32 | uint64(i)
+			}
+			e := NewEngine(1)
+			bk := &bucket{evs: make([]ev, n)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(bk.evs, src)
+				bk.sorted = false
+				e.sortBucket(bk)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/entry")
+		})
+	}
+}
+
+// TestBucketSortMatchesStableSort holds sortBucket to its contract: on
+// a bucket filled in push order, it equals a stable sort by in-slot
+// offset alone, entry for entry (key, callback and argument), on both
+// sides of the insertion-sort cutoff and of every radix digit, and it
+// leaves its scratch holding nothing.
+func TestBucketSortMatchesStableSort(t *testing.T) {
+	nop := func(any) {}
+	patterns := []struct {
+		name string
+		off  func(rng *rand.Rand, i, n int) uint64
+	}{
+		{"random", func(rng *rand.Rand, _, _ int) uint64 { return uint64(rng.Int63n(slotMask + 1)) }},
+		{"reversed", func(_ *rand.Rand, i, n int) uint64 { return uint64(n-1-i) * slotMask / uint64(max(n-1, 1)) }},
+		{"one offset", func(*rand.Rand, int, int) uint64 { return 8191 }},
+		{"0 and slotMask", func(rng *rand.Rand, _, _ int) uint64 { return uint64(rng.Intn(2)) * slotMask }},
+		{"bit 6 vs 7", func(rng *rand.Rand, _, _ int) uint64 { return 1 << (6 + rng.Intn(2)) }},
+		{"bit 12 vs 13", func(rng *rand.Rand, _, _ int) uint64 { return 1 << (12 + rng.Intn(2)) }},
+	}
+	for _, n := range []int{0, 1, 16, 17, 127, 128, 129, 1000, 70000} {
+		for _, p := range patterns {
+			rng := rand.New(rand.NewSource(int64(n)))
+			bk := &bucket{evs: make([]ev, n)}
+			for i := range bk.evs {
+				v := &bk.evs[i]
+				v.key, v.arg = p.off(rng, i, n)<<32|uint64(i), i
+				if i%2 == 1 {
+					v.fn = nop
+				}
+			}
+			want := slices.Clone(bk.evs)
+			slices.SortStableFunc(want, func(a, b ev) int { return cmp.Compare(a.key>>32, b.key>>32) })
+			e := NewEngine(1)
+			e.sortBucket(bk)
+			if !bk.sorted {
+				t.Fatalf("n=%d %s: bucket not marked sorted", n, p.name)
+			}
+			for i, v := range bk.evs {
+				if w := want[i]; v.key != w.key || v.arg != w.arg || (v.fn == nil) != (w.fn == nil) {
+					t.Fatalf("n=%d %s: entry %d is {%#x %v}, want {%#x %v}", n, p.name, i, v.key, v.arg, w.key, w.arg)
+				}
+			}
+			for i, v := range e.scratch[:cap(e.scratch)] {
+				if v.key != 0 || v.fn != nil || v.arg != nil {
+					t.Fatalf("n=%d %s: scratch entry %d not cleared", n, p.name, i)
+				}
+			}
+		}
+	}
+}
+
 // TestCalendarHorizonOrdering schedules events across both sides of
 // the ring window — including seconds past it — out of order, and
 // checks they fire in exact (time, scheduling) order. This pins the
@@ -578,6 +657,18 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 				e.After(50*Millisecond, fn).Cancel() // recycles a slot and a body
 			}
 			e.Run(e.Now() + Second)
+		}},
+		{"radix buckets", func(e *Engine) {
+			// 1,024 events in each of two slots, the tail of the bucket
+			// sizes on bullet-wide: both take the radix sort and its
+			// scratch. A step moves the clock three slots, coprime to
+			// ringSlots, so the warm-up fills every bucket to this size.
+			s := e.Now() >> slotShift
+			for i := 0; i < 2048; i++ {
+				off := Time(uint32(i)*2654435761>>13) & slotMask
+				e.ScheduleArg((s+Time(i&1))<<slotShift|off, argFn, arg)
+			}
+			e.Run((s + 3) << slotShift)
 		}},
 	}
 	for _, c := range cases {

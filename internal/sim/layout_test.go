@@ -21,14 +21,14 @@ func TestHotLayout(t *testing.T) {
 	}
 }
 
-// TestConsumedEntriesDropReferences holds the ring and the far list to
-// releasing what they were handed: a closure given to Schedule, and an
-// argument given to ScheduleArg, are collectable once they have run,
-// though the bucket slots and the far list's spare capacity they sat
-// in live on.
+// TestConsumedEntriesDropReferences holds the ring, the far list and
+// the radix sort's scratch to releasing what they were handed: a
+// closure given to Schedule, and an argument given to ScheduleArg, are
+// collectable once they have run, though the bucket slots, the far
+// list's spare capacity and the scratch they sat in live on.
 func TestConsumedEntriesDropReferences(t *testing.T) {
 	e := NewEngine(1)
-	freed := make(chan string, 4)
+	freed := make(chan string, 6)
 	track := func(name string) *[64]byte {
 		p := new([64]byte)
 		runtime.SetFinalizer(p, func(*[64]byte) { freed <- name })
@@ -41,12 +41,17 @@ func TestConsumedEntriesDropReferences(t *testing.T) {
 	}
 	schedule("ring", Millisecond)
 	schedule("far", Second) // waits on the far list, then in a bucket
+	schedule("radix", 5*Millisecond)
+	for i := 0; i < 16; i++ { // 18 in the bucket: sorted through the scratch
+		e.Schedule(5*Millisecond-Time(i), func() {})
+	}
 	e.Schedule(3*Second, func() {})
 	e.Run(2 * Second)
-	if e.Fired() != 4 || e.Pending() != 1 {
-		t.Fatalf("fired %d, pending %d; want 4, 1", e.Fired(), e.Pending())
+	if e.Fired() != 22 || e.Pending() != 1 {
+		t.Fatalf("fired %d, pending %d; want 22, 1", e.Fired(), e.Pending())
 	}
-	want := map[string]bool{"ring closure": true, "ring arg": true, "far closure": true, "far arg": true}
+	want := map[string]bool{"ring closure": true, "ring arg": true, "far closure": true, "far arg": true,
+		"radix closure": true, "radix arg": true}
 	for len(want) > 0 {
 		runtime.GC() // finalizers run on their own goroutine afterwards
 		select {
