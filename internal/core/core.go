@@ -21,6 +21,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"bullet/internal/bloom"
 	"bullet/internal/member"
@@ -122,7 +123,7 @@ func (q *seqQueue) popFront() {
 type recvPeerInfo struct {
 	node      int
 	flow      *transport.Flow
-	filter    *bloom.Filter
+	filter    *bloom.Filter // shared snapshot: read only
 	low, high uint64
 	mod, rows int
 	holes     seqQueue
@@ -165,6 +166,10 @@ type Node struct {
 	// candScratch backs maybeRequestPeer's candidate filtering; reused
 	// across calls, grown once to the RanSub set size.
 	candScratch []ransub.Entry
+	// rowUsed and rowConflicts are reassignRows' scratch, reused across
+	// calls; rowConflicts is cleared after each one.
+	rowUsed      []bool
+	rowConflicts []*senderInfo
 
 	ws       *workset.Set
 	ticket   *sketch.Ticket
@@ -757,8 +762,10 @@ func (n *Node) onPeerAccept(from int) {
 // node id, so conflict resolution order is deterministic.
 func (n *Node) reassignRows() {
 	s := len(n.senders)
-	used := make([]bool, s)
-	var conflicted []*senderInfo
+	used := slices.Grow(n.rowUsed[:0], s)[:s]
+	clear(used)
+	n.rowUsed = used
+	conflicted := n.rowConflicts[:0]
 	for _, si := range n.senders {
 		if si.mod >= 0 && si.mod < s && !used[si.mod] {
 			used[si.mod] = true
@@ -774,22 +781,29 @@ func (n *Node) reassignRows() {
 		si.mod = next
 		used[next] = true
 	}
+	clear(conflicted)
+	n.rowConflicts = conflicted[:0]
 }
 
 // sendRefreshes pushes a fresh filter/range/row assignment to every
-// sender.
+// sender. The filter is snapshotted once per round and every sender
+// gets that one snapshot, which receivers only read.
 func (n *Node) sendRefreshes() {
+	if len(n.senders) == 0 {
+		return
+	}
 	rows := len(n.senders)
 	if !n.sys.cfg.ModRows {
 		rows = 1
 	}
+	filter := n.filter.Clone()
 	for _, si := range n.senders {
 		mod := si.mod
 		if !n.sys.cfg.ModRows {
 			mod = 0
 		}
 		msg := &filterRefreshMsg{
-			filter: n.filter.Clone(),
+			filter: filter,
 			low:    n.ws.Low(), high: n.ws.High(),
 			mod: mod, rows: rows,
 			recvBytes: n.recvWindow,

@@ -109,6 +109,29 @@ func TestReassignRowsProperty(t *testing.T) {
 	}
 }
 
+// reassignRows runs on every peering change; once its scratch has grown
+// to the sender count it allocates nothing, and its conflict scratch
+// keeps no sender alive.
+func TestReassignRowsAllocatesNothing(t *testing.T) {
+	n := mkNode(map[int]int{10: 0, 20: 0, 30: -1, 40: 7, 50: 1})
+	n.reassignRows()
+	got := testing.AllocsPerRun(100, func() {
+		for _, si := range n.senders {
+			si.mod = -1 // every sender conflicts
+		}
+		n.reassignRows()
+	})
+	if got != 0 {
+		t.Fatalf("reassignRows allocates %v objects per call, want 0", got)
+	}
+	assertPermutation(t, n)
+	for i, si := range n.rowConflicts[:cap(n.rowConflicts)] {
+		if si != nil {
+			t.Fatalf("conflict scratch slot %d still holds sender %d", i, si.node)
+		}
+	}
+}
+
 func TestRotateRowsPreservesPermutation(t *testing.T) {
 	n := mkNode(map[int]int{10: 0, 20: 1, 30: 2, 40: 3})
 	before := map[int]int{}

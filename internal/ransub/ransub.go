@@ -9,8 +9,9 @@
 package ransub
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"bullet/internal/sim"
 	"bullet/internal/sketch"
@@ -41,11 +42,25 @@ type Group struct {
 // entry by population/|sample| of its group (Efraimidis-Spirakis
 // weighted reservoir keys).
 func Compact(rng *rand.Rand, size int, groups []Group) []Entry {
-	type keyed struct {
-		e   Entry
-		key float64
-	}
-	var all []keyed
+	return new(compactor).compact(rng, size, groups)
+}
+
+// keyed is one candidate entry with its reservoir key.
+type keyed struct {
+	e   Entry
+	key float64
+}
+
+// compactor is Compact's body with its candidate scratch kept across
+// calls, so an agent compacting every epoch allocates only the output.
+type compactor struct {
+	all []keyed
+}
+
+// compact is Compact over c's scratch. The scratch is cleared before
+// returning, so no ticket pointer outlives the call.
+func (c *compactor) compact(rng *rand.Rand, size int, groups []Group) []Entry {
+	all := c.all[:0]
 	for _, g := range groups {
 		if len(g.Entries) == 0 || g.Population <= 0 {
 			continue
@@ -55,14 +70,13 @@ func Compact(rng *rand.Rand, size int, groups []Group) []Entry {
 			all = append(all, keyed{e: e, key: rng.ExpFloat64() / w})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	if len(all) > size {
-		all = all[:size]
+	slices.SortFunc(all, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	out := make([]Entry, min(len(all), size))
+	for i := range out {
+		out[i] = all[i].e
 	}
-	out := make([]Entry, len(all))
-	for i, k := range all {
-		out[i] = k.e
-	}
+	clear(all)
+	c.all = all[:0]
 	return out
 }
 
@@ -133,6 +147,13 @@ type Agent struct {
 	started        bool
 
 	epochsCompleted int
+
+	// Per-send scratch: the compaction candidates, the groups handed to
+	// them, and the storage behind the own-entry group. None of it is
+	// retained by a sent set.
+	compactor compactor
+	groups    []Group
+	own       [1]Entry
 }
 
 // childCollect pairs a child id with its most recent collect message.
@@ -375,16 +396,29 @@ func (a *Agent) maybeAdvance() {
 	}
 }
 
+// compactGroups compacts the group scratch into a fresh set and drops
+// the scratch's references to the groups' entries.
+func (a *Agent) compactGroups() []Entry {
+	set := a.compactor.compact(a.rng, a.cfg.SetSize, a.groups)
+	clear(a.groups)
+	a.groups = a.groups[:0]
+	return set
+}
+
 // sendDistributes builds and sends the RanSub-nondescendants distribute
 // set for each child: the compaction of the node's own distribute set,
-// its own entry, and the collect sets of the child's siblings.
+// its own entry, and the collect sets of the child's siblings. The own
+// entry is snapshotted once per round, so every child's set shares one
+// ticket; receivers only read set tickets.
 func (a *Agent) sendDistributes(incoming distributeMsg) {
+	if len(a.children) == 0 {
+		return
+	}
+	a.own[0] = a.ownEntry()
 	for _, child := range a.children {
-		groups := []Group{
-			{Entries: []Entry{a.ownEntry()}, Population: 1},
-		}
+		a.groups = append(a.groups, Group{Entries: a.own[:], Population: 1})
 		if len(incoming.set) > 0 {
-			groups = append(groups, Group{Entries: incoming.set, Population: incoming.population})
+			a.groups = append(a.groups, Group{Entries: incoming.set, Population: incoming.population})
 		}
 		pop := 1 + incoming.population
 		for _, sib := range a.children {
@@ -392,11 +426,11 @@ func (a *Agent) sendDistributes(incoming distributeMsg) {
 				continue
 			}
 			if cm := a.collectOf(sib); cm != nil && len(cm.set) > 0 {
-				groups = append(groups, Group{Entries: cm.set, Population: cm.descendants + 1})
+				a.groups = append(a.groups, Group{Entries: cm.set, Population: cm.descendants + 1})
 				pop += cm.descendants + 1
 			}
 		}
-		set := Compact(a.rng, a.cfg.SetSize, groups)
+		set := a.compactGroups()
 		msg := &distributeMsg{epoch: a.epoch, set: set, population: pop}
 		a.ep.SendControl(child, msg, 16+len(set)*EntryWireSize)
 	}
@@ -405,15 +439,16 @@ func (a *Agent) sendDistributes(incoming distributeMsg) {
 // sendCollect sends this node's collect set (own entry compacted with
 // all children's collect sets) to its parent.
 func (a *Agent) sendCollect() {
-	groups := []Group{{Entries: []Entry{a.ownEntry()}, Population: 1}}
+	a.own[0] = a.ownEntry()
+	a.groups = append(a.groups, Group{Entries: a.own[:], Population: 1})
 	desc := 0
 	for _, c := range a.children {
 		if cm := a.collectOf(c); cm != nil && cm.epoch == a.epoch {
-			groups = append(groups, Group{Entries: cm.set, Population: cm.descendants + 1})
+			a.groups = append(a.groups, Group{Entries: cm.set, Population: cm.descendants + 1})
 			desc += cm.descendants + 1
 		}
 	}
-	set := Compact(a.rng, a.cfg.SetSize, groups)
+	set := a.compactGroups()
 	if a.StuffFn != nil {
 		set, desc = a.StuffFn(set, desc)
 	}

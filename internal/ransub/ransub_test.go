@@ -2,6 +2,9 @@ package ransub
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"bullet/internal/netem"
@@ -77,6 +80,117 @@ func TestCompactEmptyAndSmall(t *testing.T) {
 	out = Compact(rng, 10, []Group{{Entries: []Entry{{Node: 9}}, Population: 0}})
 	if len(out) != 0 {
 		t.Fatal("zero-population group sampled")
+	}
+}
+
+// referenceCompact is the plain form of Compact: a fresh candidate slice
+// per call, sorted with sort.Slice. TestCompactorMatchesReference holds
+// the scratch-reusing compactor to it.
+func referenceCompact(rng *rand.Rand, size int, groups []Group) []Entry {
+	type keyed struct {
+		e   Entry
+		key float64
+	}
+	var all []keyed
+	for _, g := range groups {
+		if len(g.Entries) == 0 || g.Population <= 0 {
+			continue
+		}
+		w := float64(g.Population) / float64(len(g.Entries))
+		for _, e := range g.Entries {
+			all = append(all, keyed{e: e, key: rng.ExpFloat64() / w})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	if len(all) > size {
+		all = all[:size]
+	}
+	out := make([]Entry, len(all))
+	for i, k := range all {
+		out[i] = k.e
+	}
+	return out
+}
+
+// One reused compactor and the reference, fed identically seeded RNGs,
+// must return the same sets call after call. Every third call is large
+// and the rest small, so the scratch shrinks and regrows between calls
+// and a stale candidate would surface; after each call no slot of the
+// scratch's capacity may still hold a ticket.
+func TestCompactorMatchesReference(t *testing.T) {
+	perms := sketch.NewPermutations(sketch.DefaultEntries, 1)
+	tickets := make([]*sketch.Ticket, 16)
+	for i := range tickets {
+		tickets[i] = sketch.NewTicket(perms)
+	}
+	gen := rand.New(rand.NewSource(29))
+	refRNG, gotRNG := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	var c compactor
+	node := 0
+	for call := 0; call < 2000; call++ {
+		maxPer := 4
+		if call%3 == 0 {
+			maxPer = 40
+		}
+		groups := make([]Group, gen.Intn(7))
+		for g := range groups {
+			es := make([]Entry, gen.Intn(maxPer+1))
+			for i := range es {
+				node++
+				es[i] = Entry{Node: node, Ticket: tickets[node%len(tickets)]}
+			}
+			pop := 0 // one group in five is an empty population
+			if gen.Intn(5) > 0 {
+				pop = 1 + gen.Intn(1000)
+			}
+			groups[g] = Group{Entries: es, Population: pop}
+		}
+		size := 1 + gen.Intn(12)
+		want := referenceCompact(refRNG, size, groups)
+		got := c.compact(gotRNG, size, groups)
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d (size %d, %d groups): compactor %v, reference %v", call, size, len(groups), got, want)
+		}
+		for i, k := range c.all[:cap(c.all)] {
+			if k.e.Ticket != nil {
+				t.Fatalf("call %d: scratch slot %d of %d still holds a ticket", call, i, cap(c.all))
+			}
+		}
+	}
+}
+
+// distributeShape is the shape sendDistributes compacts at the paper's
+// defaults: three groups of ten entries for a set of ten.
+func distributeShape() []Group {
+	perms := sketch.NewPermutations(sketch.DefaultEntries, 1)
+	tk := sketch.NewTicket(perms)
+	groups := make([]Group, 3)
+	for g := range groups {
+		groups[g].Population = 10 * (g + 1)
+		for e := 0; e < 10; e++ {
+			groups[g].Entries = append(groups[g].Entries, Entry{Node: g*10 + e, Ticket: tk})
+		}
+	}
+	return groups
+}
+
+func TestCompactAllocatesOnlyItsOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	groups := distributeShape()
+	var c compactor
+	c.compact(rng, 10, groups) // grows the scratch
+	if got := testing.AllocsPerRun(100, func() { c.compact(rng, 10, groups) }); got != 1 {
+		t.Fatalf("compact allocates %v objects per call, want 1 (its output)", got)
+	}
+}
+
+func BenchmarkCompact(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	groups := distributeShape()
+	var c compactor
+	b.ReportAllocs()
+	for b.Loop() {
+		c.compact(rng, 10, groups)
 	}
 }
 
@@ -366,4 +480,94 @@ func TestMembershipAccessors(t *testing.T) {
 	if !ag.IsRoot() {
 		t.Fatal("SetParent(-1) did not make agent a root")
 	}
+}
+
+// A distribute round takes one snapshot of the sender's ticket and every
+// child's set shares it: the snapshot equals the ticket at send time and
+// does not follow the ticket's later Adds.
+func TestDistributeSharesOneOwnTicket(t *testing.T) {
+	w := buildWorld(t, 9, 30, DefaultConfig())
+	x := -1
+	for _, n := range w.g.Clients {
+		if len(w.tree.Children(n)) >= 3 {
+			x = n
+			break
+		}
+	}
+	if x < 0 {
+		t.Fatal("no node with three children in this draw")
+	}
+	ag := w.agents[x]
+	live := ag.TicketFn()
+	calls := 0
+	real := ag.TicketFn
+	ag.TicketFn = func() *sketch.Ticket { calls++; return real() }
+	sets := make(map[int][]Entry)
+	for _, c := range ag.Children() {
+		c := c
+		w.eps[c].OnControl(func(from int, payload any, size int) {
+			if m, ok := payload.(*distributeMsg); ok && from == x {
+				sets[c] = m.set
+			}
+		})
+	}
+	want := live.Clone()
+	ag.sendDistributes(distributeMsg{epoch: 1})
+	if calls != 1 {
+		t.Fatalf("one distribute round to %d children called TicketFn %d times, want 1", len(ag.Children()), calls)
+	}
+	w.eng.Run(5 * sim.Second)
+
+	var snap *sketch.Ticket
+	for _, c := range ag.Children() {
+		set, ok := sets[c]
+		if !ok {
+			t.Fatalf("child %d received no distribute", c)
+		}
+		i := slices.IndexFunc(set, func(e Entry) bool { return e.Node == x })
+		if i < 0 {
+			t.Fatalf("child %d's set %v lacks the sender's own entry", c, set)
+		}
+		switch {
+		case snap == nil:
+			snap = set[i].Ticket
+		case set[i].Ticket != snap:
+			t.Fatalf("child %d holds its own copy of the sender's ticket", c)
+		}
+	}
+	if snap == live {
+		t.Fatal("sets hold the live ticket, not a snapshot")
+	}
+	if !reflect.DeepEqual(snap, want) {
+		t.Fatal("snapshot differs from the ticket at send time")
+	}
+	for s := uint64(0); s < 5000; s++ {
+		live.Add(1<<30 + s)
+	}
+	if reflect.DeepEqual(live, want) {
+		t.Fatal("later Adds left the live ticket unchanged; the check below would prove nothing")
+	}
+	if !reflect.DeepEqual(snap, want) {
+		t.Fatal("snapshot followed the ticket's later Adds")
+	}
+}
+
+// A node without children sends no distribute and takes no snapshot.
+func TestLeafDistributeTakesNoSnapshot(t *testing.T) {
+	w := buildWorld(t, 9, 30, DefaultConfig())
+	for _, n := range w.g.Clients {
+		if len(w.tree.Children(n)) > 0 {
+			continue
+		}
+		ag := w.agents[n]
+		calls := 0
+		real := ag.TicketFn
+		ag.TicketFn = func() *sketch.Ticket { calls++; return real() }
+		ag.sendDistributes(distributeMsg{epoch: 1})
+		if calls != 0 {
+			t.Fatalf("leaf %d called TicketFn %d times for a distribute round", n, calls)
+		}
+		return
+	}
+	t.Fatal("no leaf")
 }
