@@ -1,11 +1,11 @@
-// Package codec provides the data encodings discussed in §2.1 of the
-// Bullet paper. The paper's evaluation uses the "null" encoding (each
-// sequence number names a data block directly); for file distribution
-// it advocates digital-fountain erasure codes. This package implements
-// both: a trivial Null codec and full LT codes (Luby, FOCS 2002) with
-// the robust soliton degree distribution and a peeling decoder, so any
-// (1+eps)k received symbols reconstruct the k source blocks with the
-// small reception overhead the paper quotes (~0.05).
+// Package codec provides the erasure code for Bullet's file-distribution
+// mode (§2.1). The paper's evaluation uses the "null" encoding, where
+// each sequence number names a data block directly and nothing needs
+// coding; for file distribution it advocates digital-fountain codes.
+// This package implements LT codes (Luby, FOCS 2002) with the robust
+// soliton degree distribution and a peeling decoder, so any (1+eps)k
+// received symbols reconstruct the k source blocks with the small
+// reception overhead the paper quotes (~0.05).
 package codec
 
 import (
@@ -199,9 +199,6 @@ func NewDecoder(k, blockSize int, seed int64, p LTParams) (*Decoder, error) {
 // Received returns how many symbols have been added.
 func (d *Decoder) Received() int { return d.received }
 
-// Progress returns the number of recovered source blocks.
-func (d *Decoder) Progress() int { return d.nRecov }
-
 // Done reports whether all source blocks are recovered.
 func (d *Decoder) Done() bool { return d.nRecov == d.k }
 
@@ -282,37 +279,4 @@ func (d *Decoder) Payload() ([]byte, bool) {
 		out = append(out, b...)
 	}
 	return out, true
-}
-
-// Null is the paper's null encoding: sequence numbers name blocks
-// directly and no coding is applied. It exists so applications can be
-// written against a common shape for both modes.
-type Null struct {
-	BlockSize int
-	Data      []byte
-}
-
-// K returns the number of blocks in the payload.
-func (n *Null) K() int {
-	if n.BlockSize <= 0 {
-		return 0
-	}
-	return (len(n.Data) + n.BlockSize - 1) / n.BlockSize
-}
-
-// Block returns the i'th block (zero-padded).
-func (n *Null) Block(i int) []byte {
-	b := make([]byte, n.BlockSize)
-	lo := i * n.BlockSize
-	if lo < len(n.Data) {
-		copy(b, n.Data[lo:min(len(n.Data), lo+n.BlockSize)])
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

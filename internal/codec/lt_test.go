@@ -164,17 +164,3 @@ func TestLTRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestNullCodec(t *testing.T) {
-	n := &Null{BlockSize: 4, Data: []byte{1, 2, 3, 4, 5}}
-	if n.K() != 2 {
-		t.Fatalf("K=%d", n.K())
-	}
-	b0, b1 := n.Block(0), n.Block(1)
-	if !bytes.Equal(b0, []byte{1, 2, 3, 4}) {
-		t.Fatalf("block 0 = %v", b0)
-	}
-	if !bytes.Equal(b1, []byte{5, 0, 0, 0}) {
-		t.Fatalf("block 1 = %v", b1)
-	}
-}

@@ -126,9 +126,6 @@ func (r *Result) addSeries(label string, pts []metrics.Point) {
 	r.order = append(r.order, label)
 }
 
-// SeriesLabels returns series labels in insertion order.
-func (r *Result) SeriesLabels() []string { return r.order }
-
 // MeanTail returns the mean Kbps of the labeled series over its final
 // frac fraction of samples — the steady-state number quoted in
 // EXPERIMENTS.md comparisons.

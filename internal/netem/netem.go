@@ -76,7 +76,6 @@ type Config struct {
 // straddles two. Drop and packet totals are per shard, in shardCtx.
 type dirState struct {
 	busyUntil sim.Time
-	bytes     uint64
 	// draws counts the random numbers consumed by this link direction
 	// (RED early drop, random loss). Each draw is a pure function of
 	// (seed, direction, draw index), so the loss pattern a direction
@@ -86,7 +85,7 @@ type dirState struct {
 	// direction's traversals happen in the same relative order on its
 	// owning shard as they do serially.
 	draws uint64
-	_     uint64
+	_     [2]uint64
 }
 
 // inflight is the pooled per-packet forwarding state. The routed path
@@ -125,8 +124,7 @@ type shardCtx struct {
 	out [][]handoff
 
 	// busyNanos accumulates wall-clock time this shard spent executing
-	// window events — the load-balance signal behind ShardStats and the
-	// PartitionShards client-weight calibration.
+	// window events — the load-balance signal ShardStats reports.
 	busyNanos int64
 
 	// Per-shard slice of the aggregate accounting.
@@ -182,7 +180,7 @@ type Network struct {
 	plan     *topology.ShardPlan
 	engines  []*sim.Engine
 	parallel bool
-	xq       xferQueue // barrier sort scratch, reused across rounds
+	xq       []xferEntry // barrier sort scratch, reused across rounds
 
 	// Round state for the barrier loop (see parallel.go). roundLimit
 	// and lookahead are written by the coordinator before the round's
@@ -400,7 +398,6 @@ func (n *Network) hop(f *inflight) {
 	}
 	ser := sim.Duration(float64(f.pkt.Size) / l.Bytes * float64(sim.Second))
 	ds.busyUntil = start + ser
-	ds.bytes += uint64(f.pkt.Size)
 	if f.pkt.Trace {
 		if c.traceStress == nil {
 			c.traceStress = make(map[uint64]map[int32]int)
@@ -512,9 +509,4 @@ func (n *Network) LinkStress() (avg float64, max int) {
 		return 0, 0
 	}
 	return float64(sum) / float64(cnt), max
-}
-
-// LinkUtilization returns bytes carried per direction for link id.
-func (n *Network) LinkUtilization(link int) (ab, ba uint64) {
-	return n.dirs[2*link].bytes, n.dirs[2*link+1].bytes
 }

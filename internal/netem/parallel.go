@@ -1,8 +1,9 @@
 package netem
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,24 +47,16 @@ type xferEntry struct {
 	src int
 }
 
-// xferQueue orders handoffs by (arrival time, producing-hop time,
-// source shard) — a pure function of simulation state. It implements
-// sort.Interface on a pointer receiver so sort.Stable boxes a pointer
-// to the Network's persistent queue, not a fresh slice header: the
-// exchange sorts without allocating.
-type xferQueue []xferEntry
-
-func (q *xferQueue) Len() int      { return len(*q) }
-func (q *xferQueue) Swap(i, j int) { (*q)[i], (*q)[j] = (*q)[j], (*q)[i] }
-func (q *xferQueue) Less(i, j int) bool {
-	a, b := &(*q)[i], &(*q)[j]
-	if a.h.at != b.h.at {
-		return a.h.at < b.h.at
+// compareXfer orders handoffs by (arrival time, producing-hop time,
+// source shard) — a pure function of simulation state.
+func compareXfer(a, b xferEntry) int {
+	if c := cmp.Compare(a.h.at, b.h.at); c != 0 {
+		return c
 	}
-	if a.h.schedAt != b.h.schedAt {
-		return a.h.schedAt < b.h.schedAt
+	if c := cmp.Compare(a.h.schedAt, b.h.schedAt); c != 0 {
+		return c
 	}
-	return a.src < b.src
+	return cmp.Compare(a.src, b.src)
 }
 
 // Release words pack a shard's next instruction into one atomic word,
@@ -180,7 +173,7 @@ func newBarrier(parties int) *wbarrier {
 
 // AutoShardCount is the sentinel EnableShards accepts in place of an
 // explicit shard count: the count is chosen by topology.AutoShards
-// from the topology's calibrated load and the machine's core count
+// from the topology's node weights and the machine's core count
 // (bullet-sim surfaces it as "-shards auto"). Like any other count, it
 // never affects simulation output bytes.
 const AutoShardCount = -1
@@ -601,7 +594,7 @@ func (n *Network) exchange() {
 			n.ctxs[src].out[dst] = box[:0]
 		}
 		if len(n.xq) > 1 {
-			sort.Stable(&n.xq)
+			slices.SortStableFunc(n.xq, compareXfer)
 		}
 		eng := n.engines[dst]
 		for _, e := range n.xq {

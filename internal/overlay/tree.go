@@ -182,48 +182,6 @@ func (t *Tree) Validate(participants []int) error {
 	return nil
 }
 
-// Remove detaches node (which must be a leaf or an entire failed
-// subtree is detached with it) — used by failure experiments. The
-// orphaned subtree nodes are returned.
-func (t *Tree) Remove(node int) []int {
-	p, ok := t.parent.Get(node)
-	if !ok {
-		return nil
-	}
-	if p >= 0 {
-		cs := t.children.At(p)
-		for i, c := range cs {
-			if c == node {
-				t.children.Put(p, append(cs[:i], cs[i+1:]...))
-				break
-			}
-		}
-	}
-	var orphans []int
-	var collect func(n int)
-	collect = func(n int) {
-		orphans = append(orphans, n)
-		for _, c := range t.children.At(n) {
-			collect(c)
-		}
-		t.parent.Delete(n)
-		t.children.Delete(n)
-	}
-	collect(node)
-	kept := t.Participants[:0]
-	gone := make(map[int]bool, len(orphans))
-	for _, o := range orphans {
-		gone[o] = true
-	}
-	for _, p := range t.Participants {
-		if !gone[p] {
-			kept = append(kept, p)
-		}
-	}
-	t.Participants = kept
-	return orphans
-}
-
 // ReparentChildren detaches a single failed node and re-attaches its
 // children — in their existing order — under the nearest live ancestor
 // (node's own parent, for a direct call). It is the deterministic

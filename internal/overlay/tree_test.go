@@ -58,24 +58,6 @@ func TestTreeBasics(t *testing.T) {
 	}
 }
 
-func TestTreeRemoveSubtree(t *testing.T) {
-	tr := NewTree(1)
-	tr.Attach(2, 1)
-	tr.Attach(3, 2)
-	tr.Attach(4, 2)
-	tr.Attach(5, 1)
-	orphans := tr.Remove(2)
-	if len(orphans) != 3 {
-		t.Fatalf("orphans=%v", orphans)
-	}
-	if tr.Contains(3) || tr.Contains(4) {
-		t.Fatal("descendants of removed node still present")
-	}
-	if err := tr.Validate([]int{1, 5}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRandomTreeSpanningAndBounded(t *testing.T) {
 	g, _ := testTopo(t, 1, 40)
 	rng := rand.New(rand.NewSource(1))

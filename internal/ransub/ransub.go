@@ -140,11 +140,10 @@ type Agent struct {
 	// linear scan beats hashing and keeps iteration deterministic).
 	childCollect []childCollect
 	// waiting lists the children owing a collect this epoch.
-	waiting        []int
-	lastDistribute distributeMsg
-	epochTimer     sim.Timer
-	minEpochDone   bool
-	started        bool
+	waiting      []int
+	epochTimer   sim.Timer
+	minEpochDone bool
+	started      bool
 
 	epochsCompleted int
 
@@ -478,7 +477,6 @@ func (a *Agent) onDistribute(m *distributeMsg) {
 	}
 	a.epoch = m.epoch
 	a.epochsCompleted++
-	a.lastDistribute = *m
 	if a.OnDistribute != nil && len(m.set) > 0 {
 		a.OnDistribute(m.epoch, m.set)
 	}
@@ -513,14 +511,4 @@ func (a *Agent) onCollect(from int, m *collectMsg) {
 			a.sendCollect()
 		}
 	}
-}
-
-// TotalPopulation returns this node's view of the participant count:
-// its own subtree plus the population of the last distribute set.
-func (a *Agent) TotalPopulation() int {
-	pop := 1
-	for _, c := range a.children {
-		pop += a.ChildSubtreeSize(c) - 1 + 1
-	}
-	return pop + a.lastDistribute.population
 }

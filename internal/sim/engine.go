@@ -50,16 +50,17 @@
 // FuzzEngineMatchesSortedSlice holds the engine to exactly that,
 // against a slice kept sorted by (time, sequence).
 //
-// Cancellable timers are handled through a slot table with generation
-// counters: At/After/Every allocate a slot from a free list and return a
-// value-type Timer naming (slot, generation). Cancel and Stopped check
-// the generation, so stale handles are always safe no-ops. The hot
-// fire-and-forget paths (Schedule, ScheduleArg) skip the slot table and
-// the body arena entirely — the dispatch loop knows nothing of timers,
-// which are ordinary events whose callback is the engine's fireTimer;
-// ScheduleArg additionally avoids per-event closures by carrying a
-// caller-owned argument to a reusable callback. Every re-arms in place:
-// the body is reused, so a series allocates nothing per tick.
+// A cancellable timer is its arena body: At/After/Every take a body,
+// stamp it with an id from a counter that never repeats, and return a
+// value-type Timer naming (body, id). The arena zeroes a body when it
+// goes back, so a handle whose id no longer matches its body's belongs
+// to a finished timer, and Cancel and Stopped on it are safe no-ops.
+// The hot fire-and-forget paths (Schedule, ScheduleArg) skip the arena
+// entirely — the dispatch loop knows nothing of timers, which are
+// ordinary events whose callback is the engine's fireTimer; ScheduleArg
+// additionally avoids per-event closures by carrying a caller-owned
+// argument to a reusable callback. Every re-arms in place: the body is
+// reused, so a series allocates nothing per tick.
 package sim
 
 import (
@@ -93,20 +94,15 @@ func (t Time) ToSeconds() float64 { return float64(t) / float64(Second) }
 // Every, Cancel stops the whole series. The zero Timer is valid: Cancel
 // is a no-op and Stopped reports true.
 type Timer struct {
-	e    *Engine
-	slot int32
-	gen  uint64
+	b  *evBody
+	id uint64
 }
 
 // Cancel stops the timer. It is safe to call multiple times, after the
 // event has fired, and on the zero Timer.
 func (t Timer) Cancel() {
-	if t.e == nil {
-		return
-	}
-	s := &t.e.slots[t.slot]
-	if s.gen == t.gen && !s.done {
-		s.cancelled = true
+	if t.b != nil && t.b.id == t.id {
+		t.b.cancelled = true
 	}
 }
 
@@ -114,29 +110,17 @@ func (t Timer) Cancel() {
 // not fire again. A periodic timer reports stopped only after Cancel:
 // between ticks it is live.
 func (t Timer) Stopped() bool {
-	if t.e == nil {
-		return true
-	}
-	s := &t.e.slots[t.slot]
-	if s.gen != t.gen {
-		return true // slot recycled: that timer finished long ago
-	}
-	return s.done || s.cancelled
+	return t.b == nil || t.b.id != t.id || t.b.cancelled
 }
 
-// evBody is what a cancellable or periodic timer keeps behind its
+// evBody is a cancellable or periodic timer: what it keeps behind its
 // queued event (it is the event's arg; fireTimer is its fn), allocated
-// from the engine's arena and stationary until the timer finishes.
+// from the engine's arena and stationary until the timer finishes. Ids
+// start at 1, so a body back in the arena (zeroed) matches no handle.
 type evBody struct {
-	fn     func()
-	slot   int32    // timer slot index
-	period Duration // > 0: periodic, re-armed after each fire
-}
-
-// timerSlot tracks the liveness of one outstanding Timer handle.
-type timerSlot struct {
-	gen       uint64
-	done      bool
+	fn        func()
+	period    Duration // > 0: periodic, re-armed after each fire
+	id        uint64
 	cancelled bool
 }
 
@@ -226,12 +210,10 @@ type Engine struct {
 	fired   uint64
 
 	// Timers: the fireTimer method value every At/After/Every event
-	// carries (made once), their bodies and slot table.
+	// carries (made once), their bodies, and the last id issued.
 	timerFn func(any)
 	bodies  arena.Arena[evBody]
-
-	slots []timerSlot
-	free  []int32 // free slot indices
+	timerID uint64
 }
 
 // NewEngine returns an engine with the clock at zero. The seed is used
@@ -472,47 +454,17 @@ func (e *Engine) migrate() {
 }
 
 // ---------------------------------------------------------------------
-// Timer slot table.
-// ---------------------------------------------------------------------
-
-// allocSlot takes a slot from the free list (or grows the table) and
-// returns a live handle for it.
-func (e *Engine) allocSlot() (int32, uint64) {
-	var idx int32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		idx = int32(len(e.slots))
-		e.slots = append(e.slots, timerSlot{})
-	}
-	s := &e.slots[idx]
-	s.gen++
-	s.done = false
-	s.cancelled = false
-	return idx, s.gen
-}
-
-// freeSlot marks the slot finished and returns it to the free list.
-// Outstanding Timer handles keep matching gen until reuse, at which
-// point the generation bump invalidates them.
-func (e *Engine) freeSlot(idx int32) {
-	e.slots[idx].done = true
-	e.free = append(e.free, idx)
-}
-
-// ---------------------------------------------------------------------
 // Scheduling API.
 // ---------------------------------------------------------------------
 
 // timer queues a new cancellable event: a body from the arena behind
 // the engine's fireTimer callback.
 func (e *Engine) timer(t Time, period Duration, fn func()) Timer {
-	slot, gen := e.allocSlot()
+	e.timerID++
 	b := e.bodies.Get()
-	b.fn, b.slot, b.period = fn, slot, period
+	b.fn, b.period, b.id = fn, period, e.timerID
 	e.push(t, e.timerFn, b)
-	return Timer{e: e, slot: slot, gen: gen}
+	return Timer{b: b, id: e.timerID}
 }
 
 // fireTimer is the callback of every At/After/Every event. A cancelled
@@ -522,25 +474,24 @@ func (e *Engine) timer(t Time, period Duration, fn func()) Timer {
 func (e *Engine) fireTimer(a any) {
 	b := a.(*evBody)
 	switch {
-	case e.slots[b.slot].cancelled:
+	case b.cancelled:
 		e.fired-- // exec counted the pop; Fired counts callbacks run
 	case b.period <= 0:
-		// It is firing now, so the handle reports stopped from here on
-		// (matching historical behavior even for Stopped calls made
-		// during the callback).
-		e.freeSlot(b.slot)
-		b.fn()
+		// It is firing now: the body goes back first, so the handle
+		// reports stopped from here on, even to Stopped calls made
+		// during the callback.
+		fn := b.fn
 		e.bodies.Put(b)
+		fn()
 		return
 	default:
 		b.fn()
-		if !e.slots[b.slot].cancelled {
+		if !b.cancelled {
 			// The body is reused; only a fresh entry is pushed.
 			e.push(e.now+b.period, e.timerFn, b)
 			return
 		}
 	}
-	e.freeSlot(b.slot)
 	e.bodies.Put(b)
 }
 
@@ -550,7 +501,7 @@ func runFunc(a any) { a.(func())() }
 
 // At schedules fn to run at absolute time t and returns a cancellable
 // Timer. Callers that never cancel should prefer Schedule, which skips
-// the timer slot table.
+// the timer body.
 func (e *Engine) At(t Time, fn func()) Timer { return e.timer(t, 0, fn) }
 
 // After schedules fn to run d after the current time.

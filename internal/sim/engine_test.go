@@ -248,24 +248,54 @@ func TestOneShotStoppedDuringFire(t *testing.T) {
 	}
 }
 
-// Stale handles must stay safe no-ops after their slot is recycled:
-// Cancel on an old generation must not kill the new occupant.
-func TestTimerStaleHandleAfterSlotReuse(t *testing.T) {
-	e := NewEngine(1)
-	old := e.At(Millisecond, func() {})
-	e.Run(2 * Millisecond) // fires; slot freed
-	if !old.Stopped() {
-		t.Fatal("fired timer not Stopped")
+// Stale handles must stay safe no-ops after their body is reissued:
+// Cancel with an old id must not kill the body's new timer. The arena
+// is LIFO, so each case's new timer gets the finished timer's body.
+func TestTimerStaleHandleAfterBodyReuse(t *testing.T) {
+	cases := []struct {
+		name string
+		// arm runs a timer to its end and then arms a new one, due at
+		// 10ms, that calls fire; it returns both handles.
+		arm func(e *Engine, fire func()) (old, fresh Timer)
+	}{
+		{"fired one-shot", func(e *Engine, fire func()) (old, fresh Timer) {
+			old = e.At(Millisecond, func() {})
+			e.Run(2 * Millisecond)
+			return old, e.At(10*Millisecond, fire)
+		}},
+		{"one-shot arming from its own callback", func(e *Engine, fire func()) (old, fresh Timer) {
+			old = e.At(Millisecond, func() { fresh = e.At(10*Millisecond, fire) })
+			e.Run(2 * Millisecond)
+			return old, fresh
+		}},
+		{"cancelled Every", func(e *Engine, fire func()) (old, fresh Timer) {
+			old = e.Every(Millisecond, func() {})
+			e.Run(2 * Millisecond)
+			old.Cancel()
+			e.Run(5 * Millisecond) // its next tick pops the cancelled body
+			return old, e.At(10*Millisecond, fire)
+		}},
 	}
-	fired := false
-	fresh := e.At(10*Millisecond, func() { fired = true }) // reuses the slot
-	old.Cancel()                                           // stale: must not affect fresh
-	if fresh.Stopped() {
-		t.Fatal("stale Cancel affected the slot's new occupant")
-	}
-	e.Run(Second)
-	if !fired {
-		t.Fatal("new timer did not fire after stale Cancel")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(1)
+			fired := false
+			old, fresh := c.arm(e, func() { fired = true })
+			if fresh.b != old.b {
+				t.Fatal("new timer did not get the finished timer's body")
+			}
+			if !old.Stopped() {
+				t.Fatal("finished timer not Stopped")
+			}
+			old.Cancel() // stale: must not affect fresh
+			if fresh.Stopped() {
+				t.Fatal("stale Cancel affected the body's new timer")
+			}
+			e.Run(Second)
+			if !fired {
+				t.Fatal("new timer did not fire after stale Cancel")
+			}
+		})
 	}
 	var zero Timer
 	if !zero.Stopped() {
@@ -620,8 +650,7 @@ func TestEngineWindowContract(t *testing.T) {
 // TestSteadyStateAllocatesNothing holds the ways protocol code keeps an
 // event in flight — ScheduleArg, Schedule, an Every series, a cancelled
 // After — to zero heap allocations per event once the buckets, the far
-// list, the slot table and the body arena have reached their working
-// size.
+// list and the body arena have reached their working size.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	var sink int
 	argFn := func(a any) { sink += a.(int) }
@@ -654,7 +683,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		}},
 		{"After+Cancel", func(e *Engine) {
 			for i := 0; i < 64; i++ {
-				e.After(50*Millisecond, fn).Cancel() // recycles a slot and a body
+				e.After(50*Millisecond, fn).Cancel() // recycles a body
 			}
 			e.Run(e.Now() + Second)
 		}},

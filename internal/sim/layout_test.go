@@ -8,16 +8,24 @@ import (
 )
 
 // TestHotLayout pins the size of a queued event: two entries per cache
-// line in a bucket and on the far list. A field added to either fails.
+// line in a bucket and on the far list. It pins a timer too: its body
+// at half a line, its handle at two words. A field added to any fails.
 func TestHotLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout is pinned for 64-bit targets only")
 	}
-	if n := unsafe.Sizeof(ev{}); n != 32 {
-		t.Errorf("ev is %d bytes, want 32", n)
-	}
-	if n := unsafe.Sizeof(farEv{}); n != 32 {
-		t.Errorf("farEv is %d bytes, want 32", n)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"ev", unsafe.Sizeof(ev{}), 32},
+		{"farEv", unsafe.Sizeof(farEv{}), 32},
+		{"evBody", unsafe.Sizeof(evBody{}), 32},
+		{"Timer", unsafe.Sizeof(Timer{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -72,7 +72,7 @@ func (v VBR) Next(now sim.Time, seq uint64) (int, sim.Duration, bool) {
 }
 
 // File is the finite digital-fountain workload of §2.1: a file of K
-// source blocks is erasure-coded (LT or Tornado, see internal/codec)
+// source blocks is erasure-coded (LT, see internal/codec)
 // and the stream's sequence number doubles as the encoded-symbol ID.
 // No receiver needs any specific packet — a node completes the file at
 // Target() = ceil((1+Overhead)·K) distinct receipts, which the metrics
