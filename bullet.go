@@ -15,23 +15,14 @@
 // (the stand-in for the paper's ModelNet testbed), so a run is a pure
 // function of its configuration and seed.
 //
-// The quickest start — any protocol deploys the same way, by name or
-// by constructing its Protocol struct:
-//
-//	w, _ := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 1500, Clients: 40, Seed: 1})
-//	tree, _ := w.RandomTree(5)
-//	cfg := bullet.DefaultConfig(600) // 600 Kbps stream
-//	cfg.Duration = 120 * bullet.Second
-//	d, _ := w.Deploy(bullet.BulletProtocol{Config: cfg}, tree)
-//	w.Run(150 * bullet.Second)
-//	fmt.Println(d.Collector().MeanOver(60*bullet.Second, 150*bullet.Second, bullet.Useful), "Kbps")
-//
-// The Deployment handle supports runtime membership churn —
+// Any protocol deploys the same way, by name or by constructing its
+// Protocol struct, through World.Deploy (see its Example). The
+// Deployment handle supports runtime membership churn —
 // d.Crash(node), d.Restart(node), d.Join(node) — which also composes
 // with link dynamics through scenarios (CrashNode, RestartNode,
-// JoinNode, ChurnNodes actions). See examples/ for runnable programs
-// and cmd/bullet-sim for the harness that regenerates every table and
-// figure of the paper.
+// JoinNode, ChurnNodes actions). The package Examples are runnable
+// programs; cmd/bullet-sim is the harness that regenerates every table
+// and figure of the paper.
 package bullet
 
 import (
@@ -116,8 +107,6 @@ type (
 	// numbers exist, how large they are, and when they are emitted.
 	// Every protocol config carries a Workload field (nil = CBR).
 	Workload = workload.Source
-	// WorkloadSink observes per-node first-copy deliveries.
-	WorkloadSink = workload.Sink
 	// CBRWorkload streams fixed-size packets at a constant bit rate —
 	// the default workload of every protocol.
 	CBRWorkload = workload.CBR

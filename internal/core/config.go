@@ -22,9 +22,6 @@ type Config struct {
 	// nil streams CBR at StreamRateKbps/PacketSize — byte-identical to
 	// the pre-workload-layer pump.
 	Workload workload.Source
-	// Sink, when set, observes every per-node first-copy delivery
-	// (duplicates never reach it).
-	Sink workload.Sink
 	// Start is when the source begins streaming (RanSub runs from 0).
 	Start sim.Time
 	// Duration is how long the source streams.

@@ -478,9 +478,6 @@ func (n *Node) onData(from int, seq uint64, size int) {
 		si.usefulBytes += uint64(size)
 	}
 	col.Add(now, n.id, metrics.Useful, size)
-	if s := n.sys.cfg.Sink; s != nil {
-		s.Deliver(now, n.id, seq)
-	}
 	// Every first-copy packet — from the parent stream or recovered
 	// from a peer — is relayed through the Figure 5 routine: a parent
 	// that recovers a packet serves it to its children (§3.2).

@@ -57,8 +57,6 @@ type GossipConfig struct {
 	// Workload overrides the default constant-bit-rate source (nil
 	// streams CBR at RateKbps/PacketSize).
 	Workload workload.Source
-	// Sink, when set, observes every per-node first-copy delivery.
-	Sink workload.Sink
 }
 
 // flowSlots holds a node's lazily-opened per-peer flows, indexed by
@@ -185,9 +183,6 @@ func (sys *GossipSystem) onData(id, from int, seq uint64, size int) {
 	sys.col.Add(now, id, metrics.Raw, size)
 	if n.seen.Add(seq) {
 		sys.col.Add(now, id, metrics.Useful, size)
-		if s := sys.cfg.Sink; s != nil {
-			s.Deliver(now, id, seq)
-		}
 		if !sys.RefusesServe(id) {
 			sys.push(n, seq, size)
 		}
@@ -237,8 +232,6 @@ type AntiEntropyConfig struct {
 	// Workload overrides the default constant-bit-rate source (nil
 	// streams CBR at RateKbps/PacketSize).
 	Workload workload.Source
-	// Sink, when set, observes every per-node first-copy delivery.
-	Sink workload.Sink
 }
 
 // aeDigestMsg carries a node's FIFO Bloom digest to a random peer.
@@ -295,7 +288,7 @@ func DeployAntiEntropy(net *netem.Network, tree *overlay.Tree, cfg AntiEntropyCo
 	st, err := streamer.Deploy(net, tree, streamer.Config{
 		RateKbps: cfg.RateKbps, PacketSize: cfg.PacketSize,
 		Start: cfg.Start, Duration: cfg.Duration,
-		Workload: cfg.Workload, Sink: cfg.Sink,
+		Workload: cfg.Workload,
 	}, col)
 	if err != nil {
 		return nil, err

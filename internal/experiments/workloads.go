@@ -45,7 +45,7 @@ func fileWorkloadFor(sc Scale) workload.File {
 	if k < 50 {
 		k = 50
 	}
-	return workload.File{RateKbps: defaultRateKbps, PacketSize: 1500, K: k, Overhead: 0.15}
+	return workload.File{RateKbps: defaultRateKbps, PacketSize: 1500, K: k}
 }
 
 // FileDistCompare is the file-distribution shoot-out: the identical

@@ -11,6 +11,9 @@ import (
 // identical fountain-coded file workload, Bullet completes the file on
 // at least 95% of nodes before the plain streamer does — the mesh
 // turns tree leftovers into completion-time wins, not just bandwidth.
+// The bound is pinned at seed 42. Over seeds 42 and 1–7 at small scale
+// bullet_first_frac measured 0.897–1.000, below 0.95 at seeds 1, 4
+// and 5.
 func TestFileDistBulletCompletesBeforeStreamer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full small-scale runs; skipped in -short")

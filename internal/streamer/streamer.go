@@ -34,8 +34,6 @@ type Config struct {
 	// streams CBR at RateKbps/PacketSize, byte-identical to the
 	// pre-workload-layer pump).
 	Workload workload.Source
-	// Sink, when set, observes every per-node first-copy delivery.
-	Sink workload.Sink
 }
 
 // Node is one streaming participant. children and flows are parallel
@@ -162,9 +160,6 @@ func (sys *System) onData(id, from int, seq uint64, size int) {
 	}
 	if n.seen.Add(seq) {
 		sys.col.Add(now, id, metrics.Useful, size)
-		if s := sys.cfg.Sink; s != nil {
-			s.Deliver(now, id, seq)
-		}
 		if !sys.RefusesRelay(id) {
 			n.forward(seq, size)
 		}

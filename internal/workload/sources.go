@@ -71,24 +71,32 @@ func (v VBR) Next(now sim.Time, seq uint64) (int, sim.Duration, bool) {
 	return v.PacketSize, Interval(v.LowKbps, v.PacketSize), true
 }
 
+// fileOverhead is the reception overhead ε of the File completion
+// rule: a node holds the file at ceil((1+ε)·K) distinct symbols.
+const fileOverhead = 0.15
+
 // File is the finite digital-fountain workload of §2.1: a file of K
-// source blocks is erasure-coded (LT, see internal/codec)
-// and the stream's sequence number doubles as the encoded-symbol ID.
-// No receiver needs any specific packet — a node completes the file at
-// Target() = ceil((1+Overhead)·K) distinct receipts, which the metrics
-// collector records per node (see Collector.CompletionCDF). The source
-// is rateless: it emits fresh symbols at RateKbps until the stream
-// duration ends, or until Total symbols when a cap is set.
+// source blocks is erasure-coded and the stream's sequence number
+// doubles as the encoded-symbol ID. No receiver needs any specific
+// packet — a node completes the file at Target() = ceil((1+ε)·K)
+// distinct receipts, ε = 0.15, which the metrics collector records per
+// node (see Collector.CompletionCDF). The source is rateless: it emits
+// fresh symbols at RateKbps until the stream duration ends.
+//
+// ε is the rule's idealized overhead, not that of a particular decoder.
+// Measured against a robust-soliton LT peeling decoder (c = 0.1,
+// δ = 0.05) fed each filedist-compare receiver's first-copy symbol ids
+// at small scale (K = 1625, Target = 1869), seeds 42 and 1–7: decoding
+// took 1.18–1.38·K receipts (per-arm medians 1.20–1.33), so the rule
+// marks Bullet nodes complete 0.5–7.4 s before they would decode, 5 of
+// 312 streamer receiver-runs meet the rule but never decode, and
+// bullet_first_frac is unchanged on 7 of the 8 seeds (seed 3:
+// 0.974 under the rule, 1.000 under decoding) — inside the claim's own
+// 0.897–1.000 spread over those seeds.
 type File struct {
 	RateKbps   float64
 	PacketSize int // encoded-symbol wire size
 	K          int // source blocks in the file
-	// Overhead is the reception overhead ε (default 0.15): decode
-	// succeeds with high probability at (1+ε)·K distinct symbols.
-	Overhead float64
-	// Total optionally caps emitted symbols (0 = bounded only by the
-	// stream duration).
-	Total uint64
 }
 
 // Name implements Source.
@@ -96,18 +104,11 @@ func (File) Name() string { return "file" }
 
 // Target implements Completer: distinct receipts for a full decode.
 func (f File) Target() uint64 {
-	eps := f.Overhead
-	if eps <= 0 {
-		eps = 0.15
-	}
-	return uint64(math.Ceil((1 + eps) * float64(f.K)))
+	return uint64(math.Ceil((1 + fileOverhead) * float64(f.K)))
 }
 
 // Next implements Source.
 func (f File) Next(now sim.Time, seq uint64) (int, sim.Duration, bool) {
-	if f.Total > 0 && seq >= f.Total {
-		return 0, 0, false
-	}
 	return f.PacketSize, Interval(f.RateKbps, f.PacketSize), true
 }
 

@@ -32,13 +32,6 @@ type Source interface {
 	Next(now sim.Time, seq uint64) (size int, gap sim.Duration, ok bool)
 }
 
-// Sink observes per-node workload delivery: Deliver fires once per
-// node per distinct packet, at first receipt. Protocols invoke it on
-// the first-copy path only — duplicates never reach the sink.
-type Sink interface {
-	Deliver(now sim.Time, node int, seq uint64)
-}
-
 // Completer is implemented by finite workloads: Target is the number
 // of distinct packets at which a node has the whole object (for
 // fountain-coded files, ceil((1+ε)·k) symbols — no specific packet is

@@ -32,7 +32,7 @@ func TestIntervalPinnedValues(t *testing.T) {
 		{900, 1500, 13_333_333},
 		// 666 Kbps / 1500 B: non-terminating division truncates.
 		{666, 1500, 18_018_018},
-		// 800 Kbps / 1400 B: the filedist example operating point.
+		// 800 Kbps / 1400 B: exactly 14 ms.
 		{800, 1400, 14 * sim.Millisecond},
 		// Absurd rate: clamped to the emulator's 1 µs floor.
 		{1e9, 1500, sim.Microsecond},
@@ -91,20 +91,18 @@ func TestVBROnOffPhases(t *testing.T) {
 	}
 }
 
+// Target is ceil((1+ε)·K) with ε = 0.15, and the rateless source has
+// no cap: only the stream duration ends it.
 func TestFileTargetAndCap(t *testing.T) {
-	f := File{RateKbps: 600, PacketSize: 1500, K: 1000, Overhead: 0.15}
+	f := File{RateKbps: 600, PacketSize: 1500, K: 1000}
 	if got := f.Target(); got != 1150 {
 		t.Errorf("Target() = %d, want 1150", got)
 	}
-	if got := (File{K: 100}).Target(); got != 115 { // default ε = 0.15
-		t.Errorf("default-overhead Target() = %d, want 115", got)
+	if got := (File{K: 100}).Target(); got != 115 {
+		t.Errorf("Target() = %d, want 115", got)
 	}
-	capped := File{RateKbps: 600, PacketSize: 1500, K: 10, Total: 3}
-	if _, _, ok := capped.Next(0, 2); !ok {
-		t.Error("Next(seq=2) under Total=3 should continue")
-	}
-	if _, _, ok := capped.Next(0, 3); ok {
-		t.Error("Next(seq=3) under Total=3 should end the stream")
+	if _, _, ok := f.Next(0, 1<<40); !ok {
+		t.Error("File.Next ended the stream")
 	}
 }
 
@@ -213,11 +211,16 @@ func TestPumpMatchesLegacyLoop(t *testing.T) {
 	}
 }
 
-// TestPumpFiniteSource: a File with a Total cap ends the stream early.
+// TestPumpFiniteSource: a source whose Next returns ok=false ends the
+// stream for good, even though stop never fires — here a MultiRate
+// whose last step is rate 0 with no resume.
 func TestPumpFiniteSource(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := 0
-	Pump(eng, File{RateKbps: 600, PacketSize: 1500, K: 2, Total: 3}, 0,
+	src := NewMultiRate(1500,
+		RateStep{At: 0, RateKbps: 600},
+		RateStep{At: 60 * sim.Millisecond, RateKbps: 0})
+	Pump(eng, src, 0,
 		func() bool { return false },
 		func(seq uint64, size int) { n++ })
 	eng.Run(10 * sim.Second)

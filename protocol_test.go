@@ -80,10 +80,9 @@ func TestAllProtocolsDeployByName(t *testing.T) {
 }
 
 // A FileWorkload threads through every protocol config to the shared
-// pump and arms completion tracking on the deployment's collector; a
-// WorkloadSink observes the per-node first-copy deliveries.
+// pump and arms completion tracking on the deployment's collector.
 func TestWorkloadThreadsThroughEveryProtocol(t *testing.T) {
-	wl := bullet.FileWorkload{RateKbps: 400, PacketSize: 1500, K: 200, Overhead: 0.15}
+	wl := bullet.FileWorkload{RateKbps: 400, PacketSize: 1500, K: 200}
 	for _, name := range bullet.Protocols() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -95,24 +94,23 @@ func TestWorkloadThreadsThroughEveryProtocol(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink := &countingSink{seen: make(map[int]int)}
 			var p bullet.Protocol
 			switch name {
 			case "bullet":
 				cfg := bullet.DefaultConfig(400)
 				cfg.Duration = 60 * bullet.Second
 				cfg.MaxSenders, cfg.MaxReceivers = 4, 4
-				cfg.Workload, cfg.Sink = wl, sink
+				cfg.Workload = wl
 				p = bullet.BulletProtocol{Config: cfg}
 			case "streamer":
 				p = bullet.StreamerProtocol{Config: bullet.StreamConfig{
-					Duration: 60 * bullet.Second, Workload: wl, Sink: sink}}
+					Duration: 60 * bullet.Second, Workload: wl}}
 			case "gossip":
 				p = bullet.GossipProtocol{Config: bullet.GossipConfig{
-					Duration: 60 * bullet.Second, Workload: wl, Sink: sink}}
+					Duration: 60 * bullet.Second, Workload: wl}}
 			case "anti-entropy":
 				p = bullet.AntiEntropyProtocol{Config: bullet.AntiEntropyConfig{
-					Duration: 60 * bullet.Second, Workload: wl, Sink: sink}}
+					Duration: 60 * bullet.Second, Workload: wl}}
 			}
 			d, err := w.Deploy(p, tree)
 			if err != nil {
@@ -128,23 +126,9 @@ func TestWorkloadThreadsThroughEveryProtocol(t *testing.T) {
 			if d.Collector().Completed() == 0 {
 				t.Errorf("%s: no node completed the %d-symbol file", name, wl.Target())
 			}
-			if len(sink.seen) == 0 {
-				t.Errorf("%s: sink observed no deliveries", name)
-			}
-			for node, n := range sink.seen {
-				// First-copy only: a node can never see more distinct
-				// packets than the source emitted in 60s at 400 Kbps.
-				if max := 60 * 400 * 1000 / 8 / 1500; n > max {
-					t.Fatalf("node %d saw %d deliveries, ceiling %d", node, n, max)
-				}
-			}
 		})
 	}
 }
-
-type countingSink struct{ seen map[int]int }
-
-func (s *countingSink) Deliver(now bullet.Time, node int, seq uint64) { s.seen[node]++ }
 
 func TestProtocolByNameUnknown(t *testing.T) {
 	_, err := bullet.ProtocolByName("quic")
