@@ -85,12 +85,12 @@ type (
 	// ExperimentRunResult pairs an ExperimentRun with its outcome.
 	ExperimentRunResult = experiments.RunResult
 	// Adversary configures a seeded hostile-peer fleet for a
-	// deployment (see WithAdversary): Model picks the attack, Fraction
-	// the compromised share of non-root participants (default 0.25),
-	// Seed an optional extra stream perturbation. The compromised set
-	// and every hostile decision are pure functions of
-	// (world seed, model, scale), drawn from a dedicated counter-hash
-	// stream — never from the engine RNGs other components use.
+	// deployment (see WithAdversary): Model picks the attack, which
+	// compromises (cutvertex: crashes) a quarter of the non-root
+	// participants. The compromised set and every hostile decision are
+	// pure functions of (world seed, model, scale), drawn from a
+	// dedicated counter-hash stream — never from the engine RNGs other
+	// components use.
 	Adversary = adversary.Config
 	// AdversaryModel selects a hostile-peer behavior (AdvFreeride,
 	// AdvLiar, AdvCutvertex, AdvJoinstorm, AdvBallotstuff).

@@ -126,7 +126,7 @@ func ExampleWithAdversary() {
 	cfg.Duration = 50 * bullet.Second
 
 	d, _ := w.Deploy(bullet.BulletProtocol{Config: cfg}, tree,
-		bullet.WithAdversary(bullet.Adversary{Model: bullet.AdvFreeride, Fraction: 0.25}))
+		bullet.WithAdversary(bullet.Adversary{Model: bullet.AdvFreeride}))
 	w.Scenario(bullet.NewScenario().
 		At(20*bullet.Second, bullet.AdversaryAt()).                         // the strike
 		At(30*bullet.Second, bullet.CompromiseNodes(tree.Participants[2]))) // recruit one more

@@ -89,29 +89,13 @@ func ModelByName(name string) (Model, error) {
 type Config struct {
 	// Model is the hostile behavior.
 	Model Model
-	// Fraction of the non-root participants to compromise, in (0, 1].
-	// Defaults to 0.25 when zero. For Cutvertex it is a crash budget:
-	// the victim identities come from the live tree at strike time,
-	// not from the seeded selection.
-	Fraction float64
-	// Seed perturbs the fleet's stream and selection relative to the
-	// world seed; zero is fine (the world seed alone already
-	// separates runs).
-	Seed int64
 }
 
-// DefaultFraction is used when Config.Fraction is zero.
-const DefaultFraction = 0.25
-
-func (c Config) fraction() float64 {
-	if c.Fraction <= 0 {
-		return DefaultFraction
-	}
-	if c.Fraction > 1 {
-		return 1
-	}
-	return c.Fraction
-}
+// fraction is the share of the non-root participants a fleet
+// compromises. For Cutvertex it is a crash budget: the victim
+// identities come from the live tree at strike time, not from the
+// seeded selection.
+const fraction = 0.25
 
 // mix64 is the splitmix64 finalizer — the same mixer netem uses for
 // per-link-direction loss draws.
@@ -181,19 +165,19 @@ func streamTag(m Model) uint64 { return 0x61647672 ^ (uint64(m) << 32) }
 // with the lowest scores are compromised. Pure function of
 // (seed, model, id) — no engine RNG is consulted, so deploying an
 // adversary perturbs no other component's draws.
-func selScore(seed int64, m Model, extra int64, id int) uint64 {
-	base := mix64(uint64(seed)^uint64(extra)*0x9E3779B97F4A7C15) ^ streamTag(m)
+func selScore(seed int64, m Model, id int) uint64 {
+	base := mix64(uint64(seed)) ^ streamTag(m)
 	return mix64(base + uint64(id)*0xBF58476D1CE4E5B9)
 }
 
 // New builds a fleet over the given participants. The compromised set
 // is a pure function of (worldSeed, cfg, participants, root): every
 // non-root participant is scored by a seeded hash and the lowest
-// ⌈Fraction·(N−1)⌉ are compromised. The fleet starts dormant.
+// ⌈fraction·(N−1)⌉ are compromised. The fleet starts dormant.
 func New(cfg Config, participants []int, root int, worldSeed int64) *Fleet {
 	f := &Fleet{
 		cfg:    cfg,
-		stream: NewStream(worldSeed^cfg.Seed, streamTag(cfg.Model)),
+		stream: NewStream(worldSeed, streamTag(cfg.Model)),
 		root:   root,
 	}
 	if cfg.Model == None {
@@ -208,7 +192,7 @@ func New(cfg Config, participants []int, root int, worldSeed int64) *Fleet {
 		if p == root {
 			continue
 		}
-		cands = append(cands, scored{p, selScore(worldSeed, cfg.Model, cfg.Seed, p)})
+		cands = append(cands, scored{p, selScore(worldSeed, cfg.Model, p)})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].score != cands[j].score {
@@ -216,7 +200,7 @@ func New(cfg Config, participants []int, root int, worldSeed int64) *Fleet {
 		}
 		return cands[i].id < cands[j].id
 	})
-	k := int(cfg.fraction()*float64(len(cands)) + 0.999999)
+	k := int(fraction*float64(len(cands)) + 0.999999)
 	if k > len(cands) {
 		k = len(cands)
 	}

@@ -32,16 +32,16 @@ func participants(n int) []int {
 
 func TestSelectionIsPureFunctionOfSeed(t *testing.T) {
 	parts := participants(40)
-	a := New(Config{Model: Freeride, Fraction: 0.25}, parts, 0, 42)
-	b := New(Config{Model: Freeride, Fraction: 0.25}, parts, 0, 42)
+	a := New(Config{Model: Freeride}, parts, 0, 42)
+	b := New(Config{Model: Freeride}, parts, 0, 42)
 	if !reflect.DeepEqual(a.Colluders(), b.Colluders()) {
 		t.Fatalf("same seed, different colluders: %v vs %v", a.Colluders(), b.Colluders())
 	}
-	c := New(Config{Model: Freeride, Fraction: 0.25}, parts, 0, 43)
+	c := New(Config{Model: Freeride}, parts, 0, 43)
 	if reflect.DeepEqual(a.Colluders(), c.Colluders()) {
 		t.Fatalf("different seeds picked identical colluders: %v", a.Colluders())
 	}
-	d := New(Config{Model: Liar, Fraction: 0.25}, parts, 0, 42)
+	d := New(Config{Model: Liar}, parts, 0, 42)
 	if reflect.DeepEqual(a.Colluders(), d.Colluders()) {
 		t.Fatalf("different models picked identical colluders: %v", a.Colluders())
 	}
@@ -49,7 +49,7 @@ func TestSelectionIsPureFunctionOfSeed(t *testing.T) {
 
 func TestSelectionSizeAndRootExclusion(t *testing.T) {
 	parts := participants(41) // 40 non-root candidates
-	f := New(Config{Model: Freeride, Fraction: 0.25}, parts, 0, 7)
+	f := New(Config{Model: Freeride}, parts, 0, 7)
 	if got := len(f.Colluders()); got != 10 {
 		t.Fatalf("fraction 0.25 of 40 candidates: got %d colluders, want 10", got)
 	}
@@ -65,19 +65,10 @@ func TestSelectionSizeAndRootExclusion(t *testing.T) {
 			t.Fatalf("colluders not ascending: %v", ids)
 		}
 	}
-	// Fraction 1 takes everything but the root; zero falls back to default.
-	all := New(Config{Model: Freeride, Fraction: 1}, parts, 0, 7)
-	if got := len(all.Colluders()); got != 40 {
-		t.Fatalf("fraction 1: got %d, want 40", got)
-	}
-	def := New(Config{Model: Freeride}, parts, 0, 7)
-	if got := len(def.Colluders()); got != 10 {
-		t.Fatalf("default fraction: got %d, want 10", got)
-	}
 }
 
 func TestDormantUntilStrike(t *testing.T) {
-	f := New(Config{Model: Freeride, Fraction: 0.5}, participants(10), 0, 1)
+	f := New(Config{Model: Freeride}, participants(10), 0, 1)
 	id := f.Colluders()[0]
 	if f.Hostile(id) || f.RefusesServe(id) || f.RefusesRelay(id) {
 		t.Fatal("fleet hostile before Activate")
@@ -104,7 +95,7 @@ func TestServeRelayMatrix(t *testing.T) {
 		{Joinstorm, false, false},
 	}
 	for _, c := range cases {
-		f := New(Config{Model: c.model, Fraction: 0.5}, participants(10), 0, 1)
+		f := New(Config{Model: c.model}, participants(10), 0, 1)
 		if c.model == Cutvertex {
 			f.Compromise([]int{3}) // cutvertex records victims at strike
 		}
@@ -120,7 +111,7 @@ func TestServeRelayMatrix(t *testing.T) {
 }
 
 func TestCompromiseExtendsSet(t *testing.T) {
-	f := New(Config{Model: Cutvertex, Fraction: 0.25}, participants(20), 0, 3)
+	f := New(Config{Model: Cutvertex}, participants(20), 0, 3)
 	before := len(f.Colluders())
 	f.Compromise([]int{99, 99, 0}) // dup and root are ignored
 	if got := len(f.Colluders()); got != before+1 {

@@ -361,7 +361,7 @@ func (sys *System) addNode(id int) error {
 		rng:      sched.RNG(int64(id)*7919 + 0x42756c6c),
 		ws:       workset.New(),
 		ticket:   sketch.NewTicket(sys.perms),
-		filter:   bloom.NewForCapacity(int(sys.cfg.RecoveryWindow), sys.cfg.BloomFPRate),
+		filter:   bloom.NewForCapacity(recoveryWindow, bloomFPRate),
 		arrivals: nodeset.NewSeqWindow(),
 		pending:  -1,
 		lfDelta:  0.01,
@@ -388,10 +388,10 @@ func (sys *System) addNode(id int) error {
 	n.rbFn = n.rebuildVisit
 	// Relative scheduling: at deploy (virtual time zero) this is
 	// identical to absolute, and it lets addNode serve late joiners.
-	jitter := sim.Duration(n.rng.Int63n(int64(sys.cfg.FilterRefresh)))
-	sched.ScheduleAfter(sys.cfg.FilterRefresh+jitter, n.refreshFn)
-	sched.ScheduleAfter(sys.cfg.EvalInterval+jitter, n.evalFn)
-	sched.ScheduleAfter(sys.cfg.PumpInterval+jitter%sys.cfg.PumpInterval, n.pumpFn)
+	jitter := sim.Duration(n.rng.Int63n(int64(filterRefresh)))
+	sched.ScheduleAfter(filterRefresh+jitter, n.refreshFn)
+	sched.ScheduleAfter(evalInterval+jitter, n.evalFn)
+	sched.ScheduleAfter(pumpInterval+jitter%pumpInterval, n.pumpFn)
 	if sys.Adversary() != nil {
 		sys.armAdversary(n) // late joiners get the model's hooks too
 	}
@@ -790,19 +790,12 @@ func (n *Node) sendRefreshes() {
 		return
 	}
 	rows := len(n.senders)
-	if !n.sys.cfg.ModRows {
-		rows = 1
-	}
 	filter := n.filter.Clone()
 	for _, si := range n.senders {
-		mod := si.mod
-		if !n.sys.cfg.ModRows {
-			mod = 0
-		}
 		msg := &filterRefreshMsg{
 			filter: filter,
 			low:    n.ws.Low(), high: n.ws.High(),
-			mod: mod, rows: rows,
+			mod: si.mod, rows: rows,
 			recvBytes: n.recvWindow,
 		}
 		n.ep.SendControl(si.node, msg, n.filter.SizeBytes()+32)
@@ -887,6 +880,15 @@ func (n *Node) onPeerDrop(from int, m *peerDropMsg) {
 // Periodic maintenance
 // ---------------------------------------------------------------------
 
+// Maintenance cadence: how often a node refreshes its senders' filters
+// (refreshTick), re-evaluates its peerings (evalTick, every two RanSub
+// epochs) and drains its per-peer send queues (pumpTick).
+const (
+	filterRefresh = 5 * sim.Second
+	evalInterval  = 10 * sim.Second
+	pumpInterval  = 10 * sim.Millisecond
+)
+
 // pumpTick drains each receiver's candidate queue within the flow's
 // TFRC budget. Receivers are walked in ascending peer id order (the
 // list is maintained sorted): shared emulated resources (link queues,
@@ -901,7 +903,7 @@ func (n *Node) pumpTick() {
 			n.pumpReceiver(rf)
 		}
 	}
-	n.ep.Scheduler().ScheduleAfter(n.sys.cfg.PumpInterval, n.pumpFn)
+	n.ep.Scheduler().ScheduleAfter(pumpInterval, n.pumpFn)
 }
 
 func (n *Node) pumpReceiver(rf *recvPeerInfo) {
@@ -919,6 +921,13 @@ func (n *Node) pumpReceiver(rf *recvPeerInfo) {
 	}
 }
 
+// freshnessDelay gates serving packets beyond a receiver's advertised
+// High: a peer serves such fresh packets only after holding them this
+// long (one refresh plus a second), giving the receiver's parent
+// stream first chance and avoiding duplicate races. Holes within the
+// advertised (Low, High) range are served immediately.
+const freshnessDelay = filterRefresh + sim.Second
+
 // drainQueue serves candidates from q within the flow budget. It
 // returns false when the budget ran out.
 func (n *Node) drainQueue(rf *recvPeerInfo, q *seqQueue, gated bool) bool {
@@ -935,7 +944,7 @@ func (n *Node) drainQueue(rf *recvPeerInfo, q *seqQueue, gated bool) bool {
 		// The fresh queue is in arrival order, so the tail is fresher.
 		if gated {
 			arrived, _ := n.arrivals.Get(seq)
-			if now-arrived < n.sys.cfg.FreshnessDelay {
+			if now-arrived < freshnessDelay {
 				return true
 			}
 		}
@@ -985,13 +994,21 @@ func (n *Node) refreshTick() {
 	// weak sender reach a different sender well within the recovery
 	// window, rare enough that in-flight packets from the previous
 	// assignment seldom collide with the new one.
-	if n.sys.cfg.ModRows && n.refreshCount%2 == 0 {
+	if n.refreshCount%2 == 0 {
 		n.rotateRows()
 	}
 	n.sendRefreshes()
 	n.recvWindow = 0
-	n.ep.Scheduler().ScheduleAfter(n.sys.cfg.FilterRefresh, n.refreshFn)
+	n.ep.Scheduler().ScheduleAfter(filterRefresh, n.refreshFn)
 }
+
+// A node keeps the last recoveryWindow sequence numbers recoverable:
+// they bound its working set and populate its Bloom filter, which is
+// sized for them at a bloomFPRate false-positive rate.
+const (
+	recoveryWindow = 2000
+	bloomFPRate    = 0.03
+)
 
 // slideWindow trims the working set to the recovery window and
 // rebuilds the Bloom filter and summary ticket over the survivors.
@@ -1000,8 +1017,8 @@ func (n *Node) slideWindow() {
 		return
 	}
 	hi := n.ws.High()
-	if hi > n.sys.cfg.RecoveryWindow {
-		n.ws.TrimBelow(hi - n.sys.cfg.RecoveryWindow)
+	if hi > recoveryWindow {
+		n.ws.TrimBelow(hi - recoveryWindow)
 		n.arrivals.DeleteBelow(n.ws.Low())
 	}
 	n.filter.Reset()
@@ -1021,10 +1038,13 @@ func (n *Node) evalTick() {
 	}
 	n.evalSenders()
 	n.evalReceivers()
-	n.ep.Scheduler().ScheduleAfter(n.sys.cfg.EvalInterval, n.evalFn)
+	n.ep.Scheduler().ScheduleAfter(evalInterval, n.evalFn)
 }
 
-const minEvalSample = 20 // packets before a sender can be judged
+const (
+	minEvalSample      = 20  // packets before a sender can be judged
+	duplicateThreshold = 0.5 // duplicate fraction above which a sender is dropped
+)
 
 func (n *Node) evalSenders() {
 	if len(n.senders) == 0 {
@@ -1036,7 +1056,7 @@ func (n *Node) evalSenders() {
 	for _, si := range n.senders {
 		total := si.usefulPkts + si.dupPkts
 		if total >= minEvalSample &&
-			float64(si.dupPkts)/float64(total) > n.sys.cfg.DuplicateThreshold {
+			float64(si.dupPkts)/float64(total) > duplicateThreshold {
 			if drop == nil || si.dupPkts > drop.dupPkts {
 				drop = si
 			}

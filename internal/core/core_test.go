@@ -202,22 +202,6 @@ func TestBulletSurvivesWorstCaseFailure(t *testing.T) {
 	}
 }
 
-func TestModRowsReduceDuplicates(t *testing.T) {
-	run := func(rows bool) float64 {
-		w := buildWorld(t, 7, 35, topology.MediumBandwidth, topology.NoLoss)
-		cfg := DefaultConfig(600)
-		cfg.Start = 10 * sim.Second
-		cfg.Duration = 110 * sim.Second
-		cfg.ModRows = rows
-		_, col := runBullet(t, w, cfg, 120*sim.Second)
-		return col.DuplicateRatio()
-	}
-	with, without := run(true), run(false)
-	if with > without {
-		t.Fatalf("row partitioning increased duplicates: %.3f vs %.3f", with, without)
-	}
-}
-
 func TestSenderListBounded(t *testing.T) {
 	w := buildWorld(t, 8, 30, topology.MediumBandwidth, topology.NoLoss)
 	cfg := DefaultConfig(600)

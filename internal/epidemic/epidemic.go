@@ -51,9 +51,6 @@ type GossipConfig struct {
 	PacketSize int
 	Start      sim.Time
 	Duration   sim.Duration
-	// Fanout is how many random peers each packet is pushed to
-	// (paper: 5 performs best with lowest overhead).
-	Fanout int
 	// Workload overrides the default constant-bit-rate source (nil
 	// streams CBR at RateKbps/PacketSize).
 	Workload workload.Source
@@ -103,9 +100,6 @@ type GossipSystem struct {
 // DeployGossip wires gossip nodes over the participant set (full
 // membership, as the paper conservatively assumes).
 func DeployGossip(net *netem.Network, participants []int, source int, cfg GossipConfig, col *metrics.Collector) (*GossipSystem, error) {
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 5
-	}
 	if cfg.PacketSize <= 0 {
 		cfg.PacketSize = 1500
 	}
@@ -155,10 +149,14 @@ func (sys *GossipSystem) Workload() workload.Source { return sys.src }
 // Collector returns the metrics sink.
 func (sys *GossipSystem) Collector() *metrics.Collector { return sys.col }
 
-// push forwards a packet to Fanout random peers over per-peer TFRC
+// fanout is how many random peers each packet is pushed to (paper: 5
+// performs best with lowest overhead).
+const fanout = 5
+
+// push forwards a packet to fanout random peers over per-peer TFRC
 // flows (created lazily and reused).
 func (sys *GossipSystem) push(n *gossipNode, seq uint64, size int) {
-	for i := 0; i < sys.cfg.Fanout; i++ {
+	for i := 0; i < fanout; i++ {
 		pi := n.rng.Intn(len(sys.participants))
 		peer := sys.participants[pi]
 		if peer == n.id {
@@ -221,18 +219,19 @@ type AntiEntropyConfig struct {
 	PacketSize int
 	Start      sim.Time
 	Duration   sim.Duration
-	// Epoch is the anti-entropy round length (paper: 20 s so TFRC has
-	// time to ramp).
-	Epoch sim.Duration
-	// Peers is how many random peers are gossiped with per round
-	// (paper: 5).
-	Peers int
-	// Window bounds the FIFO Bloom filter population.
-	Window uint64
 	// Workload overrides the default constant-bit-rate source (nil
 	// streams CBR at RateKbps/PacketSize).
 	Workload workload.Source
 }
+
+// The paper's anti-entropy round: every aeEpoch (20 s, so TFRC has
+// time to ramp) a node sends a FIFO Bloom digest of its last aeWindow
+// sequence numbers to aePeers random peers.
+const (
+	aeEpoch  = 20 * sim.Second
+	aePeers  = 5
+	aeWindow = 2000
+)
 
 // aeDigestMsg carries a node's FIFO Bloom digest to a random peer.
 type aeDigestMsg struct {
@@ -273,17 +272,8 @@ type AntiEntropySystem struct {
 // DeployAntiEntropy wires tree streaming plus random-peer anti-entropy
 // repair over full membership.
 func DeployAntiEntropy(net *netem.Network, tree *overlay.Tree, cfg AntiEntropyConfig, col *metrics.Collector) (*AntiEntropySystem, error) {
-	if cfg.Peers <= 0 {
-		cfg.Peers = 5
-	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = 20 * sim.Second
-	}
 	if cfg.PacketSize <= 0 {
 		cfg.PacketSize = 1500
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 2000
 	}
 	st, err := streamer.Deploy(net, tree, streamer.Config{
 		RateKbps: cfg.RateKbps, PacketSize: cfg.PacketSize,
@@ -314,8 +304,8 @@ func (sys *AntiEntropySystem) arm(id int) {
 	sys.pindex.Put(id, len(sys.participants))
 	sys.participants = append(sys.participants, id)
 	ep.OnControl(func(from int, payload any, size int) { sys.onControl(id, from, payload) })
-	jitter := sim.Duration(p.rng.Int63n(int64(sys.cfg.Epoch)))
-	ep.Scheduler().ScheduleAfter(sys.cfg.Epoch+jitter, p.roundFn)
+	jitter := sim.Duration(p.rng.Int63n(int64(aeEpoch)))
+	ep.Scheduler().ScheduleAfter(aeEpoch+jitter, p.roundFn)
 }
 
 // aeRound sends this node's digest to a few random peers.
@@ -327,22 +317,22 @@ func (sys *AntiEntropySystem) aeRound(id int) {
 		return
 	}
 	// Maintain the FIFO window.
-	if hi := seen.High(); hi > sys.cfg.Window {
-		seen.TrimBelow(hi - sys.cfg.Window)
+	if hi := seen.High(); hi > aeWindow {
+		seen.TrimBelow(hi - aeWindow)
 	}
-	filter := bloom.NewForCapacity(int(sys.cfg.Window), 0.03)
+	filter := bloom.NewForCapacity(aeWindow, 0.03)
 	seen.ForRange(seen.Low(), seen.High(), func(seq uint64) bool {
 		filter.Add(seq)
 		return true
 	})
-	for i := 0; i < sys.cfg.Peers; i++ {
+	for i := 0; i < aePeers; i++ {
 		peer := sys.participants[p.rng.Intn(len(sys.participants))]
 		if peer == id {
 			continue
 		}
 		ep.SendControl(peer, &aeDigestMsg{filter: filter, low: seen.Low(), high: seen.High()}, filter.SizeBytes()+24)
 	}
-	ep.Scheduler().ScheduleAfter(sys.cfg.Epoch, p.roundFn)
+	ep.Scheduler().ScheduleAfter(aeEpoch, p.roundFn)
 }
 
 // onControl answers digests with missing packets (last-in-first-out,
@@ -409,7 +399,7 @@ func (sys *AntiEntropySystem) Restart(id int) error {
 	// resume on its own.
 	if p.roundDead {
 		p.roundDead = false
-		sys.Nodes.At(id).Endpoint().Scheduler().ScheduleAfter(sys.cfg.Epoch, p.roundFn)
+		sys.Nodes.At(id).Endpoint().Scheduler().ScheduleAfter(aeEpoch, p.roundFn)
 	}
 	return nil
 }

@@ -69,24 +69,20 @@ func TestGossipRejectsZeroRate(t *testing.T) {
 func TestAntiEntropyRecoversLosses(t *testing.T) {
 	// Streaming over a poor random tree loses data; anti-entropy must
 	// recover a meaningful amount beyond what the tree delivers.
-	run := func(epoch sim.Duration, peers int) (useful, parent float64) {
-		eng, net, g, _ := world(t, 4, 25)
-		tree, err := overlay.Random(g.Clients, g.Clients[0], 4, rand.New(rand.NewSource(4)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := metrics.NewCollector(sim.Second)
-		if _, err := DeployAntiEntropy(net, tree, AntiEntropyConfig{
-			RateKbps: 600, PacketSize: 1500, Start: 0, Duration: 120 * sim.Second,
-			Epoch: epoch, Peers: peers,
-		}, col); err != nil {
-			t.Fatal(err)
-		}
-		eng.Run(120 * sim.Second)
-		return col.MeanOver(40*sim.Second, 120*sim.Second, metrics.Useful),
-			col.MeanOver(40*sim.Second, 120*sim.Second, metrics.Parent)
+	eng, net, g, _ := world(t, 4, 25)
+	tree, err := overlay.Random(g.Clients, g.Clients[0], 4, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	useful, parent := run(20*sim.Second, 5)
+	col := metrics.NewCollector(sim.Second)
+	if _, err := DeployAntiEntropy(net, tree, AntiEntropyConfig{
+		RateKbps: 600, PacketSize: 1500, Start: 0, Duration: 120 * sim.Second,
+	}, col); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(120 * sim.Second)
+	useful := col.MeanOver(40*sim.Second, 120*sim.Second, metrics.Useful)
+	parent := col.MeanOver(40*sim.Second, 120*sim.Second, metrics.Parent)
 	if useful <= parent {
 		t.Fatalf("anti-entropy recovered nothing: useful %.0f <= parent %.0f", useful, parent)
 	}
@@ -102,7 +98,7 @@ func TestAntiEntropyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.cfg.Peers != 5 || sys.cfg.Epoch != 20*sim.Second || sys.cfg.PacketSize != 1500 {
+	if sys.cfg.PacketSize != 1500 {
 		t.Fatalf("defaults not applied: %+v", sys.cfg)
 	}
 	eng.Run(40 * sim.Second)

@@ -166,10 +166,9 @@ func Fig11(sc Scale, seed int64) (*Result, error) {
 		},
 		arm{label: "bullet", deploy: bulletOn(bulletConfig(fsc, rate))},
 		arm{label: "gossip", tree: noTree, deploy: gossipOn(epidemic.GossipConfig{
-			RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration, Fanout: 5})},
+			RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration})},
 		arm{label: "antientropy", tree: bottleneckTree, deploy: antiEntropyOn(epidemic.AntiEntropyConfig{
-			RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration,
-			Epoch: 20 * sim.Second, Peers: 5})})
+			RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration})})
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func workloadCompare(sc Scale, seed int64, src workload.Source, report func(v *a
 		arm{label: "bullet", deploy: bulletOn(bcfg)},
 		arm{label: "stream", deploy: streamOn(scfg)},
 		arm{label: "gossip", tree: noTree, deploy: gossipOn(epidemic.GossipConfig{
-			PacketSize: 1500, Start: sc.Start, Duration: sc.Duration, Fanout: 5, Workload: src})})
+			PacketSize: 1500, Start: sc.Start, Duration: sc.Duration, Workload: src})})
 }
 
 // fileWorkloadFor sizes the fountain-coded file to the scale: a

@@ -238,7 +238,7 @@ func (r *Roster[N]) Strike() {
 // actions is a sustained attack. Colluders iterate in ascending id
 // order and all draws come from the fleet stream, so a strike is a
 // pure function of (seed, schedule).
-func (r *Roster[N]) StrikeCrashes(sched sim.Scheduler, crash, restart func(id int) error) {
+func (r *Roster[N]) StrikeCrashes(sched *sim.Engine, crash, restart func(id int) error) {
 	r.Strike()
 	if r.adv == nil {
 		return

@@ -211,7 +211,7 @@ func TestRosterAdversary(t *testing.T) {
 	if r.Adversary() != nil {
 		t.Fatal("a None fleet attached")
 	}
-	f := adversary.New(adversary.Config{Model: adversary.Freeride, Fraction: 0.01}, ids, 7, 1)
+	f := adversary.New(adversary.Config{Model: adversary.Freeride}, ids, 7, 1)
 	r.SetAdversary(f)
 	r.Compromise([]int{3})
 	if r.Adversary() != f || !f.Is(3) || r.RefusesServe(3) || r.RefusesRelay(3) {
@@ -232,17 +232,19 @@ func TestRosterAdversary(t *testing.T) {
 // records it as a colluder, Joinstorm crashes the live colluders (not
 // the already dead one) and restarts each after its dwell.
 func TestRosterStrikeCrashes(t *testing.T) {
-	// 1 -> {2, 3}, 2 -> {4, 5}: the heaviest cut vertex is 2.
-	ids := []int{1, 2, 3, 4, 5}
-	build := func(model adversary.Model, fraction float64) (*Roster[*peer], *sim.Engine, *adversary.Fleet) {
+	// build roots a tree at 1, attaches each (child, parent) edge and
+	// arms a fleet of model over the tree's nodes.
+	build := func(model adversary.Model, edges ...[2]int) (*Roster[*peer], *sim.Engine, *adversary.Fleet) {
 		tree := overlay.NewTree(1)
-		for _, e := range [][2]int{{2, 1}, {3, 1}, {4, 2}, {5, 2}} {
+		ids := []int{1}
+		for _, e := range edges {
 			if err := tree.Attach(e[0], e[1]); err != nil {
 				t.Fatal(err)
 			}
+			ids = append(ids, e[0])
 		}
 		r, net := roster(t, tree, ids...)
-		f := adversary.New(adversary.Config{Model: model, Fraction: fraction}, ids, 1, 1)
+		f := adversary.New(adversary.Config{Model: model}, ids, 1, 1)
 		r.SetAdversary(f)
 		return r, net.Engine(), f
 	}
@@ -254,13 +256,16 @@ func TestRosterStrikeCrashes(t *testing.T) {
 		}
 	}
 
-	r, eng, f := build(adversary.Cutvertex, 0.25)
+	// 1 -> {2, 3}, 2 -> {4, 5}: the heaviest cut vertex is 2.
+	small := [][2]int{{2, 1}, {3, 1}, {4, 2}, {5, 2}}
+	r, eng, f := build(adversary.Cutvertex, small...)
 	r.StrikeCrashes(eng, r.Crash, restart(r))
 	if !f.Active() || !r.Crashed(2) || !f.Is(2) || len(r.LiveNodes()) != 4 {
 		t.Fatalf("cutvertex: active=%v crashed(2)=%v live=%v", f.Active(), r.Crashed(2), r.LiveNodes())
 	}
 
-	r, eng, f = build(adversary.Joinstorm, 0.5)
+	// Eight non-root nodes: the fleet's quarter is two colluders.
+	r, eng, f = build(adversary.Joinstorm, append(small, [2]int{6, 3}, [2]int{7, 3}, [2]int{8, 4}, [2]int{9, 5})...)
 	cols := append([]int(nil), f.Colluders()...)
 	if len(cols) != 2 {
 		t.Fatalf("joinstorm fleet chose %v, want 2 colluders", cols)

@@ -261,11 +261,16 @@ func (c *shardCtx) putInflight(f *inflight) { c.pool.Put(f) }
 // running inside a node's events must use SchedulerFor(node) instead.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// SchedulerFor returns the scheduler that executes node's events: the
-// node's shard engine in a sharded run, the global engine otherwise.
-// Endpoints capture it at construction; all node-local timers and
-// clock reads go through it.
-func (n *Network) SchedulerFor(node int) sim.Scheduler {
+// SchedulerFor returns the *sim.Engine that executes node's events:
+// the node's shard engine in a sharded run, the global engine
+// otherwise. Endpoints capture it at construction; all node-local
+// timers and clock reads go through it. Code holding it must only ever
+// schedule work for its own node (or read its clock): cross-node
+// communication goes through the emulator, never through another
+// node's engine. Every shard engine is built with the global engine's
+// seed, so RNG(id) yields the identical stream whichever engine serves
+// it. The result is typed any because benchmark/run.go type-asserts it.
+func (n *Network) SchedulerFor(node int) any {
 	return n.engineFor(n.shardIdx(node))
 }
 

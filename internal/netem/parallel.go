@@ -188,7 +188,7 @@ const AutoShardCount = -1
 // based on the partition.
 //
 // Every shard engine is constructed with the global engine's seed, so
-// sim.Scheduler.RNG streams are identical regardless of which engine
+// sim.Engine.RNG streams are identical regardless of which engine
 // serves them, and the per-link-direction loss streams (keyed off the
 // same seed) are untouched: sharding never perturbs a single draw.
 func (n *Network) EnableShards(k int) int {

@@ -22,7 +22,7 @@ func newDeliveryLog(nodes int) *deliveryLog {
 func (dl *deliveryLog) attach(net *Network, node int) {
 	net.Register(node, func(p Packet) {
 		dl.byNode[node] = append(dl.byNode[node],
-			fmt.Sprintf("%d<-%d seq=%d size=%d at=%d", node, p.From, p.Seq, p.Size, net.SchedulerFor(node).Now()))
+			fmt.Sprintf("%d<-%d seq=%d size=%d at=%d", node, p.From, p.Seq, p.Size, net.engineFor(net.shardIdx(node)).Now()))
 	})
 }
 
@@ -163,7 +163,7 @@ func TestHandoffExactlyOnBarrierBoundary(t *testing.T) {
 			}
 		}
 		var deliveredAt sim.Time
-		net.Register(c1, func(p Packet) { deliveredAt = net.SchedulerFor(c1).Now() })
+		net.Register(c1, func(p Packet) { deliveredAt = net.engineFor(net.shardIdx(c1)).Now() })
 		eng.At(10*sim.Millisecond, func() {
 			net.Send(Packet{Kind: Data, Seq: 1, Size: 1000, From: c0, To: c1})
 		})
@@ -206,7 +206,7 @@ func TestLookaheadRecomputeMidRun(t *testing.T) {
 			}
 		}
 		var at [2]sim.Time
-		net.Register(c1, func(p Packet) { at[p.Seq-1] = net.SchedulerFor(c1).Now() })
+		net.Register(c1, func(p Packet) { at[p.Seq-1] = net.engineFor(net.shardIdx(c1)).Now() })
 		eng.At(10*sim.Millisecond, func() {
 			net.Send(Packet{Kind: Data, Seq: 1, Size: 1000, From: c0, To: c1})
 		})
@@ -252,8 +252,8 @@ func TestZeroLatencyCutLinkIsRefused(t *testing.T) {
 			}
 		}
 		var at [2]sim.Time
-		net.Register(c1, func(p Packet) { at[p.Seq-1] = net.SchedulerFor(c1).Now() })
-		net.SchedulerFor(c1).Every(sim.Millisecond, func() {})
+		net.Register(c1, func(p Packet) { at[p.Seq-1] = net.engineFor(net.shardIdx(c1)).Now() })
+		net.engineFor(net.shardIdx(c1)).Every(sim.Millisecond, func() {})
 		for i, ms := range []sim.Time{10, 30} {
 			seq := uint64(i + 1)
 			eng.At(ms*sim.Millisecond, func() {

@@ -94,24 +94,26 @@ type distributeMsg struct {
 	population int // population the set represents
 }
 
+// The paper's RanSub operating point: sets of setSize summary tickets
+// (fitting one IP packet), epochs of at least minEpoch, and a root
+// that, with failure detection on, waits epochTimeout past an epoch's
+// minimum length for missing collects before declaring those children
+// failed and starting the next distribute phase anyway.
+const (
+	setSize      = 10
+	minEpoch     = 5 * sim.Second
+	epochTimeout = 5 * sim.Second
+)
+
 // Config tunes RanSub.
 type Config struct {
-	// SetSize is the number of summary tickets per collect/distribute
-	// set (paper default 10, fitting one IP packet).
-	SetSize int
-	// Epoch is the minimum epoch length (paper default 5s).
-	Epoch sim.Duration
-	// EpochTimeout bounds how long the root waits for collects before
-	// declaring missing children failed and starting the next
-	// distribute phase anyway. Only used when FailureDetection is on.
-	EpochTimeout sim.Duration
 	// FailureDetection enables the epoch-timeout recovery of §4.6.
 	FailureDetection bool
 }
 
 // DefaultConfig mirrors the paper's defaults.
 func DefaultConfig() Config {
-	return Config{SetSize: 10, Epoch: 5 * sim.Second, EpochTimeout: 5 * sim.Second, FailureDetection: true}
+	return Config{FailureDetection: true}
 }
 
 // Agent is the per-node RanSub protocol instance. Protocols above
@@ -164,15 +166,6 @@ type childCollect struct {
 // NewAgent creates the RanSub instance for ep's node, with the given
 // tree position. parent is -1 for the root.
 func NewAgent(ep *transport.Endpoint, cfg Config, parent int, children []int) *Agent {
-	if cfg.SetSize <= 0 {
-		cfg.SetSize = 10
-	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = 5 * sim.Second
-	}
-	if cfg.EpochTimeout <= 0 {
-		cfg.EpochTimeout = cfg.Epoch
-	}
 	kids := append([]int(nil), children...)
 	return &Agent{
 		ep:       ep,
@@ -364,17 +357,13 @@ func (a *Agent) beginEpoch() {
 	a.resetWaiting()
 	a.sendDistributes(distributeMsg{epoch: a.epoch})
 	eng := a.ep.Scheduler()
-	eng.ScheduleAfter(a.cfg.Epoch, func() {
+	eng.ScheduleAfter(minEpoch, func() {
 		a.minEpochDone = true
 		a.maybeAdvance()
 	})
 	a.epochTimer.Cancel()
 	if a.cfg.FailureDetection {
-		timeout := a.cfg.EpochTimeout
-		if timeout < a.cfg.Epoch {
-			timeout = a.cfg.Epoch
-		}
-		a.epochTimer = eng.After(a.cfg.Epoch+timeout, func() {
+		a.epochTimer = eng.After(minEpoch+epochTimeout, func() {
 			// Failure detection: stop waiting for missing collects.
 			if len(a.waiting) > 0 {
 				a.waiting = a.waiting[:0]
@@ -398,7 +387,7 @@ func (a *Agent) maybeAdvance() {
 // compactGroups compacts the group scratch into a fresh set and drops
 // the scratch's references to the groups' entries.
 func (a *Agent) compactGroups() []Entry {
-	set := a.compactor.compact(a.rng, a.cfg.SetSize, a.groups)
+	set := a.compactor.compact(a.rng, setSize, a.groups)
 	clear(a.groups)
 	a.groups = a.groups[:0]
 	return set

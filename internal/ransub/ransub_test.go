@@ -286,13 +286,11 @@ func TestRanSubNondescendants(t *testing.T) {
 }
 
 func TestRanSubSetSizeBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SetSize = 6
-	w := buildWorld(t, 3, 25, cfg)
+	w := buildWorld(t, 3, 25, DefaultConfig())
 	for _, ag := range w.agents {
 		ag.OnDistribute = func(epoch int, set []Entry) {
-			if len(set) > 6 {
-				t.Fatalf("set size %d > 6", len(set))
+			if len(set) > setSize {
+				t.Fatalf("set size %d > %d", len(set), setSize)
 			}
 			for _, e := range set {
 				if e.Ticket == nil {
@@ -323,10 +321,7 @@ func TestRanSubDescendantCounts(t *testing.T) {
 func TestRanSubUniformity(t *testing.T) {
 	// Over many epochs, each non-descendant of a leaf should appear in
 	// its distribute sets with roughly equal frequency.
-	cfg := DefaultConfig()
-	cfg.Epoch = sim.Second // fast epochs for sampling
-	cfg.EpochTimeout = sim.Second
-	w := buildWorld(t, 5, 20, cfg)
+	w := buildWorld(t, 5, 20, DefaultConfig())
 	// Pick a leaf.
 	var leaf int
 	for _, n := range w.g.Clients {
@@ -344,7 +339,7 @@ func TestRanSubUniformity(t *testing.T) {
 		}
 	}
 	w.agents[w.tree.Root].Start()
-	w.eng.Run(120 * sim.Second)
+	w.eng.Run(300 * sim.Second)
 	if epochs < 50 {
 		t.Fatalf("only %d epochs", epochs)
 	}

@@ -36,9 +36,6 @@ func NewAIMD(packetSize float64) *AIMD {
 	return a
 }
 
-// Rate returns the current allowed rate in bytes/second.
-func (a *AIMD) Rate() float64 { return a.rate }
-
 // RTT returns the smoothed RTT estimate in seconds.
 func (a *AIMD) RTT() float64 { return a.rtt }
 
@@ -64,12 +61,6 @@ func (a *AIMD) TrySend(now float64, size int) bool {
 	}
 	a.tokens -= float64(size)
 	return true
-}
-
-// Budget returns the available budget in bytes.
-func (a *AIMD) Budget(now float64) float64 {
-	a.refill(now)
-	return a.tokens
 }
 
 // OnFeedback applies one AIMD round: halve if the receiver reports a

@@ -58,12 +58,8 @@ type Controller interface {
 	TrySend(now float64, size int) bool
 	// OnFeedback applies a receiver report.
 	OnFeedback(now float64, fb tfrc.Feedback)
-	// Rate returns the allowed rate in bytes/second.
-	Rate() float64
 	// RTT returns the smoothed RTT estimate in seconds.
 	RTT() float64
-	// Budget returns the currently available bytes.
-	Budget(now float64) float64
 }
 
 // DataHandler is invoked on arrival of an application data packet.
@@ -76,7 +72,7 @@ type ControlHandler func(from int, payload any, size int)
 // data headers and TFRC reports travel inside the packet value.
 type Endpoint struct {
 	net  *netem.Network
-	eng  sim.Scheduler // the node's shard scheduler; all timers/clock reads
+	eng  *sim.Engine // the node's shard engine; all timers/clock reads
 	node int
 
 	nextFlow  uint32
@@ -92,8 +88,6 @@ type Endpoint struct {
 	// tracked separately from transport-internal control (TFRC
 	// feedback, flow teardown), mirroring how the paper reports
 	// "Bullet mesh maintenance" overhead.
-	dataBytesIn     uint64
-	dataBytesOut    uint64
 	controlBytesIn  uint64
 	controlBytesOut uint64
 	transportCtlIn  uint64
@@ -104,7 +98,7 @@ type Endpoint struct {
 func NewEndpoint(net *netem.Network, node int) *Endpoint {
 	ep := &Endpoint{
 		net:       net,
-		eng:       net.SchedulerFor(node),
+		eng:       net.SchedulerFor(node).(*sim.Engine),
 		node:      node,
 		sendFlows: make(map[uint32]*Flow),
 		recvFlows: make(map[flowKey]*recvFlow),
@@ -116,10 +110,11 @@ func NewEndpoint(net *netem.Network, node int) *Endpoint {
 // Node returns the graph node this endpoint is attached to.
 func (ep *Endpoint) Node() int { return ep.node }
 
-// Scheduler returns the scheduler executing this node's events: the
+// Scheduler returns the engine executing this node's events: the
 // node's shard engine in a sharded run, the global engine otherwise.
-// Protocol code must schedule all node-local timers through it.
-func (ep *Endpoint) Scheduler() sim.Scheduler { return ep.eng }
+// Protocol code must schedule all node-local timers through it, and
+// only for its own node.
+func (ep *Endpoint) Scheduler() *sim.Engine { return ep.eng }
 
 // OnData sets the application data callback.
 func (ep *Endpoint) OnData(h DataHandler) { ep.onData = h }
@@ -191,11 +186,6 @@ func (ep *Endpoint) sendTransportControl(pkt netem.Packet) {
 	ep.net.Send(pkt)
 }
 
-// DataBytes returns (in, out) data byte counters.
-func (ep *Endpoint) DataBytes() (in, out uint64) {
-	return ep.dataBytesIn, ep.dataBytesOut
-}
-
 // Flow is the sending half of a TFRC-paced unidirectional data flow.
 type Flow struct {
 	ep     *Endpoint
@@ -204,10 +194,9 @@ type Flow struct {
 	snd    Controller
 	seq    uint64
 	closed bool
-	trace  bool
 
 	// TraceEvery, when nonzero, marks every TraceEvery'th stream
-	// sequence for link-stress tracing (in addition to SetTrace).
+	// sequence for link-stress tracing.
 	TraceEvery uint64
 }
 
@@ -235,25 +224,8 @@ func (ep *Endpoint) OpenFlowCC(to int, cc Controller) (*Flow, error) {
 	return f, nil
 }
 
-// To returns the destination node.
-func (f *Flow) To() int { return f.to }
-
-// Rate returns the current TFRC allowed rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.snd.Rate() }
-
 // RTT returns the smoothed RTT estimate in seconds.
 func (f *Flow) RTT() float64 { return f.snd.RTT() }
-
-// Budget returns the available send budget in bytes.
-func (f *Flow) Budget() float64 {
-	if f.closed {
-		return 0
-	}
-	return f.snd.Budget(f.ep.eng.Now().ToSeconds())
-}
-
-// SetTrace enables link-stress tracing for packets on this flow.
-func (f *Flow) SetTrace(on bool) { f.trace = on }
 
 // Closed reports whether the flow is closed.
 func (f *Flow) Closed() bool { return f.closed }
@@ -271,8 +243,7 @@ func (f *Flow) TrySend(seq uint64, size int) bool {
 	if !f.snd.TrySend(now, wire) {
 		return false
 	}
-	f.ep.dataBytesOut += uint64(wire)
-	trace := f.trace || (f.TraceEvery > 0 && seq%f.TraceEvery == 0)
+	trace := f.TraceEvery > 0 && seq%f.TraceEvery == 0
 	f.ep.net.Send(netem.Packet{
 		Kind: netem.Data, Seq: seq, Size: wire,
 		From: f.ep.node, To: f.to, Trace: trace,
@@ -364,7 +335,6 @@ func (ep *Endpoint) onPacket(pkt netem.Packet) {
 			rf.idle = 0
 			rf.scheduleFeedback()
 		}
-		ep.dataBytesIn += uint64(pkt.Size)
 		if ep.onData != nil {
 			ep.onData(pkt.From, pkt.Seq, pkt.Size-DataHeaderSize)
 		}

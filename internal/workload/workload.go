@@ -84,7 +84,7 @@ func InstallCompletion(src Source, col *metrics.Collector) {
 // stop check, emit, re-schedule — is exactly the order of the private
 // pumps this replaces, so a CBR source reproduces their event sequence
 // bit-for-bit.
-func Pump(eng sim.Scheduler, src Source, start sim.Time, stop func() bool, emit func(seq uint64, size int)) {
+func Pump(eng *sim.Engine, src Source, start sim.Time, stop func() bool, emit func(seq uint64, size int)) {
 	var seq uint64
 	var tick func()
 	tick = func() {

@@ -317,12 +317,11 @@ var protocolFactories = map[string]func() Protocol{
 	},
 	"gossip": func() Protocol {
 		return GossipProtocol{Config: GossipConfig{
-			RateKbps: 600, PacketSize: 1500, Duration: 300 * sim.Second, Fanout: 5}}
+			RateKbps: 600, PacketSize: 1500, Duration: 300 * sim.Second}}
 	},
 	"anti-entropy": func() Protocol {
 		return AntiEntropyProtocol{Config: AntiEntropyConfig{
-			RateKbps: 600, PacketSize: 1500, Duration: 300 * sim.Second,
-			Epoch: 20 * sim.Second, Peers: 5, Window: 2000}}
+			RateKbps: 600, PacketSize: 1500, Duration: 300 * sim.Second}}
 	},
 }
 

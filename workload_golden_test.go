@@ -88,13 +88,12 @@ func goldenProtocol(name string) bullet.Protocol {
 		}}
 	case "gossip":
 		return bullet.GossipProtocol{Config: bullet.GossipConfig{
-			RateKbps: 600, PacketSize: 1500, Fanout: 5,
+			RateKbps: 600, PacketSize: 1500,
 			Start: 5 * bullet.Second, Duration: 60 * bullet.Second,
 		}}
 	case "anti-entropy":
 		return bullet.AntiEntropyProtocol{Config: bullet.AntiEntropyConfig{
 			RateKbps: 600, PacketSize: 1500,
-			Epoch: 20 * bullet.Second, Peers: 5, Window: 2000,
 			Start: 5 * bullet.Second, Duration: 60 * bullet.Second,
 		}}
 	}
