@@ -15,8 +15,8 @@
 // (the stand-in for the paper's ModelNet testbed), so a run is a pure
 // function of its configuration and seed.
 //
-// Any protocol deploys the same way, by name or by constructing its
-// Protocol struct, through World.Deploy (see its Example). The
+// Any protocol deploys the same way, by constructing its Protocol
+// struct and passing it to World.Deploy (see its Example). The
 // Deployment handle supports runtime membership churn —
 // d.Crash(node), d.Restart(node), d.Join(node) — which also composes
 // with link dynamics through scenarios (CrashNode, RestartNode,
@@ -30,14 +30,12 @@ import (
 
 	"bullet/internal/adversary"
 	"bullet/internal/core"
-	"bullet/internal/epidemic"
 	"bullet/internal/experiments"
 	"bullet/internal/metrics"
 	"bullet/internal/netem"
 	"bullet/internal/overlay"
 	"bullet/internal/scenario"
 	"bullet/internal/sim"
-	"bullet/internal/streamer"
 	"bullet/internal/topology"
 	"bullet/internal/workload"
 )
@@ -69,12 +67,10 @@ type (
 	BandwidthProfile = topology.BandwidthProfile
 	// LossProfile configures random link loss (§4.5).
 	LossProfile = topology.LossProfile
-	// StreamConfig configures plain tree streaming (the §4.2 baseline).
-	StreamConfig = streamer.Config
-	// GossipConfig configures the push-gossip baseline (§4.4).
-	GossipConfig = epidemic.GossipConfig
-	// AntiEntropyConfig configures streaming + anti-entropy (§4.4).
-	AntiEntropyConfig = epidemic.AntiEntropyConfig
+	// StreamConfig configures a source's stream: the whole config of
+	// plain tree streaming (the §4.2 baseline), push gossip and
+	// streaming + anti-entropy (§4.4).
+	StreamConfig = workload.Stream
 	// ExperimentResult is a reproduced table/figure.
 	ExperimentResult = experiments.Result
 	// ExperimentScale selects small/medium/paper experiment sizing.

@@ -114,7 +114,7 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Deploy(bullet.GossipProtocol{Config: bullet.GossipConfig{
+	if _, err := w.Deploy(bullet.GossipProtocol{Config: bullet.StreamConfig{
 		RateKbps: 300, PacketSize: 1500, Duration: 30 * bullet.Second,
 	}}, nil); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestFacadeBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := w2.Deploy(bullet.AntiEntropyProtocol{Config: bullet.AntiEntropyConfig{
+	d, err := w2.Deploy(bullet.AntiEntropyProtocol{Config: bullet.StreamConfig{
 		RateKbps: 300, PacketSize: 1500, Duration: 40 * bullet.Second,
 	}}, tree)
 	if err != nil {

@@ -21,7 +21,6 @@ func ExampleWorld_Deploy() {
 	cfg := bullet.DefaultConfig(600) // 600 Kbps stream
 	cfg.Duration = 40 * bullet.Second
 	d, _ := w.Deploy(bullet.BulletProtocol{Config: cfg}, tree)
-	// ... or by name, with defaults: p, _ := bullet.ProtocolByName("gossip"); w.Deploy(p, nil)
 
 	w.Run(50 * bullet.Second)
 	fmt.Printf("%.0f Kbps\n", d.Collector().MeanOver(20*bullet.Second, 50*bullet.Second, bullet.Useful))

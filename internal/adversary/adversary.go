@@ -68,22 +68,6 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
-// Models lists the five hostile models (None excluded) in a fixed
-// order, for building model × seed matrices.
-func Models() []Model {
-	return []Model{Freeride, Liar, Cutvertex, Joinstorm, Ballotstuff}
-}
-
-// ModelByName resolves a model from its lowercase name.
-func ModelByName(name string) (Model, error) {
-	for m, s := range modelNames {
-		if s == name {
-			return m, nil
-		}
-	}
-	return None, fmt.Errorf("adversary: unknown model %q", name)
-}
-
 // Config describes an adversary fleet. The zero value (Model None)
 // means "no adversary".
 type Config struct {

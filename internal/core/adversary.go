@@ -25,7 +25,7 @@ func (sys *System) SetAdversary(f *adversary.Fleet) {
 	if sys.Adversary() == nil {
 		return
 	}
-	sys.Nodes.Range(func(_ int, n *Node) bool {
+	sys.Members.Range(func(_ int, n *Node) bool {
 		sys.armAdversary(n)
 		return true
 	})

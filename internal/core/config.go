@@ -18,19 +18,9 @@ import (
 // refresh + 1 s (freshnessDelay); and the Figure 4 row partitioning
 // across senders. Config holds only what runs vary.
 type Config struct {
-	// StreamRateKbps is the source's target streaming rate.
-	StreamRateKbps float64
-	// PacketSize is the application payload per packet (bytes).
-	PacketSize int
-	// Workload overrides the default constant-bit-rate source: packet
-	// generation (sequence, size, emission time) is delegated to it.
-	// nil streams CBR at StreamRateKbps/PacketSize — byte-identical to
-	// the pre-workload-layer pump.
-	Workload workload.Source
-	// Start is when the source begins streaming (RanSub runs from 0).
-	Start sim.Time
-	// Duration is how long the source streams.
-	Duration sim.Duration
+	// Stream is the source's stream: rate, packet size, window (RanSub
+	// runs from 0 whatever the Start) and workload.
+	workload.Stream
 
 	// MaxSenders bounds the peers a node receives from (default 10).
 	MaxSenders int
@@ -54,25 +44,18 @@ type Config struct {
 // streaming rate.
 func DefaultConfig(rateKbps float64) Config {
 	return Config{
-		StreamRateKbps: rateKbps,
-		PacketSize:     1500,
-		Duration:       300 * sim.Second,
-		MaxSenders:     10,
-		MaxReceivers:   10,
-		RanSub:         ransub.DefaultConfig(),
-		TraceEvery:     0,
-		DisjointSend:   true,
+		Stream:       workload.Stream{RateKbps: rateKbps, PacketSize: 1500, Duration: 300 * sim.Second},
+		MaxSenders:   10,
+		MaxReceivers: 10,
+		RanSub:       ransub.DefaultConfig(),
+		TraceEvery:   0,
+		DisjointSend: true,
 	}
 }
 
-// Validate fills defaults and rejects impossible settings.
+// Validate fills the mesh defaults and rejects impossible settings;
+// the stream's rate and packet size are member.Roster.Init's to check.
 func (c *Config) Validate() error {
-	if c.Workload == nil && c.StreamRateKbps <= 0 {
-		return fmt.Errorf("core: stream rate %v Kbps", c.StreamRateKbps)
-	}
-	if c.PacketSize <= 0 {
-		c.PacketSize = 1500
-	}
 	if c.MaxSenders <= 0 {
 		c.MaxSenders = 10
 	}

@@ -33,7 +33,6 @@ import (
 	"bullet/internal/sim"
 	"bullet/internal/sketch"
 	"bullet/internal/transport"
-	"bullet/internal/workload"
 	"bullet/internal/workset"
 )
 
@@ -289,19 +288,18 @@ func releaseReceiver(rf *recvPeerInfo) {
 
 // System is a deployed Bullet overlay.
 type System struct {
-	// Roster is the membership runtime: the dense participant table,
-	// the crashed set (a crashed node's failure may not be repaired
-	// yet, see membership.go), epoch, teardown and the attached
-	// adversary fleet.
+	// Roster is the membership runtime and the deployment handle: the
+	// dense participant table, the crashed set (a crashed node's
+	// failure may not be repaired yet, see membership.go), epoch,
+	// teardown, the attached adversary fleet, and the network,
+	// collector, stream and tree.
 	member.Roster[*Node]
 
+	// cfg's stream half is read as the Roster's Stream, defaults
+	// applied.
 	cfg   Config
-	net   *netem.Network
 	eng   *sim.Engine
-	tree  *overlay.Tree
-	col   *metrics.Collector
 	perms *sketch.Permutations
-	src   workload.Source
 
 	// fakeTickets holds the forged summary tickets of Liar/Ballotstuff
 	// colluders (written only from global-engine context, see
@@ -317,41 +315,33 @@ func Deploy(net *netem.Network, tree *overlay.Tree, cfg Config, col *metrics.Col
 	}
 	sys := &System{
 		cfg:   cfg,
-		net:   net,
 		eng:   net.Engine(),
-		tree:  tree,
-		col:   col,
 		perms: sketch.NewPermutations(sketch.DefaultEntries, net.Engine().Seed()^0x6d77),
-		src:   workload.Default(cfg.Workload, cfg.StreamRateKbps, cfg.PacketSize),
 	}
-	sys.Init("core", len(net.Graph().Nodes), tree.Root, tree)
-	workload.InstallCompletion(sys.src, col)
+	if err := sys.Init("bullet", net, member.TreeRoot, tree, col, cfg.Stream); err != nil {
+		return nil, err
+	}
 	for _, id := range tree.Participants {
 		if err := sys.addNode(id); err != nil {
 			return nil, err
 		}
 	}
-	// Kick off RanSub at the root, then the stream.
-	root := sys.Nodes.At(tree.Root)
+	// Kick off RanSub at the root, then the stream: every generated
+	// packet enters the Figure 5 relay path via ingest.
+	root := sys.Members.At(tree.Root)
 	root.agent.Start()
-	sys.scheduleSource(root)
+	sys.Pump(root.ep.Failed, root.ingest)
 	return sys, nil
 }
 
-// Tree returns the underlying distribution tree.
-func (sys *System) Tree() *overlay.Tree { return sys.tree }
-
-// Collector returns the metrics sink.
-func (sys *System) Collector() *metrics.Collector { return sys.col }
-
 func (sys *System) addNode(id int) error {
 	parent := -1
-	if p, ok := sys.tree.Parent(id); ok {
+	if p, ok := sys.Tree().Parent(id); ok {
 		parent = p
 	}
-	ep := transport.NewEndpoint(sys.net, id)
+	ep := transport.NewEndpoint(sys.Net, id)
 	sched := ep.Scheduler()
-	kids := sys.tree.Children(id)
+	kids := sys.Tree().Children(id)
 	n := &Node{
 		sys:      sys,
 		id:       id,
@@ -366,9 +356,9 @@ func (sys *System) addNode(id int) error {
 		pending:  -1,
 		lfDelta:  0.01,
 	}
-	sys.col.Track(id)
+	sys.Col.Track(id)
 	for _, c := range kids {
-		f, err := ep.OpenFlow(c, sys.cfg.PacketSize)
+		f, err := ep.OpenFlow(c, sys.Stream.PacketSize)
 		if err != nil {
 			return err
 		}
@@ -395,53 +385,38 @@ func (sys *System) addNode(id int) error {
 	if sys.Adversary() != nil {
 		sys.armAdversary(n) // late joiners get the model's hooks too
 	}
-	sys.Nodes.Put(id, n)
+	sys.Members.Put(id, n)
 	return nil
 }
-
-// scheduleSource drives the root's packet generation through the
-// shared workload pump: every generated packet enters the Figure 5
-// relay path via ingest, whatever source produced it.
-func (sys *System) scheduleSource(root *Node) {
-	end := sys.cfg.Start + sys.cfg.Duration
-	sched := root.ep.Scheduler()
-	workload.Pump(sched, sys.src, sys.cfg.Start,
-		func() bool { return sched.Now() >= end || root.ep.Failed() || sys.Stopped() },
-		func(seq uint64, size int) { root.ingest(seq, size) })
-}
-
-// Workload returns the source driving this deployment's packet
-// generation (the configured one, or the default CBR).
-func (sys *System) Workload() workload.Source { return sys.src }
 
 // ControlOverheadKbps returns the mean per-node control send rate over
 // the elapsed run.
 func (sys *System) ControlOverheadKbps() float64 {
 	secs := sys.eng.Now().ToSeconds()
-	if secs == 0 || sys.Nodes.Len() == 0 {
+	if secs == 0 || sys.Members.Len() == 0 {
 		return 0
 	}
 	var total uint64
-	sys.Nodes.Range(func(_ int, n *Node) bool {
+	sys.Members.Range(func(_ int, n *Node) bool {
 		_, out := n.ep.ControlBytes()
 		total += out
 		return true
 	})
-	return float64(total) * 8 / 1000 / secs / float64(sys.Nodes.Len())
+	return float64(total) * 8 / 1000 / secs / float64(sys.Members.Len())
 }
 
 // MeanSenders returns the average current sender-list size (mesh
 // health diagnostic).
 func (sys *System) MeanSenders() float64 {
-	if sys.Nodes.Len() == 0 {
+	if sys.Members.Len() == 0 {
 		return 0
 	}
 	var total int
-	sys.Nodes.Range(func(_ int, n *Node) bool {
+	sys.Members.Range(func(_ int, n *Node) bool {
 		total += len(n.senders)
 		return true
 	})
-	return float64(total) / float64(sys.Nodes.Len())
+	return float64(total) / float64(sys.Members.Len())
 }
 
 // ---------------------------------------------------------------------
@@ -451,7 +426,7 @@ func (sys *System) MeanSenders() float64 {
 // onData handles a data packet from the parent stream or a peer.
 func (n *Node) onData(from int, seq uint64, size int) {
 	now := n.ep.Scheduler().Now()
-	col := n.sys.col
+	col := n.sys.Col
 	col.Add(now, n.id, metrics.Raw, size)
 	if from == n.parent {
 		col.Add(now, n.id, metrics.Parent, size)
@@ -718,7 +693,7 @@ func (n *Node) onPeerRequest(from int, m *peerRequestMsg) {
 		n.ep.SendControl(from, &peerRejectMsg{}, smallMsgSize)
 		return
 	}
-	flow, err := n.ep.OpenFlow(from, n.sys.cfg.PacketSize)
+	flow, err := n.ep.OpenFlow(from, n.sys.Stream.PacketSize)
 	if err != nil {
 		n.ep.SendControl(from, &peerRejectMsg{}, smallMsgSize)
 		return
@@ -931,7 +906,7 @@ const freshnessDelay = filterRefresh + sim.Second
 // drainQueue serves candidates from q within the flow budget. It
 // returns false when the budget ran out.
 func (n *Node) drainQueue(rf *recvPeerInfo, q *seqQueue, gated bool) bool {
-	size := n.sys.cfg.PacketSize
+	size := n.sys.Stream.PacketSize
 	now := n.ep.Scheduler().Now()
 	for q.len() > 0 {
 		seq := q.peek()

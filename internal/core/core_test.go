@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"bullet/internal/epidemic"
 	"bullet/internal/metrics"
 	"bullet/internal/netem"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
 	"bullet/internal/streamer"
 	"bullet/internal/topology"
+	"bullet/internal/workload"
 )
 
 type testWorld struct {
@@ -76,7 +78,7 @@ func TestBulletBeatsTreeStreamingOnRandomTree(t *testing.T) {
 	runPlain := func() float64 {
 		w := buildWorld(t, 2, 40, topology.MediumBandwidth, topology.NoLoss)
 		col := metrics.NewCollector(sim.Second)
-		_, err := streamer.Deploy(w.net, w.tree, streamer.Config{
+		_, err := streamer.Deploy(w.net, w.tree, workload.Stream{
 			RateKbps: 600, PacketSize: 1500, Start: 20 * sim.Second, Duration: 160 * sim.Second,
 		}, col)
 		if err != nil {
@@ -210,7 +212,7 @@ func TestSenderListBounded(t *testing.T) {
 	cfg.Start = 10 * sim.Second
 	cfg.Duration = 110 * sim.Second
 	sys, _ := runBullet(t, w, cfg, 120*sim.Second)
-	sys.Nodes.Range(func(id int, n *Node) bool {
+	sys.Members.Range(func(id int, n *Node) bool {
 		if len(n.senders) > 3 {
 			t.Fatalf("node %d has %d senders (max 3)", id, len(n.senders))
 		}
@@ -232,7 +234,7 @@ func TestRowAssignmentsDistinct(t *testing.T) {
 	cfg.Start = 10 * sim.Second
 	cfg.Duration = 110 * sim.Second
 	sys, _ := runBullet(t, w, cfg, 120*sim.Second)
-	sys.Nodes.Range(func(id int, n *Node) bool {
+	sys.Members.Range(func(id int, n *Node) bool {
 		mods := make(map[int]bool)
 		for _, si := range n.senders {
 			if si.mod < 0 || si.mod >= len(n.senders) {
@@ -248,19 +250,44 @@ func TestRowAssignmentsDistinct(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := DefaultConfig(0)
-	if err := bad.Validate(); err == nil {
+	w := buildWorld(t, 7, 10, topology.MediumBandwidth, topology.NoLoss)
+	col := metrics.NewCollector(sim.Second)
+	if _, err := Deploy(w.net, w.tree, DefaultConfig(0), col); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	bad2 := DefaultConfig(600)
-	bad2.Duration = 0
-	if err := bad2.Validate(); err == nil {
+	bad := DefaultConfig(600)
+	bad.Duration = 0
+	if err := bad.Validate(); err == nil {
 		t.Fatal("zero duration accepted")
 	}
 	ok := DefaultConfig(600)
-	ok.PacketSize = 0
-	if err := ok.Validate(); err != nil || ok.PacketSize != 1500 {
-		t.Fatalf("defaults not filled: %v ps=%d", err, ok.PacketSize)
+	ok.PacketSize, ok.MaxSenders = 0, 0
+	if err := ok.Validate(); err != nil || ok.MaxSenders != 10 {
+		t.Fatalf("defaults not filled: %v senders=%d", err, ok.MaxSenders)
+	}
+	sys, err := Deploy(w.net, w.tree, ok, col)
+	if err != nil || sys.Stream.PacketSize != 1500 {
+		t.Fatalf("packet size not defaulted: %v", err)
+	}
+}
+
+// Every tree protocol's Deploy refuses a nil tree with an error named
+// after the deployment, instead of dereferencing it.
+func TestDeploysRejectNilTree(t *testing.T) {
+	w := buildWorld(t, 7, 10, topology.MediumBandwidth, topology.NoLoss)
+	col := metrics.NewCollector(sim.Second)
+	s := workload.Stream{RateKbps: 600, Duration: 10 * sim.Second}
+	for _, tc := range []struct {
+		name   string
+		deploy func() error
+	}{
+		{"bullet", func() error { _, err := Deploy(w.net, nil, DefaultConfig(600), col); return err }},
+		{"streamer", func() error { _, err := streamer.Deploy(w.net, nil, s, col); return err }},
+		{"anti-entropy", func() error { _, err := epidemic.DeployAntiEntropy(w.net, nil, s, col); return err }},
+	} {
+		if err := tc.deploy(); err == nil || err.Error() != tc.name+": needs a tree" {
+			t.Errorf("%s: Deploy(nil tree) = %v, want %q", tc.name, err, tc.name+": needs a tree")
+		}
 	}
 }
 

@@ -32,13 +32,13 @@ func (sys *System) Crash(id int) error {
 	if err := sys.Roster.Crash(id); err != nil {
 		return err
 	}
-	n := sys.Nodes.At(id)
+	n := sys.Members.At(id)
 	// The detection callback belongs to *this* crash: if the node was
 	// restarted (fresh *Node in the table) and crashed again before
 	// this timer fires, the newer crash's own callback owns the repair
 	// — firing here early would violate the fixed detection delay.
 	sys.eng.ScheduleAfter(FailoverDelay, func() {
-		if sys.Crashed(id) && sys.Nodes.At(id) == n {
+		if sys.Crashed(id) && sys.Members.At(id) == n {
 			sys.repair(id)
 		}
 	})
@@ -50,20 +50,20 @@ func (sys *System) Crash(id int) error {
 // node. Called once per crash (or synchronously by Restart when the
 // node comes back before detection fires).
 func (sys *System) repair(id int) {
-	if !sys.tree.Contains(id) {
+	if !sys.Tree().Contains(id) {
 		return
 	}
-	p, _ := sys.tree.Parent(id)
-	promoted, err := sys.tree.ReparentChildren(id)
+	p, _ := sys.Tree().Parent(id)
+	promoted, err := sys.Tree().ReparentChildren(id)
 	if err != nil {
 		return // root: unreachable, Crash refuses it
 	}
 	parentLive := !sys.Crashed(p)
-	if pn, ok := sys.Nodes.Get(p); ok && parentLive {
+	if pn, ok := sys.Members.Get(p); ok && parentLive {
 		pn.removeChild(id)
 	}
 	for _, c := range promoted {
-		cn, ok := sys.Nodes.Get(c)
+		cn, ok := sys.Members.Get(c)
 		if !ok {
 			continue
 		}
@@ -74,13 +74,13 @@ func (sys *System) repair(id int) {
 			// its subtree again, so don't wire flows to it.
 			continue
 		}
-		if pn, ok := sys.Nodes.Get(p); ok && parentLive {
+		if pn, ok := sys.Members.Get(p); ok && parentLive {
 			pn.addChild(c)
 		}
 	}
 	// Every live node drops the dead peer from its mesh and re-installs
 	// Bloom filters at the survivors, in ascending id order.
-	sys.Nodes.Range(func(nid int, n *Node) bool {
+	sys.Members.Range(func(nid int, n *Node) bool {
 		if nid != id && !sys.Crashed(nid) {
 			n.dropDeadPeer(id)
 		}
@@ -117,7 +117,7 @@ func (sys *System) attach(id int) error {
 	if err := sys.addNode(id); err != nil {
 		return err
 	}
-	sys.Nodes.At(ap).addChild(id)
+	sys.Members.At(ap).addChild(id)
 	return nil
 }
 
@@ -128,7 +128,7 @@ func (sys *System) Stop() {
 	// Quiesce the RanSub root first: its epoch/timeout timers would
 	// otherwise re-arm forever even with every endpoint down.
 	if !sys.Stopped() {
-		sys.Nodes.At(sys.tree.Root).agent.Stop()
+		sys.Members.At(sys.Tree().Root).agent.Stop()
 	}
 	sys.Roster.Stop()
 }
@@ -156,7 +156,7 @@ func (n *Node) addChild(c int) {
 	if n.findChild(c) != nil {
 		return
 	}
-	f, err := n.ep.OpenFlow(c, n.sys.cfg.PacketSize)
+	f, err := n.ep.OpenFlow(c, n.sys.Stream.PacketSize)
 	if err != nil {
 		return
 	}

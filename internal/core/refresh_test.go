@@ -33,8 +33,8 @@ func TestRefreshSharesOneFilterSnapshot(t *testing.T) {
 	cfg.MaxSenders = 2 // a is full, so it requests no peer of its own
 	w, sys := deployQuiet(t, cfg)
 	ps := w.tree.Participants
-	a := sys.Nodes.At(ps[1])
-	peers := []*Node{sys.Nodes.At(ps[2]), sys.Nodes.At(ps[3])}
+	a := sys.Members.At(ps[1])
+	peers := []*Node{sys.Members.At(ps[2]), sys.Members.At(ps[3])}
 	for _, p := range peers {
 		flow, err := p.ep.OpenFlow(a.id, cfg.PacketSize)
 		if err != nil {
@@ -83,7 +83,7 @@ var sinkFilter *bloom.Filter
 // are counted.
 func TestRefreshAllocatesOneClonePerRound(t *testing.T) {
 	_, sys := deployQuiet(t, DefaultConfig(600))
-	n := sys.Nodes.At(sys.tree.Participants[1])
+	n := sys.Members.At(sys.Tree().Participants[1])
 	n.ep.Fail()
 	clone := testing.AllocsPerRun(20, func() { sinkFilter = n.filter.Clone() })
 	for k := 1; k <= 4; k++ {

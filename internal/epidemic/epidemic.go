@@ -29,7 +29,6 @@
 package epidemic
 
 import (
-	"fmt"
 	"math/rand"
 
 	"bullet/internal/bloom"
@@ -44,17 +43,6 @@ import (
 	"bullet/internal/workload"
 	"bullet/internal/workset"
 )
-
-// GossipConfig controls a push-gossip run.
-type GossipConfig struct {
-	RateKbps   float64
-	PacketSize int
-	Start      sim.Time
-	Duration   sim.Duration
-	// Workload overrides the default constant-bit-rate source (nil
-	// streams CBR at RateKbps/PacketSize).
-	Workload workload.Source
-}
 
 // flowSlots holds a node's lazily-opened per-peer flows, indexed by
 // participant position (the index the uniform random peer draw
@@ -91,39 +79,25 @@ func (n *gossipNode) Endpoint() *transport.Endpoint { return n.ep }
 type GossipSystem struct {
 	member.Roster[*gossipNode]
 	participants []int
-	cfg          GossipConfig
-	col          *metrics.Collector
-	src          workload.Source
-	net          *netem.Network
 }
 
 // DeployGossip wires gossip nodes over the participant set (full
 // membership, as the paper conservatively assumes).
-func DeployGossip(net *netem.Network, participants []int, source int, cfg GossipConfig, col *metrics.Collector) (*GossipSystem, error) {
-	if cfg.PacketSize <= 0 {
-		cfg.PacketSize = 1500
+func DeployGossip(net *netem.Network, participants []int, source int, s workload.Stream, col *metrics.Collector) (*GossipSystem, error) {
+	sys := &GossipSystem{}
+	if err := sys.Init("gossip", net, source, nil, col, s); err != nil {
+		return nil, err
 	}
-	if cfg.Workload == nil && cfg.RateKbps <= 0 {
-		return nil, fmt.Errorf("epidemic: rate %v", cfg.RateKbps)
-	}
-	sys := &GossipSystem{cfg: cfg, col: col, net: net,
-		src: workload.Default(cfg.Workload, cfg.RateKbps, cfg.PacketSize)}
-	sys.Init("epidemic", len(net.Graph().Nodes), source, nil)
-	workload.InstallCompletion(sys.src, col)
 	for _, id := range participants {
 		sys.addNode(id)
 	}
 	// Source pump: packet generation is owned by the workload layer,
 	// scheduled on the source node's own scheduler.
-	end := cfg.Start + cfg.Duration
-	srcNode := sys.Nodes.At(source)
-	sched := srcNode.ep.Scheduler()
-	workload.Pump(sched, sys.src, cfg.Start,
-		func() bool { return sched.Now() >= end || sys.Stopped() },
-		func(seq uint64, size int) {
-			srcNode.seen.Add(seq)
-			sys.push(srcNode, seq, size)
-		})
+	srcNode := sys.Members.At(source)
+	sys.Pump(nil, func(seq uint64, size int) {
+		srcNode.seen.Add(seq)
+		sys.push(srcNode, seq, size)
+	})
 	return sys, nil
 }
 
@@ -131,23 +105,16 @@ func DeployGossip(net *netem.Network, participants []int, source int, cfg Gossip
 // view every node's random peer draw selects from.
 func (sys *GossipSystem) addNode(id int) {
 	n := &gossipNode{
-		ep:   transport.NewEndpoint(sys.net, id),
+		ep:   transport.NewEndpoint(sys.Net, id),
 		id:   id,
 		seen: workset.New(),
-		rng:  sys.net.Engine().RNG(int64(id)*31337 + 0x676f73),
+		rng:  sys.Net.Engine().RNG(int64(id)*31337 + 0x676f73),
 	}
-	sys.col.Track(id)
+	sys.Col.Track(id)
 	n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
-	sys.Nodes.Put(id, n)
+	sys.Members.Put(id, n)
 	sys.participants = append(sys.participants, id)
 }
-
-// Workload returns the source driving this deployment's packet
-// generation (the configured one, or the default CBR).
-func (sys *GossipSystem) Workload() workload.Source { return sys.src }
-
-// Collector returns the metrics sink.
-func (sys *GossipSystem) Collector() *metrics.Collector { return sys.col }
 
 // fanout is how many random peers each packet is pushed to (paper: 5
 // performs best with lowest overhead).
@@ -165,7 +132,7 @@ func (sys *GossipSystem) push(n *gossipNode, seq uint64, size int) {
 		f := n.flows.at(pi)
 		if f == nil {
 			var err error
-			f, err = n.ep.OpenFlow(peer, sys.cfg.PacketSize)
+			f, err = n.ep.OpenFlow(peer, sys.Stream.PacketSize)
 			if err != nil {
 				continue
 			}
@@ -176,16 +143,16 @@ func (sys *GossipSystem) push(n *gossipNode, seq uint64, size int) {
 }
 
 func (sys *GossipSystem) onData(id, from int, seq uint64, size int) {
-	n := sys.Nodes.At(id)
+	n := sys.Members.At(id)
 	now := n.ep.Scheduler().Now()
-	sys.col.Add(now, id, metrics.Raw, size)
+	sys.Col.Add(now, id, metrics.Raw, size)
 	if n.seen.Add(seq) {
-		sys.col.Add(now, id, metrics.Useful, size)
+		sys.Col.Add(now, id, metrics.Useful, size)
 		if !sys.RefusesServe(id) {
 			sys.push(n, seq, size)
 		}
 	} else {
-		sys.col.Add(now, id, metrics.Duplicate, size)
+		sys.Col.Add(now, id, metrics.Duplicate, size)
 	}
 }
 
@@ -212,17 +179,6 @@ func (sys *GossipSystem) Join(id int) error {
 }
 
 // ---------------------------------------------------------------------
-
-// AntiEntropyConfig controls a streaming + anti-entropy run.
-type AntiEntropyConfig struct {
-	RateKbps   float64
-	PacketSize int
-	Start      sim.Time
-	Duration   sim.Duration
-	// Workload overrides the default constant-bit-rate source (nil
-	// streams CBR at RateKbps/PacketSize).
-	Workload workload.Source
-}
 
 // The paper's anti-entropy round: every aeEpoch (20 s, so TFRC has
 // time to ramp) a node sends a FIFO Bloom digest of its last aeWindow
@@ -261,7 +217,6 @@ type aePeer struct {
 // whose digests advertise what it kept, re-converge.
 type AntiEntropySystem struct {
 	*streamer.System
-	cfg          AntiEntropyConfig
 	participants []int
 	// pindex maps node id -> position in participants, the per-node
 	// repair-flow slot index.
@@ -271,20 +226,12 @@ type AntiEntropySystem struct {
 
 // DeployAntiEntropy wires tree streaming plus random-peer anti-entropy
 // repair over full membership.
-func DeployAntiEntropy(net *netem.Network, tree *overlay.Tree, cfg AntiEntropyConfig, col *metrics.Collector) (*AntiEntropySystem, error) {
-	if cfg.PacketSize <= 0 {
-		cfg.PacketSize = 1500
-	}
-	st, err := streamer.Deploy(net, tree, streamer.Config{
-		RateKbps: cfg.RateKbps, PacketSize: cfg.PacketSize,
-		Start: cfg.Start, Duration: cfg.Duration,
-		Workload: cfg.Workload,
-	}, col)
+func DeployAntiEntropy(net *netem.Network, tree *overlay.Tree, s workload.Stream, col *metrics.Collector) (*AntiEntropySystem, error) {
+	st, err := streamer.DeployAs("anti-entropy", net, tree, s, col)
 	if err != nil {
 		return nil, err
 	}
-	st.Proto = "epidemic"
-	sys := &AntiEntropySystem{System: st, cfg: cfg}
+	sys := &AntiEntropySystem{System: st}
 	for _, id := range tree.Participants {
 		sys.arm(id)
 	}
@@ -295,7 +242,7 @@ func DeployAntiEntropy(net *netem.Network, tree *overlay.Tree, cfg AntiEntropyCo
 // the full-membership view, the digest handler, and a round chain
 // de-phased per node on the node's own scheduler.
 func (sys *AntiEntropySystem) arm(id int) {
-	ep := sys.Nodes.At(id).Endpoint()
+	ep := sys.Members.At(id).Endpoint()
 	p := &aePeer{
 		rng:     ep.Scheduler().RNG(int64(id)*271828 + 0x6165),
 		roundFn: func() { sys.aeRound(id) },
@@ -310,7 +257,7 @@ func (sys *AntiEntropySystem) arm(id int) {
 
 // aeRound sends this node's digest to a few random peers.
 func (sys *AntiEntropySystem) aeRound(id int) {
-	n, p := sys.Nodes.At(id), sys.peers.At(id)
+	n, p := sys.Members.At(id), sys.peers.At(id)
 	ep, seen := n.Endpoint(), n.Seen()
 	if ep.Failed() {
 		p.roundDead = true
@@ -352,14 +299,14 @@ func (sys *AntiEntropySystem) onControl(id, from int, payload any) {
 	// A tree child is answered over its stream flow; everyone else
 	// over a repair flow opened on first use. Never both: a second
 	// flow to the same peer would split its TFRC budget.
-	n, p := sys.Nodes.At(id), sys.peers.At(id)
+	n, p := sys.Members.At(id), sys.peers.At(id)
 	f := n.ChildFlow(from)
 	if f == nil {
 		f = p.repair.at(pi)
 	}
 	if f == nil {
 		var err error
-		f, err = n.Endpoint().OpenFlow(from, sys.cfg.PacketSize)
+		f, err = n.Endpoint().OpenFlow(from, sys.Stream.PacketSize)
 		if err != nil {
 			return
 		}
@@ -375,7 +322,7 @@ func (sys *AntiEntropySystem) onControl(id, from int, payload any) {
 		if m.filter.Contains(seq) {
 			continue
 		}
-		if !f.TrySend(seq, sys.cfg.PacketSize) {
+		if !f.TrySend(seq, sys.Stream.PacketSize) {
 			break
 		}
 		if seq == 0 {
@@ -399,7 +346,7 @@ func (sys *AntiEntropySystem) Restart(id int) error {
 	// resume on its own.
 	if p.roundDead {
 		p.roundDead = false
-		sys.Nodes.At(id).Endpoint().Scheduler().ScheduleAfter(aeEpoch, p.roundFn)
+		sys.Members.At(id).Endpoint().Scheduler().ScheduleAfter(aeEpoch, p.roundFn)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
 	"bullet/internal/topology"
+	"bullet/internal/workload"
 )
 
 func world(t *testing.T, seed int64, clients int) (*sim.Engine, *netem.Network, *topology.Graph, *topology.Router) {
@@ -29,7 +30,7 @@ func world(t *testing.T, seed int64, clients int) (*sim.Engine, *netem.Network, 
 func TestGossipDisseminates(t *testing.T) {
 	eng, net, g, _ := world(t, 1, 25)
 	col := metrics.NewCollector(sim.Second)
-	_, err := DeployGossip(net, g.Clients, g.Clients[0], GossipConfig{
+	_, err := DeployGossip(net, g.Clients, g.Clients[0], workload.Stream{
 		RateKbps: 300, PacketSize: 1500, Start: 0, Duration: 60 * sim.Second,
 	}, col)
 	if err != nil {
@@ -47,7 +48,7 @@ func TestGossipProducesDuplicates(t *testing.T) {
 	// with fanout 5 over 25 nodes, raw should clearly exceed useful.
 	eng, net, g, _ := world(t, 2, 25)
 	col := metrics.NewCollector(sim.Second)
-	if _, err := DeployGossip(net, g.Clients, g.Clients[0], GossipConfig{
+	if _, err := DeployGossip(net, g.Clients, g.Clients[0], workload.Stream{
 		RateKbps: 300, PacketSize: 1500, Start: 0, Duration: 60 * sim.Second,
 	}, col); err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestGossipProducesDuplicates(t *testing.T) {
 func TestGossipRejectsZeroRate(t *testing.T) {
 	_, net, g, _ := world(t, 3, 10)
 	col := metrics.NewCollector(sim.Second)
-	if _, err := DeployGossip(net, g.Clients, g.Clients[0], GossipConfig{}, col); err == nil {
+	if _, err := DeployGossip(net, g.Clients, g.Clients[0], workload.Stream{}, col); err == nil {
 		t.Fatal("zero rate accepted")
 	}
 }
@@ -75,7 +76,7 @@ func TestAntiEntropyRecoversLosses(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := metrics.NewCollector(sim.Second)
-	if _, err := DeployAntiEntropy(net, tree, AntiEntropyConfig{
+	if _, err := DeployAntiEntropy(net, tree, workload.Stream{
 		RateKbps: 600, PacketSize: 1500, Start: 0, Duration: 120 * sim.Second,
 	}, col); err != nil {
 		t.Fatal(err)
@@ -92,14 +93,14 @@ func TestAntiEntropyDefaults(t *testing.T) {
 	eng, net, g, _ := world(t, 5, 15)
 	tree, _ := overlay.Random(g.Clients, g.Clients[0], 4, rand.New(rand.NewSource(5)))
 	col := metrics.NewCollector(sim.Second)
-	sys, err := DeployAntiEntropy(net, tree, AntiEntropyConfig{
+	sys, err := DeployAntiEntropy(net, tree, workload.Stream{
 		RateKbps: 300, PacketSize: 0, Start: 0, Duration: 30 * sim.Second,
 	}, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.cfg.PacketSize != 1500 {
-		t.Fatalf("defaults not applied: %+v", sys.cfg)
+	if sys.Stream.PacketSize != 1500 {
+		t.Fatalf("defaults not applied: %+v", sys.Stream)
 	}
 	eng.Run(40 * sim.Second)
 	if col.Total(metrics.Useful) == 0 {
@@ -111,7 +112,7 @@ func TestAntiEntropyRejectsZeroRate(t *testing.T) {
 	_, net, g, _ := world(t, 6, 10)
 	tree, _ := overlay.Random(g.Clients, g.Clients[0], 4, rand.New(rand.NewSource(6)))
 	col := metrics.NewCollector(sim.Second)
-	if _, err := DeployAntiEntropy(net, tree, AntiEntropyConfig{}, col); err == nil {
+	if _, err := DeployAntiEntropy(net, tree, workload.Stream{}, col); err == nil {
 		t.Fatal("zero rate accepted")
 	}
 }

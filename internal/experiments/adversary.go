@@ -36,7 +36,7 @@ func advCompare(name string, sc Scale, seed int64, cfg adversary.Config) (*Resul
 		func(v *armRun) {
 			// Colluders are read after the run: cutvertex victims are only
 			// recorded at strike time, from the live tree.
-			live := v.sys.LiveNodes()
+			live := v.sys.Nodes()
 			honest := metrics.Excluding(live, fleet.Colluders())
 			pre := v.col.MeanOverNodes(honest, t1-20*sim.Second, t1, metrics.Useful)
 			during := v.col.MeanOverNodes(honest, t1+5*sim.Second, t2, metrics.Useful)

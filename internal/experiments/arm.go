@@ -10,6 +10,7 @@ import (
 	"bullet/internal/sim"
 	"bullet/internal/streamer"
 	"bullet/internal/topology"
+	"bullet/internal/workload"
 )
 
 // system is what an arm deploys: the membership and adversary surfaces
@@ -18,7 +19,7 @@ import (
 type system interface {
 	scenario.Membership
 	scenario.Adversary
-	LiveNodes() []int
+	Nodes() []int
 	Fail(node int)
 	SetAdversary(f *adversary.Fleet)
 }
@@ -124,25 +125,26 @@ func bottleneckTree(w *world) (*overlay.Tree, error) {
 // first client, the node every tree is rooted at.
 func noTree(*world) (*overlay.Tree, error) { return nil, nil }
 
-// streamConfig is the shared tree-streamer configuration.
-func streamConfig(sc Scale, rateKbps float64) streamer.Config {
-	return streamer.Config{RateKbps: rateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration}
+// streamConfig is the stream the baseline arms (streamer, gossip,
+// anti-entropy) deploy.
+func streamConfig(sc Scale, rateKbps float64) workload.Stream {
+	return workload.Stream{RateKbps: rateKbps, PacketSize: 1500, Start: sc.Start, Duration: sc.Duration}
 }
 
 func bulletOn(cfg core.Config) func(r *armRun) (system, error) {
 	return func(r *armRun) (system, error) { return core.Deploy(r.w.net, r.tree, cfg, r.col) }
 }
 
-func streamOn(cfg streamer.Config) func(r *armRun) (system, error) {
+func streamOn(cfg workload.Stream) func(r *armRun) (system, error) {
 	return func(r *armRun) (system, error) { return streamer.Deploy(r.w.net, r.tree, cfg, r.col) }
 }
 
-func gossipOn(cfg epidemic.GossipConfig) func(r *armRun) (system, error) {
+func gossipOn(cfg workload.Stream) func(r *armRun) (system, error) {
 	return func(r *armRun) (system, error) {
 		return epidemic.DeployGossip(r.w.net, r.w.g.Clients, r.w.g.Clients[0], cfg, r.col)
 	}
 }
 
-func antiEntropyOn(cfg epidemic.AntiEntropyConfig) func(r *armRun) (system, error) {
+func antiEntropyOn(cfg workload.Stream) func(r *armRun) (system, error) {
 	return func(r *armRun) (system, error) { return epidemic.DeployAntiEntropy(r.w.net, r.tree, cfg, r.col) }
 }

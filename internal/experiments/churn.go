@@ -44,7 +44,7 @@ func churnCompare(name string, sc Scale, seed int64,
 			v.install(sched)
 		},
 		func(v *armRun) {
-			live := v.sys.LiveNodes()
+			live := v.sys.Nodes()
 			pre := v.col.MeanOverNodes(live, t1-20*sim.Second, t1, metrics.Useful)
 			during := v.col.MeanOverNodes(live, t1+5*sim.Second, t2, metrics.Useful)
 			post := v.col.MeanOverNodes(live, t2+10*sim.Second, sc.RunUntil, metrics.Useful)

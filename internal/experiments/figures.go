@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bullet/internal/core"
-	"bullet/internal/epidemic"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
@@ -165,10 +164,8 @@ func Fig11(sc Scale, seed int64) (*Result, error) {
 			r.addSeries(v.label+"_useful", v.col.Series(metrics.Useful))
 		},
 		arm{label: "bullet", deploy: bulletOn(bulletConfig(fsc, rate))},
-		arm{label: "gossip", tree: noTree, deploy: gossipOn(epidemic.GossipConfig{
-			RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration})},
-		arm{label: "antientropy", tree: bottleneckTree, deploy: antiEntropyOn(epidemic.AntiEntropyConfig{
-			RateKbps: rate, PacketSize: 1500, Start: fsc.Start, Duration: fsc.Duration})})
+		arm{label: "gossip", tree: noTree, deploy: gossipOn(streamConfig(fsc, rate))},
+		arm{label: "antientropy", tree: bottleneckTree, deploy: antiEntropyOn(streamConfig(fsc, rate))})
 	if err != nil {
 		return nil, err
 	}

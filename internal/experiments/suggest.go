@@ -41,8 +41,7 @@ func Suggest(id string) string { return Nearest(id, Names()) }
 // (rounded up, minimum 2) — far-off typos get no misleading guess.
 // Ties break to the first candidate, so with sorted candidates the
 // suggestion is deterministic. This is the shared did-you-mean engine
-// behind experiment ids, scale names (ScaleByName), and protocol names
-// (bullet.ProtocolByName).
+// behind experiment ids and scale names (ScaleByName).
 func Nearest(name string, candidates []string) string {
 	best, bestDist := "", -1
 	for _, cand := range candidates {

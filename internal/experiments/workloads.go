@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"bullet/internal/epidemic"
 	"bullet/internal/metrics"
 	"bullet/internal/sim"
 	"bullet/internal/workload"
@@ -31,8 +30,7 @@ func workloadCompare(sc Scale, seed int64, src workload.Source, report func(v *a
 	return runArms(sc, seed, report,
 		arm{label: "bullet", deploy: bulletOn(bcfg)},
 		arm{label: "stream", deploy: streamOn(scfg)},
-		arm{label: "gossip", tree: noTree, deploy: gossipOn(epidemic.GossipConfig{
-			PacketSize: 1500, Start: sc.Start, Duration: sc.Duration, Workload: src})})
+		arm{label: "gossip", tree: noTree, deploy: gossipOn(scfg)})
 }
 
 // fileWorkloadFor sizes the fountain-coded file to the scale: a

@@ -6,18 +6,26 @@
 // same thing — same preconditions, same errors, same epoch accounting,
 // same ascending-id order — under every protocol. A protocol embeds a
 // Roster and supplies only its repair policy: what reviving a crashed
-// node or admitting a new one does to its own wiring.
+// node or admitting a new one does to its own wiring. The Roster also
+// holds the deploy prologue (Init) and the source pump every protocol
+// shares, and the handle accessors (Protocol, Collector, Workload,
+// Tree, Nodes, Shard, Shards, Colluders), so a protocol system is its
+// own deployment handle.
 package member
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bullet/internal/adversary"
+	"bullet/internal/metrics"
+	"bullet/internal/netem"
 	"bullet/internal/nodeset"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
 	"bullet/internal/transport"
+	"bullet/internal/workload"
 )
 
 // SortedIDs returns the keys of m in ascending order. Per-node state
@@ -39,21 +47,32 @@ type Node interface {
 	Endpoint() *transport.Endpoint
 }
 
-// Roster is one deployment's membership state. The zero value is not
-// usable; call Init first. Every walk over the table (LiveNodes, Stop,
-// Nodes.Range) is in ascending id order. The epoch counts successful
-// Crash, Restart and Join operations; an operation that returns an
-// error changes nothing.
+// TreeRoot, as Init's source, names the tree's root: the source of
+// every tree protocol.
+const TreeRoot = -1
+
+// Roster is one deployment's membership state and the handle callers
+// get: its name, network, collector, workload and tree. The zero value
+// is not usable; call Init first. Every walk over the table (Nodes,
+// Stop, Members.Range) is in ascending id order. The epoch counts
+// successful Crash, Restart and Join operations; an operation that
+// returns an error changes nothing.
 type Roster[N Node] struct {
-	// Proto prefixes every membership error ("streamer: node 7 already
-	// crashed").
-	Proto string
-	// Nodes is the dense participant table, crashed nodes included:
+	// Members is the dense participant table, crashed nodes included:
 	// lookups are a slice index. Protocols Put the instances they build
 	// (Bullet restarts a node as a fresh one); only the roster decides
 	// which of them are live.
-	Nodes nodeset.Table[N]
+	Members nodeset.Table[N]
+	// Net is the network the deployment runs in.
+	Net *netem.Network
+	// Col is the metrics sink: the per-packet paths read the field,
+	// Collector returns it to everyone else.
+	Col *metrics.Collector
+	// Stream is the deployment's stream, packet-size default applied.
+	Stream workload.Stream
 
+	name       string // prefixes every membership error ("gossip: node 7 already crashed")
+	src        workload.Source
 	topoNodes  int // ids outside [0, topoNodes) name no topology node
 	source     int
 	tree       *overlay.Tree // nil for mesh-only protocols
@@ -70,28 +89,87 @@ type Roster[N Node] struct {
 	adv *adversary.Fleet
 }
 
-// Init names the roster and fixes what never changes: the topology
-// size, the source (which cannot crash) and, for tree protocols, the
-// distribution tree late joiners attach to (nil for mesh-only ones).
-// The join degree bound is max(2, the deployed tree's largest degree).
-func (r *Roster[N]) Init(proto string, topoNodes, source int, tree *overlay.Tree) {
-	r.Proto, r.topoNodes, r.source, r.tree = proto, topoNodes, source, tree
+// Init is the prologue every protocol's deploy shares: the deployment
+// name, the network, the source (TreeRoot for tree protocols), the
+// distribution tree late joiners attach to (nil for mesh-only
+// protocols), the collector and the stream. It defaults the packet
+// size to 1500 bytes, rejects a stream with neither a rate nor a
+// workload and a TreeRoot source without a tree, and arms the
+// collector's completion tracking for a finite workload. The join
+// degree bound is max(2, the deployed tree's largest degree).
+func (r *Roster[N]) Init(name string, net *netem.Network, source int, tree *overlay.Tree, col *metrics.Collector, s workload.Stream) error {
+	if source == TreeRoot {
+		if tree == nil {
+			return fmt.Errorf("%s: needs a tree", name)
+		}
+		source = tree.Root
+	}
+	if s.Workload == nil && s.RateKbps <= 0 {
+		return fmt.Errorf("%s: rate %v Kbps", name, s.RateKbps)
+	}
+	if s.PacketSize <= 0 {
+		s.PacketSize = 1500
+	}
+	r.name, r.Net, r.Col, r.Stream = name, net, col, s
+	r.topoNodes, r.source, r.tree = len(net.Graph().Nodes), source, tree
 	if tree != nil {
 		r.joinDegree = max(2, tree.MaxDegree())
 	}
+	r.src = s.Workload
+	if r.src == nil {
+		r.src = workload.CBR{RateKbps: s.RateKbps, PacketSize: s.PacketSize}
+	}
+	if c, ok := r.src.(workload.Completer); ok {
+		col.SetCompletionTarget(c.Target())
+	}
+	return nil
 }
+
+// Pump drives the workload on the source node's own scheduler from
+// the stream's Start until its Duration has elapsed, the deployment
+// stops, or halt (nil for none) reports true; emit hands each packet
+// to the protocol's ingestion path. Call it once the source is in
+// Members.
+func (r *Roster[N]) Pump(halt func() bool, emit func(seq uint64, size int)) {
+	sched := r.Members.At(r.source).Endpoint().Scheduler()
+	end := r.Stream.Start + r.Stream.Duration
+	workload.Pump(sched, r.src, r.Stream.Start,
+		func() bool { return sched.Now() >= end || r.stopped || halt != nil && halt() },
+		emit)
+}
+
+// Protocol returns the deployment's name.
+func (r *Roster[N]) Protocol() string { return r.name }
+
+// Collector returns the metrics sink.
+func (r *Roster[N]) Collector() *metrics.Collector { return r.Col }
+
+// Workload returns the source driving packet generation: the stream's
+// Workload, or CBR at its rate.
+func (r *Roster[N]) Workload() workload.Source { return r.src }
+
+// Tree returns the distribution tree (live: membership changes mutate
+// it), or nil for mesh-only protocols.
+func (r *Roster[N]) Tree() *overlay.Tree { return r.tree }
+
+// Shard returns the index of the simulation shard executing node's
+// events (0 in a serial run).
+func (r *Roster[N]) Shard(node int) int { return r.Net.ShardOf(node) }
+
+// Shards returns the network's effective shard count (1 = serial).
+func (r *Roster[N]) Shards() int { return r.Net.Shards() }
 
 // Crashed reports whether id is a crashed participant.
 func (r *Roster[N]) Crashed(id int) bool { return r.dead.Contains(id) }
 
 // Live reports whether id is a current, non-crashed participant.
-func (r *Roster[N]) Live(id int) bool { return r.Nodes.Contains(id) && !r.dead.Contains(id) }
+func (r *Roster[N]) Live(id int) bool { return r.Members.Contains(id) && !r.dead.Contains(id) }
 
-// LiveNodes returns the ids of current non-crashed participants in
+// Nodes returns the ids of current non-crashed participants in
 // ascending order.
-func (r *Roster[N]) LiveNodes() []int {
-	out := make([]int, 0, r.Nodes.Len())
-	r.Nodes.Range(func(id int, _ N) bool {
+func (r *Roster[N]) Nodes() []int {
+	out := make([]int, 0, r.Members.Len())
+	r.Members.Range(func(id int, _ N) bool {
 		if !r.dead.Contains(id) {
 			out = append(out, id)
 		}
@@ -107,7 +185,7 @@ func (r *Roster[N]) MemberEpoch() int { return r.epoch }
 // Fail takes id's endpoint offline without any membership bookkeeping:
 // the silent failure the paper's worst-case experiments inject.
 func (r *Roster[N]) Fail(id int) {
-	if n, ok := r.Nodes.Get(id); ok {
+	if n, ok := r.Members.Get(id); ok {
 		n.Endpoint().Fail()
 	}
 }
@@ -115,14 +193,14 @@ func (r *Roster[N]) Fail(id int) {
 // Crash fails participant id: its endpoint goes offline and it counts
 // as dead until Restart. The source cannot crash.
 func (r *Roster[N]) Crash(id int) error {
-	n, ok := r.Nodes.Get(id)
+	n, ok := r.Members.Get(id)
 	switch {
 	case !ok:
-		return fmt.Errorf("%s: node %d is not a participant", r.Proto, id)
+		return fmt.Errorf("%s: node %d is not a participant", r.name, id)
 	case r.dead.Contains(id):
-		return fmt.Errorf("%s: node %d already crashed", r.Proto, id)
+		return fmt.Errorf("%s: node %d already crashed", r.name, id)
 	case id == r.source:
-		return fmt.Errorf("%s: cannot crash the source %d", r.Proto, id)
+		return fmt.Errorf("%s: cannot crash the source %d", r.name, id)
 	}
 	n.Endpoint().Fail()
 	r.dead.Add(id)
@@ -135,9 +213,9 @@ func (r *Roster[N]) Crash(id int) error {
 // as a fresh instance — and runs while id still counts as dead; if it
 // fails the node stays crashed so a later Restart can retry.
 func (r *Roster[N]) Restart(id int, revive func(n N) error) error {
-	n, ok := r.Nodes.Get(id)
+	n, ok := r.Members.Get(id)
 	if !ok || !r.dead.Contains(id) {
-		return fmt.Errorf("%s: node %d is not crashed", r.Proto, id)
+		return fmt.Errorf("%s: node %d is not crashed", r.name, id)
 	}
 	if err := revive(n); err != nil {
 		return err
@@ -149,15 +227,15 @@ func (r *Roster[N]) Restart(id int, revive func(n N) error) error {
 
 // Join admits a brand-new participant. id must name a topology node
 // that never was a participant (a crashed one uses Restart). admit is
-// the protocol's policy: build the node, Put it in Nodes, wire it in.
+// the protocol's policy: build the node, Put it in Members, wire it in.
 func (r *Roster[N]) Join(id int, admit func() error) error {
 	switch {
 	case id < 0 || id >= r.topoNodes:
-		return fmt.Errorf("%s: node %d is not in the topology", r.Proto, id)
+		return fmt.Errorf("%s: node %d is not in the topology", r.name, id)
 	case r.dead.Contains(id):
-		return fmt.Errorf("%s: node %d crashed; use Restart", r.Proto, id)
-	case r.Nodes.Contains(id):
-		return fmt.Errorf("%s: node %d is already a participant", r.Proto, id)
+		return fmt.Errorf("%s: node %d crashed; use Restart", r.name, id)
+	case r.Members.Contains(id):
+		return fmt.Errorf("%s: node %d is already a participant", r.name, id)
 	}
 	if err := admit(); err != nil {
 		return err
@@ -175,7 +253,7 @@ func (r *Roster[N]) Attach(id int) (int, error) {
 	up := func(n int) bool { return !r.dead.Contains(n) }
 	ap := r.tree.AttachPoint(r.joinDegree, func(n int) bool { return r.tree.ConnectedToRoot(n, up) })
 	if ap < 0 {
-		return -1, fmt.Errorf("%s: no live attach point for node %d", r.Proto, id)
+		return -1, fmt.Errorf("%s: no live attach point for node %d", r.name, id)
 	}
 	return ap, r.tree.Attach(id, ap)
 }
@@ -190,7 +268,7 @@ func (r *Roster[N]) Stop() {
 		return
 	}
 	r.stopped = true
-	r.Nodes.Range(func(id int, n N) bool {
+	r.Members.Range(func(id int, n N) bool {
 		if !r.dead.Contains(id) {
 			n.Endpoint().Fail()
 		}
@@ -209,6 +287,15 @@ func (r *Roster[N]) SetAdversary(f *adversary.Fleet) {
 
 // Adversary returns the attached fleet, or nil.
 func (r *Roster[N]) Adversary() *adversary.Fleet { return r.adv }
+
+// Colluders returns a copy of the fleet's compromised ids in ascending
+// order, or nil without a fleet.
+func (r *Roster[N]) Colluders() []int {
+	if r.adv == nil {
+		return nil
+	}
+	return slices.Clone(r.adv.Colluders())
+}
 
 // Compromise adds nodes to the fleet's colluder set (scenario action
 // CompromiseNodes). No-op without an attached fleet.

@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"bullet/internal/adversary"
+	"bullet/internal/metrics"
 	"bullet/internal/netem"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
 	"bullet/internal/topology"
 	"bullet/internal/transport"
+	"bullet/internal/workload"
 )
 
 func TestSortedIDsDeterministic(t *testing.T) {
@@ -46,11 +48,40 @@ func roster(t *testing.T, tree *overlay.Tree, ids ...int) (*Roster[*peer], *nete
 	}
 	net := netem.New(sim.NewEngine(1), g, topology.NewRouter(g), netem.Config{})
 	r := new(Roster[*peer])
-	r.Init("test", len(g.Nodes), ids[0], tree)
+	if err := r.Init("test", net, ids[0], tree, metrics.NewCollector(sim.Second), workload.Stream{RateKbps: 600}); err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range ids {
-		r.Nodes.Put(id, &peer{transport.NewEndpoint(net, id)})
+		r.Members.Put(id, &peer{transport.NewEndpoint(net, id)})
 	}
 	return r, net
+}
+
+// Init refuses a stream without a rate and a TreeRoot source without a
+// tree; otherwise it resolves the source, defaults the packet size and
+// arms completion tracking for a finite workload.
+func TestRosterInit(t *testing.T) {
+	_, net := roster(t, nil, 7)
+	col := metrics.NewCollector(sim.Second)
+	var r Roster[*peer]
+	if err := r.Init("test", net, 7, nil, col, workload.Stream{}); err == nil || err.Error() != "test: rate 0 Kbps" {
+		t.Fatalf("Init without a rate: %v", err)
+	}
+	if err := r.Init("test", net, TreeRoot, nil, col, workload.Stream{RateKbps: 600}); err == nil || err.Error() != "test: needs a tree" {
+		t.Fatalf("Init(TreeRoot) without a tree: %v", err)
+	}
+	file := workload.File{RateKbps: 600, PacketSize: 1000, K: 100}
+	if err := r.Init("test", net, TreeRoot, overlay.NewTree(7), col, workload.Stream{Workload: file}); err != nil {
+		t.Fatal(err)
+	}
+	r.Members.Put(7, &peer{transport.NewEndpoint(net, 7)})
+	if err := r.Crash(7); err == nil || err.Error() != "test: cannot crash the source 7" {
+		t.Fatalf("the tree's root is not the source: %v", err)
+	}
+	if r.Protocol() != "test" || r.Stream.PacketSize != 1500 || r.Workload() != file || col.CompletionTarget() != file.Target() {
+		t.Fatalf("Init applied protocol %q, packet size %d, workload %v, completion target %d",
+			r.Protocol(), r.Stream.PacketSize, r.Workload(), col.CompletionTarget())
+	}
 }
 
 // Every validation error, and the epoch accounting around it: +1 per
@@ -60,7 +91,7 @@ func TestRosterValidationAndEpoch(t *testing.T) {
 	topo := len(net.Graph().Nodes)
 	revive := func(p *peer) error { p.ep.Restart(); return nil }
 	admit := func(id int) func() error {
-		return func() error { r.Nodes.Put(id, &peer{transport.NewEndpoint(net, id)}); return nil }
+		return func() error { r.Members.Put(id, &peer{transport.NewEndpoint(net, id)}); return nil }
 	}
 	refused := errors.New("policy refused")
 	steps := []struct {
@@ -87,7 +118,7 @@ func TestRosterValidationAndEpoch(t *testing.T) {
 		{"restart again", func() error { return r.Restart(12, revive) }, "test: node 12 is not crashed"},
 	}
 	for _, s := range steps {
-		before, live := r.MemberEpoch(), r.LiveNodes()
+		before, live := r.MemberEpoch(), r.Nodes()
 		err := s.op()
 		switch {
 		case s.wantErr == "" && err != nil:
@@ -98,54 +129,54 @@ func TestRosterValidationAndEpoch(t *testing.T) {
 			t.Fatalf("%s: error %v, want one containing %q", s.name, err, s.wantErr)
 		case s.wantErr != "" && r.MemberEpoch() != before:
 			t.Fatalf("%s: failed operation moved the epoch %d -> %d", s.name, before, r.MemberEpoch())
-		case s.wantErr != "" && !reflect.DeepEqual(r.LiveNodes(), live):
-			t.Fatalf("%s: failed operation changed the live set %v -> %v", s.name, live, r.LiveNodes())
+		case s.wantErr != "" && !reflect.DeepEqual(r.Nodes(), live):
+			t.Fatalf("%s: failed operation changed the live set %v -> %v", s.name, live, r.Nodes())
 		}
 	}
 	if r.MemberEpoch() != 3 {
 		t.Fatalf("epoch %d after crash+join+restart, want 3", r.MemberEpoch())
 	}
-	if !r.Live(12) || r.Crashed(12) || r.Nodes.At(12).ep.Failed() {
+	if !r.Live(12) || r.Crashed(12) || r.Members.At(12).ep.Failed() {
 		t.Fatal("restarted node is not live")
 	}
-	if _, ok := r.Nodes.Get(9); ok || r.Live(9) || r.Nodes.At(9) != nil {
+	if _, ok := r.Members.Get(9); ok || r.Live(9) || r.Members.At(9) != nil {
 		t.Fatal("non-participant 9 is visible")
 	}
 }
 
-// LiveNodes, Range and Stop walk in ascending id order whatever the
-// insertion order; crashed nodes drop out of LiveNodes and are not
+// Nodes, Range and Stop walk in ascending id order whatever the
+// insertion order; crashed nodes drop out of Nodes and are not
 // failed a second time by Stop; Stop is idempotent.
 func TestRosterOrderAndStop(t *testing.T) {
 	r, _ := roster(t, nil, 7, 0, 65, 33, 12)
 	if err := r.Crash(33); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.LiveNodes(); !reflect.DeepEqual(got, []int{0, 7, 12, 65}) {
-		t.Fatalf("LiveNodes=%v", got)
+	if got := r.Nodes(); !reflect.DeepEqual(got, []int{0, 7, 12, 65}) {
+		t.Fatalf("Nodes=%v", got)
 	}
 	var walked []int
-	r.Nodes.Range(func(id int, _ *peer) bool { walked = append(walked, id); return true })
-	if !reflect.DeepEqual(walked, []int{0, 7, 12, 33, 65}) || r.Nodes.Len() != 5 {
-		t.Fatalf("Range walked %v (Len %d), want all five ascending", walked, r.Nodes.Len())
+	r.Members.Range(func(id int, _ *peer) bool { walked = append(walked, id); return true })
+	if !reflect.DeepEqual(walked, []int{0, 7, 12, 33, 65}) || r.Members.Len() != 5 {
+		t.Fatalf("Range walked %v (Len %d), want all five ascending", walked, r.Members.Len())
 	}
 	// Revive the crashed node's endpoint behind the roster's back: Stop
 	// must skip it (it is still dead), which shows teardown filters on
 	// the dead set rather than failing everything.
-	r.Nodes.At(33).ep.Restart()
+	r.Members.At(33).ep.Restart()
 	if r.Stopped() {
 		t.Fatal("stopped before Stop")
 	}
 	r.Stop()
 	for _, id := range walked {
-		if failed := r.Nodes.At(id).ep.Failed(); failed != (id != 33) {
+		if failed := r.Members.At(id).ep.Failed(); failed != (id != 33) {
 			t.Fatalf("after Stop node %d failed=%v", id, failed)
 		}
 	}
 	// A second Stop is a no-op: endpoints restarted since stay up.
-	r.Nodes.At(0).ep.Restart()
+	r.Members.At(0).ep.Restart()
 	r.Stop()
-	if !r.Stopped() || r.Nodes.At(0).ep.Failed() {
+	if !r.Stopped() || r.Members.At(0).ep.Failed() {
 		t.Fatal("second Stop tore down again")
 	}
 	if r.MemberEpoch() != 1 {
@@ -158,8 +189,8 @@ func TestRosterFailIsSilent(t *testing.T) {
 	r, _ := roster(t, nil, 7, 3)
 	r.Fail(3)
 	r.Fail(99) // not a participant: ignored
-	if !r.Nodes.At(3).ep.Failed() || !r.Live(3) || r.MemberEpoch() != 0 {
-		t.Fatalf("Fail: failed=%v live=%v epoch=%d", r.Nodes.At(3).ep.Failed(), r.Live(3), r.MemberEpoch())
+	if !r.Members.At(3).ep.Failed() || !r.Live(3) || r.MemberEpoch() != 0 {
+		t.Fatalf("Fail: failed=%v live=%v epoch=%d", r.Members.At(3).ep.Failed(), r.Live(3), r.MemberEpoch())
 	}
 }
 
@@ -260,8 +291,8 @@ func TestRosterStrikeCrashes(t *testing.T) {
 	small := [][2]int{{2, 1}, {3, 1}, {4, 2}, {5, 2}}
 	r, eng, f := build(adversary.Cutvertex, small...)
 	r.StrikeCrashes(eng, r.Crash, restart(r))
-	if !f.Active() || !r.Crashed(2) || !f.Is(2) || len(r.LiveNodes()) != 4 {
-		t.Fatalf("cutvertex: active=%v crashed(2)=%v live=%v", f.Active(), r.Crashed(2), r.LiveNodes())
+	if !f.Active() || !r.Crashed(2) || !f.Is(2) || len(r.Nodes()) != 4 {
+		t.Fatalf("cutvertex: active=%v crashed(2)=%v live=%v", f.Active(), r.Crashed(2), r.Nodes())
 	}
 
 	// Eight non-root nodes: the fleet's quarter is two colluders.

@@ -81,9 +81,6 @@ func NewCollector(bucket sim.Duration) *Collector {
 	return &Collector{bucket: bucket}
 }
 
-// Bucket returns the bucket width.
-func (c *Collector) Bucket() sim.Duration { return c.bucket }
-
 // Track pre-registers a node so averages include it even if it never
 // receives a byte.
 func (c *Collector) Track(node int) {

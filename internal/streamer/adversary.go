@@ -11,5 +11,5 @@ package streamer
 // Strike activates the fleet. The streamer never repairs, so the
 // crash-timing models leave permanently starved subtrees behind.
 func (sys *System) Strike() {
-	sys.StrikeCrashes(sys.net.Engine(), sys.Crash, sys.Restart)
+	sys.StrikeCrashes(sys.Net.Engine(), sys.Crash, sys.Restart)
 }

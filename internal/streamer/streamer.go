@@ -8,33 +8,14 @@
 package streamer
 
 import (
-	"fmt"
-
 	"bullet/internal/member"
 	"bullet/internal/metrics"
 	"bullet/internal/netem"
 	"bullet/internal/overlay"
-	"bullet/internal/sim"
 	"bullet/internal/transport"
 	"bullet/internal/workload"
 	"bullet/internal/workset"
 )
-
-// Config controls a streaming run.
-type Config struct {
-	// RateKbps is the source streaming rate.
-	RateKbps float64
-	// PacketSize is the application payload per packet in bytes.
-	PacketSize int
-	// Start is when the source begins streaming.
-	Start sim.Time
-	// Duration is how long the source streams.
-	Duration sim.Duration
-	// Workload overrides the default constant-bit-rate source (nil
-	// streams CBR at RateKbps/PacketSize, byte-identical to the
-	// pre-workload-layer pump).
-	Workload workload.Source
-}
 
 // Node is one streaming participant. children and flows are parallel
 // slices in distribution-tree order.
@@ -66,30 +47,25 @@ func (n *Node) ChildFlow(c int) *transport.Flow {
 // System is a deployed streaming overlay. Membership — the participant
 // table (a dense node-id-indexed table, so the per-packet onData lookup
 // is a slice index), liveness, epoch, teardown, adversary attachment —
-// is the embedded Roster's; this package adds the stream wiring and
-// its repair policy.
+// and the deployment handle are the embedded Roster's; this package
+// adds the stream wiring and its repair policy.
 type System struct {
 	member.Roster[*Node]
-	Tree *overlay.Tree
-	cfg  Config
-	col  *metrics.Collector
-	src  workload.Source
-	net  *netem.Network
 }
 
 // Deploy creates endpoints and flows for every tree participant and
 // schedules the source. Metrics go to col.
-func Deploy(net *netem.Network, tree *overlay.Tree, cfg Config, col *metrics.Collector) (*System, error) {
-	if cfg.PacketSize <= 0 {
-		cfg.PacketSize = 1500
+func Deploy(net *netem.Network, tree *overlay.Tree, s workload.Stream, col *metrics.Collector) (*System, error) {
+	return DeployAs("streamer", net, tree, s, col)
+}
+
+// DeployAs is Deploy under another deployment name, for a protocol
+// layered over the streamer (anti-entropy).
+func DeployAs(name string, net *netem.Network, tree *overlay.Tree, s workload.Stream, col *metrics.Collector) (*System, error) {
+	sys := &System{}
+	if err := sys.Init(name, net, member.TreeRoot, tree, col, s); err != nil {
+		return nil, err
 	}
-	if cfg.Workload == nil && cfg.RateKbps <= 0 {
-		return nil, fmt.Errorf("streamer: rate %v Kbps", cfg.RateKbps)
-	}
-	sys := &System{Tree: tree, cfg: cfg, col: col, net: net,
-		src: workload.Default(cfg.Workload, cfg.RateKbps, cfg.PacketSize)}
-	sys.Init("streamer", len(net.Graph().Nodes), tree.Root, tree)
-	workload.InstallCompletion(sys.src, col)
 	for _, id := range tree.Participants {
 		if err := sys.addNode(id); err != nil {
 			return nil, err
@@ -97,15 +73,11 @@ func Deploy(net *netem.Network, tree *overlay.Tree, cfg Config, col *metrics.Col
 	}
 	// Source pump: packet generation is owned by the workload layer,
 	// scheduled on the root node's own scheduler.
-	end := cfg.Start + cfg.Duration
-	sched := sys.Nodes.At(tree.Root).ep.Scheduler()
-	workload.Pump(sched, sys.src, cfg.Start,
-		func() bool { return sched.Now() >= end || sys.Stopped() },
-		func(seq uint64, size int) {
-			root := sys.Nodes.At(tree.Root)
-			root.seen.Add(seq)
-			root.forward(seq, size)
-		})
+	sys.Pump(nil, func(seq uint64, size int) {
+		root := sys.Members.At(tree.Root)
+		root.seen.Add(seq)
+		root.forward(seq, size)
+	})
 	return sys, nil
 }
 
@@ -113,21 +85,21 @@ func Deploy(net *netem.Network, tree *overlay.Tree, cfg Config, col *metrics.Col
 // with a flow to each of its tree children (a late joiner has none).
 func (sys *System) addNode(id int) error {
 	parent := -1
-	if p, ok := sys.Tree.Parent(id); ok {
+	if p, ok := sys.Tree().Parent(id); ok {
 		parent = p
 	}
 	n := &Node{
-		ep:       transport.NewEndpoint(sys.net, id),
+		ep:       transport.NewEndpoint(sys.Net, id),
 		parent:   parent,
-		children: sys.Tree.Children(id),
+		children: sys.Tree().Children(id),
 		seen:     workset.New(),
 	}
-	sys.col.Track(id)
-	if err := n.openFlows(sys.cfg.PacketSize); err != nil {
+	sys.Col.Track(id)
+	if err := n.openFlows(sys.Stream.PacketSize); err != nil {
 		return err
 	}
 	n.ep.OnData(func(from int, seq uint64, size int) { sys.onData(id, from, seq, size) })
-	sys.Nodes.Put(id, n)
+	sys.Members.Put(id, n)
 	return nil
 }
 
@@ -144,27 +116,20 @@ func (n *Node) openFlows(packetSize int) error {
 	return nil
 }
 
-// Workload returns the source driving this deployment's packet
-// generation (the configured one, or the default CBR).
-func (sys *System) Workload() workload.Source { return sys.src }
-
-// Collector returns the metrics sink.
-func (sys *System) Collector() *metrics.Collector { return sys.col }
-
 func (sys *System) onData(id, from int, seq uint64, size int) {
-	n := sys.Nodes.At(id)
+	n := sys.Members.At(id)
 	now := n.ep.Scheduler().Now()
-	sys.col.Add(now, id, metrics.Raw, size)
+	sys.Col.Add(now, id, metrics.Raw, size)
 	if from == n.parent {
-		sys.col.Add(now, id, metrics.Parent, size)
+		sys.Col.Add(now, id, metrics.Parent, size)
 	}
 	if n.seen.Add(seq) {
-		sys.col.Add(now, id, metrics.Useful, size)
+		sys.Col.Add(now, id, metrics.Useful, size)
 		if !sys.RefusesRelay(id) {
 			n.forward(seq, size)
 		}
 	} else {
-		sys.col.Add(now, id, metrics.Duplicate, size)
+		sys.Col.Add(now, id, metrics.Duplicate, size)
 	}
 }
 
@@ -190,7 +155,7 @@ func (n *Node) forward(seq uint64, size int) {
 func (sys *System) Restart(id int) error {
 	return sys.Roster.Restart(id, func(n *Node) error {
 		n.ep.Restart()
-		return n.openFlows(sys.cfg.PacketSize)
+		return n.openFlows(sys.Stream.PacketSize)
 	})
 }
 
@@ -208,9 +173,9 @@ func (sys *System) Join(id int) error {
 		// The parent's captured children slice predates the join;
 		// refresh it (Attach appended the newcomer at the end, so
 		// existing flows stay aligned) and open the new flow.
-		pn := sys.Nodes.At(ap)
-		pn.children = sys.Tree.Children(ap)
-		f, err := pn.ep.OpenFlow(id, sys.cfg.PacketSize)
+		pn := sys.Members.At(ap)
+		pn.children = sys.Tree().Children(ap)
+		f, err := pn.ep.OpenFlow(id, sys.Stream.PacketSize)
 		if err != nil {
 			return err
 		}

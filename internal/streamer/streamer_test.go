@@ -9,6 +9,7 @@ import (
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
 	"bullet/internal/topology"
+	"bullet/internal/workload"
 )
 
 func world(t *testing.T, seed int64, clients int, bw topology.BandwidthProfile) (*sim.Engine, *netem.Network, *topology.Graph, *topology.Router) {
@@ -33,7 +34,7 @@ func TestStreamingDeliversDownTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := metrics.NewCollector(sim.Second)
-	if _, err := Deploy(net, tree, Config{RateKbps: 300, PacketSize: 1500, Start: 5 * sim.Second, Duration: 60 * sim.Second}, col); err != nil {
+	if _, err := Deploy(net, tree, workload.Stream{RateKbps: 300, PacketSize: 1500, Start: 5 * sim.Second, Duration: 60 * sim.Second}, col); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(70 * sim.Second)
@@ -61,7 +62,7 @@ func TestBandwidthMonotonicallyDecreasesDownTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := metrics.NewCollector(sim.Second)
-	if _, err := Deploy(net, tree, Config{RateKbps: 600, PacketSize: 1500, Start: 0, Duration: 60 * sim.Second}, col); err != nil {
+	if _, err := Deploy(net, tree, workload.Stream{RateKbps: 600, PacketSize: 1500, Start: 0, Duration: 60 * sim.Second}, col); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(60 * sim.Second)
@@ -108,7 +109,7 @@ func TestRandomTreeWorseThanBottleneckTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := metrics.NewCollector(sim.Second)
-		if _, err := Deploy(net, tree, Config{RateKbps: 600, PacketSize: 1500, Start: 0, Duration: 90 * sim.Second}, col); err != nil {
+		if _, err := Deploy(net, tree, workload.Stream{RateKbps: 600, PacketSize: 1500, Start: 0, Duration: 90 * sim.Second}, col); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run(90 * sim.Second)
@@ -125,7 +126,7 @@ func TestSourceStopsAtDuration(t *testing.T) {
 	eng, net, g, rt := world(t, 4, 10, topology.HighBandwidth)
 	tree, _ := overlay.Bottleneck(rt, g.Clients, g.Clients[0], 1500, 0)
 	col := metrics.NewCollector(sim.Second)
-	if _, err := Deploy(net, tree, Config{RateKbps: 300, PacketSize: 1500, Start: 0, Duration: 10 * sim.Second}, col); err != nil {
+	if _, err := Deploy(net, tree, workload.Stream{RateKbps: 300, PacketSize: 1500, Start: 0, Duration: 10 * sim.Second}, col); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(40 * sim.Second)
@@ -139,7 +140,7 @@ func TestFailureCutsSubtree(t *testing.T) {
 	eng, net, g, rt := world(t, 5, 20, topology.HighBandwidth)
 	tree, _ := overlay.Bottleneck(rt, g.Clients, g.Clients[0], 1500, 2)
 	col := metrics.NewCollector(sim.Second)
-	sys, err := Deploy(net, tree, Config{RateKbps: 300, PacketSize: 1500, Start: 0, Duration: 60 * sim.Second}, col)
+	sys, err := Deploy(net, tree, workload.Stream{RateKbps: 300, PacketSize: 1500, Start: 0, Duration: 60 * sim.Second}, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestConfigRejectsZeroRate(t *testing.T) {
 	_ = eng
 	tree, _ := overlay.Bottleneck(rt, g.Clients, g.Clients[0], 1500, 0)
 	col := metrics.NewCollector(sim.Second)
-	if _, err := Deploy(net, tree, Config{RateKbps: 0}, col); err == nil {
+	if _, err := Deploy(net, tree, workload.Stream{RateKbps: 0}, col); err == nil {
 		t.Fatal("zero rate accepted")
 	}
 }

@@ -14,10 +14,7 @@
 // function of (config, seed) end to end.
 package workload
 
-import (
-	"bullet/internal/metrics"
-	"bullet/internal/sim"
-)
+import "bullet/internal/sim"
 
 // Source generates a run's packet stream. For emission index seq at
 // virtual time now it returns the payload size in bytes and the gap
@@ -30,6 +27,23 @@ type Source interface {
 	// Next returns the seq'th emission: payload size, the gap until
 	// the next emission, and whether the stream continues.
 	Next(now sim.Time, seq uint64) (size int, gap sim.Duration, ok bool)
+}
+
+// Stream is what every protocol's source streams, and the whole config
+// of the streamer and both epidemic baselines (Bullet's embeds it).
+type Stream struct {
+	// RateKbps is the source streaming rate.
+	RateKbps float64
+	// PacketSize is the application payload per packet in bytes
+	// (default 1500).
+	PacketSize int
+	// Start is when the source begins streaming.
+	Start sim.Time
+	// Duration is how long the source streams.
+	Duration sim.Duration
+	// Workload overrides the default constant-bit-rate source (nil
+	// streams CBR at RateKbps/PacketSize).
+	Workload Source
 }
 
 // Completer is implemented by finite workloads: Target is the number
@@ -53,25 +67,6 @@ func Interval(rateKbps float64, packetSize int) sim.Duration {
 		interval = sim.Microsecond
 	}
 	return interval
-}
-
-// Default returns src unchanged, or a CBR source at the given rate and
-// packet size when src is nil — the pre-workload-layer behaviour every
-// protocol defaults to, keeping legacy configs byte-identical.
-func Default(src Source, rateKbps float64, packetSize int) Source {
-	if src != nil {
-		return src
-	}
-	return CBR{RateKbps: rateKbps, PacketSize: packetSize}
-}
-
-// InstallCompletion arms col's per-node completion tracking when src
-// is a finite workload (a Completer); streaming sources leave the
-// collector untouched. Call at deploy time, before the run.
-func InstallCompletion(src Source, col *metrics.Collector) {
-	if c, ok := src.(Completer); ok {
-		col.SetCompletionTarget(c.Target())
-	}
 }
 
 // Pump drives src on eng — the scheduler of the node that owns the

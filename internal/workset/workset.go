@@ -201,49 +201,6 @@ func (s *Set) ForRange(lo, hi uint64, fn func(seq uint64) bool) {
 	}
 }
 
-// MissingInRange counts sequences in [lo, hi] not held and not below
-// the window.
-func (s *Set) MissingInRange(lo, hi uint64) int {
-	if s.any && lo < s.low {
-		lo = s.low
-	}
-	if lo > hi {
-		return 0
-	}
-	span := hi - lo + 1 // no overflow: lo > 0 whenever hi is ^uint64(0)-adjacent in practice
-	if span == 0 {      // lo == 0 && hi == ^uint64(0)
-		span = ^uint64(0)
-	}
-	return int(span) - s.heldCount(lo, hi)
-}
-
-// heldCount counts held sequences in [lo, hi].
-func (s *Set) heldCount(lo, hi uint64) int {
-	if !s.any {
-		return 0
-	}
-	if lo < s.base {
-		lo = s.base
-	}
-	if hi > s.max {
-		hi = s.max
-	}
-	if lo > hi {
-		return 0
-	}
-	w := (lo - s.base) >> 6
-	last := (hi - s.base) >> 6
-	first := s.words[w] &^ (1<<((lo-s.base)&63) - 1)
-	if w == last {
-		return bits.OnesCount64(first & (^uint64(0) >> (63 - (hi-s.base)&63)))
-	}
-	n := bits.OnesCount64(first)
-	for i := w + 1; i < last; i++ {
-		n += bits.OnesCount64(s.words[i])
-	}
-	return n + bits.OnesCount64(s.words[last]&(^uint64(0)>>(63-(hi-s.base)&63)))
-}
-
 // RowOf returns the matrix row (Figure 4) that sequence seq belongs to
 // when the space is split across `senders` rows.
 func RowOf(seq uint64, senders int) int {

@@ -84,21 +84,6 @@ func TestForRangeEarlyStop(t *testing.T) {
 	}
 }
 
-func TestMissingInRange(t *testing.T) {
-	s := New()
-	s.Add(0)
-	s.Add(2)
-	s.Add(4)
-	if m := s.MissingInRange(0, 4); m != 2 {
-		t.Fatalf("missing=%d want 2", m)
-	}
-	s.TrimBelow(2)
-	// Below-window sequences are not counted missing.
-	if m := s.MissingInRange(0, 4); m != 1 {
-		t.Fatalf("missing after trim=%d want 1", m)
-	}
-}
-
 func TestRowOf(t *testing.T) {
 	if RowOf(17, 5) != 2 {
 		t.Fatalf("RowOf(17,5)=%d", RowOf(17, 5))

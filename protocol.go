@@ -5,17 +5,17 @@ package bullet
 //
 // A Protocol is anything deployable — Bullet itself, the plain tree
 // streamer, push gossip, streaming + anti-entropy — and each ships as
-// a small config struct implementing the interface, registered by name
-// ("bullet", "streamer", "gossip", "anti-entropy"). A Deployment is
-// the runtime handle every deploy returns: metrics, per-node
-// introspection, teardown, and — the capability the old Deploy*
-// methods could not express — membership churn. Crash, Restart, and
-// Join compose with link dynamics through scenarios:
+// a small config struct implementing the interface ("bullet",
+// "streamer", "gossip", "anti-entropy"). A Deployment is the runtime
+// handle every deploy returns: metrics, per-node introspection,
+// teardown, and membership churn. Each built-in protocol's deployed
+// system is its own Deployment, through the member.Roster it embeds.
+// Crash, Restart, and Join compose with link dynamics through
+// scenarios:
 //
 //	w, _ := bullet.NewWorld(bullet.WorldConfig{Seed: 1})
 //	tree, _ := w.RandomTree(5)
-//	p, _ := bullet.ProtocolByName("bullet")
-//	d, _ := w.Deploy(p, tree)
+//	d, _ := w.Deploy(bullet.BulletProtocol{Config: bullet.DefaultConfig(600)}, tree)
 //	w.Scenario(bullet.NewScenario().
 //	    At(60*bullet.Second, bullet.CrashNode(tree.Participants[7])).
 //	    At(90*bullet.Second, bullet.RestartNode(tree.Participants[7])))
@@ -24,17 +24,13 @@ package bullet
 
 import (
 	"fmt"
-	"sort"
 
 	"bullet/internal/adversary"
 	"bullet/internal/core"
 	"bullet/internal/epidemic"
-	"bullet/internal/experiments"
 	"bullet/internal/metrics"
-	"bullet/internal/netem"
-	"bullet/internal/sim"
+	"bullet/internal/scenario"
 	"bullet/internal/streamer"
-	"bullet/internal/workload"
 )
 
 // Protocol is anything deployable into a World over a distribution
@@ -43,7 +39,7 @@ import (
 // Deploy through World.Deploy (which tracks the deployment so
 // scenarios can reach it), not by calling this method directly.
 type Protocol interface {
-	// Name identifies the protocol (registry key, Deployment.Protocol).
+	// Name identifies the protocol (Deployment.Protocol).
 	Name() string
 	// Deploy instantiates the protocol over tree in w. Protocols that
 	// need no tree (gossip) accept nil; tree-based protocols reject it.
@@ -96,89 +92,13 @@ type Deployment interface {
 	Stop()
 }
 
-// runtimeSystem is the contract every internal protocol system
-// satisfies — membership, introspection, teardown, and the narrow
-// adversary hooks (see internal/adversary); deployment adapts it to the
-// public Deployment interface.
-type runtimeSystem interface {
-	Crash(node int) error
-	Restart(node int) error
-	Join(node int) error
-	Stop()
-	Live(node int) bool
-	LiveNodes() []int
-	MemberEpoch() int
-	Workload() workload.Source
-	SetAdversary(*adversary.Fleet)
-	Compromise(nodes []int)
-	Strike()
-}
-
-// deployment is the stock Deployment implementation shared by the four
-// built-in protocols.
-type deployment struct {
-	name string
-	col  *Collector
-	tree *Tree // nil for gossip
-	sys  runtimeSystem
-	net  *netem.Network
-
-	// fleet is the seeded hostile fleet WithAdversary attached, if any.
-	fleet *adversary.Fleet
-}
-
-// deployStock is the body the built-in protocols' Deploy methods share:
-// refuse a missing tree when the protocol needs one, make the
-// one-second collector, run the protocol's own deploy, and wrap the
-// system in the stock handle. tree is the handle's Tree().
-func deployStock[S runtimeSystem](w *World, p Protocol, tree *Tree, needsTree bool,
-	deploy func(col *Collector) (S, error)) (Deployment, error) {
-
-	if needsTree && tree == nil {
-		return nil, fmt.Errorf("bullet: protocol %q needs a tree", p.Name())
-	}
-	col := metrics.NewCollector(sim.Second)
-	sys, err := deploy(col)
-	if err != nil {
-		return nil, err
-	}
-	return &deployment{name: p.Name(), col: col, tree: tree, sys: sys, net: w.net}, nil
-}
-
-func (d *deployment) Protocol() string       { return d.name }
-func (d *deployment) Collector() *Collector  { return d.col }
-func (d *deployment) Workload() Workload     { return d.sys.Workload() }
-func (d *deployment) Tree() *Tree            { return d.tree }
-func (d *deployment) Nodes() []int           { return d.sys.LiveNodes() }
-func (d *deployment) Live(node int) bool     { return d.sys.Live(node) }
-func (d *deployment) MemberEpoch() int       { return d.sys.MemberEpoch() }
-func (d *deployment) Shard(node int) int     { return d.net.ShardOf(node) }
-func (d *deployment) Shards() int            { return d.net.Shards() }
-func (d *deployment) Crash(node int) error   { return d.sys.Crash(node) }
-func (d *deployment) Restart(node int) error { return d.sys.Restart(node) }
-func (d *deployment) Join(node int) error    { return d.sys.Join(node) }
-func (d *deployment) Stop()                  { d.sys.Stop() }
-
-func (d *deployment) Colluders() []int {
-	if d.fleet == nil {
-		return nil
-	}
-	return append([]int(nil), d.fleet.Colluders()...)
-}
-
-// compromise/strike forward scenario adversary actions to the
-// protocol system; no-ops without WithAdversary.
-func (d *deployment) compromise(nodes []int) {
-	if d.fleet != nil {
-		d.sys.Compromise(nodes)
-	}
-}
-
-func (d *deployment) strike() {
-	if d.fleet != nil {
-		d.sys.Strike()
-	}
-}
+// The four built-in systems are Deployments as they are.
+var (
+	_ Deployment = (*core.System)(nil)
+	_ Deployment = (*streamer.System)(nil)
+	_ Deployment = (*epidemic.GossipSystem)(nil)
+	_ Deployment = (*epidemic.AntiEntropySystem)(nil)
+)
 
 // DeployOption configures a single World.Deploy call.
 type DeployOption func(*deployOptions)
@@ -200,8 +120,7 @@ func WithAdversary(a Adversary) DeployOption {
 // this world, so scenario membership actions (CrashNode, RestartNode,
 // JoinNode, ChurnNodes) and adversary actions (CompromiseNodes,
 // AdversaryAt) reach it. This is the one generic entry point every
-// protocol deploys through; resolve registered protocols by name with
-// ProtocolByName.
+// protocol deploys through.
 func (w *World) Deploy(p Protocol, tree *Tree, opts ...DeployOption) (Deployment, error) {
 	var o deployOptions
 	for _, opt := range opts {
@@ -226,7 +145,7 @@ func (w *World) Deploy(p Protocol, tree *Tree, opts ...DeployOption) (Deployment
 // attachAdversary builds the seeded fleet over the deployment's
 // participant set and hands it to the protocol system's hooks.
 func attachAdversary(w *World, d Deployment, tree *Tree, cfg Adversary) error {
-	dd, ok := d.(*deployment)
+	sys, ok := d.(interface{ SetAdversary(*adversary.Fleet) })
 	if !ok {
 		return fmt.Errorf("bullet: deployment %q does not support adversaries", d.Protocol())
 	}
@@ -234,8 +153,7 @@ func attachAdversary(w *World, d Deployment, tree *Tree, cfg Adversary) error {
 	if tree != nil {
 		participants, root = tree.Participants, tree.Root
 	}
-	dd.fleet = adversary.New(cfg, participants, root, w.eng.Seed())
-	dd.sys.SetAdversary(dd.fleet)
+	sys.SetAdversary(adversary.New(cfg, participants, root, w.eng.Seed()))
 	return nil
 }
 
@@ -267,8 +185,8 @@ func (w *World) Join(node int) error {
 // without one ignore it.
 func (w *World) Compromise(nodes []int) {
 	for _, d := range w.deployments {
-		if dd, ok := d.(*deployment); ok {
-			dd.compromise(nodes)
+		if a, ok := d.(scenario.Adversary); ok {
+			a.Compromise(nodes)
 		}
 	}
 }
@@ -277,8 +195,8 @@ func (w *World) Compromise(nodes []int) {
 // actions land here).
 func (w *World) Strike() {
 	for _, d := range w.deployments {
-		if dd, ok := d.(*deployment); ok {
-			dd.strike()
+		if a, ok := d.(scenario.Adversary); ok {
+			a.Strike()
 		}
 	}
 }
@@ -305,73 +223,17 @@ func (w *World) forEachDeployment(op string, fn func(Deployment) error) error {
 }
 
 // ---------------------------------------------------------------------
-// Protocol registry
-// ---------------------------------------------------------------------
-
-// protocolFactories maps protocol names to default-config factories.
-var protocolFactories = map[string]func() Protocol{
-	"bullet": func() Protocol { return BulletProtocol{Config: DefaultConfig(600)} },
-	"streamer": func() Protocol {
-		return StreamerProtocol{Config: StreamConfig{
-			RateKbps: 600, PacketSize: 1500, Duration: 300 * sim.Second}}
-	},
-	"gossip": func() Protocol {
-		return GossipProtocol{Config: GossipConfig{
-			RateKbps: 600, PacketSize: 1500, Duration: 300 * sim.Second}}
-	},
-	"anti-entropy": func() Protocol {
-		return AntiEntropyProtocol{Config: AntiEntropyConfig{
-			RateKbps: 600, PacketSize: 1500, Duration: 300 * sim.Second}}
-	},
-}
-
-// RegisterProtocol adds (or replaces) a named protocol factory, so
-// external protocol implementations deploy through the same by-name
-// path as the built-ins.
-func RegisterProtocol(name string, factory func() Protocol) {
-	protocolFactories[name] = factory
-}
-
-// Protocols returns the registered protocol names in sorted order.
-func Protocols() []string {
-	out := make([]string, 0, len(protocolFactories))
-	for name := range protocolFactories {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// UnknownProtocolError reports an unrecognized protocol name, with a
-// did-you-mean Suggestion (the nearest registered name by edit
-// distance) when one is plausibly close.
-type UnknownProtocolError struct {
-	Name       string
-	Suggestion string
-}
-
-func (e *UnknownProtocolError) Error() string {
-	if e.Suggestion != "" {
-		return fmt.Sprintf("bullet: unknown protocol %q (did you mean %q? have %v)",
-			e.Name, e.Suggestion, Protocols())
-	}
-	return fmt.Sprintf("bullet: unknown protocol %q (have %v)", e.Name, Protocols())
-}
-
-// ProtocolByName returns a default-configured instance of the named
-// protocol. Configure further by type-asserting to the concrete
-// protocol struct, or construct the struct directly.
-func ProtocolByName(name string) (Protocol, error) {
-	f, ok := protocolFactories[name]
-	if !ok {
-		return nil, &UnknownProtocolError{Name: name, Suggestion: experiments.Nearest(name, Protocols())}
-	}
-	return f(), nil
-}
-
-// ---------------------------------------------------------------------
 // Built-in protocol implementations
 // ---------------------------------------------------------------------
+
+// deployed hands a fresh system to the caller as its Deployment, or
+// the error: a nil system must not become a non-nil interface.
+func deployed[S Deployment](sys S, err error) (Deployment, error) {
+	if err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
 
 // BulletProtocol deploys Bullet itself (the §3 mesh) with the given
 // core configuration.
@@ -382,14 +244,11 @@ func (BulletProtocol) Name() string { return "bullet" }
 
 // Deploy implements Protocol.
 func (p BulletProtocol) Deploy(w *World, tree *Tree) (Deployment, error) {
-	return deployStock(w, p, tree, true, func(col *Collector) (*core.System, error) {
-		return core.Deploy(w.net, tree, p.Config, col)
-	})
+	return deployed(core.Deploy(w.net, tree, p.Config, metrics.NewCollector(Second)))
 }
 
 // StreamerProtocol deploys the plain tree-streaming baseline (§4.2).
-// The Config passes through verbatim; ProtocolByName("streamer")
-// returns a 600 Kbps / 300 s default.
+// The Config passes through verbatim.
 type StreamerProtocol struct{ Config StreamConfig }
 
 // Name implements Protocol.
@@ -397,16 +256,13 @@ func (StreamerProtocol) Name() string { return "streamer" }
 
 // Deploy implements Protocol.
 func (p StreamerProtocol) Deploy(w *World, tree *Tree) (Deployment, error) {
-	return deployStock(w, p, tree, true, func(col *Collector) (*streamer.System, error) {
-		return streamer.Deploy(w.net, tree, p.Config, col)
-	})
+	return deployed(streamer.Deploy(w.net, tree, p.Config, metrics.NewCollector(Second)))
 }
 
 // GossipProtocol deploys the push-gossip baseline (§4.4). It needs no
 // tree: passing one only selects the source (the tree root); with a
 // nil tree the first world participant is the source.
-// ProtocolByName("gossip") returns a 600 Kbps / 300 s default.
-type GossipProtocol struct{ Config GossipConfig }
+type GossipProtocol struct{ Config StreamConfig }
 
 // Name implements Protocol.
 func (GossipProtocol) Name() string { return "gossip" }
@@ -417,22 +273,17 @@ func (p GossipProtocol) Deploy(w *World, tree *Tree) (Deployment, error) {
 	if tree != nil {
 		source = tree.Root
 	}
-	return deployStock(w, p, nil, false, func(col *Collector) (*epidemic.GossipSystem, error) {
-		return epidemic.DeployGossip(w.net, w.g.Clients, source, p.Config, col)
-	})
+	return deployed(epidemic.DeployGossip(w.net, w.g.Clients, source, p.Config, metrics.NewCollector(Second)))
 }
 
 // AntiEntropyProtocol deploys streaming + anti-entropy recovery
-// (§4.4). ProtocolByName("anti-entropy") returns a 600 Kbps / 300 s
-// default with the paper's 20 s epoch.
-type AntiEntropyProtocol struct{ Config AntiEntropyConfig }
+// (§4.4) with the paper's 20 s epoch.
+type AntiEntropyProtocol struct{ Config StreamConfig }
 
 // Name implements Protocol.
 func (AntiEntropyProtocol) Name() string { return "anti-entropy" }
 
 // Deploy implements Protocol.
 func (p AntiEntropyProtocol) Deploy(w *World, tree *Tree) (Deployment, error) {
-	return deployStock(w, p, tree, true, func(col *Collector) (*epidemic.AntiEntropySystem, error) {
-		return epidemic.DeployAntiEntropy(w.net, tree, p.Config, col)
-	})
+	return deployed(epidemic.DeployAntiEntropy(w.net, tree, p.Config, metrics.NewCollector(Second)))
 }

@@ -1,28 +1,30 @@
 package bullet_test
 
 import (
-	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"bullet"
 )
 
-// Every registered protocol deploys by name through the one generic
-// World.Deploy and returns a working Deployment handle.
+// protocols are the four built-in protocols with a 600 Kbps, 300 s
+// stream.
+func protocols() []bullet.Protocol {
+	s := bullet.StreamConfig{RateKbps: 600, PacketSize: 1500, Duration: 300 * bullet.Second}
+	return []bullet.Protocol{
+		bullet.AntiEntropyProtocol{Config: s},
+		bullet.BulletProtocol{Config: bullet.DefaultConfig(600)},
+		bullet.GossipProtocol{Config: s},
+		bullet.StreamerProtocol{Config: s},
+	}
+}
+
+// Every built-in protocol deploys under its name through the one
+// generic World.Deploy and returns a working Deployment handle.
 func TestAllProtocolsDeployByName(t *testing.T) {
-	names := bullet.Protocols()
-	want := []string{"anti-entropy", "bullet", "gossip", "streamer"}
-	if len(names) != len(want) {
-		t.Fatalf("Protocols() = %v, want %v", names, want)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("Protocols() = %v, want %v", names, want)
-		}
-	}
-	for _, name := range names {
-		name := name
+	for _, p := range protocols() {
+		name := p.Name()
 		t.Run(name, func(t *testing.T) {
 			w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 800, Clients: 15, Seed: 21})
 			if err != nil {
@@ -31,13 +33,6 @@ func TestAllProtocolsDeployByName(t *testing.T) {
 			tree, err := w.RandomTree(4)
 			if err != nil {
 				t.Fatal(err)
-			}
-			p, err := bullet.ProtocolByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Name() != name {
-				t.Fatalf("Name() = %q, want %q", p.Name(), name)
 			}
 			d, err := w.Deploy(p, tree)
 			if err != nil {
@@ -83,8 +78,7 @@ func TestAllProtocolsDeployByName(t *testing.T) {
 // pump and arms completion tracking on the deployment's collector.
 func TestWorkloadThreadsThroughEveryProtocol(t *testing.T) {
 	wl := bullet.FileWorkload{RateKbps: 400, PacketSize: 1500, K: 200}
-	for _, name := range bullet.Protocols() {
-		name := name
+	for _, name := range []string{"anti-entropy", "bullet", "gossip", "streamer"} {
 		t.Run(name, func(t *testing.T) {
 			w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 800, Clients: 15, Seed: 23})
 			if err != nil {
@@ -106,10 +100,10 @@ func TestWorkloadThreadsThroughEveryProtocol(t *testing.T) {
 				p = bullet.StreamerProtocol{Config: bullet.StreamConfig{
 					Duration: 60 * bullet.Second, Workload: wl}}
 			case "gossip":
-				p = bullet.GossipProtocol{Config: bullet.GossipConfig{
+				p = bullet.GossipProtocol{Config: bullet.StreamConfig{
 					Duration: 60 * bullet.Second, Workload: wl}}
 			case "anti-entropy":
-				p = bullet.AntiEntropyProtocol{Config: bullet.AntiEntropyConfig{
+				p = bullet.AntiEntropyProtocol{Config: bullet.StreamConfig{
 					Duration: 60 * bullet.Second, Workload: wl}}
 			}
 			d, err := w.Deploy(p, tree)
@@ -130,23 +124,72 @@ func TestWorkloadThreadsThroughEveryProtocol(t *testing.T) {
 	}
 }
 
-func TestProtocolByNameUnknown(t *testing.T) {
-	_, err := bullet.ProtocolByName("quic")
-	if err == nil || !strings.Contains(err.Error(), "unknown protocol") {
-		t.Fatalf("err = %v, want unknown protocol", err)
-	}
-	// Near-miss names get a did-you-mean through the shared suggestion
-	// machinery.
-	_, err = bullet.ProtocolByName("streamr")
-	var upe *bullet.UnknownProtocolError
-	if !errors.As(err, &upe) {
-		t.Fatalf("err type %T, want *UnknownProtocolError", err)
-	}
-	if upe.Suggestion != "streamer" {
-		t.Errorf("Suggestion = %q, want streamer", upe.Suggestion)
-	}
-	if !strings.Contains(err.Error(), `did you mean "streamer"`) {
-		t.Errorf("error %q missing did-you-mean", err)
+// Every built-in system honours the Deployment contract itself: its
+// name, the world's shard placement, a nil colluder set without an
+// adversary and an ascending private copy with one, and membership
+// errors prefixed with the deployment's name.
+func TestDeploymentContract(t *testing.T) {
+	for _, p := range protocols() {
+		t.Run(p.Name(), func(t *testing.T) {
+			w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 800, Clients: 15, Seed: 28, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := w.RandomTree(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := w.Deploy(p, tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Protocol() != p.Name() {
+				t.Errorf("Protocol() = %q, want %q", d.Protocol(), p.Name())
+			}
+			if w.Shards() != 2 {
+				t.Fatalf("world runs on %d shards, want 2", w.Shards())
+			}
+			if d.Shards() != w.Shards() {
+				t.Errorf("Shards() = %d, world has %d", d.Shards(), w.Shards())
+			}
+			for _, n := range tree.Participants {
+				if d.Shard(n) != w.Network().ShardOf(n) {
+					t.Errorf("Shard(%d) = %d, network says %d", n, d.Shard(n), w.Network().ShardOf(n))
+				}
+			}
+			if c := d.Colluders(); c != nil {
+				t.Errorf("Colluders() = %v without an adversary, want nil", c)
+			}
+			for _, err := range []error{d.Crash(tree.Root), d.Restart(tree.Root), d.Join(tree.Root)} {
+				if err == nil || !strings.HasPrefix(err.Error(), p.Name()+": ") {
+					t.Errorf("membership error %v, want the prefix %q", err, p.Name()+": ")
+				}
+			}
+
+			w2, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 800, Clients: 15, Seed: 28})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree2, err := w2.RandomTree(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d2, err := w2.Deploy(p, tree2, bullet.WithAdversary(bullet.Adversary{Model: bullet.AdvFreeride}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := d2.Colluders()
+			if len(c) == 0 || !slices.IsSorted(c) {
+				t.Fatalf("Colluders() = %v, want a non-empty ascending set", c)
+			}
+			want := slices.Clone(c)
+			for i := range c {
+				c[i] = -1
+			}
+			if again := d2.Colluders(); !slices.Equal(again, want) {
+				t.Errorf("overwriting Colluders()' result changed a second call: %v, want %v", again, want)
+			}
+		})
 	}
 }
 
@@ -317,17 +360,13 @@ func TestScenarioChurnActions(t *testing.T) {
 // table — whether it arrives through Deployment.Join or a scenario's
 // JoinNode, and it leaves the membership untouched.
 func TestJoinOutsideTopologyIsAnError(t *testing.T) {
-	for _, name := range bullet.Protocols() {
-		t.Run(name, func(t *testing.T) {
+	for _, p := range protocols() {
+		t.Run(p.Name(), func(t *testing.T) {
 			w, err := bullet.NewWorld(bullet.WorldConfig{Seed: 27})
 			if err != nil {
 				t.Fatal(err)
 			}
 			tree, err := w.RandomTree(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := bullet.ProtocolByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,28 +74,19 @@ func TestGoldenWorkloadCBRTraces(t *testing.T) {
 // goldenProtocol returns the fixed 600 Kbps / 5 s–65 s configuration
 // the golden traces in this file run each protocol with.
 func goldenProtocol(name string) bullet.Protocol {
+	s := bullet.StreamConfig{RateKbps: 600, PacketSize: 1500, Start: 5 * bullet.Second, Duration: 60 * bullet.Second}
 	switch name {
 	case "bullet":
 		cfg := bullet.DefaultConfig(600)
-		cfg.Start = 5 * bullet.Second
-		cfg.Duration = 60 * bullet.Second
+		cfg.Stream = s
 		cfg.MaxSenders, cfg.MaxReceivers = 4, 4
 		return bullet.BulletProtocol{Config: cfg}
 	case "streamer":
-		return bullet.StreamerProtocol{Config: bullet.StreamConfig{
-			RateKbps: 600, PacketSize: 1500,
-			Start: 5 * bullet.Second, Duration: 60 * bullet.Second,
-		}}
+		return bullet.StreamerProtocol{Config: s}
 	case "gossip":
-		return bullet.GossipProtocol{Config: bullet.GossipConfig{
-			RateKbps: 600, PacketSize: 1500,
-			Start: 5 * bullet.Second, Duration: 60 * bullet.Second,
-		}}
+		return bullet.GossipProtocol{Config: s}
 	case "anti-entropy":
-		return bullet.AntiEntropyProtocol{Config: bullet.AntiEntropyConfig{
-			RateKbps: 600, PacketSize: 1500,
-			Start: 5 * bullet.Second, Duration: 60 * bullet.Second,
-		}}
+		return bullet.AntiEntropyProtocol{Config: s}
 	}
 	panic("no golden configuration for protocol " + name)
 }
