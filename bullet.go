@@ -21,16 +21,17 @@
 // d.Crash(node), d.Restart(node), d.Join(node) — which also composes
 // with link dynamics through scenarios (CrashNode, RestartNode,
 // JoinNode, ChurnNodes actions). The package Examples are runnable
-// programs; cmd/bullet-sim is the harness that regenerates every table
-// and figure of the paper.
+// programs. cmd/bullet-sim regenerates every table and figure of the
+// paper; each curve it plots is a World built, deployed into and run
+// through this package.
 package bullet
 
 import (
+	"fmt"
 	"math/rand"
 
 	"bullet/internal/adversary"
 	"bullet/internal/core"
-	"bullet/internal/experiments"
 	"bullet/internal/metrics"
 	"bullet/internal/netem"
 	"bullet/internal/overlay"
@@ -71,15 +72,6 @@ type (
 	// plain tree streaming (the §4.2 baseline), push gossip and
 	// streaming + anti-entropy (§4.4).
 	StreamConfig = workload.Stream
-	// ExperimentResult is a reproduced table/figure.
-	ExperimentResult = experiments.Result
-	// ExperimentScale selects small/medium/paper experiment sizing.
-	ExperimentScale = experiments.Scale
-	// ExperimentRun identifies one (id, scale, seed) execution for the
-	// parallel runner.
-	ExperimentRun = experiments.Run
-	// ExperimentRunResult pairs an ExperimentRun with its outcome.
-	ExperimentRunResult = experiments.RunResult
 	// Adversary configures a seeded hostile-peer fleet for a
 	// deployment (see WithAdversary): Model picks the attack, which
 	// compromises (cutvertex: crashes) a quarter of the non-root
@@ -175,21 +167,6 @@ var (
 	NoLoss = topology.NoLoss
 )
 
-// Experiment scales.
-var (
-	SmallScale  = experiments.Small
-	MediumScale = experiments.Medium
-	// XLScale sits between medium and paper: 10,000-node topology with
-	// 400 participants, the CI smoke point for the scale path.
-	XLScale    = experiments.XL
-	PaperScale = experiments.PaperScale
-	// MegaScale is the 100,000-node / 10,000-participant configuration:
-	// five times the paper's scale, exercising the router's largest
-	// shared tables and the sharded runner with a deliberately short
-	// stream window.
-	MegaScale = experiments.Mega
-)
-
 // DefaultConfig returns the paper's Bullet parameters for a target
 // streaming rate in Kbps.
 func DefaultConfig(rateKbps float64) Config { return core.DefaultConfig(rateKbps) }
@@ -231,8 +208,15 @@ type World struct {
 	deployments []Deployment
 }
 
-// NewWorld generates a topology and wraps it in a fresh emulator.
+// NewWorld generates a topology and wraps it in a fresh emulator
+// (see NewWorldOn).
 func NewWorld(cfg WorldConfig) (*World, error) {
+	if cfg.TotalNodes < 0 {
+		return nil, fmt.Errorf("bullet: negative TotalNodes %d", cfg.TotalNodes)
+	}
+	if cfg.Clients < 0 {
+		return nil, fmt.Errorf("bullet: negative Clients %d", cfg.Clients)
+	}
 	if cfg.TotalNodes == 0 {
 		cfg.TotalNodes = 1500
 	}
@@ -249,11 +233,19 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine(cfg.Seed)
+	return NewWorldOn(g, cfg.Seed, cfg.Shards), nil
+}
+
+// NewWorldOn wraps an existing topology (a generated one, or one put
+// together with a topology builder) in a fresh engine, router and
+// emulator seeded by seed and run on up to shards shards
+// (WorldConfig.Shards). Its first client is where every tree is rooted.
+func NewWorldOn(g *Graph, seed int64, shards int) *World {
+	eng := sim.NewEngine(seed)
 	rt := topology.NewRouter(g)
 	net := netem.New(eng, g, rt, netem.Config{})
-	net.EnableShards(cfg.Shards)
-	return &World{eng: eng, g: g, rt: rt, net: net}, nil
+	net.EnableShards(shards)
+	return &World{eng: eng, g: g, rt: rt, net: net}
 }
 
 // Graph returns the generated topology.
@@ -385,28 +377,3 @@ func (w *World) BottleneckTree() (*Tree, error) {
 func (w *World) OvercastTree(maxDegree int) (*Tree, error) {
 	return overlay.Overcast(w.rt, w.g.Clients, w.g.Clients[0], 1500, maxDegree)
 }
-
-// RunExperiment executes one of the paper's table/figure reproductions
-// by id ("table1", "fig6" ... "fig15", "overcast").
-func RunExperiment(id string, scale ExperimentScale, seed int64) (*ExperimentResult, error) {
-	res := RunExperiments([]ExperimentRun{{ID: id, Scale: scale, Seed: seed}}, 1)[0]
-	return res.Result, res.Err
-}
-
-// RunExperiments executes several experiment runs concurrently across
-// workers goroutines (0 = GOMAXPROCS) and returns results in input
-// order. Each run gets its own engine and emulator, so the output is
-// byte-identical to running the experiments serially.
-func RunExperiments(runs []ExperimentRun, workers int) []ExperimentRunResult {
-	return experiments.RunAll(runs, workers)
-}
-
-// Experiments lists the available experiment ids.
-func Experiments() []string { return experiments.Names() }
-
-// UnknownExperimentError reports an unrecognized experiment id, with a
-// did-you-mean Suggestion (the nearest registered id by edit distance)
-// when one is plausibly close. It aliases the internal experiments
-// error type so RunExperiment and RunExperiments surface the identical
-// type — errors.As works the same against either entry point.
-type UnknownExperimentError = experiments.UnknownExperimentError

@@ -1,10 +1,10 @@
 package bullet_test
 
 import (
-	"strings"
 	"testing"
 
 	"bullet"
+	"bullet/internal/topology"
 )
 
 func TestNewWorldDefaults(t *testing.T) {
@@ -20,12 +20,26 @@ func TestNewWorldDefaults(t *testing.T) {
 	}
 }
 
+// A world is a pure function of its seed, and NewWorldOn over the
+// graph NewWorld would generate is the same world.
 func TestWorldDeterminism(t *testing.T) {
-	run := func() float64 {
+	generated := func() *bullet.World {
 		w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 1000, Clients: 20, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return w
+	}
+	wrapped := func() *bullet.World {
+		tc := topology.Sized(1000, 20, bullet.MediumBandwidth)
+		tc.Seed = 9
+		g, err := topology.Generate(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bullet.NewWorldOn(g, 9, 0)
+	}
+	run := func(w *bullet.World) float64 {
 		tree, err := w.RandomTree(4)
 		if err != nil {
 			t.Fatal(err)
@@ -41,50 +55,30 @@ func TestWorldDeterminism(t *testing.T) {
 		w.Run(70 * bullet.Second)
 		return col.MeanOver(0, 70*bullet.Second, bullet.Useful)
 	}
-	a, b := run(), run()
+	a, b := run(generated()), run(generated())
 	if a != b {
 		t.Fatalf("identical seeds diverged: %v vs %v", a, b)
 	}
 	if a == 0 {
 		t.Fatal("nothing delivered")
 	}
-}
-
-func TestRunExperimentUnknown(t *testing.T) {
-	_, err := bullet.RunExperiment("fig99", bullet.SmallScale, 1)
-	if err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	ue, ok := err.(*bullet.UnknownExperimentError)
-	if !ok {
-		t.Fatalf("wrong error type %T", err)
-	}
-	if ue.Suggestion != "fig9" {
-		t.Errorf("suggestion %q, want fig9", ue.Suggestion)
-	}
-	if !strings.Contains(err.Error(), `did you mean "fig9"?`) {
-		t.Errorf("error %q missing did-you-mean", err.Error())
+	if c := run(wrapped()); c != a {
+		t.Fatalf("NewWorldOn over the same graph diverged: %v vs %v", c, a)
 	}
 }
 
-func TestExperimentsListed(t *testing.T) {
-	ids := bullet.Experiments()
-	if len(ids) != 28 {
-		t.Fatalf("%d experiments, want 28", len(ids))
-	}
-	listed := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		listed[id] = true
-	}
-	for _, id := range []string{
-		"dyn-bottleneck", "dyn-partition", "dyn-flashcrowd", "dyn-oscillate",
-		"churn-crash25", "churn-crashheal", "churn-rolling", "churn-join",
-		"churn-xl", "filedist-compare", "vbr-stream",
-		"adv-freeride", "adv-liar", "adv-cutvertex", "adv-joinstorm",
-		"adv-ballotstuff",
+// A negative size is refused under the name of the field that carries
+// it, not as whatever it turns into inside the topology generator.
+func TestNewWorldRejectsNegativeSizes(t *testing.T) {
+	for _, c := range []struct {
+		cfg  bullet.WorldConfig
+		want string
+	}{
+		{bullet.WorldConfig{TotalNodes: -3}, "bullet: negative TotalNodes -3"},
+		{bullet.WorldConfig{Clients: -1}, "bullet: negative Clients -1"},
 	} {
-		if !listed[id] {
-			t.Errorf("experiment %q not listed", id)
+		if _, err := bullet.NewWorld(c.cfg); err == nil || err.Error() != c.want {
+			t.Errorf("NewWorld error %v, want %q", err, c.want)
 		}
 	}
 }

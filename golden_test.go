@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bullet"
+	"bullet/internal/experiments"
 )
 
 // Golden-trace determinism tests. The constants below were captured
@@ -138,7 +139,7 @@ func TestDynPartitionBulletRecoversStreamerDoesNot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full small-scale runs; skipped in -short")
 	}
-	r, err := bullet.RunExperiment("dyn-partition", bullet.SmallScale, 42)
+	r, err := experiments.DynPartition(experiments.Small, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestGoldenFig07Metrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fig7 run; skipped in -short")
 	}
-	r, err := bullet.RunExperiment("fig7", bullet.SmallScale, 42)
+	r, err := experiments.Fig07(experiments.Small, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

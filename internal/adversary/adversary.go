@@ -68,6 +68,12 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
+// Known reports whether m is one of the models above.
+func (m Model) Known() bool {
+	_, ok := modelNames[m]
+	return ok
+}
+
 // Config describes an adversary fleet. The zero value (Model None)
 // means "no adversary".
 type Config struct {

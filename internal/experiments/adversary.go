@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"bullet/internal/adversary"
+	"bullet"
 	"bullet/internal/metrics"
 	"bullet/internal/scenario"
 	"bullet/internal/sim"
@@ -23,21 +23,18 @@ import (
 // advCompare runs the same adversary model against both protocols (see
 // versus). The strike fires at the one-third mark; summaries use the
 // churn phase windows so adversary and churn runs read the same way.
-func advCompare(name string, sc Scale, seed int64, cfg adversary.Config) (*Result, error) {
+func advCompare(name string, sc Scale, seed int64, model bullet.AdversaryModel) (*Result, error) {
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
-	var fleet *adversary.Fleet // of the run in flight
-	return versus(r, sc, seed, nil,
-		func(v *armRun) {
-			fleet = adversary.New(cfg, v.tree.Participants, v.tree.Root, v.w.seed)
-			v.sys.SetAdversary(fleet)
-			v.install(scenario.New().At(t1, scenario.AdversaryAt()))
-		},
+	return versus(r, sc, seed,
+		arm{adv: bullet.Adversary{Model: model}, before: func(v *armRun) {
+			v.w.Scenario(scenario.New().At(t1, scenario.AdversaryAt()))
+		}},
 		func(v *armRun) {
 			// Colluders are read after the run: cutvertex victims are only
 			// recorded at strike time, from the live tree.
-			live := v.sys.Nodes()
-			honest := metrics.Excluding(live, fleet.Colluders())
+			live, colluders := v.d.Nodes(), v.d.Colluders()
+			honest := metrics.Excluding(live, colluders)
 			pre := v.col.MeanOverNodes(honest, t1-20*sim.Second, t1, metrics.Useful)
 			during := v.col.MeanOverNodes(honest, t1+5*sim.Second, t2, metrics.Useful)
 			post := v.col.MeanOverNodes(honest, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
@@ -50,7 +47,7 @@ func advCompare(name string, sc Scale, seed int64, cfg adversary.Config) (*Resul
 			// The source never *receives*, so it would pin the min at zero.
 			honestRecv := metrics.Excluding(honest, []int{v.tree.Root})
 			r.Summary[v.label+"_honest_min_kbps"] = v.col.MinOverNodes(honestRecv, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
-			r.Summary[v.label+"_colluders"] = float64(len(fleet.Colluders()))
+			r.Summary[v.label+"_colluders"] = float64(len(colluders))
 			r.Summary[v.label+"_live_nodes"] = float64(len(live))
 		})
 }
@@ -61,7 +58,7 @@ func advCompare(name string, sc Scale, seed int64, cfg adversary.Config) (*Resul
 // free-riding interior node starve for the rest of the run.
 func AdvFreeride(sc Scale, seed int64) (*Result, error) {
 	return advCompare("Adversary: free-riders leech without serving", sc, seed,
-		adversary.Config{Model: adversary.Freeride})
+		bullet.AdvFreeride)
 }
 
 // AdvLiar: compromised nodes advertise forged summary tickets whose
@@ -72,7 +69,7 @@ func AdvFreeride(sc Scale, seed int64) (*Result, error) {
 // the streamer columns double as the clean-run baseline.
 func AdvLiar(sc Scale, seed int64) (*Result, error) {
 	return advCompare("Adversary: forged-ticket sender-selection poisoning", sc, seed,
-		adversary.Config{Model: adversary.Liar})
+		bullet.AdvLiar)
 }
 
 // AdvCutvertex: the attacker spends a seeded crash budget on the live
@@ -82,7 +79,7 @@ func AdvLiar(sc Scale, seed int64) (*Result, error) {
 // summaries exclude them.
 func AdvCutvertex(sc Scale, seed int64) (*Result, error) {
 	return advCompare("Adversary: targeted cut-vertex crash", sc, seed,
-		adversary.Config{Model: adversary.Cutvertex})
+		bullet.AdvCutvertex)
 }
 
 // AdvJoinstorm: compromised nodes leave at the strike and rejoin
@@ -90,7 +87,7 @@ func AdvCutvertex(sc Scale, seed int64) (*Result, error) {
 // repair and join churn at once.
 func AdvJoinstorm(sc Scale, seed int64) (*Result, error) {
 	return advCompare("Adversary: coordinated leave/rejoin flash crowd", sc, seed,
-		adversary.Config{Model: adversary.Joinstorm})
+		bullet.AdvJoinstorm)
 }
 
 // AdvBallotstuff: compromised nodes rewrite their RanSub collect
@@ -100,5 +97,5 @@ func AdvJoinstorm(sc Scale, seed int64) (*Result, error) {
 // honest no-op there.
 func AdvBallotstuff(sc Scale, seed int64) (*Result, error) {
 	return advCompare("Adversary: RanSub ballot stuffing", sc, seed,
-		adversary.Config{Model: adversary.Ballotstuff})
+		bullet.AdvBallotstuff)
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"math/rand"
 	"sort"
 
+	"bullet"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/scenario"
@@ -31,20 +33,20 @@ import (
 // orphan_* summaries — the sharpest protocol contrast, since Bullet
 // re-parents them while the streamer lets them starve.
 func churnCompare(name string, sc Scale, seed int64,
-	tree func(w *world) (*overlay.Tree, error),
+	tree func(w *bullet.World) (*overlay.Tree, error),
 	buildSched func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int)) (*Result, error) {
 
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
 	var orphans []int // of the run in flight, from its pre-churn tree
-	return versus(r, sc, seed, tree,
-		func(v *armRun) {
-			sched, victims := buildSched(v.w.g, v.tree)
+	return versus(r, sc, seed,
+		arm{tree: tree, before: func(v *armRun) {
+			sched, victims := buildSched(v.w.Graph(), v.tree)
 			orphans = orphanedBy(v.tree, victims)
-			v.install(sched)
-		},
+			v.w.Scenario(sched)
+		}},
 		func(v *armRun) {
-			live := v.sys.Nodes()
+			live := v.d.Nodes()
 			pre := v.col.MeanOverNodes(live, t1-20*sim.Second, t1, metrics.Useful)
 			during := v.col.MeanOverNodes(live, t1+5*sim.Second, t2, metrics.Useful)
 			post := v.col.MeanOverNodes(live, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
@@ -66,6 +68,17 @@ func churnCompare(name string, sc Scale, seed int64,
 				}
 			}
 		})
+}
+
+// treeOver is the seeded random tree over the first num/den of the
+// clients, drawn as World.RandomTree draws it over all of them: the
+// clients left out can join later.
+func treeOver(sc Scale, seed int64, num, den int) func(w *bullet.World) (*overlay.Tree, error) {
+	return func(w *bullet.World) (*overlay.Tree, error) {
+		c := w.Participants()
+		members := c[:len(c)*num/den]
+		return overlay.Random(members, members[0], sc.TreeDegree, rand.New(rand.NewSource(seed^0x74726565)))
+	}
 }
 
 // orphanedBy returns the live descendants the victim set orphans in
@@ -175,7 +188,7 @@ func ChurnRolling(sc Scale, seed int64) (*Result, error) {
 // deterministic join point.
 func ChurnJoin(sc Scale, seed int64) (*Result, error) {
 	return churnCompare("Churn: late joiners attach mid-stream", sc, seed,
-		func(w *world) (*overlay.Tree, error) { return w.randomTree(w.g.Clients[:len(w.g.Clients)*3/4]) },
+		treeOver(sc, seed, 3, 4),
 		func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int) {
 			t1, t2 := dynPhases(sc)
 			var joiners []int
@@ -209,7 +222,7 @@ func ChurnJoin(sc Scale, seed int64) (*Result, error) {
 // derived from the participant count, so it composes with any scale.
 func ChurnXL(sc Scale, seed int64) (*Result, error) {
 	return churnCompare("Churn: sustained crash/restart/join mix (scale smoke)", sc, seed,
-		func(w *world) (*overlay.Tree, error) { return w.randomTree(w.g.Clients[:len(w.g.Clients)*7/8]) },
+		treeOver(sc, seed, 7, 8),
 		func(g *topology.Graph, tree *overlay.Tree) (*scenario.Schedule, []int) {
 			t1, t2 := dynPhases(sc)
 			victims := pickVictims(tree.Participants, tree.Root, 5)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bullet"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/scenario"
@@ -38,23 +39,22 @@ func dynVictim(g *topology.Graph, tree *overlay.Tree) (victim, accessLink, desce
 }
 
 // versus runs Bullet and the plain tree streamer, at the same rate and
-// window, as two arms in independent worlds built from the same seed
-// (hence identical topologies, link ids, and overlay trees): build the
-// tree, deploy, let before install the disturbance, run to sc.RunUntil,
-// hand the finished run to report, and stamp the disturbance window.
-// before runs once per world, but since the worlds are identical at t=0
-// it must install the same schedule.
-func versus(r *Result, sc Scale, seed int64,
-	tree func(w *world) (*overlay.Tree, error),
-	before, report func(v *armRun)) (*Result, error) {
-
+// window, as two copies of base (its tree, adversary and before hook)
+// in independent worlds built from the same seed (hence identical
+// topologies, link ids, and overlay trees), hands each finished run to
+// report, and stamps the disturbance window. before runs once per
+// world, but since the worlds are identical at t=0 it must install the
+// same schedule.
+func versus(r *Result, sc Scale, seed int64, base arm, report func(v *armRun)) (*Result, error) {
+	mesh, stream := base, base
+	mesh.label, mesh.proto = "bullet", bullet.BulletProtocol{Config: bulletConfig(sc, defaultRateKbps)}
+	stream.label, stream.proto = "stream", bullet.StreamerProtocol{Config: streamConfig(sc, defaultRateKbps)}
 	err := runArms(sc, seed,
 		func(v *armRun) {
 			r.addSeries(v.label+"_useful", v.col.Series(metrics.Useful))
 			report(v)
 		},
-		arm{label: "bullet", tree: tree, before: before, deploy: bulletOn(bulletConfig(sc, defaultRateKbps))},
-		arm{label: "stream", tree: tree, before: before, deploy: streamOn(streamConfig(sc, defaultRateKbps))})
+		mesh, stream)
 	if err != nil {
 		return nil, err
 	}
@@ -73,8 +73,8 @@ func dynCompare(name string, sc Scale, seed int64,
 
 	t1, t2 := dynPhases(sc)
 	r := newResult(name)
-	return versus(r, sc, seed, nil,
-		func(v *armRun) { v.install(build(v.w.g, v.tree)) },
+	return versus(r, sc, seed,
+		arm{before: func(v *armRun) { v.w.Scenario(build(v.w.Graph(), v.tree)) }},
 		func(v *armRun) {
 			pre := v.col.MeanOver(t1-20*sim.Second, t1, metrics.Useful)
 			during := v.col.MeanOver(t1+5*sim.Second, t2, metrics.Useful)
@@ -89,7 +89,7 @@ func dynCompare(name string, sc Scale, seed int64,
 			// recovers (the streamer's outage losses) stays missing here,
 			// while Bullet's mesh backfill makes the loss transient.
 			r.Summary[v.label+"_overall_kbps"] = v.col.MeanOver(sc.Start+10*sim.Second, sc.RunUntil, metrics.Useful)
-			st := v.w.net.Stats()
+			st := v.w.Network().Stats()
 			r.Summary[v.label+"_link_down_drops"] = float64(st.LinkDownDrops)
 			r.Summary[v.label+"_rerouted_packets"] = float64(st.ReroutedPackets)
 		})

@@ -5,7 +5,7 @@
 // a report that turns every finished run into labeled
 // bandwidth-versus-time series and run summaries in the shape the paper
 // plots. arm.run is the one place a world is built, deployed into and
-// executed in the deterministic emulator.
+// executed: a bullet.World, the same one the public API hands out.
 //
 // Runners accept a Scale so the same experiment can execute at reduced
 // scale (tests, benchmarks) or at the paper's full scale
@@ -15,15 +15,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 
 	"bullet/internal/core"
 	"bullet/internal/metrics"
 	"bullet/internal/netem"
-	"bullet/internal/overlay"
 	"bullet/internal/sim"
-	"bullet/internal/topology"
 )
 
 // Scale parameterizes experiment size.
@@ -37,7 +34,7 @@ type Scale struct {
 	TreeDegree int          // random tree degree bound
 
 	// Shards is the number of parallel simulation shards the emulator
-	// runs the experiment on (netem.Network.EnableShards). 0 or 1 means
+	// runs the experiment on (bullet.WorldConfig.Shards). 0 or 1 means
 	// serial execution; netem.AutoShardCount (-1) defers the choice to
 	// topology.AutoShards. Any value yields byte-identical results; >1
 	// trades goroutine/barrier overhead for wall-clock speedup on
@@ -202,52 +199,6 @@ func (r *Result) Print(w io.Writer) {
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "# note: %s\n", n)
 	}
-}
-
-// world bundles one emulated network instance.
-type world struct {
-	eng  *sim.Engine
-	net  *netem.Network
-	g    *topology.Graph
-	rt   *topology.Router
-	sc   Scale
-	seed int64
-}
-
-// generate builds the transit-stub topology of the given scale and
-// profile.
-func generate(sc Scale, bw topology.BandwidthProfile, loss topology.LossProfile, seed int64) (*topology.Graph, error) {
-	cfg := topology.Sized(sc.TopoNodes, sc.Clients, bw)
-	cfg.Loss = loss
-	cfg.Seed = seed
-	return topology.Generate(cfg)
-}
-
-// worldOn wraps g in a fresh engine, router and emulator, sharded and
-// observed as sc asks. Every experiment world is made here.
-func worldOn(g *topology.Graph, sc Scale, seed int64) *world {
-	eng := sim.NewEngine(seed)
-	rt := topology.NewRouter(g)
-	net := netem.New(eng, g, rt, netem.Config{})
-	net.EnableShards(sc.Shards)
-	return &world{eng: eng, net: net, g: g, rt: rt, sc: sc, seed: seed}
-}
-
-// run executes the world's event loop to the given virtual time,
-// through the emulator so sharded worlds run their parallel loop
-// (driving w.eng directly would strand events on shard heaps), and
-// reports the executed-event accounting to the scale's sink.
-func (w *world) run(until sim.Time) {
-	w.net.Run(until)
-	if w.sc.ShardStatsSink != nil {
-		w.sc.ShardStatsSink(w.net.RunLoad())
-	}
-}
-
-// randomTree is the seeded random tree over members, rooted at the
-// first: the same tree in every world of a seed.
-func (w *world) randomTree(members []int) (*overlay.Tree, error) {
-	return overlay.Random(members, members[0], w.sc.TreeDegree, rand.New(rand.NewSource(w.seed^0x74726565)))
 }
 
 // Runner is an experiment entry point.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math/rand"
 
+	"bullet"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
 	"bullet/internal/sim"
@@ -75,28 +76,30 @@ func Fig15(sc Scale, seed int64) (*Result, error) {
 	const rate = 1500
 	r := newResult("Figure 15: PlanetLab-style constrained-source streaming")
 	constrained := func(seed int64) (*topology.Graph, error) { return planetLab(true, seed) }
-	bullet := arm{label: "bullet", graph: constrained, deploy: bulletOn(bulletConfig(sc, rate)),
-		tree: func(w *world) (*overlay.Tree, error) {
-			return overlay.Random(w.g.Clients, w.g.Clients[0], 4, rand.New(rand.NewSource(w.seed^0x66313562)))
+	mesh := arm{label: "bullet", graph: constrained, proto: bullet.BulletProtocol{Config: bulletConfig(sc, rate)},
+		tree: func(w *bullet.World) (*overlay.Tree, error) {
+			c := w.Participants()
+			return overlay.Random(c, c[0], 4, rand.New(rand.NewSource(seed^0x66313562)))
 		}}
 	// The paper handcrafted trees from pathload measurements; the static
 	// estimator plays that role, with the root's three children chosen
 	// best-first or worst-first.
 	handcrafted := func(label string, good bool) arm {
-		return arm{label: label, graph: constrained, deploy: streamOn(streamConfig(sc, rate)),
-			tree: func(w *world) (*overlay.Tree, error) {
-				return overlay.Handcrafted(w.rt, w.g.Clients, w.g.Clients[0], 1500, 3, good)
+		return arm{label: label, graph: constrained, proto: bullet.StreamerProtocol{Config: streamConfig(sc, rate)},
+			tree: func(w *bullet.World) (*overlay.Tree, error) {
+				c := w.Participants()
+				return overlay.Handcrafted(w.Router(), c, c[0], 1500, 3, good)
 			}}
 	}
 	err := runArms(sc, seed, usefulSeries(r),
-		bullet, handcrafted("good_tree", true), handcrafted("worst_tree", false))
+		mesh, handcrafted("good_tree", true), handcrafted("worst_tree", false))
 	if err != nil {
 		return nil, err
 	}
 
 	// Unconstrained-source control (in-text: Bullet achieves the full
 	// 1.5 Mbps on the high-bandwidth topology).
-	control := bullet
+	control := mesh
 	control.graph = func(seed int64) (*topology.Graph, error) { return planetLab(false, seed) }
 	run, err := control.run(sc, seed)
 	if err != nil {

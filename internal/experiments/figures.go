@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"bullet"
 	"bullet/internal/core"
 	"bullet/internal/metrics"
 	"bullet/internal/overlay"
@@ -20,7 +21,9 @@ func Table1(sc Scale, seed int64) (*Result, error) {
 			r.Notes = append(r.Notes, fmt.Sprintf("%s / %s: %g-%g", p.Name, cls, rg.Lo, rg.Hi))
 		}
 	}
-	g, err := generate(sc, topology.MediumBandwidth, topology.NoLoss, seed)
+	cfg := topology.Sized(sc.TopoNodes, sc.Clients, topology.MediumBandwidth)
+	cfg.Seed = seed
+	g, err := topology.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -38,10 +41,10 @@ func Table1(sc Scale, seed int64) (*Result, error) {
 // bandwidth topology).
 func Fig06(sc Scale, seed int64) (*Result, error) {
 	r := newResult("Figure 6: streaming over bottleneck vs random tree")
-	stream := streamOn(streamConfig(sc, defaultRateKbps))
+	stream := bullet.StreamerProtocol{Config: streamConfig(sc, defaultRateKbps)}
 	err := runArms(sc, seed, usefulSeries(r),
-		arm{label: "bottleneck_tree", tree: bottleneckTree, deploy: stream},
-		arm{label: "random_tree", deploy: stream})
+		arm{label: "bottleneck_tree", tree: (*bullet.World).BottleneckTree, proto: stream},
+		arm{label: "random_tree", proto: stream})
 	if err != nil {
 		return nil, err
 	}
@@ -50,13 +53,13 @@ func Fig06(sc Scale, seed int64) (*Result, error) {
 
 // fig7Run executes the Figure 7 configuration (Bullet over a random
 // tree, medium bandwidth) with mutate applied to the Bullet config: the
-// all-defaults arm. Its system is a *core.System.
+// all-defaults arm. Its deployment is a *core.System.
 func fig7Run(sc Scale, seed int64, mutate func(*core.Config)) (*armRun, error) {
 	cfg := bulletConfig(sc, defaultRateKbps)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return arm{deploy: bulletOn(cfg)}.run(sc, seed)
+	return arm{proto: bullet.BulletProtocol{Config: cfg}}.run(sc, seed)
 }
 
 // Fig07 reproduces Figure 7: Bullet over a random tree — raw total,
@@ -68,14 +71,14 @@ func Fig07(sc Scale, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	col, sys := run.col, run.sys.(*core.System)
+	col, sys := run.col, run.d.(*core.System)
 	r := newResult("Figure 7: Bullet over a random tree")
 	r.addSeries("raw_total", col.Series(metrics.Raw))
 	r.addSeries("useful_total", col.Series(metrics.Useful))
 	r.addSeries("from_parent", col.Series(metrics.Parent))
 	r.Summary["control_overhead_kbps"] = sys.ControlOverheadKbps()
 	r.Summary["duplicate_ratio"] = col.DuplicateRatio()
-	avg, max := run.w.net.LinkStress()
+	avg, max := run.w.Network().LinkStress()
 	r.Summary["link_stress_avg"] = avg
 	r.Summary["link_stress_max"] = float64(max)
 	r.Summary["mean_senders"] = sys.MeanSenders()
@@ -115,9 +118,9 @@ func bulletVsTree(sc Scale, seed int64, loss topology.LossProfile, name string) 
 	for _, bw := range []topology.BandwidthProfile{topology.HighBandwidth, topology.MediumBandwidth, topology.LowBandwidth} {
 		arms = append(arms,
 			arm{label: "bullet_" + bw.Name, bw: bw, loss: loss,
-				deploy: bulletOn(bulletConfig(sc, defaultRateKbps))},
-			arm{label: "bottleneck_tree_" + bw.Name, bw: bw, loss: loss, tree: bottleneckTree,
-				deploy: streamOn(streamConfig(sc, defaultRateKbps))})
+				proto: bullet.BulletProtocol{Config: bulletConfig(sc, defaultRateKbps)}},
+			arm{label: "bottleneck_tree_" + bw.Name, bw: bw, loss: loss, tree: (*bullet.World).BottleneckTree,
+				proto: bullet.StreamerProtocol{Config: streamConfig(sc, defaultRateKbps)}})
 	}
 	if err := runArms(sc, seed, usefulSeries(r), arms...); err != nil {
 		return nil, err
@@ -134,7 +137,7 @@ func Fig10(sc Scale, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	col, sys := run.col, run.sys.(*core.System)
+	col, sys := run.col, run.d.(*core.System)
 	r := newResult("Figure 10: non-disjoint transmission ablation")
 	r.addSeries("raw_total", col.Series(metrics.Raw))
 	r.addSeries("useful_total", col.Series(metrics.Useful))
@@ -163,9 +166,10 @@ func Fig11(sc Scale, seed int64) (*Result, error) {
 			r.addSeries(v.label+"_raw", v.col.Series(metrics.Raw))
 			r.addSeries(v.label+"_useful", v.col.Series(metrics.Useful))
 		},
-		arm{label: "bullet", deploy: bulletOn(bulletConfig(fsc, rate))},
-		arm{label: "gossip", tree: noTree, deploy: gossipOn(streamConfig(fsc, rate))},
-		arm{label: "antientropy", tree: bottleneckTree, deploy: antiEntropyOn(streamConfig(fsc, rate))})
+		arm{label: "bullet", proto: bullet.BulletProtocol{Config: bulletConfig(fsc, rate)}},
+		arm{label: "gossip", tree: noTree, proto: bullet.GossipProtocol{Config: streamConfig(fsc, rate)}},
+		arm{label: "antientropy", tree: (*bullet.World).BottleneckTree,
+			proto: bullet.AntiEntropyProtocol{Config: streamConfig(fsc, rate)}})
 	if err != nil {
 		return nil, err
 	}
@@ -185,10 +189,11 @@ func failureRun(sc Scale, seed int64, detection bool) (*Result, error) {
 	silentFailure := func(v *armRun) {
 		var victim int
 		if victim, best = v.tree.HeaviestChild(v.tree.Root); victim >= 0 {
-			v.w.eng.At(failAt, func() { v.sys.Fail(victim) })
+			sys := v.d.(*core.System)
+			v.w.At(failAt, func() { sys.Fail(victim) })
 		}
 	}
-	run, err := arm{deploy: bulletOn(cfg), before: silentFailure}.run(sc, seed)
+	run, err := arm{proto: bullet.BulletProtocol{Config: cfg}, before: silentFailure}.run(sc, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -223,21 +228,20 @@ func OvercastComparison(sc Scale, seed int64) (*Result, error) {
 	r := newResult("Overcast-like online tree vs offline bottleneck tree")
 	var ratios []float64
 	for i := int64(0); i < 3; i++ {
-		g, err := generate(sc, topology.MediumBandwidth, topology.NoLoss, seed+i)
+		w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: sc.TopoNodes, Clients: sc.Clients, Seed: seed + i})
 		if err != nil {
 			return nil, err
 		}
-		rt, root := topology.NewRouter(g), g.Clients[0]
-		ombt, err := overlay.Bottleneck(rt, g.Clients, root, 1500, 0)
+		ombt, err := w.BottleneckTree()
 		if err != nil {
 			return nil, err
 		}
-		oc, err := overlay.Overcast(rt, g.Clients, root, 1500, sc.TreeDegree)
+		oc, err := w.OvercastTree(sc.TreeDegree)
 		if err != nil {
 			return nil, err
 		}
-		a := overlay.BottleneckRate(rt, ombt, 1500)
-		b := overlay.BottleneckRate(rt, oc, 1500)
+		a := overlay.BottleneckRate(w.Router(), ombt, 1500)
+		b := overlay.BottleneckRate(w.Router(), oc, 1500)
 		if a > 0 {
 			ratios = append(ratios, b/a)
 		}

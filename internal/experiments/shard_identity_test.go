@@ -99,7 +99,7 @@ func simulates(id string) bool { return id != "table1" && id != "overcast" }
 //
 // Every run also counts its ShardStatsSink reports: an experiment that
 // simulates must report at least once at every shard count, or one of
-// its worlds bypassed world.run.
+// its worlds bypassed arm.run.
 func TestShardIdentityMatrix(t *testing.T) {
 	ids := Names()
 	if testing.Short() {

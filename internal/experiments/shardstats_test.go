@@ -8,7 +8,7 @@ import (
 
 // TestShardStats runs Figure 7 sharded and checks the load-observability
 // loop end to end: every shard reports its planned weight and measured
-// load, the sink fires through world.run, and the shards' events plus
+// load, the sink fires through arm.run, and the shards' events plus
 // the global engine's add up to the serial run's.
 func TestShardStats(t *testing.T) {
 	if testing.Short() {
@@ -27,7 +27,7 @@ func TestShardStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := run.w
-	stats := w.net.ShardStats()
+	stats := w.ShardStats()
 	if len(stats) != 4 {
 		t.Fatalf("got %d shard stats, want 4", len(stats))
 	}
@@ -51,9 +51,9 @@ func TestShardStats(t *testing.T) {
 		totalNodes += s.Nodes
 		totalClients += s.Clients
 	}
-	if totalNodes != len(w.g.Nodes) || totalClients != len(w.g.Clients) {
+	if totalNodes != len(w.Graph().Nodes) || totalClients != len(w.Graph().Clients) {
 		t.Fatalf("stats cover %d nodes / %d clients, world has %d / %d",
-			totalNodes, totalClients, len(w.g.Nodes), len(w.g.Clients))
+			totalNodes, totalClients, len(w.Graph().Nodes), len(w.Graph().Clients))
 	}
 
 	// Executed-event identity: sharding neither adds nor drops logical
@@ -61,7 +61,7 @@ func TestShardStats(t *testing.T) {
 	// engine — must equal a serial run's single-engine count exactly.
 	// (Figure 7 schedules everything through per-node schedulers, so a
 	// zero global-engine count here is legitimate.)
-	load := w.net.RunLoad()
+	load := w.Network().RunLoad()
 	if sunkGlobal != load.GlobalEvents {
 		t.Errorf("sink saw %d global events, final load %d", sunkGlobal, load.GlobalEvents)
 	}
@@ -69,7 +69,7 @@ func TestShardStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := srun.w.net.RunLoad()
+	serial := srun.w.Network().RunLoad()
 	if serial.Shards != nil {
 		t.Fatal("serial run reports shard stats")
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"bullet"
 	"bullet/internal/metrics"
 	"bullet/internal/sim"
 	"bullet/internal/workload"
@@ -28,9 +29,9 @@ func workloadCompare(sc Scale, seed int64, src workload.Source, report func(v *a
 	scfg := streamConfig(sc, 0) // the workload sets the rate
 	scfg.Workload = src
 	return runArms(sc, seed, report,
-		arm{label: "bullet", deploy: bulletOn(bcfg)},
-		arm{label: "stream", deploy: streamOn(scfg)},
-		arm{label: "gossip", tree: noTree, deploy: gossipOn(scfg)})
+		arm{label: "bullet", proto: bullet.BulletProtocol{Config: bcfg}},
+		arm{label: "stream", proto: bullet.StreamerProtocol{Config: scfg}},
+		arm{label: "gossip", tree: noTree, proto: bullet.GossipProtocol{Config: scfg}})
 }
 
 // fileWorkloadFor sizes the fountain-coded file to the scale: a
@@ -66,7 +67,7 @@ func FileDistCompare(sc Scale, seed int64) (*Result, error) {
 		func(v *armRun) {
 			label, col := v.label, v.col
 			cols[label] = col
-			clients = v.w.g.Clients // identical across same-seed worlds
+			clients = v.w.Participants() // identical across same-seed worlds
 			r.addSeries(label+"_useful", col.Series(metrics.Useful))
 			cdf := col.CompletionCDF()
 			// The source node never receives, so it is absent from the

@@ -111,7 +111,7 @@ type deployOptions struct {
 // attached: a pure-function-of-(seed, model, scale) subset of the
 // participants is compromised at deploy time, but behaves honestly
 // until a scenario's AdversaryAt action strikes. See bullet.Adversary
-// for the models.
+// for the models; Deploy refuses a model that is none of them.
 func WithAdversary(a Adversary) DeployOption {
 	return func(o *deployOptions) { o.adv = a }
 }
@@ -145,6 +145,9 @@ func (w *World) Deploy(p Protocol, tree *Tree, opts ...DeployOption) (Deployment
 // attachAdversary builds the seeded fleet over the deployment's
 // participant set and hands it to the protocol system's hooks.
 func attachAdversary(w *World, d Deployment, tree *Tree, cfg Adversary) error {
+	if !cfg.Model.Known() {
+		return fmt.Errorf("bullet: unknown adversary model %v", cfg.Model)
+	}
 	sys, ok := d.(interface{ SetAdversary(*adversary.Fleet) })
 	if !ok {
 		return fmt.Errorf("bullet: deployment %q does not support adversaries", d.Protocol())
@@ -203,7 +206,7 @@ func (w *World) Strike() {
 
 func (w *World) forEachDeployment(op string, fn func(Deployment) error) error {
 	if len(w.deployments) == 0 {
-		return fmt.Errorf("bullet: no deployment to %s in", op)
+		return fmt.Errorf("bullet: %s: the world has no deployment", op)
 	}
 	var firstErr error
 	ok := false

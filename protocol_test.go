@@ -471,30 +471,61 @@ func (p foreignProtocol) Deploy(w *bullet.World, tree *bullet.Tree) (bullet.Depl
 	return foreignDeployment{d}, nil
 }
 
-// A Deploy that fails after the protocol is already wired in (here: an
-// adversary asked of a Deployment type that cannot take one) stops it
-// again: the caller gets no handle, so nothing may keep streaming.
+// A Deploy that fails after the protocol is already wired in (an
+// adversary asked of a Deployment type that cannot take one, or of a
+// model that does not exist) stops it again: the caller gets no
+// handle, so nothing may keep streaming.
 func TestDeployFailureLeavesNothingRunning(t *testing.T) {
-	w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 600, Clients: 12, Seed: 26})
+	bulletP := bullet.BulletProtocol{Config: bullet.DefaultConfig(600)}
+	for _, c := range []struct {
+		name  string
+		p     bullet.Protocol
+		model bullet.AdversaryModel
+		want  string
+	}{
+		{"foreign", foreignProtocol{bulletP}, bullet.AdvFreeride, `deployment "bullet" does not support adversaries`},
+		{"model99", bulletP, 99, "unknown adversary model Model(99)"},
+		{"model-1", bulletP, -1, "unknown adversary model Model(-1)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 600, Clients: 12, Seed: 26})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := w.RandomTree(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = w.Deploy(c.p, tree, bullet.WithAdversary(bullet.Adversary{Model: c.model}))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Deploy error %v, want one containing %q", err, c.want)
+			}
+			if n := len(w.Deployments()); n != 0 {
+				t.Fatalf("%d deployments tracked after a failed Deploy", n)
+			}
+			// Deploy itself sends (RanSub's first distribute), so the
+			// counters are compared with their post-Deploy values, not
+			// with zero.
+			before := w.Network().Stats()
+			w.Run(10 * bullet.Second)
+			if after := w.Network().Stats(); after != before {
+				t.Errorf("traffic after a failed Deploy:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
+	}
+}
+
+// Membership operations on a world with nothing deployed name the
+// operation and the reason.
+func TestWorldMembershipWithoutDeployment(t *testing.T) {
+	w, err := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 600, Clients: 12, Seed: 27})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := w.RandomTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := foreignProtocol{bullet.BulletProtocol{Config: bullet.DefaultConfig(600)}}
-	if _, err := w.Deploy(p, tree, bullet.WithAdversary(bullet.Adversary{Model: bullet.AdvFreeride})); err == nil {
-		t.Fatal("adversary attached to a foreign Deployment type")
-	}
-	if n := len(w.Deployments()); n != 0 {
-		t.Fatalf("%d deployments tracked after a failed Deploy", n)
-	}
-	// Deploy itself sends (RanSub's first distribute), so the counters
-	// are compared with their post-Deploy values, not with zero.
-	before := w.Network().Stats()
-	w.Run(10 * bullet.Second)
-	if after := w.Network().Stats(); after != before {
-		t.Errorf("traffic after a failed Deploy:\nbefore %+v\nafter  %+v", before, after)
+	n := w.Participants()[1]
+	for op, err := range map[string]error{"crash": w.Crash(n), "restart": w.Restart(n), "join": w.Join(n)} {
+		if want := "bullet: " + op + ": the world has no deployment"; err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", op, err, want)
+		}
 	}
 }
