@@ -106,20 +106,7 @@ type (
 	// and a node completes at (1+ε)·K distinct receipts, recorded by
 	// Collector.CompletionCDF.
 	FileWorkload = workload.File
-	// MultiRateWorkload streams at a rate that changes on a schedule;
-	// see NewMultiRateWorkload.
-	MultiRateWorkload = workload.MultiRate
-	// WorkloadRateStep is one entry of a MultiRateWorkload schedule.
-	WorkloadRateStep = workload.RateStep
 )
-
-// NewMultiRateWorkload builds a schedule-driven source: fixed-size
-// packets whose emission rate follows the given steps (the first
-// step's rate also covers any earlier time). Steps may also be
-// appended mid-run from a scenario via SetRateAt.
-func NewMultiRateWorkload(packetSize int, steps ...WorkloadRateStep) *MultiRateWorkload {
-	return workload.NewMultiRate(packetSize, steps...)
-}
 
 // Measurement kinds.
 const (
@@ -300,7 +287,7 @@ func (w *World) Scenario(s *Scenario) {
 }
 
 // NewScenario returns an empty scenario schedule. Populate it with At,
-// Ramp, RampBandwidth, and Oscillate, then install via World.Scenario.
+// Ramp and Oscillate, then install via World.Scenario.
 func NewScenario() *Scenario { return scenario.New() }
 
 // Scenario action constructors, re-exported from internal/scenario.

@@ -52,43 +52,6 @@ import (
 	"bullet/internal/netem"
 )
 
-// RunConfig bundles the execution knobs of one bullet-sim invocation —
-// how the experiments execute, as opposed to what they compute. None
-// of these fields may change output bytes; they are validated as one
-// unit so misuse fails before any computation starts.
-type RunConfig struct {
-	Parallel   int    // worker goroutines across experiments (> 0)
-	Shards     int    // simulation shards within each run (0 or 1 = serial)
-	CPUProfile string // CPU profile path covering the runs ("" = off)
-	MemProfile string // allocation profile path, written after the runs ("" = off)
-}
-
-// RunConfigError reports an invalid execution knob, naming the flag it
-// came from.
-type RunConfigError struct {
-	Flag  string // flag name without the dash, e.g. "parallel"
-	Value int
-	Why   string
-}
-
-func (e *RunConfigError) Error() string {
-	return fmt.Sprintf("-%s %d: %s", e.Flag, e.Value, e.Why)
-}
-
-// Validate rejects nonsensical execution configurations with a
-// *RunConfigError.
-func (c RunConfig) Validate() error {
-	if c.Parallel <= 0 {
-		return &RunConfigError{Flag: "parallel", Value: c.Parallel,
-			Why: "worker count must be positive"}
-	}
-	if c.Shards < 0 && c.Shards != netem.AutoShardCount {
-		return &RunConfigError{Flag: "shards", Value: c.Shards,
-			Why: "shard count cannot be negative (0 or 1 means serial, \"auto\" tunes it)"}
-	}
-	return nil
-}
-
 // shardsValue is the -shards flag: a non-negative shard count, or the
 // word "auto" to let topology.AutoShards size the partition from the
 // topology's load and the machine's cores (stored as
@@ -134,13 +97,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		outDir     = fs.String("out", "", "directory for per-experiment TSV files (default: stdout)")
 		list       = fs.Bool("list", false, "list experiments and exit")
 		quiet      = fs.Bool("q", false, "suppress progress output")
-		cfg        RunConfig
+		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for multi-experiment runs")
+		shards     int
 	)
-	fs.IntVar(&cfg.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker goroutines for multi-experiment runs")
-	fs.Var(shardsValue{&cfg.Shards}, "shards", "simulation shards per experiment run (0 or 1 = serial, \"auto\" = tuned to topology and cores; output is identical at any value)")
+	fs.Var(shardsValue{&shards}, "shards", "simulation shards per experiment run (0 or 1 = serial, \"auto\" = tuned to topology and cores; output is identical at any value)")
 	shardStats := fs.Bool("shardstats", false, "print executed-event accounting to stderr after the runs: a per-shard load table plus global/total event counts for sharded runs, the single-engine total for serial ones (for partition-balance diagnosis; most useful with a single experiment)")
-	fs.StringVar(&cfg.CPUProfile, "cpuprofile", "", "write a CPU profile of the experiment runs to this file")
-	fs.StringVar(&cfg.MemProfile, "memprofile", "", "write an allocation profile (after the runs) to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile (after the runs) to this file")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -151,8 +114,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(stderr, "bullet-sim:", err)
+	// The execution knobs never change output bytes; misuse fails
+	// before any experiment runs.
+	if *parallel <= 0 {
+		fmt.Fprintf(stderr, "bullet-sim: -parallel %d: worker count must be positive\n", *parallel)
+		return 2
+	}
+	if shards < 0 && shards != netem.AutoShardCount {
+		fmt.Fprintf(stderr, "bullet-sim: -shards %d: shard count cannot be negative (0 or 1 means serial, \"auto\" tunes it)\n", shards)
 		return 2
 	}
 	if *experiment == "" {
@@ -165,7 +134,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "bullet-sim:", err)
 		return 1
 	}
-	scale.Shards = cfg.Shards
+	scale.Shards = shards
 	var statsRec *shardStatsRecorder
 	if *shardStats {
 		statsRec = &shardStatsRecorder{}
@@ -190,8 +159,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// code edits needed. Profiles cover exactly the experiment runs.
 	// Both files are created up front: an unwritable path must fail
 	// before minutes of computation, not discard completed results.
-	if cfg.CPUProfile != "" {
-		f, err := os.Create(cfg.CPUProfile)
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(stderr, "bullet-sim:", err)
 			return 1
@@ -207,8 +176,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	var memFile *os.File
-	if cfg.MemProfile != "" {
-		f, err := os.Create(cfg.MemProfile)
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
 		if err != nil {
 			fmt.Fprintln(stderr, "bullet-sim:", err)
 			return 1
@@ -221,7 +190,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "running %d experiment(s) at %s scale (seed %d)...\n",
 			len(runs), scale.Name, *seed)
 	}
-	results := experiments.RunAll(runs, cfg.Parallel)
+	results := experiments.RunAll(runs, *parallel)
 	if !*quiet {
 		fmt.Fprintf(stderr, "finished in %v\n", time.Since(start).Round(time.Millisecond))
 	}

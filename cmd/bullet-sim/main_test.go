@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -225,7 +224,7 @@ func TestXLScaleRecognized(t *testing.T) {
 	}
 }
 
-// Execution-knob misuse is rejected up front with a RunConfigError
+// Execution-knob misuse is rejected up front with exit 2 and an error
 // naming the flag, before any experiment runs.
 func TestRunConfigValidationExits2(t *testing.T) {
 	for _, tc := range []struct {
@@ -251,22 +250,6 @@ func TestRunConfigValidationExits2(t *testing.T) {
 	}
 }
 
-// RunConfig.Validate returns the typed *RunConfigError so callers can
-// inspect which knob was bad; a sensible config passes.
-func TestRunConfigErrorTyped(t *testing.T) {
-	err := RunConfig{Parallel: -1}.Validate()
-	var rce *RunConfigError
-	if !errors.As(err, &rce) {
-		t.Fatalf("wrong error type %T", err)
-	}
-	if rce.Flag != "parallel" || rce.Value != -1 {
-		t.Errorf("error fields Flag=%q Value=%d, want parallel/-1", rce.Flag, rce.Value)
-	}
-	if err := (RunConfig{Parallel: 4, Shards: 8}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-}
-
 // -shards does not change the output bytes: a sharded run of the same
 // experiments is byte-identical to the serial one.
 func TestShardedOutputMatchesSerial(t *testing.T) {
@@ -289,19 +272,16 @@ func TestShardedOutputMatchesSerial(t *testing.T) {
 // resolves to serial, and — like every shard count — leaves the output
 // bytes unchanged.
 func TestShardsAutoFlag(t *testing.T) {
-	if err := (RunConfig{Parallel: 1, Shards: netem.AutoShardCount}).Validate(); err != nil {
-		t.Fatalf("auto sentinel rejected: %v", err)
-	}
-	var cfg RunConfig
-	v := shardsValue{&cfg.Shards}
-	if err := v.Set("auto"); err != nil || cfg.Shards != netem.AutoShardCount {
-		t.Fatalf("Set(auto): err %v, Shards %d", err, cfg.Shards)
+	var shards int
+	v := shardsValue{&shards}
+	if err := v.Set("auto"); err != nil || shards != netem.AutoShardCount {
+		t.Fatalf("Set(auto): err %v, shards %d", err, shards)
 	}
 	if v.String() != "auto" {
 		t.Fatalf("String() = %q, want %q", v.String(), "auto")
 	}
-	if err := v.Set("8"); err != nil || cfg.Shards != 8 {
-		t.Fatalf("Set(8): err %v, Shards %d", err, cfg.Shards)
+	if err := v.Set("8"); err != nil || shards != 8 {
+		t.Fatalf("Set(8): err %v, shards %d", err, shards)
 	}
 	if err := v.Set("eight"); err == nil {
 		t.Fatal("Set accepted a non-count, non-auto value")

@@ -83,17 +83,12 @@ func ExampleFileWorkload() {
 	vbr := bullet.VBRWorkload{HighKbps: 900, LowKbps: 0,
 		PacketSize: 1500, Period: 10 * bullet.Second, Duty: 0.5}
 
-	// Rate changes on a schedule.
-	steps := bullet.NewMultiRateWorkload(1500,
-		bullet.WorkloadRateStep{At: 0, RateKbps: 600},
-		bullet.WorkloadRateStep{At: 20 * bullet.Second, RateKbps: 1200})
-
 	// Finite fountain-coded file distribution: sequence numbers double as
 	// encoded-symbol IDs; a node completes at (1+ε)·K distinct receipts —
 	// no specific packet is ever required.
 	file := bullet.FileWorkload{RateKbps: 800, PacketSize: 1400, K: 1000}
 
-	for _, wl := range []bullet.Workload{vbr, steps, file} {
+	for _, wl := range []bullet.Workload{vbr, file} {
 		w, _ := bullet.NewWorld(bullet.WorldConfig{TotalNodes: 800, Clients: 15, Seed: 1})
 		tree, _ := w.RandomTree(4)
 		cfg := bullet.DefaultConfig(600)
@@ -112,7 +107,6 @@ func ExampleFileWorkload() {
 	}
 	// Output:
 	// vbr: 397 Kbps
-	// multirate: 595 Kbps
 	// file: 603 Kbps, 14 nodes have the file, median at 22.9 s
 }
 

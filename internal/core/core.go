@@ -183,20 +183,9 @@ type Node struct {
 	pending   int // node we sent a peerRequest to; -1 if none
 	lastSet   []ransub.Entry
 
-	epochPkts     uint64 // new packets this epoch (sizes lf delta)
-	lfDelta       float64
-	recvWindow    uint64 // all data bytes since last refresh
-	totalOwnDrops uint64 // packets no child could own
-
-	// Duplicate attribution diagnostics.
-	dupFromParent uint64
-	dupFromPeer   uint64
-	dupOther      uint64
-
-	// Pump diagnostics: relationships × ticks with nothing eligible to
-	// send vs. stopped by the TFRC budget.
-	pumpIdle    uint64
-	pumpBlocked uint64
+	epochPkts  uint64 // new packets this epoch (sizes lf delta)
+	lfDelta    float64
+	recvWindow uint64 // all data bytes since last refresh
 
 	refreshCount uint64 // refresh ticks seen, for rotation cadence
 }
@@ -435,14 +424,6 @@ func (n *Node) onData(from int, seq uint64, size int) {
 	si := n.findSender(from)
 	if n.ws.Contains(seq) {
 		col.Add(now, n.id, metrics.Duplicate, size)
-		switch {
-		case from == n.parent:
-			n.dupFromParent++
-		case si != nil:
-			n.dupFromPeer++
-		default:
-			n.dupOther++
-		}
 		if si != nil {
 			si.dupPkts++
 		}
@@ -574,11 +555,6 @@ func (n *Node) disjointSend(seq uint64, size int) {
 		} else if sent {
 			ci.lf = math.Max(n.lfDelta, ci.lf-n.lfDelta)
 		}
-	}
-	if !sent {
-		// No child could own the packet: it stays recoverable from this
-		// node's working set (served to peers on request).
-		n.totalOwnDrops++
 	}
 }
 
@@ -882,18 +858,12 @@ func (n *Node) pumpTick() {
 }
 
 func (n *Node) pumpReceiver(rf *recvPeerInfo) {
-	if rf.holes.len() == 0 && rf.fresh.len() == 0 {
-		n.pumpIdle++
-	}
 	// Known holes first: the receiver has told us it lacks these.
 	if !n.drainQueue(rf, &rf.holes, false) {
-		n.pumpBlocked++
 		return
 	}
 	// Then fresh data, in arrival order, behind the freshness gate.
-	if !n.drainQueue(rf, &rf.fresh, true) {
-		n.pumpBlocked++
-	}
+	n.drainQueue(rf, &rf.fresh, true)
 }
 
 // freshnessDelay gates serving packets beyond a receiver's advertised

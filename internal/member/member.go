@@ -9,14 +9,13 @@
 // node or admitting a new one does to its own wiring. The Roster also
 // holds the deploy prologue (Init) and the source pump every protocol
 // shares, and the handle accessors (Protocol, Collector, Workload,
-// Tree, Nodes, Shard, Shards, Colluders), so a protocol system is its
-// own deployment handle.
+// Tree, Nodes, Colluders), so a protocol system is its own deployment
+// handle.
 package member
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"bullet/internal/adversary"
 	"bullet/internal/metrics"
@@ -27,19 +26,6 @@ import (
 	"bullet/internal/transport"
 	"bullet/internal/workload"
 )
-
-// SortedIDs returns the keys of m in ascending order. Per-node state
-// belongs in nodeset containers (CONTRIBUTING rule 9); this is the
-// escape hatch for genuinely sparse, non-node-id-keyed maps, whose
-// iteration order must still never leak into the simulation.
-func SortedIDs[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // Node is what a roster needs from a participant: the transport
 // endpoint that Crash, Fail and Stop take offline.
@@ -151,13 +137,6 @@ func (r *Roster[N]) Workload() workload.Source { return r.src }
 // Tree returns the distribution tree (live: membership changes mutate
 // it), or nil for mesh-only protocols.
 func (r *Roster[N]) Tree() *overlay.Tree { return r.tree }
-
-// Shard returns the index of the simulation shard executing node's
-// events (0 in a serial run).
-func (r *Roster[N]) Shard(node int) int { return r.Net.ShardOf(node) }
-
-// Shards returns the network's effective shard count (1 = serial).
-func (r *Roster[N]) Shards() int { return r.Net.Shards() }
 
 // Crashed reports whether id is a crashed participant.
 func (r *Roster[N]) Crashed(id int) bool { return r.dead.Contains(id) }

@@ -16,20 +16,6 @@ import (
 	"bullet/internal/workload"
 )
 
-func TestSortedIDsDeterministic(t *testing.T) {
-	m := map[int]string{9: "i", 2: "b", 40: "m", 0: "a", 17: "q"}
-	want := []int{0, 2, 9, 17, 40}
-	// Map iteration order varies run to run; SortedIDs must not.
-	for i := 0; i < 50; i++ {
-		if got := SortedIDs(m); !reflect.DeepEqual(got, want) {
-			t.Fatalf("SortedIDs=%v want %v", got, want)
-		}
-	}
-	if got := SortedIDs(map[int]int{}); len(got) != 0 {
-		t.Fatalf("empty map gave %v", got)
-	}
-}
-
 type peer struct{ ep *transport.Endpoint }
 
 func (p *peer) Endpoint() *transport.Endpoint { return p.ep }

@@ -96,6 +96,29 @@ func TestShardedTrafficMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestOneShardIsSerial: asking for zero or one shard builds no plan,
+// so the network stays the serial one — every node on the global
+// engine and no per-shard load to report.
+func TestOneShardIsSerial(t *testing.T) {
+	for _, k := range []int{0, 1} {
+		_, net, g := testNet(t, 77, topology.PaperLoss)
+		if got := net.EnableShards(k); got != 1 {
+			t.Fatalf("EnableShards(%d) = %d, want 1", k, got)
+		}
+		if got := net.Shards(); got != 1 {
+			t.Errorf("EnableShards(%d): Shards() = %d, want 1", k, got)
+		}
+		if load := net.RunLoad(); load.Shards != nil {
+			t.Errorf("EnableShards(%d): RunLoad().Shards = %v, want nil", k, load.Shards)
+		}
+		for n := range g.Nodes {
+			if net.SchedulerFor(n) != net.Engine() {
+				t.Fatalf("EnableShards(%d): node %d runs off the global engine", k, n)
+			}
+		}
+	}
+}
+
 // barrierTopo is a handcrafted six-node line: client c0 on stub s0,
 // a two-hop transit backbone, and client c1 on stub s1. Every
 // bandwidth is made enormous so serialization delay rounds to zero and

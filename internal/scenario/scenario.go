@@ -14,7 +14,9 @@
 //	s := scenario.New().
 //	    At(30*sim.Second, scenario.FailLink(lid)).
 //	    At(60*sim.Second, scenario.RestoreLink(lid)).
-//	    RampBandwidth(other, 80*sim.Second, 20*sim.Second, 10, 4000, 1000)
+//	    Ramp(80*sim.Second, 20*sim.Second, 10, func(frac float64) scenario.Action {
+//	        return scenario.SetBandwidth(other, 4000-3000*frac)
+//	    })
 //	s.Install(&scenario.Env{Eng: eng, G: g})
 package scenario
 
@@ -225,16 +227,6 @@ func (s *Schedule) Ramp(start sim.Time, dur sim.Duration, steps int, fn func(fra
 		s.At(start+sim.Duration(float64(dur)*frac), fn(frac))
 	}
 	return s
-}
-
-// RampBandwidth linearly ramps the link's capacity from fromKbps to
-// toKbps over [start, start+dur] in the given number of steps. Ramping
-// to 0 stops at the last positive step (zero capacity is ignored by
-// SetBandwidth); schedule a FailLink to cut the link entirely.
-func (s *Schedule) RampBandwidth(link int, start sim.Time, dur sim.Duration, steps int, fromKbps, toKbps float64) *Schedule {
-	return s.Ramp(start, dur, steps, func(frac float64) Action {
-		return SetBandwidth(link, fromKbps+(toKbps-fromKbps)*frac)
-	})
 }
 
 // Oscillate alternates between action a (applied at start and every

@@ -55,7 +55,9 @@ func TestScheduleFiresInTimeOrder(t *testing.T) {
 func TestRampBandwidth(t *testing.T) {
 	env, lid := testEnv(t)
 	var samples []float64
-	s := New().RampBandwidth(lid, 10*sim.Second, 10*sim.Second, 4, 4000, 2000)
+	s := New().Ramp(10*sim.Second, 10*sim.Second, 4, func(frac float64) Action {
+		return SetBandwidth(lid, 4000-2000*frac)
+	})
 	// Sample the capacity just after each ramp step.
 	for i := 0; i <= 4; i++ {
 		at := 10*sim.Second + sim.Duration(i)*2500*sim.Millisecond + sim.Millisecond

@@ -115,19 +115,6 @@ var (
 	}
 )
 
-// ProfileByName looks up one of the three Table 1 profiles.
-func ProfileByName(name string) (BandwidthProfile, error) {
-	switch name {
-	case "low":
-		return LowBandwidth, nil
-	case "medium":
-		return MediumBandwidth, nil
-	case "high":
-		return HighBandwidth, nil
-	}
-	return BandwidthProfile{}, fmt.Errorf("topology: unknown bandwidth profile %q", name)
-}
-
 // LossProfile describes the random packet loss model of §4.5: uniform
 // low loss everywhere plus a fraction of "overloaded" links with high
 // loss, simulating queuing due to background traffic.

@@ -242,18 +242,6 @@ func TestBottleneck(t *testing.T) {
 	}
 }
 
-func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"low", "medium", "high"} {
-		p, err := ProfileByName(name)
-		if err != nil || p.Name != name {
-			t.Fatalf("ProfileByName(%q) = %+v, %v", name, p, err)
-		}
-	}
-	if _, err := ProfileByName("bogus"); err == nil {
-		t.Fatal("expected error for unknown profile")
-	}
-}
-
 func TestValidateRejectsBadConfig(t *testing.T) {
 	bad := Config{Clients: -1}
 	if _, err := Generate(bad); err == nil {

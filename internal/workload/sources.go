@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"sort"
 
 	"bullet/internal/sim"
 )
@@ -110,81 +109,4 @@ func (f File) Target() uint64 {
 // Next implements Source.
 func (f File) Next(now sim.Time, seq uint64) (int, sim.Duration, bool) {
 	return f.PacketSize, Interval(f.RateKbps, f.PacketSize), true
-}
-
-// RateStep is one entry of a MultiRate schedule: from At onward the
-// source emits at RateKbps.
-type RateStep struct {
-	At       sim.Time
-	RateKbps float64
-}
-
-// MultiRate emits fixed-size packets at a rate that changes on a
-// schedule. Steps apply in time order; the first step's rate also
-// covers any time before it. MultiRate composes with
-// internal/scenario: a scenario action may append a step mid-run —
-//
-//	src := workload.NewMultiRate(1500,
-//	    workload.RateStep{At: 0, RateKbps: 600})
-//	sched.At(60*sim.Second, scenario.Func(func(env *scenario.Env) {
-//	    src.SetRateAt(env.Eng.Now(), 1200)
-//	}))
-//
-// — because the pump re-reads the schedule at every emission. Steps
-// must only ever be appended at or after the current virtual time, so
-// the run stays a pure function of (config, seed, schedule).
-type MultiRate struct {
-	PacketSize int
-	steps      []RateStep
-}
-
-// NewMultiRate builds a schedule-driven source; steps may be given in
-// any order.
-func NewMultiRate(packetSize int, steps ...RateStep) *MultiRate {
-	m := &MultiRate{PacketSize: packetSize, steps: append([]RateStep(nil), steps...)}
-	sort.SliceStable(m.steps, func(i, j int) bool { return m.steps[i].At < m.steps[j].At })
-	return m
-}
-
-// SetRateAt appends a rate change effective from at onward.
-func (m *MultiRate) SetRateAt(at sim.Time, kbps float64) {
-	m.steps = append(m.steps, RateStep{At: at, RateKbps: kbps})
-	sort.SliceStable(m.steps, func(i, j int) bool { return m.steps[i].At < m.steps[j].At })
-}
-
-// RateAt returns the rate in effect at time t.
-func (m *MultiRate) RateAt(t sim.Time) float64 {
-	if len(m.steps) == 0 {
-		return 0
-	}
-	rate := m.steps[0].RateKbps
-	for _, s := range m.steps {
-		if s.At > t {
-			break
-		}
-		rate = s.RateKbps
-	}
-	return rate
-}
-
-// Name implements Source.
-func (*MultiRate) Name() string { return "multirate" }
-
-// Next implements Source. A step with a non-positive rate pauses the
-// stream: emission stays silent until the next scheduled step with a
-// positive rate, so pause/resume schedules (and scenario-driven
-// SetRateAt pauses whose resume step is already scheduled) work. Only
-// when no future positive-rate step exists does the stream end for
-// good.
-func (m *MultiRate) Next(now sim.Time, seq uint64) (int, sim.Duration, bool) {
-	rate := m.RateAt(now)
-	if rate <= 0 {
-		for _, s := range m.steps {
-			if s.At > now && s.RateKbps > 0 {
-				return 0, s.At - now, true
-			}
-		}
-		return 0, 0, false
-	}
-	return m.PacketSize, Interval(rate, m.PacketSize), true
 }

@@ -106,77 +106,6 @@ func TestFileTargetAndCap(t *testing.T) {
 	}
 }
 
-func TestMultiRateSchedule(t *testing.T) {
-	m := NewMultiRate(1500,
-		RateStep{At: 60 * sim.Second, RateKbps: 1200},
-		RateStep{At: 0, RateKbps: 600})
-	if got := m.RateAt(10 * sim.Second); got != 600 {
-		t.Errorf("RateAt(10s) = %v, want 600", got)
-	}
-	if got := m.RateAt(60 * sim.Second); got != 1200 {
-		t.Errorf("RateAt(60s) = %v, want 1200", got)
-	}
-	m.SetRateAt(90*sim.Second, 300)
-	if got := m.RateAt(100 * sim.Second); got != 300 {
-		t.Errorf("RateAt(100s) after SetRateAt = %v, want 300", got)
-	}
-	size, gap, ok := m.Next(5*sim.Second, 0)
-	if !ok || size != 1500 || gap != Interval(600, 1500) {
-		t.Fatalf("Next = (%d, %d, %v)", size, gap, ok)
-	}
-}
-
-// A zero-rate step pauses the stream until the next positive-rate
-// step; only a schedule with no positive rate left ends it.
-func TestMultiRatePauseAndResume(t *testing.T) {
-	m := NewMultiRate(1500,
-		RateStep{At: 0, RateKbps: 600},
-		RateStep{At: 60 * sim.Second, RateKbps: 0},
-		RateStep{At: 120 * sim.Second, RateKbps: 600})
-	size, gap, ok := m.Next(70*sim.Second, 100)
-	if !ok || size != 0 || gap != 50*sim.Second {
-		t.Fatalf("paused Next = (%d, %d, %v), want (0, 50s, true)", size, gap, ok)
-	}
-	if size, _, ok := m.Next(120*sim.Second, 100); !ok || size != 1500 {
-		t.Fatalf("resumed Next = (%d, _, %v), want (1500, _, true)", size, ok)
-	}
-	// Trailing zero rate with nothing scheduled after it ends the
-	// stream.
-	tail := NewMultiRate(1500,
-		RateStep{At: 0, RateKbps: 600},
-		RateStep{At: 60 * sim.Second, RateKbps: 0})
-	if _, _, ok := tail.Next(61*sim.Second, 100); ok {
-		t.Fatal("trailing zero-rate schedule should end the stream")
-	}
-	// End-to-end through the pump: packets stop during the pause and
-	// resume after it.
-	eng := sim.NewEngine(1)
-	var times []sim.Time
-	m2 := NewMultiRate(1500,
-		RateStep{At: 0, RateKbps: 600},
-		RateStep{At: 1 * sim.Second, RateKbps: 0},
-		RateStep{At: 3 * sim.Second, RateKbps: 600})
-	Pump(eng, m2, 0,
-		func() bool { return eng.Now() >= 4*sim.Second },
-		func(seq uint64, size int) { times = append(times, eng.Now()) })
-	eng.Run(10 * sim.Second)
-	var paused, resumed int
-	for _, at := range times {
-		if at >= 1*sim.Second && at < 3*sim.Second {
-			paused++
-		}
-		if at >= 3*sim.Second {
-			resumed++
-		}
-	}
-	if paused != 0 {
-		t.Errorf("%d emissions during the pause", paused)
-	}
-	if resumed == 0 {
-		t.Error("no emissions after the schedule resumed")
-	}
-}
-
 // TestPumpMatchesLegacyLoop drives a CBR source through Pump and
 // checks the emission schedule is exactly the legacy pump's: first
 // packet at start, one every interval, none at or beyond the stop
@@ -211,16 +140,25 @@ func TestPumpMatchesLegacyLoop(t *testing.T) {
 	}
 }
 
+// endsAt is a 600 Kbps, 1500-byte source whose Next reports ok=false
+// from end onward.
+type endsAt struct{ end sim.Time }
+
+func (endsAt) Name() string { return "ends-at" }
+
+func (e endsAt) Next(now sim.Time, seq uint64) (int, sim.Duration, bool) {
+	if now >= e.end {
+		return 0, 0, false
+	}
+	return 1500, Interval(600, 1500), true
+}
+
 // TestPumpFiniteSource: a source whose Next returns ok=false ends the
-// stream for good, even though stop never fires — here a MultiRate
-// whose last step is rate 0 with no resume.
+// stream for good, even though stop never fires.
 func TestPumpFiniteSource(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := 0
-	src := NewMultiRate(1500,
-		RateStep{At: 0, RateKbps: 600},
-		RateStep{At: 60 * sim.Millisecond, RateKbps: 0})
-	Pump(eng, src, 0,
+	Pump(eng, endsAt{end: 60 * sim.Millisecond}, 0,
 		func() bool { return false },
 		func(seq uint64, size int) { n++ })
 	eng.Run(10 * sim.Second)

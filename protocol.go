@@ -67,12 +67,6 @@ type Deployment interface {
 	// MemberEpoch counts membership changes (crashes, restarts, joins)
 	// applied so far.
 	MemberEpoch() int
-	// Shard returns the index of the simulation shard executing node's
-	// events (always 0 in a serial world). Purely informational: which
-	// shard a node lands on never changes what the simulation computes.
-	Shard(node int) int
-	// Shards returns the world's effective shard count (1 = serial).
-	Shards() int
 	// Crash fails node mid-run. Recovery is protocol-defined: Bullet
 	// re-parents the orphans after its failover delay and re-installs
 	// Bloom filters at live peers; the plain streamer's subtree simply
