@@ -218,12 +218,13 @@ func baseType(e ast.Expr) *ast.Ident {
 
 // sourceGuard is one rule over the tree: the files in scope must not
 // name any of words (as an identifier or a word in a comment), and
-// check, if set, reports a node that breaks the rule.
+// check, if set, describes what breaks the rule at node n ("" if
+// nothing) and the node to report it at.
 type sourceGuard struct {
 	rule  string
 	scope func(sf *srcFile) bool
 	words []string
-	check func(sf *srcFile, n ast.Node) string
+	check func(n ast.Node) (ast.Node, string)
 }
 
 func under(dir string, tests bool) func(*srcFile) bool {
@@ -244,17 +245,17 @@ var sourceGuards = []sourceGuard{
 		scope: func(sf *srcFile) bool {
 			return sf.dir == "internal/core" || sf.dir == "internal/streamer" || sf.dir == "internal/epidemic"
 		},
-		check: func(_ *srcFile, n ast.Node) string {
+		check: func(n ast.Node) (ast.Node, string) {
 			fn, ok := n.(*ast.FuncDecl)
 			if !ok || fn.Recv == nil {
-				return ""
+				return nil, ""
 			}
 			switch fn.Name.Name {
 			case "Live", "MemberEpoch", "Adversary", "Stopped", "Collector", "Workload",
 				"Tree", "Nodes", "Shard", "Shards", "Colluders", "Protocol":
-				return "method " + fn.Name.Name + " re-declares member.Roster's"
+				return fn.Name, "method " + fn.Name.Name + " re-declares member.Roster's"
 			}
-			return ""
+			return nil, ""
 		},
 	},
 	{
@@ -278,19 +279,19 @@ var sourceGuards = []sourceGuard{
 		// event carries a queue-wide sequence number.
 		rule:  "no event sequence counter",
 		scope: under("internal/sim", false),
-		check: func(_ *srcFile, n ast.Node) string {
+		check: func(n ast.Node) (ast.Node, string) {
 			st, ok := n.(*ast.StructType)
 			if !ok {
-				return ""
+				return nil, ""
 			}
 			for _, fld := range st.Fields.List {
 				for _, id := range fld.Names {
 					if id.Name == "seq" {
-						return "struct field seq"
+						return id, "struct field seq"
 					}
 				}
 			}
-			return ""
+			return nil, ""
 		},
 	},
 	{
@@ -299,15 +300,15 @@ var sourceGuards = []sourceGuard{
 		rule:  "no feedback pool",
 		scope: under("internal", true),
 		words: []string{"fbArena"},
-		check: func(_ *srcFile, n ast.Node) string {
+		check: func(n ast.Node) (ast.Node, string) {
 			ix, ok := n.(*ast.IndexExpr)
 			if !ok {
-				return ""
+				return nil, ""
 			}
 			if sel, ok := ix.X.(*ast.SelectorExpr); ok && isIdent(sel.X, "arena") && sel.Sel.Name == "Arena" && isIdent(ix.Index, "feedbackMsg") {
-				return "arena.Arena[feedbackMsg]"
+				return ix, "arena.Arena[feedbackMsg]"
 			}
-			return ""
+			return nil, ""
 		},
 	},
 	{
@@ -326,20 +327,20 @@ var sourceGuards = []sourceGuard{
 		scope: func(sf *srcFile) bool {
 			return sf.dir == "internal/experiments" && !sf.test && path.Base(sf.path) != "arm.go"
 		},
-		check: func(_ *srcFile, n ast.Node) string {
+		check: func(n ast.Node) (ast.Node, string) {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
-				return ""
+				return nil, ""
 			}
 			switch {
 			case isIdent(sel.X, "sim") && sel.Sel.Name == "NewEngine",
 				isIdent(sel.X, "netem") && sel.Sel.Name == "New",
 				isIdent(sel.X, "topology") && sel.Sel.Name == "NewRouter":
-				return sel.X.(*ast.Ident).Name + "." + sel.Sel.Name
+				return sel, sel.X.(*ast.Ident).Name + "." + sel.Sel.Name
 			case (sel.Sel.Name == "Deploy" || sel.Sel.Name == "Run") && !isIdent(sel.X, "entry"):
-				return "call of ." + sel.Sel.Name
+				return sel, "." + sel.Sel.Name
 			}
-			return ""
+			return nil, ""
 		},
 	},
 	{
@@ -391,8 +392,8 @@ func TestSourceGuards(t *testing.T) {
 					report(id.Pos(), "names "+id.Name)
 				}
 				if n != nil && g.check != nil {
-					if what := g.check(sf, n); what != "" {
-						report(n.Pos(), what)
+					if at, what := g.check(n); what != "" {
+						report(at.Pos(), what)
 					}
 				}
 				return true

@@ -87,19 +87,8 @@ type Config struct {
 // seeded selection.
 const fraction = 0.25
 
-// mix64 is the splitmix64 finalizer — the same mixer netem uses for
-// per-link-direction loss draws.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // Stream is a counter-hash RNG stream: draw n is
-// mix64(base + id·golden + n·weyl), a pure function of (seed, model,
+// sim.Mix64(base + id·golden + n·weyl), a pure function of (seed, model,
 // id, draw counter) independent of event interleaving. It must only
 // be drawn from global-engine context (Compromise/Strike/scenario
 // actions), never inside a shard window.
@@ -110,17 +99,12 @@ type Stream struct {
 
 // NewStream derives a stream from a seed and a domain tag.
 func NewStream(seed int64, tag uint64) *Stream {
-	return &Stream{base: mix64(uint64(seed) ^ tag)}
+	return &Stream{base: sim.Mix64(uint64(seed) ^ tag)}
 }
 
 func (s *Stream) next(id int) uint64 {
 	s.draws++
-	return mix64(s.base + uint64(id)*0x9E3779B97F4A7C15 + s.draws*0xBF58476D1CE4E5B9)
-}
-
-// Float64 draws a uniform float in [0, 1) for entity id.
-func (s *Stream) Float64(id int) float64 {
-	return float64(s.next(id)>>11) * (1.0 / (1 << 53))
+	return sim.Mix64(s.base + uint64(id)*0x9E3779B97F4A7C15 + s.draws*0xBF58476D1CE4E5B9)
 }
 
 // Intn draws a uniform int in [0, n) for entity id.
@@ -130,9 +114,6 @@ func (s *Stream) Intn(id, n int) int {
 	}
 	return int(s.next(id) % uint64(n))
 }
-
-// Draws reports how many values the stream has produced.
-func (s *Stream) Draws() uint64 { return s.draws }
 
 // Fleet is a deployed adversary: the compromised set, the activation
 // latch, and the seeded stream hostile decisions draw from.
@@ -156,8 +137,8 @@ func streamTag(m Model) uint64 { return 0x61647672 ^ (uint64(m) << 32) }
 // (seed, model, id) — no engine RNG is consulted, so deploying an
 // adversary perturbs no other component's draws.
 func selScore(seed int64, m Model, id int) uint64 {
-	base := mix64(uint64(seed)) ^ streamTag(m)
-	return mix64(base + uint64(id)*0xBF58476D1CE4E5B9)
+	base := sim.Mix64(uint64(seed)) ^ streamTag(m)
+	return sim.Mix64(base + uint64(id)*0xBF58476D1CE4E5B9)
 }
 
 // New builds a fleet over the given participants. The compromised set
@@ -237,9 +218,6 @@ func (f *Fleet) Activate() { f.active = true }
 
 // Active reports whether Strike has fired.
 func (f *Fleet) Active() bool { return f.active }
-
-// Is reports whether id is compromised (regardless of activation).
-func (f *Fleet) Is(id int) bool { return f.compromised.Contains(id) }
 
 // Colluders returns the compromised ids in ascending order. The
 // returned slice is shared; callers must not mutate it.

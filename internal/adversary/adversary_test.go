@@ -111,7 +111,7 @@ func TestCompromiseExtendsSet(t *testing.T) {
 	if got := len(f.Colluders()); got != before+1 {
 		t.Fatalf("Compromise added %d ids, want 1", got-before)
 	}
-	if !f.Is(99) || f.Is(0) {
+	if !f.compromised.Contains(99) || f.compromised.Contains(0) {
 		t.Fatal("Compromise membership wrong")
 	}
 }
@@ -120,22 +120,22 @@ func TestStreamDeterministicAndTagged(t *testing.T) {
 	a := NewStream(42, streamTag(Joinstorm))
 	b := NewStream(42, streamTag(Joinstorm))
 	for i := 0; i < 100; i++ {
-		if x, y := a.Float64(i%7), b.Float64(i%7); x != y {
+		if x, y := a.next(i%7), b.next(i%7); x != y {
 			t.Fatalf("draw %d diverged: %v vs %v", i, x, y)
 		}
 	}
 	c := NewStream(42, streamTag(Freeride))
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Float64(i%7) == c.Float64(i%7) {
+		if a.next(i%7) == c.next(i%7) {
 			same++
 		}
 	}
 	if same > 2 {
 		t.Fatalf("differently-tagged streams correlated: %d/100 equal draws", same)
 	}
-	if a.Draws() != 200 {
-		t.Fatalf("draw counter = %d, want 200", a.Draws())
+	if a.draws != 200 {
+		t.Fatalf("draw counter = %d, want 200", a.draws)
 	}
 	for i := 0; i < 50; i++ {
 		if n := a.Intn(3, 10); n < 0 || n >= 10 {

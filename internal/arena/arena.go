@@ -39,8 +39,6 @@ type Arena[T any] struct {
 	free []*T // retired values, reused LIFO
 	cur  []T  // newest chunk, issued front to back
 	next int  // next unissued index in cur
-	live int  // values issued and not yet Put
-	allo int  // values ever backed by chunks
 }
 
 // Get returns a zeroed *T: the most recently freed value if one is
@@ -48,7 +46,6 @@ type Arena[T any] struct {
 // a fresh chunk when it is full). The pointer is stable for the
 // arena's lifetime.
 func (a *Arena[T]) Get() *T {
-	a.live++
 	if n := len(a.free); n > 0 {
 		p := a.free[n-1]
 		a.free = a.free[:n-1]
@@ -57,7 +54,6 @@ func (a *Arena[T]) Get() *T {
 	if a.next == len(a.cur) {
 		a.cur = make([]T, chunkSize)
 		a.next = 0
-		a.allo += chunkSize
 	}
 	p := &a.cur[a.next]
 	a.next++
@@ -73,14 +69,4 @@ func (a *Arena[T]) Put(p *T) {
 	var zero T
 	*p = zero
 	a.free = append(a.free, p)
-	a.live--
 }
-
-// Live returns the number of values currently issued (Get minus Put).
-// Put of values issued by a different arena can make this negative;
-// it is an observability counter, never an input to behavior.
-func (a *Arena[T]) Live() int { return a.live }
-
-// Allocated returns the number of values this arena has backed with
-// chunk storage over its lifetime (its capacity footprint, in values).
-func (a *Arena[T]) Allocated() int { return a.allo }

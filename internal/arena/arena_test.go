@@ -16,8 +16,8 @@ func TestZeroValueUsable(t *testing.T) {
 	if p == nil || *p != 0 {
 		t.Fatalf("Get from zero arena = %v, want pointer to 0", p)
 	}
-	if a.Live() != 1 {
-		t.Fatalf("Live = %d, want 1", a.Live())
+	if a.next != 1 || len(a.free) != 0 {
+		t.Fatalf("after one Get: next = %d, free = %d, want 1 and 0", a.next, len(a.free))
 	}
 }
 
@@ -45,13 +45,15 @@ func TestPutZeroesAndReusesLIFO(t *testing.T) {
 func TestChunkGrowthAndStability(t *testing.T) {
 	var a Arena[widget]
 	ptrs := make([]*widget, 0, 3*chunkSize)
+	chunks := map[*widget]bool{} // first value of each chunk backed
 	for i := 0; i < 3*chunkSize; i++ {
 		p := a.Get()
 		p.id = i
 		ptrs = append(ptrs, p)
+		chunks[&a.cur[0]] = true
 	}
-	if a.Allocated() != 3*chunkSize {
-		t.Fatalf("Allocated = %d, want %d", a.Allocated(), 3*chunkSize)
+	if len(chunks) != 3 || a.next != chunkSize {
+		t.Fatalf("%d Gets backed %d chunks, next = %d; want 3 full chunks", 3*chunkSize, len(chunks), a.next)
 	}
 	// Pointers remain stable and distinct across chunk growth.
 	for i, p := range ptrs {
@@ -59,21 +61,19 @@ func TestChunkGrowthAndStability(t *testing.T) {
 			t.Fatalf("ptrs[%d].id = %d: pointer moved or aliased", i, p.id)
 		}
 	}
-	if a.Live() != 3*chunkSize {
-		t.Fatalf("Live = %d, want %d", a.Live(), 3*chunkSize)
-	}
 	for _, p := range ptrs {
 		a.Put(p)
 	}
-	if a.Live() != 0 {
-		t.Fatalf("Live after freeing all = %d, want 0", a.Live())
+	if len(a.free) != 3*chunkSize {
+		t.Fatalf("free list after freeing all = %d, want %d", len(a.free), 3*chunkSize)
 	}
 	// Churn within the freed set allocates no new chunks.
+	last := &a.cur[0]
 	for i := 0; i < 10*chunkSize; i++ {
 		a.Put(a.Get())
 	}
-	if a.Allocated() != 3*chunkSize {
-		t.Fatalf("churn grew the arena: Allocated = %d, want %d", a.Allocated(), 3*chunkSize)
+	if &a.cur[0] != last || a.next != chunkSize || len(a.free) != 3*chunkSize {
+		t.Fatalf("churn grew the arena: next = %d, free = %d", a.next, len(a.free))
 	}
 }
 

@@ -15,7 +15,6 @@ type Filter struct {
 	bits []uint64
 	m    uint64 // number of bits
 	k    int
-	n    int // inserted elements
 }
 
 // New creates a filter with m bits and k hash functions. m is rounded
@@ -72,7 +71,6 @@ func (f *Filter) Add(key uint64) {
 		idx := (h1 + uint64(i)*h2) % f.m
 		f.bits[idx/64] |= 1 << (idx % 64)
 	}
-	f.n++
 }
 
 // Contains reports whether key may be in the set. False positives are
@@ -94,25 +92,6 @@ func (f *Filter) Reset() {
 	for i := range f.bits {
 		f.bits[i] = 0
 	}
-	f.n = 0
-}
-
-// N returns the number of inserted elements.
-func (f *Filter) N() int { return f.n }
-
-// M returns the filter size in bits.
-func (f *Filter) M() int { return int(f.m) }
-
-// K returns the number of hash functions.
-func (f *Filter) K() int { return f.k }
-
-// EstimatedFPRate returns (1 - e^{-kn/m})^k for the current load, the
-// formula quoted in §2.3.
-func (f *Filter) EstimatedFPRate() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.m)), float64(f.k))
 }
 
 // SizeBytes returns the wire size of the filter.
@@ -121,7 +100,7 @@ func (f *Filter) SizeBytes() int { return len(f.bits)*8 + 8 }
 // Clone returns an independent copy (used when shipping a snapshot to
 // a peer).
 func (f *Filter) Clone() *Filter {
-	c := &Filter{bits: make([]uint64, len(f.bits)), m: f.m, k: f.k, n: f.n}
+	c := &Filter{bits: make([]uint64, len(f.bits)), m: f.m, k: f.k}
 	copy(c.bits, f.bits)
 	return c
 }

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,10 +36,16 @@ func TestFalsePositiveRateNearPrediction(t *testing.T) {
 	if rate > 0.03 {
 		t.Fatalf("observed FP rate %.4f far above target 0.01", rate)
 	}
-	est := f.EstimatedFPRate()
+	est := estimatedFPRate(f, n)
 	if est <= 0 || est > 0.05 {
 		t.Fatalf("estimated FP rate %.4f implausible", est)
 	}
+}
+
+// estimatedFPRate is (1 - e^{-kn/m})^k for a filter holding n keys,
+// the formula quoted in §2.3.
+func estimatedFPRate(f *Filter, n int) float64 {
+	return math.Pow(1-math.Exp(-float64(f.k)*float64(n)/float64(f.m)), float64(f.k))
 }
 
 func TestReset(t *testing.T) {
@@ -48,11 +55,10 @@ func TestReset(t *testing.T) {
 	if f.Contains(42) {
 		t.Fatal("contains after reset")
 	}
-	if f.N() != 0 {
-		t.Fatalf("N=%d after reset", f.N())
-	}
-	if f.EstimatedFPRate() != 0 {
-		t.Fatal("nonzero FP estimate on empty filter")
+	for i, w := range f.bits {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after reset", i, w)
+		}
 	}
 }
 
@@ -72,16 +78,16 @@ func TestClone(t *testing.T) {
 func TestNewForCapacitySizing(t *testing.T) {
 	f := NewForCapacity(1000, 0.01)
 	// Standard sizing: ~9.6 bits/element, ~7 hashes.
-	if f.M() < 9000 || f.M() > 11000 {
-		t.Fatalf("m=%d for n=1000 fp=1%%", f.M())
+	if f.m < 9000 || f.m > 11000 {
+		t.Fatalf("m=%d for n=1000 fp=1%%", f.m)
 	}
-	if f.K() < 5 || f.K() > 9 {
-		t.Fatalf("k=%d", f.K())
+	if f.k < 5 || f.k > 9 {
+		t.Fatalf("k=%d", f.k)
 	}
 	// Degenerate inputs fall back to sane defaults.
 	g := NewForCapacity(0, -1)
-	if g.M() < 64 || g.K() < 1 {
-		t.Fatalf("degenerate sizing m=%d k=%d", g.M(), g.K())
+	if g.m < 64 || g.k < 1 {
+		t.Fatalf("degenerate sizing m=%d k=%d", g.m, g.k)
 	}
 }
 

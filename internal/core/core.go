@@ -19,6 +19,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -193,78 +194,60 @@ type Node struct {
 // findChild returns the child entry for node id, or nil. Child lists
 // are bounded by the tree degree, so a linear scan beats hashing.
 func (n *Node) findChild(id int) *childInfo {
-	for _, ci := range n.children {
-		if ci.node == id {
-			return ci
-		}
+	if i := slices.IndexFunc(n.children, func(ci *childInfo) bool { return ci.node == id }); i >= 0 {
+		return n.children[i]
 	}
 	return nil
 }
 
 // findSender returns the sender entry for peer id, or nil.
 func (n *Node) findSender(id int) *senderInfo {
-	for _, si := range n.senders {
-		if si.node == id {
-			return si
-		}
+	if i := slices.IndexFunc(n.senders, func(si *senderInfo) bool { return si.node == id }); i >= 0 {
+		return n.senders[i]
 	}
 	return nil
 }
 
 // addSender inserts si keeping the list sorted by node id.
 func (n *Node) addSender(si *senderInfo) {
-	i := len(n.senders)
-	for i > 0 && n.senders[i-1].node > si.node {
-		i--
-	}
-	n.senders = append(n.senders, nil)
-	copy(n.senders[i+1:], n.senders[i:])
-	n.senders[i] = si
+	i, _ := slices.BinarySearchFunc(n.senders, si.node, func(s *senderInfo, id int) int { return cmp.Compare(s.node, id) })
+	n.senders = slices.Insert(n.senders, i, si)
 }
 
 // removeSender deletes the sender entry for peer id, preserving order,
 // and reports whether one was present.
 func (n *Node) removeSender(id int) bool {
-	for i, si := range n.senders {
-		if si.node == id {
-			n.senders = append(n.senders[:i], n.senders[i+1:]...)
-			return true
-		}
+	i := slices.IndexFunc(n.senders, func(si *senderInfo) bool { return si.node == id })
+	if i >= 0 {
+		n.senders = slices.Delete(n.senders, i, i+1)
 	}
-	return false
+	return i >= 0
 }
 
 // findReceiver returns the receiver entry for peer id, or nil.
 func (n *Node) findReceiver(id int) *recvPeerInfo {
-	for _, rf := range n.receivers {
-		if rf.node == id {
-			return rf
-		}
+	if i := slices.IndexFunc(n.receivers, func(rf *recvPeerInfo) bool { return rf.node == id }); i >= 0 {
+		return n.receivers[i]
 	}
 	return nil
 }
 
 // addReceiver inserts rf keeping the list sorted by node id.
 func (n *Node) addReceiver(rf *recvPeerInfo) {
-	i := len(n.receivers)
-	for i > 0 && n.receivers[i-1].node > rf.node {
-		i--
-	}
-	n.receivers = append(n.receivers, nil)
-	copy(n.receivers[i+1:], n.receivers[i:])
-	n.receivers[i] = rf
+	i, _ := slices.BinarySearchFunc(n.receivers, rf.node, func(r *recvPeerInfo, id int) int { return cmp.Compare(r.node, id) })
+	n.receivers = slices.Insert(n.receivers, i, rf)
 }
 
 // removeReceiver deletes and returns the receiver entry for peer id
 // (nil if absent), preserving order.
 func (n *Node) removeReceiver(id int) *recvPeerInfo {
-	for i, rf := range n.receivers {
-		if rf.node == id {
-			n.receivers = append(n.receivers[:i], n.receivers[i+1:]...)
-			return rf
-		}
+	i := slices.IndexFunc(n.receivers, func(rf *recvPeerInfo) bool { return rf.node == id })
+	if i < 0 {
+		return nil
 	}
-	return nil
+	rf := n.receivers[i]
+	n.receivers = slices.Delete(n.receivers, i, i+1)
+	return rf
 }
 
 // releaseReceiver returns a dropped receiver's pooled state.

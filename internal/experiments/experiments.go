@@ -124,8 +124,8 @@ func (r *Result) addSeries(label string, pts []metrics.Point) {
 }
 
 // MeanTail returns the mean Kbps of the labeled series over its final
-// frac fraction of samples — the steady-state number quoted in
-// EXPERIMENTS.md comparisons.
+// frac fraction of samples: the steady-state throughput the shape
+// tests and the Figure 7 golden compare.
 func (r *Result) MeanTail(label string, frac float64) float64 {
 	pts := r.Series[label]
 	if len(pts) == 0 {

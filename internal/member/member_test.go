@@ -3,6 +3,7 @@ package member
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,7 +232,7 @@ func TestRosterAdversary(t *testing.T) {
 	f := adversary.New(adversary.Config{Model: adversary.Freeride}, ids, 7, 1)
 	r.SetAdversary(f)
 	r.Compromise([]int{3})
-	if r.Adversary() != f || !f.Is(3) || r.RefusesServe(3) || r.RefusesRelay(3) {
+	if r.Adversary() != f || !slices.Contains(f.Colluders(), 3) || r.RefusesServe(3) || r.RefusesRelay(3) {
 		t.Fatal("fleet must attach dormant, with 3 compromised")
 	}
 	r.Strike()
@@ -277,7 +278,7 @@ func TestRosterStrikeCrashes(t *testing.T) {
 	small := [][2]int{{2, 1}, {3, 1}, {4, 2}, {5, 2}}
 	r, eng, f := build(adversary.Cutvertex, small...)
 	r.StrikeCrashes(eng, r.Crash, restart(r))
-	if !f.Active() || !r.Crashed(2) || !f.Is(2) || len(r.Nodes()) != 4 {
+	if !f.Active() || !r.Crashed(2) || !slices.Contains(f.Colluders(), 2) || len(r.Nodes()) != 4 {
 		t.Fatalf("cutvertex: active=%v crashed(2)=%v live=%v", f.Active(), r.Crashed(2), r.Nodes())
 	}
 

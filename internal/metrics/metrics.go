@@ -382,6 +382,3 @@ func (c *Collector) DuplicateRatio() float64 {
 	}
 	return float64(c.Total(Duplicate)) / float64(raw)
 }
-
-// Nodes returns the number of tracked nodes.
-func (c *Collector) Nodes() int { return c.nodes.Len() }

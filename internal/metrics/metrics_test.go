@@ -45,8 +45,8 @@ func TestTrackIncludesSilentNodes(t *testing.T) {
 	if got := c.Series(Useful)[0].Kbps; got != 500 {
 		t.Fatalf("mean with silent node %v", got)
 	}
-	if c.Nodes() != 2 {
-		t.Fatalf("nodes=%d", c.Nodes())
+	if c.nodes.Len() != 2 {
+		t.Fatalf("nodes=%d", c.nodes.Len())
 	}
 }
 
@@ -168,8 +168,8 @@ func TestMeanOverEmptyCollector(t *testing.T) {
 	if got := c.MeanOver(0, 0, Raw); got != 0 {
 		t.Errorf("empty collector zero window = %v, want 0", got)
 	}
-	if c.Nodes() != 0 {
-		t.Errorf("empty collector tracks %d nodes", c.Nodes())
+	if c.nodes.Len() != 0 {
+		t.Errorf("empty collector tracks %d nodes", c.nodes.Len())
 	}
 }
 

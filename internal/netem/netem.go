@@ -2,10 +2,12 @@
 // stand-in for the ModelNet cluster emulator used in the Bullet paper's
 // evaluation. Packets are forwarded hop-by-hop along shortest paths;
 // each link direction models store-and-forward serialization at the
-// link bandwidth, a bounded FIFO queue with tail drop (congestion
-// loss), propagation delay, and independent random loss. These are the
-// exact mechanisms ModelNet emulates, so transports running above (TFRC)
-// observe equivalent loss and delay signals.
+// link bandwidth, a FIFO queue with RED-style early drop of data
+// packets (congestion loss: once a packet's queueing wait passes half
+// the delay limit it is dropped with a probability that rises linearly
+// to 1 at the limit; control packets are never queue-dropped),
+// propagation delay, and independent random loss. Transports running
+// above (TFRC) thus observe ModelNet-like loss and delay signals.
 //
 // The underlying topology may change mid-run (scenario-driven bandwidth
 // shifts, link failures, partitions): the emulator stamps every packet
@@ -66,8 +68,9 @@ type Handler func(pkt Packet)
 
 // Config tunes the emulator.
 type Config struct {
-	// QueueDelayLimit bounds per-link queuing delay; a packet whose
-	// wait would exceed it is tail-dropped. Default 150ms.
+	// QueueDelayLimit bounds per-link queuing delay of data packets: a
+	// wait past half of it is dropped early with probability rising
+	// linearly to 1 at the limit. Default 150ms.
 	QueueDelayLimit sim.Duration
 }
 
@@ -205,21 +208,11 @@ func New(eng *sim.Engine, g *topology.Graph, rt *topology.Router, cfg Config) *N
 		cfg:      cfg,
 		dirs:     make([]dirState, 2*len(g.Links)),
 		handlers: make([]Handler, len(g.Nodes)),
-		lossSeed: mix64(uint64(eng.Seed()) ^ 0x6e65746d),
+		lossSeed: sim.Mix64(uint64(eng.Seed()) ^ 0x6e65746d),
 		ctxs:     make([]shardCtx, 1),
 	}
 	n.hopFn = func(a any) { n.hop(a.(*inflight)) }
 	return n
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
 }
 
 // dirFloat returns the next uniform [0,1) draw for link direction
@@ -227,7 +220,7 @@ func mix64(z uint64) uint64 {
 // every other direction and of global event interleaving.
 func (n *Network) dirFloat(dirIdx int, ds *dirState) float64 {
 	ds.draws++
-	z := mix64(n.lossSeed + uint64(dirIdx)*0x9E3779B97F4A7C15 + ds.draws*0xBF58476D1CE4E5B9)
+	z := sim.Mix64(n.lossSeed + uint64(dirIdx)*0x9E3779B97F4A7C15 + ds.draws*0xBF58476D1CE4E5B9)
 	return float64(z>>11) * (1.0 / (1 << 53))
 }
 
@@ -273,9 +266,6 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 func (n *Network) SchedulerFor(node int) any {
 	return n.engineFor(n.shardIdx(node))
 }
-
-// Router returns the route oracle.
-func (n *Network) Router() *topology.Router { return n.rt }
 
 // Graph returns the topology.
 func (n *Network) Graph() *topology.Graph { return n.g }

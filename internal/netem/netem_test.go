@@ -37,7 +37,7 @@ func TestDeliveryAndLatency(t *testing.T) {
 		t.Fatalf("packet not delivered: %+v", got)
 	}
 	// Latency must be at least the propagation delay of the path.
-	minDelay := net.Router().Delay(src, dst)
+	minDelay := net.rt.Delay(src, dst)
 	if gotAt < minDelay {
 		t.Fatalf("delivered at %v, before min propagation %v", gotAt, minDelay)
 	}
@@ -226,7 +226,7 @@ func TestThroughputMatchesBottleneck(t *testing.T) {
 	}
 	pump()
 	eng.Run(12 * sim.Second)
-	bottleneck := net.Router().Bottleneck(src, dst) // bytes/s
+	bottleneck := net.rt.Bottleneck(src, dst) // bytes/s
 	got := float64(bytes) / 10.0
 	if got > bottleneck*1.05 {
 		t.Fatalf("throughput %.0f exceeds bottleneck %.0f", got, bottleneck)

@@ -74,12 +74,6 @@ func (s *Set) Contains(id int) bool {
 // Len returns the number of ids in the set.
 func (s *Set) Len() int { return s.count }
 
-// Clear empties the set, keeping the backing storage.
-func (s *Set) Clear() {
-	clear(s.words)
-	s.count = 0
-}
-
 // Range calls fn for every id in ascending order; fn returning false
 // stops the iteration. Mutating the set during Range is unsupported.
 func (s *Set) Range(fn func(id int) bool) {
@@ -101,14 +95,6 @@ func (s *Set) AppendIDs(dst []int) []int {
 		return true
 	})
 	return dst
-}
-
-// IDs returns the ids in ascending order (nil when empty).
-func (s *Set) IDs() []int {
-	if s.count == 0 {
-		return nil
-	}
-	return s.AppendIDs(make([]int, 0, s.count))
 }
 
 // Table is a slice-backed map from non-negative dense ids to T.
@@ -172,9 +158,3 @@ func (t *Table[T]) Len() int { return t.set.Len() }
 func (t *Table[T]) Range(fn func(id int, v T) bool) {
 	t.set.Range(func(id int) bool { return fn(id, t.vals[id]) })
 }
-
-// AppendIDs appends the present ids in ascending order to dst.
-func (t *Table[T]) AppendIDs(dst []int) []int { return t.set.AppendIDs(dst) }
-
-// IDs returns the present ids in ascending order (nil when empty).
-func (t *Table[T]) IDs() []int { return t.set.IDs() }

@@ -42,9 +42,6 @@ func (w *SeqWindow) Release() {
 	seqWindowPool.Put(w)
 }
 
-// Len returns the number of entries.
-func (w *SeqWindow) Len() int { return w.n }
-
 // Clear removes every entry, keeping the backing storage.
 func (w *SeqWindow) Clear() {
 	if w.n > 0 {
@@ -160,22 +157,6 @@ func (w *SeqWindow) Delete(seq uint64) bool {
 	w.keys[i] = 0
 	w.n--
 	return true
-}
-
-// Range calls fn for every (seq, time) entry in unspecified order; fn
-// returning false stops the iteration. The window must not be mutated
-// during Range (use DeleteOlder for the delete-while-scanning pattern).
-func (w *SeqWindow) Range(fn func(seq uint64, t sim.Time) bool) {
-	if w.n == 0 {
-		return
-	}
-	for i, k := range w.keys {
-		if k != 0 {
-			if !fn(k-1, w.vals[i]) {
-				return
-			}
-		}
-	}
 }
 
 // DeleteOlder removes every entry whose time is strictly before cutoff.

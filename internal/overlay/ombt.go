@@ -58,9 +58,6 @@ func (e *Estimator) Place(v, w int) {
 	}
 }
 
-// Reset clears all placed flows.
-func (e *Estimator) Reset() { e.flows = make(map[int32]int) }
-
 type offer struct {
 	rate float64
 	from int // in-tree node

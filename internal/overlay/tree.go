@@ -67,9 +67,6 @@ func (t *Tree) Contains(node int) bool {
 	return t.parent.Contains(node)
 }
 
-// Size returns the number of participants.
-func (t *Tree) Size() int { return len(t.Participants) }
-
 // Degree returns the out-degree (children count) of node.
 func (t *Tree) Degree(node int) int { return len(t.children.At(node)) }
 
@@ -99,35 +96,6 @@ func (t *Tree) HeaviestChild(node int) (child, descendants int) {
 		}
 	}
 	return child, descendants
-}
-
-// Depth returns the maximum root-to-leaf hop count.
-func (t *Tree) Depth() int {
-	var walk func(n, d int) int
-	walk = func(n, d int) int {
-		max := d
-		for _, c := range t.children.At(n) {
-			if cd := walk(c, d+1); cd > max {
-				max = cd
-			}
-		}
-		return max
-	}
-	return walk(t.Root, 0)
-}
-
-// DepthOf returns the hop distance from the root to node (-1 if absent).
-func (t *Tree) DepthOf(node int) int {
-	d := 0
-	for node != t.Root {
-		p, ok := t.parent.Get(node)
-		if !ok || p < 0 {
-			return -1
-		}
-		node = p
-		d++
-	}
-	return d
 }
 
 // IsDescendant reports whether b lies in a's subtree (a is its own

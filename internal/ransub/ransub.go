@@ -235,22 +235,6 @@ func (a *Agent) resetWaiting() {
 // IsRoot reports whether this agent sits at the tree root.
 func (a *Agent) IsRoot() bool { return a.parent < 0 }
 
-// Epoch returns the current epoch number.
-func (a *Agent) Epoch() int { return a.epoch }
-
-// EpochsCompleted returns how many distribute phases this node has
-// received (or initiated, at the root).
-func (a *Agent) EpochsCompleted() int { return a.epochsCompleted }
-
-// Descendants returns the latest known subtree size below child
-// (excluding the child itself), from its most recent collect.
-func (a *Agent) Descendants(child int) int {
-	if cm := a.collectOf(child); cm != nil {
-		return cm.descendants
-	}
-	return 0
-}
-
 // ChildSubtreeSize returns descendants(child) + 1, the population the
 // child's collect set represents.
 func (a *Agent) ChildSubtreeSize(child int) int {
@@ -260,9 +244,6 @@ func (a *Agent) ChildSubtreeSize(child int) int {
 	}
 	return cm.descendants + 1
 }
-
-// Children returns the children list (shared; do not mutate).
-func (a *Agent) Children() []int { return a.children }
 
 // ---------------------------------------------------------------------
 // Membership changes (churn support). All three operations are

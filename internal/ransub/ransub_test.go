@@ -311,7 +311,7 @@ func TestRanSubDescendantCounts(t *testing.T) {
 		ag := w.agents[n]
 		for _, c := range w.tree.Children(n) {
 			want := w.tree.Descendants(c)
-			if got := ag.Descendants(c); got != want {
+			if got := ag.ChildSubtreeSize(c) - 1; got != want {
 				t.Fatalf("node %d child %d descendants=%d want %d", n, c, got, want)
 			}
 		}
@@ -367,10 +367,10 @@ func TestRanSubFailureDetection(t *testing.T) {
 	victim := kids[0]
 	w.agents[root].Start()
 	w.eng.Run(20 * sim.Second)
-	before := w.agents[root].EpochsCompleted()
+	before := w.agents[root].epochsCompleted
 	w.eps[victim].Fail()
 	w.eng.Run(60 * sim.Second)
-	after := w.agents[root].EpochsCompleted()
+	after := w.agents[root].epochsCompleted
 	if after-before < 2 {
 		t.Fatalf("epochs stalled after child failure with detection on: %d -> %d", before, after)
 	}
@@ -390,9 +390,9 @@ func TestRanSubStallsWithoutFailureDetection(t *testing.T) {
 	w.eng.Run(20 * sim.Second)
 	w.eps[victim].Fail()
 	w.eng.Run(5 * sim.Second) // let in-flight epochs settle
-	stalled := w.agents[root].EpochsCompleted()
+	stalled := w.agents[root].epochsCompleted
 	w.eng.Run(120 * sim.Second)
-	if got := w.agents[root].EpochsCompleted(); got > stalled+1 {
+	if got := w.agents[root].epochsCompleted; got > stalled+1 {
 		t.Fatalf("epochs advanced (%d -> %d) despite disabled failure detection", stalled, got)
 	}
 }
@@ -403,7 +403,7 @@ func TestRanSubEpochPacing(t *testing.T) {
 	w := buildWorld(t, 8, 15, cfg)
 	w.agents[w.tree.Root].Start()
 	w.eng.Run(52 * sim.Second)
-	if got := w.agents[w.tree.Root].EpochsCompleted(); got > 11 {
+	if got := w.agents[w.tree.Root].epochsCompleted; got > 11 {
 		t.Fatalf("%d epochs in 52s with 5s minimum", got)
 	}
 }
@@ -423,17 +423,17 @@ func TestRemoveChildUnblocksWave(t *testing.T) {
 	}
 	w.agents[root].Start()
 	w.eng.Run(12 * sim.Second)
-	atCrash := w.agents[root].EpochsCompleted()
+	atCrash := w.agents[root].epochsCompleted
 	w.eps[victim].Fail()
 	w.agents[root].RemoveChild(victim)
 	w.eng.Run(60 * sim.Second)
-	after := w.agents[root].EpochsCompleted()
+	after := w.agents[root].epochsCompleted
 	if after-atCrash < 3 {
 		t.Fatalf("only %d epochs completed in ~48s after crash+removal (epoch 5s): wave stalled",
 			after-atCrash)
 	}
 	// The victim must no longer be waited on or listed.
-	for _, c := range w.agents[root].Children() {
+	for _, c := range w.agents[root].children {
 		if c == victim {
 			t.Fatal("victim still listed as child")
 		}
@@ -455,17 +455,17 @@ func TestMembershipAccessors(t *testing.T) {
 		t.Fatal("no leaf")
 	}
 	ag := w.agents[leafID]
-	if len(ag.Children()) != 0 {
+	if len(ag.children) != 0 {
 		t.Fatal("leaf has children")
 	}
 	ag.AddChild(42)
 	ag.AddChild(42)
-	if got := ag.Children(); len(got) != 1 || got[0] != 42 {
+	if got := ag.children; len(got) != 1 || got[0] != 42 {
 		t.Fatalf("children after dup add: %v", got)
 	}
 	ag.RemoveChild(99) // unknown: no-op
 	ag.RemoveChild(42)
-	if len(ag.Children()) != 0 {
+	if len(ag.children) != 0 {
 		t.Fatal("child not removed")
 	}
 	if ag.IsRoot() {
@@ -498,7 +498,7 @@ func TestDistributeSharesOneOwnTicket(t *testing.T) {
 	real := ag.TicketFn
 	ag.TicketFn = func() *sketch.Ticket { calls++; return real() }
 	sets := make(map[int][]Entry)
-	for _, c := range ag.Children() {
+	for _, c := range ag.children {
 		c := c
 		w.eps[c].OnControl(func(from int, payload any, size int) {
 			if m, ok := payload.(*distributeMsg); ok && from == x {
@@ -509,12 +509,12 @@ func TestDistributeSharesOneOwnTicket(t *testing.T) {
 	want := live.Clone()
 	ag.sendDistributes(distributeMsg{epoch: 1})
 	if calls != 1 {
-		t.Fatalf("one distribute round to %d children called TicketFn %d times, want 1", len(ag.Children()), calls)
+		t.Fatalf("one distribute round to %d children called TicketFn %d times, want 1", len(ag.children), calls)
 	}
 	w.eng.Run(5 * sim.Second)
 
 	var snap *sketch.Ticket
-	for _, c := range ag.Children() {
+	for _, c := range ag.children {
 		set, ok := sets[c]
 		if !ok {
 			t.Fatalf("child %d received no distribute", c)

@@ -205,10 +205,6 @@ type Schedule struct {
 // New returns an empty schedule.
 func New() *Schedule { return &Schedule{} }
 
-// Len returns the number of scheduled events (an applied ramp or
-// oscillation counts each step).
-func (s *Schedule) Len() int { return len(s.events) }
-
 // At schedules the actions to run atomically at virtual time t.
 func (s *Schedule) At(t sim.Time, actions ...Action) *Schedule {
 	s.events = append(s.events, event{at: t, seq: len(s.events), actions: actions})

@@ -28,8 +28,8 @@ func TestScheduleFiresInTimeOrder(t *testing.T) {
 		At(10*sim.Second, FailLink(lid), Func(func(*Env) { order = append(order, "a") })).
 		At(20*sim.Second, Func(func(*Env) { order = append(order, "c") })).
 		At(30*sim.Second, RestoreLink(lid), Func(func(*Env) { order = append(order, "d") }))
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
+	if len(s.events) != 4 {
+		t.Fatalf("Len = %d, want 4", len(s.events))
 	}
 	s.Install(env)
 
@@ -178,8 +178,8 @@ func TestChurnBuilder(t *testing.T) {
 	var times []sim.Time
 	s := New()
 	s.Churn(10*sim.Second, 5*sim.Second, 7*sim.Second, 1, 2, 3)
-	if s.Len() != 6 {
-		t.Fatalf("churn of 3 nodes scheduled %d events, want 6", s.Len())
+	if len(s.events) != 6 {
+		t.Fatalf("churn of 3 nodes scheduled %d events, want 6", len(s.events))
 	}
 	s.At(60*sim.Second, Func(func(env *Env) { times = append(times, env.Eng.Now()) }))
 	s.Install(env)
@@ -196,8 +196,8 @@ func TestChurnBuilder(t *testing.T) {
 	}
 	// downFor <= 0: no restarts scheduled.
 	s2 := New().Churn(0, sim.Second, 0, 4, 5)
-	if s2.Len() != 2 {
-		t.Fatalf("no-restart churn scheduled %d events, want 2", s2.Len())
+	if len(s2.events) != 2 {
+		t.Fatalf("no-restart churn scheduled %d events, want 2", len(s2.events))
 	}
 }
 

@@ -205,9 +205,8 @@ type Engine struct {
 	// the largest bucket sorted, and all zero between sorts.
 	scratch []ev
 
-	stopped bool
-	seed    int64
-	fired   uint64
+	seed  int64
+	fired uint64
 
 	// Timers: the fireTimer method value every At/After/Every event
 	// carries (made once), their bodies, and the last id issued.
@@ -241,14 +240,20 @@ func (e *Engine) Pending() int { return e.ringN + len(e.far) }
 // Distinct ids yield independent streams; the same (seed, id) pair
 // always yields the same stream.
 func (e *Engine) RNG(id int64) *rand.Rand {
-	// splitmix64-style mixing of seed and id.
-	z := uint64(e.seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
+	z := Mix64(uint64(e.seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB)
+	return rand.New(rand.NewSource(int64(z)))
+}
+
+// Mix64 is the splitmix64 finalizer, the one mixer behind every
+// counter-hash stream: engine RNG seeds, netem's per-link-direction
+// loss draws and the adversary's selection scores and stream.
+func Mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return z
 }
 
 // ---------------------------------------------------------------------
@@ -535,11 +540,11 @@ func (e *Engine) ScheduleArg(t Time, fn func(any), arg any) {
 	e.push(t, fn, arg)
 }
 
-// Run executes events until the queue drains, the clock passes until,
-// or Stop is called. It returns the time of the last executed event.
+// Run executes every event at or before until, then advances the clock
+// to until (if it is not already later) and returns it.
 func (e *Engine) Run(until Time) Time {
 	e.exec(until, false)
-	if e.now < until && !e.stopped {
+	if e.now < until {
 		e.setNow(until)
 	}
 	return e.now
@@ -600,15 +605,14 @@ func (e *Engine) AdvanceTo(t Time) {
 
 // exec is the shared event loop: it executes events while the head is
 // <= limit (strict=false, Run semantics) or < limit (strict=true,
-// RunBefore semantics), honoring Stop. Dispatch is batched by
+// RunBefore semantics). Dispatch is batched by
 // deadline: the outer loop admits one timestamp against the limit and
 // sets the clock once; the inner loop then drains every event at that
 // timestamp — including ones its callbacks append at the current
 // instant, which join the batch tail in FIFO order exactly as the
 // serial schedule requires.
 func (e *Engine) exec(limit Time, strict bool) {
-	e.stopped = false
-	for e.ringN+len(e.far) > 0 && !e.stopped {
+	for e.ringN+len(e.far) > 0 {
 		var t Time
 		if e.ringN > 0 {
 			bk := e.ringHead()
@@ -622,7 +626,7 @@ func (e *Engine) exec(limit Time, strict bool) {
 		// After the clock lands on t, the event at t is in the ring:
 		// if it was on the far list, the base advance just migrated it.
 		e.setNow(t)
-		for e.ringN > 0 && !e.stopped {
+		for e.ringN > 0 {
 			bk := e.ringHead()
 			v := &bk.evs[bk.head]
 			if bk.at(v.key) != t {
@@ -639,6 +643,3 @@ func (e *Engine) exec(limit Time, strict bool) {
 		}
 	}
 }
-
-// Stop halts Run after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }

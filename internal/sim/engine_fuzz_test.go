@@ -35,9 +35,8 @@ import (
 // their own callbacks, near and on the far list.
 //
 // The radix-* scripts put same-instant ties into buckets large enough
-// for the radix sort (see burstOffsets): ties-consumed stops a run
-// inside such a bucket and bursts into it again, onto the instant being
-// consumed; ties-far ties migrated far events with direct pushes made
+// for the radix sort (see burstOffsets): ties-consumed runs into such a
+// bucket and bursts into it again, onto the instant being consumed; ties-far ties migrated far events with direct pushes made
 // after the advance; cutoff fills buckets of 16 and 17 entries.
 
 // fuzzHandle is the part of Timer the driver uses.
@@ -60,7 +59,6 @@ type fuzzQueue interface {
 	Run(until Time) Time
 	RunBefore(end Time)
 	AdvanceTo(t Time)
-	Stop()
 }
 
 // engineQueue adapts *Engine: only the Timer-returning calls need it.
@@ -94,16 +92,14 @@ type refEv struct {
 // only ever grow, so inserting after every entry with at <= the new
 // event's keeps that order without storing them.
 type refQueue struct {
-	now     Time
-	q       []refEv
-	fired   uint64
-	stopped bool
+	now   Time
+	q     []refEv
+	fired uint64
 }
 
 func (r *refQueue) Now() Time     { return r.now }
 func (r *refQueue) Fired() uint64 { return r.fired }
 func (r *refQueue) Pending() int  { return len(r.q) }
-func (r *refQueue) Stop()         { r.stopped = true }
 
 func (r *refQueue) NextAt() (Time, bool) {
 	if len(r.q) == 0 {
@@ -139,8 +135,7 @@ func (r *refQueue) Every(p Duration, fn func()) fuzzHandle {
 }
 
 func (r *refQueue) exec(limit Time, strict bool) {
-	r.stopped = false
-	for len(r.q) > 0 && !r.stopped {
+	for len(r.q) > 0 {
 		v := r.q[0]
 		if v.at > limit || (strict && v.at == limit) {
 			return
@@ -175,7 +170,7 @@ func (r *refQueue) exec(limit Time, strict bool) {
 
 func (r *refQueue) Run(until Time) Time {
 	r.exec(until, false)
-	if r.now < until && !r.stopped {
+	if r.now < until {
 		r.now = until
 	}
 	return r.now
@@ -276,8 +271,7 @@ func (d *fuzzDriver) fire(c *fuzzCB) {
 		if n := len(d.handles); n > 0 {
 			d.handles[int(c.j)%n].Cancel()
 		}
-	case 4:
-		d.q.Stop()
+	case 4: // no-op: this slot stopped the run while Engine had Stop
 	case 5: // cancellable child
 		k := d.newCB(0, 0, 0)
 		k.h = d.q.At(d.deadline(c.cls, c.j), func() { d.fire(k) })
@@ -336,8 +330,7 @@ func (d *fuzzDriver) step(op, cls, j, x byte) {
 			at = next
 		}
 		q.AdvanceTo(at)
-	case 9:
-		q.Stop()
+	case 9: // no-op: this slot stopped the run while Engine had Stop
 	case 10: // one barrier round of the sharded runner
 		q.RunBefore(at)
 		if next, ok := q.NextAt(); !ok || next >= at {

@@ -96,17 +96,6 @@ func TestEngineRunUntilStopsAtBoundary(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	e.At(10*Millisecond, func() { fired++; e.Stop() })
-	e.At(20*Millisecond, func() { fired++ })
-	e.Run(Second)
-	if fired != 1 {
-		t.Fatalf("Stop did not halt run; fired=%d", fired)
-	}
-}
-
 func TestEngineSchedulingInPast(t *testing.T) {
 	e := NewEngine(1)
 	var order []string

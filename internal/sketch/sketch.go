@@ -74,26 +74,12 @@ func (t *Ticket) Reset() {
 	}
 }
 
-// Empty reports whether no element has been added.
-func (t *Ticket) Empty() bool {
-	for _, v := range t.vals {
-		if v != empty {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy, e.g. for shipping in a RanSub set.
 func (t *Ticket) Clone() *Ticket {
 	c := &Ticket{perms: t.perms, vals: make([]uint32, len(t.vals))}
 	copy(c.vals, t.vals)
 	return c
 }
-
-// SizeBytes is the wire size of the ticket (the paper's 120 bytes for
-// 30 entries).
-func (t *Ticket) SizeBytes() int { return len(t.vals) * 4 }
 
 // Resemblance estimates the Jaccard similarity of the underlying sets:
 // the number of equal entries divided by the number of entries. Both

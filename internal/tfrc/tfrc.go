@@ -161,14 +161,8 @@ func NewSender(packetSize float64) *Sender {
 	return s
 }
 
-// Rate returns the current allowed sending rate in bytes/second.
-func (s *Sender) Rate() float64 { return s.rate }
-
 // RTT returns the smoothed RTT estimate in seconds.
 func (s *Sender) RTT() float64 { return s.rtt }
-
-// InSlowStart reports whether the sender has yet to see a loss event.
-func (s *Sender) InSlowStart() bool { return s.slowStart }
 
 // nofeedback halves the rate for every no-feedback interval in which
 // data was sent but no receiver report arrived (RFC 3448 §4.4), so
@@ -228,12 +222,6 @@ func (s *Sender) TrySend(now float64, size int) bool {
 	s.tokens -= float64(size)
 	s.lastSend = now
 	return true
-}
-
-// Budget returns the currently available token budget in bytes.
-func (s *Sender) Budget(now float64) float64 {
-	s.refill(now)
-	return s.tokens
 }
 
 // Feedback is the once-per-RTT receiver report.
@@ -304,7 +292,6 @@ type Receiver struct {
 	lastArrival   float64 // local arrival time of that packet
 	haveTS        bool
 	totalReceived float64
-	totalLost     float64
 }
 
 // NewReceiver creates a receiver; rttHint seeds loss-event aggregation
@@ -341,7 +328,6 @@ func (r *Receiver) OnData(now float64, flowSeq uint64, size int, ts, senderRTT f
 	lost := flowSeq - r.nextSeq
 	r.nextSeq = flowSeq + 1
 	if lost > 0 {
-		r.totalLost += float64(lost)
 		if !r.inLossEvent || now-r.lossEventStart > r.rtt {
 			// New loss event.
 			first := !r.hist.haveLoss
@@ -359,15 +345,6 @@ func (r *Receiver) OnData(now float64, flowSeq uint64, size int, ts, senderRTT f
 
 // P returns the current loss event rate estimate.
 func (r *Receiver) P() float64 { return r.hist.P() }
-
-// LossRatio returns the raw fraction of packets lost (diagnostics).
-func (r *Receiver) LossRatio() float64 {
-	tot := r.totalReceived + r.totalLost
-	if tot == 0 {
-		return 0
-	}
-	return r.totalLost / tot
-}
 
 // MakeFeedback builds the periodic report and resets the receive-rate
 // window. It returns the feedback, the sender timestamp to echo for

@@ -65,7 +65,7 @@ func (d *diff) check(from int, tos ...int) {
 		if fd != hd {
 			d.t.Fatalf("delay(%d,%d): flat %d, hier %d", from, to, fd, hd)
 		}
-		hr := d.hier.Reachable(from, to)
+		hr := hd >= 0
 		if hr != (fp != nil) {
 			d.t.Fatalf("reachable(%d,%d): flat %v, hier %v", from, to, fp != nil, hr)
 		}

@@ -239,7 +239,7 @@ func TestRouterUnreachableMetrics(t *testing.T) {
 	a, b := g.Clients[0], g.Clients[1]
 	g.FailLink(g.AccessLink(b))
 	r := NewRouter(g)
-	if r.Reachable(a, b) {
+	if r.Delay(a, b) >= 0 {
 		t.Fatal("client behind a failed access link is reachable")
 	}
 	if got := r.PathLoss(a, b); got != 1 {

@@ -242,11 +242,6 @@ func (r *Router) Delay(from, to int) sim.Duration {
 	return sim.Duration(d)
 }
 
-// Reachable reports whether to is reachable from from.
-func (r *Router) Reachable(from, to int) bool {
-	return r.Delay(from, to) >= 0
-}
-
 // PathLoss returns the end-to-end loss probability of the path
 // (1 - prod(1-l_e)), per §4.1's l(o) definition: 0 for the empty path
 // (from == to), 1 when to is unreachable.

@@ -441,9 +441,6 @@ func (g *Graph) buildAdjacency() {
 	}
 }
 
-// Degree returns the number of links incident to node id.
-func (g *Graph) Degree(id int) int { return len(g.adj[id]) }
-
 // Neighbors calls fn for every link incident to node id.
 func (g *Graph) Neighbors(id int, fn func(peer int, link *Link)) {
 	for _, he := range g.adj[id] {
@@ -473,18 +470,6 @@ func (g *Graph) LinkClassCounts() map[LinkClass]int {
 // Epoch returns the current route epoch. It advances whenever a
 // mutation may have changed shortest-path routes.
 func (g *Graph) Epoch() uint64 { return g.epoch }
-
-// FindLink returns the ID of a link between nodes a and b, or -1 if no
-// such link exists. If parallel links exist, the lowest ID wins.
-func (g *Graph) FindLink(a, b int) int {
-	best := -1
-	for _, he := range g.adj[a] {
-		if int(he.to) == b && (best < 0 || int(he.link) < best) {
-			best = int(he.link)
-		}
-	}
-	return best
-}
 
 // AccessLink returns the ID of the single link attaching a degree-one
 // node (typically a client) to the rest of the network, or -1 if the

@@ -50,10 +50,9 @@ type closeMsg struct {
 	flowID uint32
 }
 
-// Controller is the congestion-control half of a sending flow. The
-// default is the TFRC sender; an AIMD (TCP-like) controller is
-// available for TCP-friendliness experiments.
-type Controller interface {
+// controller is the congestion-control half of a sending flow: the
+// TFRC sender, or the TCP-like AIMD reference of the friendliness test.
+type controller interface {
 	// TrySend consumes budget for size bytes if allowed right now.
 	TrySend(now float64, size int) bool
 	// OnFeedback applies a receiver report.
@@ -84,14 +83,12 @@ type Endpoint struct {
 
 	failed bool
 
-	// Accounting. Protocol control (messages sent via SendControl) is
-	// tracked separately from transport-internal control (TFRC
-	// feedback, flow teardown), mirroring how the paper reports
-	// "Bullet mesh maintenance" overhead.
+	// Protocol control accounting: messages sent via SendControl only,
+	// not transport-internal control (TFRC feedback, flow teardown),
+	// mirroring how the paper reports "Bullet mesh maintenance"
+	// overhead.
 	controlBytesIn  uint64
 	controlBytesOut uint64
-	transportCtlIn  uint64
-	transportCtlOut uint64
 }
 
 // NewEndpoint attaches node to the network and registers its handler.
@@ -169,19 +166,12 @@ func (ep *Endpoint) ControlBytes() (in, out uint64) {
 	return ep.controlBytesIn, ep.controlBytesOut
 }
 
-// TransportControlBytes returns (in, out) transport-internal control
-// byte counters (TFRC feedback and teardown).
-func (ep *Endpoint) TransportControlBytes() (in, out uint64) {
-	return ep.transportCtlIn, ep.transportCtlOut
-}
-
 // sendTransportControl transmits pkt (TFRC feedback, flow teardown) as
 // transport-internal Control traffic from this node.
 func (ep *Endpoint) sendTransportControl(pkt netem.Packet) {
 	if ep.failed {
 		return
 	}
-	ep.transportCtlOut += uint64(pkt.Size)
 	pkt.Kind, pkt.From = netem.Control, ep.node
 	ep.net.Send(pkt)
 }
@@ -191,7 +181,7 @@ type Flow struct {
 	ep     *Endpoint
 	id     uint32
 	to     int
-	snd    Controller
+	snd    controller
 	seq    uint64
 	closed bool
 
@@ -203,18 +193,10 @@ type Flow struct {
 // OpenFlow creates a TFRC-paced flow from this endpoint to node `to`,
 // with packets of nominal size packetSize.
 func (ep *Endpoint) OpenFlow(to int, packetSize int) (*Flow, error) {
-	return ep.OpenFlowCC(to, tfrc.NewSender(float64(packetSize)))
+	return ep.openFlow(to, tfrc.NewSender(float64(packetSize)))
 }
 
-// OpenFlowAIMD creates a flow governed by a TCP-like AIMD controller,
-// for TCP-friendliness experiments.
-func (ep *Endpoint) OpenFlowAIMD(to int, packetSize int) (*Flow, error) {
-	return ep.OpenFlowCC(to, tfrc.NewAIMD(float64(packetSize)))
-}
-
-// OpenFlowCC creates a flow with a caller-supplied congestion
-// controller.
-func (ep *Endpoint) OpenFlowCC(to int, cc Controller) (*Flow, error) {
+func (ep *Endpoint) openFlow(to int, cc controller) (*Flow, error) {
 	if to == ep.node {
 		return nil, fmt.Errorf("transport: flow to self (node %d)", to)
 	}
@@ -223,12 +205,6 @@ func (ep *Endpoint) OpenFlowCC(to int, cc Controller) (*Flow, error) {
 	ep.sendFlows[f.id] = f
 	return f, nil
 }
-
-// RTT returns the smoothed RTT estimate in seconds.
-func (f *Flow) RTT() float64 { return f.snd.RTT() }
-
-// Closed reports whether the flow is closed.
-func (f *Flow) Closed() bool { return f.closed }
 
 // TrySend attempts to transmit one application packet carrying stream
 // sequence seq with payload size bytes. It returns false without side
@@ -342,12 +318,10 @@ func (ep *Endpoint) onPacket(pkt netem.Packet) {
 	}
 	switch m := pkt.Payload.(type) {
 	case feedbackMsg:
-		ep.transportCtlIn += uint64(pkt.Size)
 		if f, ok := ep.sendFlows[pkt.FlowID]; ok {
 			f.snd.OnFeedback(ep.eng.Now().ToSeconds(), feedbackOf(pkt))
 		}
 	case *closeMsg:
-		ep.transportCtlIn += uint64(pkt.Size)
 		key := flowKey{src: pkt.From, id: m.flowID}
 		if rf, ok := ep.recvFlows[key]; ok {
 			rf.stop()

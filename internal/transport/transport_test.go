@@ -6,6 +6,7 @@ import (
 
 	"bullet/internal/netem"
 	"bullet/internal/sim"
+	"bullet/internal/tfrc"
 	"bullet/internal/topology"
 )
 
@@ -29,7 +30,7 @@ func pump(eng *sim.Engine, f *Flow, until sim.Time) {
 	var seq uint64
 	var tick func()
 	tick = func() {
-		if eng.Now() >= until || f.Closed() {
+		if eng.Now() >= until || f.closed {
 			return
 		}
 		for f.TrySend(seq, 1000) {
@@ -52,7 +53,7 @@ func TestFlowRampsToBottleneck(t *testing.T) {
 	}
 	pump(eng, f, 30*sim.Second)
 	eng.Run(30 * sim.Second)
-	bn := net.Router().Bottleneck(src, dst)
+	bn := topology.NewRouter(g).Bottleneck(src, dst)
 	// Average over the run includes ramp-up; expect at least 50% of
 	// bottleneck and no more than bottleneck.
 	got := float64(bytes) / 30
@@ -62,8 +63,8 @@ func TestFlowRampsToBottleneck(t *testing.T) {
 	if got > 1.02*bn {
 		t.Fatalf("throughput %.0f B/s exceeds bottleneck %.0f: not TCP friendly", got, bn)
 	}
-	if f.RTT() <= 0 || f.RTT() > 1 {
-		t.Fatalf("implausible RTT estimate %v", f.RTT())
+	if rtt := f.snd.RTT(); rtt <= 0 || rtt > 1 {
+		t.Fatalf("implausible RTT estimate %v", rtt)
 	}
 }
 
@@ -77,7 +78,7 @@ func TestFlowBacksOffUnderLoss(t *testing.T) {
 	f, _ := a.OpenFlow(dst, 1024)
 	pump(eng, f, 30*sim.Second)
 	eng.Run(30 * sim.Second)
-	bn := net.Router().Bottleneck(src, dst)
+	bn := topology.NewRouter(g).Bottleneck(src, dst)
 	got := float64(bytes) / 30
 	if got > 0.9*bn {
 		t.Fatalf("lossy path delivered %.0f of %.0f bottleneck; TFRC not backing off", got, bn)
@@ -101,7 +102,7 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 	pump(eng, f1, 40*sim.Second)
 	pump(eng, f2, 40*sim.Second)
 	eng.Run(40 * sim.Second)
-	access := net.Router().Bottleneck(src, d1) // access link dominates
+	access := topology.NewRouter(g).Bottleneck(src, d1) // access link dominates
 	total := float64(b1+b2) / 40
 	if total > 1.1*access {
 		t.Fatalf("combined %.0f B/s greatly exceeds access capacity %.0f", total, access)
@@ -262,7 +263,8 @@ func TestFeedbackMemoryIsBounded(t *testing.T) {
 	if bytes == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if in, _ := a.TransportControlBytes(); in == 0 {
+	// Only a feedback report's RTT sample moves the estimate.
+	if f.snd.RTT() == tfrc.InitialRTT {
 		t.Fatal("no feedback report reached the sender")
 	}
 	grew, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs

@@ -22,7 +22,6 @@ type Set struct {
 	max   uint64 // largest ever added
 	n     int    // retained count (set bits)
 	any   bool
-	cnt   uint64 // total distinct adds, including trimmed
 }
 
 // New creates an empty working set.
@@ -92,7 +91,6 @@ func (s *Set) Add(seq uint64) bool {
 	w, m := s.ensure(seq)
 	s.words[w] |= m
 	s.n++
-	s.cnt++
 	if !s.any || seq > s.max {
 		s.max = seq
 	}
@@ -118,9 +116,6 @@ func (s *Set) Held(seq uint64) bool {
 
 // Len returns the number of retained sequences.
 func (s *Set) Len() int { return s.n }
-
-// Total returns the number of distinct sequences ever added.
-func (s *Set) Total() uint64 { return s.cnt }
 
 // Low returns the smallest retained sequence bound.
 func (s *Set) Low() uint64 { return s.low }

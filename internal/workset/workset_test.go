@@ -17,8 +17,8 @@ func TestAddContains(t *testing.T) {
 	if !s.Contains(5) || s.Contains(6) {
 		t.Fatal("contains wrong")
 	}
-	if s.Len() != 1 || s.Total() != 1 {
-		t.Fatalf("len=%d total=%d", s.Len(), s.Total())
+	if s.Len() != 1 {
+		t.Fatalf("len=%d", s.Len())
 	}
 }
 
