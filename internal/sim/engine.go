@@ -605,12 +605,11 @@ func (e *Engine) AdvanceTo(t Time) {
 
 // exec is the shared event loop: it executes events while the head is
 // <= limit (strict=false, Run semantics) or < limit (strict=true,
-// RunBefore semantics). Dispatch is batched by
-// deadline: the outer loop admits one timestamp against the limit and
-// sets the clock once; the inner loop then drains every event at that
-// timestamp — including ones its callbacks append at the current
-// instant, which join the batch tail in FIFO order exactly as the
-// serial schedule requires.
+// RunBefore semantics). Dispatch is batched by deadline: the outer loop
+// admits one timestamp against the limit and sets the clock once; the
+// inner loop then drains every event at that timestamp — including
+// ones its callbacks append at the current instant, which join the
+// batch tail in FIFO order exactly as the serial schedule requires.
 func (e *Engine) exec(limit Time, strict bool) {
 	for e.ringN+len(e.far) > 0 {
 		var t Time
