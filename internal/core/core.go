@@ -128,6 +128,9 @@ type recvPeerInfo struct {
 	mod, rows int
 	holes     seqQueue
 	fresh     seqQueue
+	// freshAt, when non-zero, is the instant the fresh queue's head
+	// passes the freshness gate that last held it back (see drainQueue).
+	freshAt   sim.Time
 	sentSince *nodeset.SeqWindow // recently sent: seq -> send time (pooled)
 	sentBytes uint64             // bytes sent in current eval window
 	recvBytes uint64             // receiver's reported total, last refresh
@@ -762,13 +765,19 @@ func (n *Node) onFilterRefresh(from int, m *filterRefreshMsg) {
 	}
 }
 
-// rebuildQueue rescans the working set for packets the receiver is
-// missing in its row and range.
+// rebuildQueue refills the receiver's queues with the packets it is
+// missing in its row and range. It walks only the receiver's row of
+// the working set (ForRow steps by the row count), in the ascending
+// order a full scan filtered by row would visit, so the queues come out
+// the same at a 1/rows share of the scan; a receiver's row is always
+// in [0, rows), so one row is the whole set. The fresh queue starts
+// over, so its gate instant goes too.
 func (n *Node) rebuildQueue(rf *recvPeerInfo) {
 	rf.holes.reset()
 	rf.fresh.reset()
+	rf.freshAt = 0
 	n.rbRf = rf
-	n.ws.ForRange(rf.low, n.ws.High(), n.rbFn)
+	n.ws.ForRow(rf.low, n.ws.High(), rf.rows, rf.mod, n.rbFn)
 	n.rbRf = nil
 }
 
@@ -776,9 +785,6 @@ func (n *Node) rebuildQueue(rf *recvPeerInfo) {
 // pre-bound n.rbFn with the receiver under scan in n.rbRf.
 func (n *Node) rebuildVisit(seq uint64) bool {
 	rf := n.rbRf
-	if rf.rows > 1 && workset.RowOf(seq, rf.rows) != rf.mod {
-		return true
-	}
 	if rf.filter != nil && rf.filter.Contains(seq) {
 		return true
 	}
@@ -854,6 +860,15 @@ func (n *Node) pumpReceiver(rf *recvPeerInfo) {
 // long (one refresh plus a second), giving the receiver's parent
 // stream first chance and avoiding duplicate races. Holes within the
 // advertised (Low, High) range are served immediately.
+//
+// A gated drain that stops at the fresh queue's head records in
+// rf.freshAt the instant that head passes the gate, its arrival plus
+// freshnessDelay, and later gated drains return at once until then,
+// with no queue walk. That is exact because nothing else can change
+// what the walk would find first: pushes go to the tail, only the
+// window trim in slideWindow changes whether the head is held or when
+// it arrived, and only rebuildQueue replaces the queue. Both of those
+// clear freshAt.
 const freshnessDelay = filterRefresh + sim.Second
 
 // drainQueue serves candidates from q within the flow budget. It
@@ -861,6 +876,12 @@ const freshnessDelay = filterRefresh + sim.Second
 func (n *Node) drainQueue(rf *recvPeerInfo, q *seqQueue, gated bool) bool {
 	size := n.sys.Stream.PacketSize
 	now := n.ep.Scheduler().Now()
+	if gated {
+		if now < rf.freshAt {
+			return true
+		}
+		rf.freshAt = 0
+	}
 	for q.len() > 0 {
 		seq := q.peek()
 		if !n.ws.Held(seq) {
@@ -872,7 +893,8 @@ func (n *Node) drainQueue(rf *recvPeerInfo, q *seqQueue, gated bool) bool {
 		// The fresh queue is in arrival order, so the tail is fresher.
 		if gated {
 			arrived, _ := n.arrivals.Get(seq)
-			if now-arrived < freshnessDelay {
+			if at := arrived + freshnessDelay; now < at {
+				rf.freshAt = at
 				return true
 			}
 		}
@@ -938,8 +960,19 @@ const (
 	bloomFPRate    = 0.03
 )
 
-// slideWindow trims the working set to the recovery window and
-// rebuilds the Bloom filter and summary ticket over the survivors.
+// slideWindow trims the working set to the recovery window, rebuilds
+// the Bloom filter over the survivors and brings the summary ticket up
+// to date. The ticket is not rebuilt: Expire empties only the entries
+// whose minimum came from a trimmed seq, and Refill recomputes those
+// over the survivors. That equals a rebuild because ingest is the one
+// place that adds to the working set, the ticket and the filter, and
+// it adds to all three, so the ticket holds the minima over exactly
+// the seqs the set has held since the last trim (see package sketch).
+//
+// The trim is also the one change to the working set that can move a
+// fresh queue's head past the freshness gate out of turn (it may drop
+// the head, or its arrival stamp), so it clears every receiver's
+// cached gate instant.
 func (n *Node) slideWindow() {
 	if n.ws.Empty() {
 		return
@@ -948,12 +981,15 @@ func (n *Node) slideWindow() {
 	if hi > recoveryWindow {
 		n.ws.TrimBelow(hi - recoveryWindow)
 		n.arrivals.DeleteBelow(n.ws.Low())
+		for _, rf := range n.receivers {
+			rf.freshAt = 0
+		}
 	}
 	n.filter.Reset()
-	n.ticket.Reset()
+	n.ticket.Expire(n.ws.Low())
 	n.ws.ForRange(n.ws.Low(), hi, func(seq uint64) bool {
 		n.filter.Add(seq)
-		n.ticket.Add(seq)
+		n.ticket.Refill(seq)
 		return true
 	})
 }

@@ -5,6 +5,15 @@
 // seen. The resemblance of two working sets is estimated by the
 // fraction of equal entries, which Bullet uses to pick the peer with
 // the *lowest* similarity (most disjoint content).
+//
+// A ticket follows a sliding window incrementally. Each entry records
+// the element its minimum came from, so when the window's lower bound
+// advances, Expire empties only the entries whose minimum fell out of
+// the window and Refill recomputes just those over the survivors. The
+// result equals a Reset followed by an Add of every survivor: an entry
+// whose minimum came from a survivor already holds the survivors'
+// minimum (the survivors are a subset of what was added), and every
+// other entry is rebuilt from the survivors alone.
 package sketch
 
 import "math/rand"
@@ -40,15 +49,32 @@ func (p *Permutations) K() int { return len(p.a) }
 // empty is the sentinel for an unpopulated entry.
 const empty = uint32(0xFFFFFFFF)
 
-// Ticket is a summary ticket: one minimum per permutation function.
+// modU returns y mod Universe. Universe is the Mersenne prime 2^31-1,
+// so 2^31 ≡ 1 and y folds to (y & U) + (y >> 31) without a division.
+// Two folds bring any 64-bit y below 2U, and one conditional subtract
+// finishes the reduction.
+func modU(y uint64) uint64 {
+	y = y&Universe + y>>31
+	y = y&Universe + y>>31
+	if y >= Universe {
+		y -= Universe
+	}
+	return y
+}
+
+// Ticket is a summary ticket: one minimum per permutation function,
+// and for each the element it came from.
 type Ticket struct {
 	perms *Permutations
 	vals  []uint32
+	from  []uint64 // from[j] is the element whose permuted value is vals[j]
+	stale []int    // entries the last Expire emptied, for Refill
 }
 
 // NewTicket creates an empty ticket over the permutation family.
 func NewTicket(p *Permutations) *Ticket {
-	t := &Ticket{perms: p, vals: make([]uint32, p.K())}
+	k := p.K()
+	t := &Ticket{perms: p, vals: make([]uint32, k), from: make([]uint64, k), stale: make([]int, 0, k)}
 	for i := range t.vals {
 		t.vals[i] = empty
 	}
@@ -58,23 +84,58 @@ func NewTicket(p *Permutations) *Ticket {
 // Add inserts element x, updating each entry with the smaller permuted
 // value.
 func (t *Ticket) Add(x uint64) {
+	xm := modU(x)
+	a, b := t.perms.a[:len(t.vals)], t.perms.b[:len(t.vals)]
+	from := t.from[:len(t.vals)]
 	for j := range t.vals {
-		v := uint32((t.perms.a[j]*(x%Universe) + t.perms.b[j]) % Universe)
+		v := uint32(modU(a[j]*xm + b[j]))
 		if v < t.vals[j] {
 			t.vals[j] = v
+			from[j] = x
 		}
 	}
 }
 
-// Reset empties the ticket (Bullet rebuilds tickets as the working-set
-// window slides).
+// Reset empties the ticket.
 func (t *Ticket) Reset() {
 	for i := range t.vals {
 		t.vals[i] = empty
 	}
+	t.stale = t.stale[:0]
 }
 
-// Clone returns an independent copy, e.g. for shipping in a RanSub set.
+// Expire empties every entry whose minimum came from an element below
+// low, as when a window's lower bound advances to low. Refilling those
+// entries with Refill over the elements at or above low that were
+// added since the last Reset leaves the ticket equal to a Reset and an
+// Add of each of them.
+func (t *Ticket) Expire(low uint64) {
+	t.stale = t.stale[:0]
+	for j, v := range t.vals {
+		if v != empty && t.from[j] < low {
+			t.vals[j] = empty
+			t.stale = append(t.stale, j)
+		}
+	}
+}
+
+// Refill offers survivor x to the entries the last Expire emptied, and
+// to no other entry.
+func (t *Ticket) Refill(x uint64) {
+	xm := modU(x)
+	for _, j := range t.stale {
+		v := uint32(modU(t.perms.a[j]*xm + t.perms.b[j]))
+		if v < t.vals[j] {
+			t.vals[j] = v
+			t.from[j] = x
+		}
+	}
+}
+
+// Clone returns an independent copy of the minima, e.g. for shipping
+// in a RanSub set. The copy is a read-only snapshot for Resemblance:
+// it does not carry the elements the minima came from, so it cannot
+// be added to, expired or refilled.
 func (t *Ticket) Clone() *Ticket {
 	c := &Ticket{perms: t.perms, vals: make([]uint32, len(t.vals))}
 	copy(c.vals, t.vals)
