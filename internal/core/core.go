@@ -932,8 +932,9 @@ func (n *Node) rotateRows() {
 	}
 }
 
-// refreshTick slides the recovery window, rebuilds the filter and
-// ticket, rotates row assignments, and updates all senders.
+// refreshTick slides the recovery window (rebuilding the filter and
+// updating the ticket), rotates row assignments, and updates all
+// senders.
 func (n *Node) refreshTick() {
 	if n.ep.Failed() {
 		return
@@ -966,13 +967,13 @@ const (
 // whose minimum came from a trimmed seq, and Refill recomputes those
 // over the survivors. That equals a rebuild because ingest is the one
 // place that adds to the working set, the ticket and the filter, and
-// it adds to all three, so the ticket holds the minima over exactly
-// the seqs the set has held since the last trim (see package sketch).
+// it adds to all three: the ticket holds the minima over exactly the
+// seqs the set holds, so an entry whose minimum survives the trim is
+// already the survivors' minimum (see package sketch).
 //
-// The trim is also the one change to the working set that can move a
-// fresh queue's head past the freshness gate out of turn (it may drop
-// the head, or its arrival stamp), so it clears every receiver's
-// cached gate instant.
+// Besides rebuildQueue, the trim is the one thing that can change what
+// a gated drain finds at a fresh queue's head (it may drop the head or
+// its arrival stamp), so it clears every receiver's freshAt.
 func (n *Node) slideWindow() {
 	if n.ws.Empty() {
 		return

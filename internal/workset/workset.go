@@ -217,8 +217,8 @@ func (s *Set) ForRow(lo, hi uint64, rows, row int, fn func(seq uint64) bool) {
 		return
 	}
 	step := uint64(rows)
-	// First seq >= lo in the row; stepping never passes hi+step, so an
-	// overflow past the top of the sequence space ends the loop too.
+	// Start at the first seq >= lo in the row. The seq >= lo test ends
+	// the walk should a step wrap past the top of the sequence space.
 	seq := lo + (uint64(row)+step-lo%step)%step
 	for ; seq >= lo && seq <= hi; seq += step {
 		idx := seq - s.base
