@@ -344,18 +344,55 @@ var sourceGuards = []sourceGuard{
 		},
 	},
 	{
+		// Memory is shard-private: the arena is the only pool, and each
+		// arena takes back only what it issued. A process-wide pool
+		// would hand storage between shard goroutines mid-window.
+		rule:  "one pooling idiom",
+		scope: func(sf *srcFile) bool { return !sf.test },
+		words: []string{"seqWindowPool", "releaseReceiver", "getInflight", "putInflight"},
+		check: func(n ast.Node) (ast.Node, string) {
+			if sel, ok := n.(*ast.SelectorExpr); ok && isIdent(sel.X, "sync") && sel.Sel.Name == "Pool" {
+				return sel, "sync.Pool"
+			}
+			return nil, ""
+		},
+	},
+	{
 		// Ship only what runs: the second binary, the rate-schedule
-		// workload, the test-only helpers, the CLI's exported config type
-		// and the write-only Bullet counters.
+		// workload, the test-only helpers, the CLI's exported config
+		// type, the write-only Bullet counters, the settings with one
+		// value in use, the protocol registry and wrappers, and the
+		// root package's re-exported experiment harness. Names too
+		// common to ban as words are checked as package selectors.
 		rule:  "deleted stays deleted",
 		scope: anyFile,
 		words: []string{"MultiRate", "RateStep", "SetRateAt", "RampBandwidth", "SortedIDs",
-			"ProfileByName", "RunConfigError", "dupFromParent", "pumpBlocked", "totalOwnDrops"},
+			"ProfileByName", "RunConfigError", "dupFromParent", "pumpBlocked", "totalOwnDrops",
+			"timerSlot", "Tornado", "LinkUtilization", "WorkloadSink",
+			"FreshnessDelay", "RecoveryWindow", "FilterRefresh", "EvalInterval", "DuplicateThreshold",
+			"BloomFPRate", "PumpInterval", "ModRows", "SetSize", "EpochTimeout", "Fanout",
+			"DefaultFraction", "SetTrace", "DataBytes",
+			"runtimeSystem", "deployStock", "RegisterProtocol", "ProtocolByName", "UnknownProtocolError",
+			"GossipConfig", "AntiEntropyConfig", "StreamRateKbps", "LiveNodes", "MissingInRange",
+			"ModelByName",
+			"worldOn", "bulletOn", "streamOn", "gossipOn", "antiEntropyOn", "RunExperiment",
+			"RunExperiments", "ExperimentRun", "ExperimentResult", "ExperimentScale",
+			"SmallScale", "MegaScale"},
+		check: func(n ast.Node) (ast.Node, string) {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return nil, ""
+			}
+			if isIdent(sel.X, "sim") && sel.Sel.Name == "Scheduler" || isIdent(sel.X, "workload") && sel.Sel.Name == "Sink" {
+				return sel, sel.X.(*ast.Ident).Name + "." + sel.Sel.Name
+			}
+			return nil, ""
+		},
 	},
 }
 
 // deletedPaths stay deleted with the "deleted stays deleted" rule.
-var deletedPaths = []string{"cmd/topogen"}
+var deletedPaths = []string{"cmd/topogen", "internal/codec", "examples"}
 
 func isIdent(e ast.Expr, name string) bool {
 	id, ok := e.(*ast.Ident)

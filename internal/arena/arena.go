@@ -15,15 +15,12 @@
 //   - steady-state churn performs zero heap allocations and produces
 //     zero garbage: chunks are retained for the arena's lifetime.
 //
-// An Arena is deliberately not goroutine-safe. Ownership follows the
-// sharded runner's single-writer discipline: each arena belongs to
-// exactly one shard context (or one engine) and is only touched by
-// events executing there. One client's values migrate between owners:
-// a packet handed off across shards retires into the arena of the shard
-// it was delivered on. Arenas only ever grow, so that drift is harmless
-// where traffic crosses a cut both ways; a value that only ever flows
-// one way must not be pooled like this — the taker backs new chunks for
-// ever and the returner's free list grows to match.
+// An Arena is deliberately not goroutine-safe. Memory is shard-private:
+// each arena belongs to exactly one shard context (or one engine), is
+// only touched by events executing there, and takes back only the
+// values it issued. A value that must cross to another owner is copied
+// into one of the new owner's values, and the original goes back where
+// it came from (netem does this for a packet handed off across shards).
 //
 // The zero Arena is ready to use.
 package arena
@@ -61,10 +58,8 @@ func (a *Arena[T]) Get() *T {
 }
 
 // Put zeroes *p and returns it to the free list. p must have come from
-// an arena of the same T (not necessarily this one — see the package
-// comment on ownership drift) and must not be used afterwards. Zeroing
-// here drops any pointers the value carried, so retired values never
-// retain payloads.
+// this arena and must not be used afterwards. Zeroing here drops any
+// pointers the value carried, so retired values never retain payloads.
 func (a *Arena[T]) Put(p *T) {
 	var zero T
 	*p = zero

@@ -13,9 +13,11 @@
 // small per-node peer lists (children, senders, receivers) are slices
 // in deterministic order — children in tree order, peers ascending by
 // node id — and the per-sequence timestamps (arrival stamps, per-peer
-// recently-sent windows) live in pooled SeqWindows. No map iteration
-// order can leak into the simulation, and the packet-rate paths do not
-// hash or allocate.
+// recently-sent windows) live in SeqWindows held by value. No map
+// iteration order can leak into the simulation, and the packet-rate
+// paths do not hash or allocate. Memory is shard-private: a node's
+// state is its own, so a dropped peer's state goes with it and nothing
+// is pooled across nodes or shards.
 package core
 
 import (
@@ -81,6 +83,12 @@ type childInfo struct {
 	filter    *bloom.Filter // what we know the child already has
 }
 
+// newChild returns the send state for a child reached over flow, at
+// the full limiting factor until the next RanSub epoch refines it.
+func newChild(node int, flow *transport.Flow) *childInfo {
+	return &childInfo{node: node, flow: flow, lf: 1.0, filter: bloom.NewForCapacity(4096, 0.01)}
+}
+
 // senderInfo is receiver-side state about one of our sending peers.
 type senderInfo struct {
 	node        int
@@ -131,13 +139,23 @@ type recvPeerInfo struct {
 	// freshAt, when non-zero, is the instant the fresh queue's head
 	// passes the freshness gate that last held it back (see drainQueue).
 	freshAt   sim.Time
-	sentSince *nodeset.SeqWindow // recently sent: seq -> send time (pooled)
-	sentBytes uint64             // bytes sent in current eval window
-	recvBytes uint64             // receiver's reported total, last refresh
+	sentSince nodeset.SeqWindow // recently sent: seq -> send time
+	sentBytes uint64            // bytes sent in current eval window
+	recvBytes uint64            // receiver's reported total, last refresh
 }
 
 // Endpoint returns the node's transport endpoint.
 func (n *Node) Endpoint() *transport.Endpoint { return n.ep }
+
+// openFlow opens a data flow to node to, sampling every TraceEvery-th
+// packet for link stress.
+func (n *Node) openFlow(to int) (*transport.Flow, error) {
+	f, err := n.ep.OpenFlow(to, n.sys.Stream.PacketSize)
+	if err == nil {
+		f.TraceEvery = n.sys.cfg.TraceEvery
+	}
+	return f, err
+}
 
 // Node is one Bullet participant.
 type Node struct {
@@ -177,7 +195,7 @@ type Node struct {
 	ws       *workset.Set
 	ticket   *sketch.Ticket
 	filter   *bloom.Filter
-	arrivals *nodeset.SeqWindow // when each held seq arrived (freshness gate)
+	arrivals nodeset.SeqWindow // when each held seq arrived (freshness gate)
 
 	// senders and receivers are kept sorted ascending by peer node id:
 	// every walk that used to sort map keys now just ranges the slice,
@@ -253,14 +271,6 @@ func (n *Node) removeReceiver(id int) *recvPeerInfo {
 	return rf
 }
 
-// releaseReceiver returns a dropped receiver's pooled state.
-func releaseReceiver(rf *recvPeerInfo) {
-	if rf.sentSince != nil {
-		rf.sentSince.Release()
-		rf.sentSince = nil
-	}
-}
-
 // System is a deployed Bullet overlay.
 type System struct {
 	// Roster is the membership runtime and the deployment handle: the
@@ -327,19 +337,16 @@ func (sys *System) addNode(id int) error {
 		ws:       workset.New(),
 		ticket:   sketch.NewTicket(sys.perms),
 		filter:   bloom.NewForCapacity(recoveryWindow, bloomFPRate),
-		arrivals: nodeset.NewSeqWindow(),
 		pending:  -1,
 		lfDelta:  0.01,
 	}
 	sys.Col.Track(id)
 	for _, c := range kids {
-		f, err := ep.OpenFlow(c, sys.Stream.PacketSize)
+		f, err := n.openFlow(c)
 		if err != nil {
 			return err
 		}
-		f.TraceEvery = sys.cfg.TraceEvery
-		n.children = append(n.children, &childInfo{node: c, flow: f, lf: 1.0,
-			filter: bloom.NewForCapacity(4096, 0.01)})
+		n.children = append(n.children, newChild(c, f))
 	}
 	n.agent = ransub.NewAgent(ep, sys.cfg.RanSub, parent, kids)
 	n.agent.TicketFn = func() *sketch.Ticket { return n.ticket }
@@ -655,16 +662,14 @@ func (n *Node) onPeerRequest(from int, m *peerRequestMsg) {
 		n.ep.SendControl(from, &peerRejectMsg{}, smallMsgSize)
 		return
 	}
-	flow, err := n.ep.OpenFlow(from, n.sys.Stream.PacketSize)
+	flow, err := n.openFlow(from)
 	if err != nil {
 		n.ep.SendControl(from, &peerRejectMsg{}, smallMsgSize)
 		return
 	}
-	flow.TraceEvery = n.sys.cfg.TraceEvery
 	rf := &recvPeerInfo{
 		node: from, flow: flow, filter: m.filter,
 		low: m.low, high: m.high, rows: 1, mod: 0,
-		sentSince: nodeset.NewSeqWindow(),
 	}
 	n.addReceiver(rf)
 	n.rebuildQueue(rf)
@@ -812,7 +817,6 @@ func (n *Node) onPeerDrop(from int, m *peerDropMsg) {
 	// Our receiver dropped us.
 	if rf := n.removeReceiver(from); rf != nil {
 		rf.flow.Close()
-		releaseReceiver(rf)
 	}
 }
 
@@ -1071,7 +1075,6 @@ func (n *Node) evalReceivers() {
 	if drop != nil {
 		drop.flow.Close()
 		n.removeReceiver(drop.node)
-		releaseReceiver(drop)
 		n.ep.SendControl(drop.node, &peerDropMsg{bySender: true}, smallMsgSize)
 	}
 	for _, rf := range n.receivers {

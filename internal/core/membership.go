@@ -13,7 +13,6 @@ package core
 // (config, seed, schedule).
 
 import (
-	"bullet/internal/bloom"
 	"bullet/internal/sim"
 )
 
@@ -156,13 +155,11 @@ func (n *Node) addChild(c int) {
 	if n.findChild(c) != nil {
 		return
 	}
-	f, err := n.ep.OpenFlow(c, n.sys.Stream.PacketSize)
+	f, err := n.openFlow(c)
 	if err != nil {
 		return
 	}
-	f.TraceEvery = n.sys.cfg.TraceEvery
-	n.children = append(n.children, &childInfo{node: c, flow: f, lf: 1.0,
-		filter: bloom.NewForCapacity(4096, 0.01)})
+	n.children = append(n.children, newChild(c, f))
 	n.agent.AddChild(c)
 }
 
@@ -175,7 +172,6 @@ func (n *Node) addChild(c int) {
 func (n *Node) dropDeadPeer(id int) {
 	if rf := n.removeReceiver(id); rf != nil {
 		rf.flow.Close()
-		releaseReceiver(rf)
 	}
 	if n.pending == id {
 		n.pending = -1

@@ -6,7 +6,6 @@ import (
 
 	"bullet/internal/bloom"
 	"bullet/internal/metrics"
-	"bullet/internal/nodeset"
 	"bullet/internal/sim"
 	"bullet/internal/topology"
 )
@@ -40,7 +39,7 @@ func TestRefreshSharesOneFilterSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.addReceiver(&recvPeerInfo{node: a.id, flow: flow, rows: 1, sentSince: nodeset.NewSeqWindow()})
+		p.addReceiver(&recvPeerInfo{node: a.id, flow: flow, rows: 1})
 		a.addSender(&senderInfo{node: p.id, mod: -1})
 	}
 	a.reassignRows()

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"math/rand"
-	"sort"
 
 	"bullet"
 	"bullet/internal/metrics"
+	"bullet/internal/nodeset"
 	"bullet/internal/overlay"
 	"bullet/internal/scenario"
 	"bullet/internal/sim"
@@ -47,16 +47,7 @@ func churnCompare(name string, sc Scale, seed int64,
 		}},
 		func(v *armRun) {
 			live := v.d.Nodes()
-			pre := v.col.MeanOverNodes(live, t1-20*sim.Second, t1, metrics.Useful)
-			during := v.col.MeanOverNodes(live, t1+5*sim.Second, t2, metrics.Useful)
-			post := v.col.MeanOverNodes(live, t2+10*sim.Second, sc.RunUntil, metrics.Useful)
-			r.Summary[v.label+"_before_kbps"] = pre
-			r.Summary[v.label+"_during_kbps"] = during
-			r.Summary[v.label+"_after_kbps"] = post
-			if pre > 0 {
-				r.Summary[v.label+"_recovery_ratio"] = post / pre
-			}
-			r.Summary[v.label+"_overall_kbps"] = v.col.MeanOverNodes(live, sc.Start+10*sim.Second, sc.RunUntil, metrics.Useful)
+			phaseSummary(r, sc, v, live)
 			r.Summary[v.label+"_live_nodes"] = float64(len(live))
 			if len(orphans) > 0 {
 				opre := v.col.MeanOverNodes(orphans, t1-20*sim.Second, t1, metrics.Useful)
@@ -85,19 +76,16 @@ func treeOver(sc Scale, seed int64, num, den int) func(w *bullet.World) (*overla
 // the (pre-churn) tree: every node below a victim that is not itself a
 // victim, in sorted order.
 func orphanedBy(tree *overlay.Tree, victims []int) []int {
-	if len(victims) == 0 {
-		return nil
-	}
-	isVictim := make(map[int]bool, len(victims))
+	var victim, orphans nodeset.Set
 	for _, v := range victims {
-		isVictim[v] = true
+		victim.Add(v)
 	}
-	seen := make(map[int]bool)
+	// A victim's subtree is walked from that victim, so the walk stops
+	// at victims and reaches each orphan once.
 	var collect func(n int)
 	collect = func(n int) {
 		for _, c := range tree.Children(n) {
-			if !seen[c] {
-				seen[c] = true
+			if !victim.Contains(c) && orphans.Add(c) {
 				collect(c)
 			}
 		}
@@ -105,14 +93,7 @@ func orphanedBy(tree *overlay.Tree, victims []int) []int {
 	for _, v := range victims {
 		collect(v)
 	}
-	var out []int
-	for n := range seen {
-		if !isVictim[n] {
-			out = append(out, n)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return orphans.AppendIDs(nil)
 }
 
 // pickVictims selects every stride'th non-root participant in sorted

@@ -27,6 +27,27 @@ func dynPhases(sc Scale) (t1, t2 sim.Time) {
 	return sc.Start + sc.Duration/3, sc.Start + 2*sc.Duration/3
 }
 
+// phaseSummary records an arm's mean useful bandwidth over nodes in
+// each phase, the after/before recovery ratio, and the mean over the
+// whole stream. The overall mean keeps data a protocol never recovers
+// (the streamer's outage losses) missing, while Bullet's mesh backfill
+// makes the loss transient.
+func phaseSummary(r *Result, sc Scale, v *armRun, nodes []int) {
+	t1, t2 := dynPhases(sc)
+	mean := func(from, to sim.Time) float64 {
+		return v.col.MeanOverNodes(nodes, from, to, metrics.Useful)
+	}
+	pre := mean(t1-20*sim.Second, t1)
+	post := mean(t2+10*sim.Second, sc.RunUntil)
+	r.Summary[v.label+"_before_kbps"] = pre
+	r.Summary[v.label+"_during_kbps"] = mean(t1+5*sim.Second, t2)
+	r.Summary[v.label+"_after_kbps"] = post
+	if pre > 0 {
+		r.Summary[v.label+"_recovery_ratio"] = post / pre
+	}
+	r.Summary[v.label+"_overall_kbps"] = mean(sc.Start+10*sim.Second, sc.RunUntil)
+}
+
 // dynVictim picks the root child whose subtree is largest — the same
 // "worst case" selection as the paper's failure experiments — and
 // returns it with its degree-one access link.
@@ -71,24 +92,13 @@ func versus(r *Result, sc Scale, seed int64, base arm, report func(v *armRun)) (
 func dynCompare(name string, sc Scale, seed int64,
 	build func(g *topology.Graph, tree *overlay.Tree) *scenario.Schedule) (*Result, error) {
 
-	t1, t2 := dynPhases(sc)
 	r := newResult(name)
 	return versus(r, sc, seed,
 		arm{before: func(v *armRun) { v.w.Scenario(build(v.w.Graph(), v.tree)) }},
 		func(v *armRun) {
-			pre := v.col.MeanOver(t1-20*sim.Second, t1, metrics.Useful)
-			during := v.col.MeanOver(t1+5*sim.Second, t2, metrics.Useful)
-			post := v.col.MeanOver(t2+10*sim.Second, sc.RunUntil, metrics.Useful)
-			r.Summary[v.label+"_before_kbps"] = pre
-			r.Summary[v.label+"_during_kbps"] = during
-			r.Summary[v.label+"_after_kbps"] = post
-			if pre > 0 {
-				r.Summary[v.label+"_recovery_ratio"] = post / pre
-			}
-			// Overall mean over the whole stream: data a protocol never
-			// recovers (the streamer's outage losses) stays missing here,
-			// while Bullet's mesh backfill makes the loss transient.
-			r.Summary[v.label+"_overall_kbps"] = v.col.MeanOver(sc.Start+10*sim.Second, sc.RunUntil, metrics.Useful)
+			// No node crashes or joins here, so the deployment's nodes
+			// are exactly the tracked ones, in ascending order.
+			phaseSummary(r, sc, v, v.d.Nodes())
 			st := v.w.Network().Stats()
 			r.Summary[v.label+"_link_down_drops"] = float64(st.LinkDownDrops)
 			r.Summary[v.label+"_rerouted_packets"] = float64(st.ReroutedPackets)

@@ -116,10 +116,12 @@ type inflight struct {
 // single-threaded barrier phase otherwise, so none of it needs locks.
 // Aggregate accounting is summed across contexts at read time.
 type shardCtx struct {
-	// pool backs the shard's in-flight packet states: chunked storage
-	// owned by this shard, so one shard's forwarding working set packs
-	// onto its own cache lines instead of interleaving with every other
-	// shard's (and everything else on the heap).
+	// pool backs the in-flight states of the packets at this shard's
+	// nodes: chunked storage owned by this shard, so one shard's
+	// forwarding working set packs onto its own cache lines instead of
+	// interleaving with every other shard's (and everything else on the
+	// heap). A packet crossing the cut moves to the destination's pool
+	// (see adopt), so a pool takes back only what it issued.
 	pool arena.Arena[inflight]
 	// out holds cross-shard handoffs produced during the current
 	// window, indexed by destination shard; drained (sorted) at the
@@ -140,12 +142,18 @@ type shardCtx struct {
 	rerouted         uint64
 	deliveredPackets uint64
 
-	// Link stress: per traced sequence, per link, copy count. Allocated
+	// Link stress: copies of each traced packet per link. Allocated
 	// lazily on the first traced packet, so runs that never set
 	// Packet.Trace (TraceEvery off) pay nothing for the machinery.
-	traceStress map[uint64]map[int32]int
+	traceStress map[stressKey]int
 
 	_ [64]byte // keep neighbouring shards' hot counters off one cache line
+}
+
+// stressKey names one link crossed by one traced packet.
+type stressKey struct {
+	seq  uint64
+	link int32
 }
 
 // handoff is one cross-shard packet transfer: the hop event to push
@@ -240,14 +248,17 @@ func (n *Network) engineFor(shard int) *sim.Engine {
 	return n.engines[shard]
 }
 
-// getInflight takes a forwarding state from the shard's arena.
-func (c *shardCtx) getInflight() *inflight { return c.pool.Get() }
-
-// putInflight retires f to the shard's arena, dropping payload
-// references. A handed-off inflight retires into the arena of the shard
-// it was delivered on, not the one that allocated it; arenas only ever
-// grow, so drifting between shards is harmless.
-func (c *shardCtx) putInflight(f *inflight) { c.pool.Put(f) }
+// adopt moves f, issued by shard src's arena, into a forwarding state
+// issued by shard dst's and returns the original to src's, so every
+// arena takes back only what it issued: one-way traffic across the cut
+// grows neither side. Callers run with every shard quiescent (the
+// barrier exchange or the single-threaded global phase).
+func (n *Network) adopt(f *inflight, src, dst int) *inflight {
+	g := n.ctxs[dst].pool.Get()
+	*g = *f
+	n.ctxs[src].pool.Put(f)
+	return g
+}
 
 // Engine returns the global simulation engine: the clock authority for
 // deploy-time setup, scenario schedules, and membership events. Code
@@ -296,7 +307,7 @@ func (n *Network) Send(pkt Packet) {
 	if path == nil && pkt.From != pkt.To {
 		return // unreachable: dropped
 	}
-	f := c.getInflight()
+	f := c.pool.Get()
 	f.pkt = pkt
 	f.path = path
 	f.i = 0
@@ -333,13 +344,13 @@ func (n *Network) hop(f *inflight) {
 		c.rerouted++
 		if f.path == nil && f.cur != f.pkt.To {
 			c.linkDownDrops++
-			c.putInflight(f)
+			c.pool.Put(f)
 			return
 		}
 	}
 	if f.i == len(f.path) {
 		n.deliver(c, f.pkt)
-		c.putInflight(f)
+		c.pool.Put(f)
 		return
 	}
 	lid := f.path[f.i]
@@ -351,7 +362,7 @@ func (n *Network) hop(f *inflight) {
 		// if Link state was mutated directly (Links is exported) without
 		// going through the Graph mutators; dropping is the safe answer.
 		c.linkDownDrops++
-		c.putInflight(f)
+		c.pool.Put(f)
 		return
 	}
 	dir := 0
@@ -380,7 +391,7 @@ func (n *Network) hop(f *inflight) {
 			p := float64(wait-limit/2) / float64(limit-limit/2)
 			if p >= 1 || n.dirFloat(dirIdx, ds) < p {
 				c.congestionDrops++
-				c.putInflight(f)
+				c.pool.Put(f)
 				return
 			}
 		}
@@ -388,21 +399,16 @@ func (n *Network) hop(f *inflight) {
 	// Random loss is applied per traversal, before transmission.
 	if f.pkt.Kind == Data && l.Loss > 0 && n.dirFloat(dirIdx, ds) < l.Loss {
 		c.randomLossDrops++
-		c.putInflight(f)
+		c.pool.Put(f)
 		return
 	}
 	ser := sim.Duration(float64(f.pkt.Size) / l.Bytes * float64(sim.Second))
 	ds.busyUntil = start + ser
 	if f.pkt.Trace {
 		if c.traceStress == nil {
-			c.traceStress = make(map[uint64]map[int32]int)
+			c.traceStress = make(map[stressKey]int)
 		}
-		m := c.traceStress[f.pkt.Seq]
-		if m == nil {
-			m = make(map[int32]int)
-			c.traceStress[f.pkt.Seq] = m
-		}
-		m[lid]++
+		c.traceStress[stressKey{f.pkt.Seq, lid}]++
 	}
 	arrive := ds.busyUntil + l.Delay
 	f.i++
@@ -412,14 +418,18 @@ func (n *Network) hop(f *inflight) {
 		return
 	}
 	tgt := n.plan.ShardOf[next]
-	if n.parallel && tgt != sh {
-		// Cross-shard: the link is on the cut, so arrive lies at or
-		// beyond the window boundary; park the packet for the barrier
-		// exchange instead of touching the other shard's heap.
-		c.out[tgt] = append(c.out[tgt], handoff{at: arrive, schedAt: now, f: f})
-		return
+	if tgt != sh {
+		if n.parallel {
+			// Cross-shard: the link is on the cut, so arrive lies at or
+			// beyond the window boundary; park the packet for the
+			// barrier exchange instead of touching the other shard's
+			// heap.
+			c.out[tgt] = append(c.out[tgt], handoff{at: arrive, schedAt: now, f: f})
+			return
+		}
+		f = n.adopt(f, sh, tgt) // global phase: every shard is parked
 	}
-	n.engineFor(tgt).ScheduleArg(arrive, n.hopFn, f)
+	n.engines[tgt].ScheduleArg(arrive, n.hopFn, f)
 }
 
 func (n *Network) deliver(c *shardCtx, pkt Packet) {
@@ -474,34 +484,27 @@ func (n *Network) Stats() Stats {
 // the number of copies of that packet that crossed it; Avg averages
 // across all (packet, link) pairs and Max is the absolute maximum.
 func (n *Network) LinkStress() (avg float64, max int) {
-	var sum, cnt int
 	// A traced packet's copies can cross links owned by different
-	// shards, so the (seq, link) counts are merged across contexts
-	// before aggregating.
-	merged := make(map[uint64]map[int32]int)
-	for i := range n.ctxs {
-		for seq, links := range n.ctxs[i].traceStress {
-			m := merged[seq]
-			if m == nil {
-				m = make(map[int32]int, len(links))
-				merged[seq] = m
-			}
-			for lid, c := range links {
-				m[lid] += c
+	// shards, so the counts are merged across contexts first. Only
+	// integers are summed, so map order cannot reach the result.
+	stress := n.ctxs[0].traceStress
+	if len(n.ctxs) > 1 {
+		stress = make(map[stressKey]int)
+		for i := range n.ctxs {
+			for k, c := range n.ctxs[i].traceStress {
+				stress[k] += c
 			}
 		}
 	}
-	for _, links := range merged {
-		for _, c := range links {
-			sum += c
-			cnt++
-			if c > max {
-				max = c
-			}
-		}
-	}
-	if cnt == 0 {
+	if len(stress) == 0 {
 		return 0, 0
 	}
-	return float64(sum) / float64(cnt), max
+	var sum int
+	for _, c := range stress {
+		sum += c
+		if c > max {
+			max = c
+		}
+	}
+	return float64(sum) / float64(len(stress)), max
 }

@@ -581,7 +581,8 @@ func (n *Network) RunLoad() RunLoad {
 // stably sorted by (arrival time, producing-hop time, source shard) —
 // a pure function of the simulation state — so the order they are
 // pushed in, and hence tie-breaking against all other events, is
-// independent of goroutine timing.
+// independent of goroutine timing. Each packet moves into the
+// destination shard's arena on the way (see adopt).
 func (n *Network) exchange() {
 	K := n.plan.K
 	for dst := 0; dst < K; dst++ {
@@ -598,7 +599,7 @@ func (n *Network) exchange() {
 		}
 		eng := n.engines[dst]
 		for _, e := range n.xq {
-			eng.ScheduleArg(e.h.at, n.hopFn, e.h.f)
+			eng.ScheduleArg(e.h.at, n.hopFn, n.adopt(e.h.f, e.src, dst))
 		}
 	}
 	n.xq = n.xq[:0]

@@ -296,3 +296,60 @@ func TestZeroLatencyCutLinkIsRefused(t *testing.T) {
 		t.Fatalf("sharded deliveries %v, serial %v", sharded, serial)
 	}
 }
+
+// TestOneWayHandoffsAllocateNothingPerPacket streams Data one way
+// across the cut of the line topology: c0 on shard 0 sends, c1 on
+// shard 1 receives, and nothing flows back. Each handed-off packet's
+// forwarding state is copied into one from the destination shard's
+// arena at the exchange, and the original goes back to its source
+// shard's, so the sender's arena serves every step from its free list.
+// Were a handoff to retire into the receiver's arena instead, the
+// sender would back a new chunk for every 256 packets of every step
+// while the receiver's free list grew to match — a step of 2,048
+// handoffs would allocate more than a step of 256. Each step advances
+// the clocks by a whole number of calendar rings, so the engines reuse
+// the same warm buckets.
+func TestOneWayHandoffsAllocateNothingPerPacket(t *testing.T) {
+	g, c0, c1, _ := barrierTopo(t)
+	eng := sim.NewEngine(5)
+	net := New(eng, g, topology.NewRouter(g), Config{})
+	if got := net.EnableShards(2); got != 2 {
+		t.Fatalf("EnableShards(2) = %d", got)
+	}
+	if net.ShardOf(c0) == net.ShardOf(c1) {
+		t.Fatal("c0 and c1 landed on the same shard")
+	}
+	delivered := 0
+	net.Register(c1, func(Packet) { delivered++ })
+	const ringSpan = 8 << 27 // eight calendar rings of the sim engine
+	end := sim.Time(0)
+	burst := 0
+	send := func() {
+		for i := 0; i < burst; i++ {
+			net.Send(Packet{Kind: Data, Seq: uint64(i), Size: 1000, From: c0, To: c1})
+		}
+	}
+	step := func(n int) func() {
+		return func() {
+			burst = n
+			eng.At(end+10*sim.Millisecond, send)
+			end += ringSpan
+			net.Run(end)
+		}
+	}
+	small, large := step(256), step(2048)
+	for i := 0; i < 4; i++ {
+		large()
+		small()
+	}
+	warm := delivered
+	allocsSmall := testing.AllocsPerRun(10, small)
+	allocsLarge := testing.AllocsPerRun(10, large)
+	if got, want := delivered-warm, 11*(256+2048); got != want { // AllocsPerRun adds a run of its own
+		t.Fatalf("delivered %d packets after warm-up, want %d", got, want)
+	}
+	t.Logf("allocations per step: %v with 256 handoffs, %v with 2048", allocsSmall, allocsLarge)
+	if allocsLarge > allocsSmall {
+		t.Fatalf("a step of 2048 one-way handoffs allocates %v times, one of 256 %v: the sender's arena grows with the traffic", allocsLarge, allocsSmall)
+	}
+}

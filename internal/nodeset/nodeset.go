@@ -12,10 +12,14 @@
 //   - Set: a bitset over node ids (liveness, membership, presence).
 //   - Table[T]: a slice-backed map from node id to T with an embedded
 //     presence Set.
-//   - SeqWindow: a pooled open-addressed map from stream sequence
-//     number to sim.Time, replacing the map[uint64]sim.Time patterns
-//     (per-peer sentSince, per-node arrival stamps) that dominated
-//     allocation profiles at paper scale.
+//   - SeqWindow: an open-addressed map from stream sequence number to
+//     sim.Time, replacing the map[uint64]sim.Time patterns (per-peer
+//     sentSince, per-node arrival stamps) that dominated allocation
+//     profiles at paper scale.
+//
+// Memory is shard-private: every container is a value owned by the one
+// node or shard that embeds it, and nothing here pools storage across
+// owners.
 package nodeset
 
 import "math/bits"

@@ -110,8 +110,7 @@ func TestTableDeleteReleasesValue(t *testing.T) {
 
 func TestSeqWindowAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	w := NewSeqWindow()
-	defer w.Release()
+	w := &SeqWindow{}
 	ref := map[uint64]sim.Time{}
 	// Mixed workload over a sliding window, like sentSince/arrivals.
 	for i := 0; i < 20000; i++ {
@@ -155,8 +154,7 @@ func entries(w *SeqWindow) map[uint64]sim.Time {
 }
 
 func TestSeqWindowDeleteOlderAndBelow(t *testing.T) {
-	w := NewSeqWindow()
-	defer w.Release()
+	w := &SeqWindow{}
 	for seq := uint64(0); seq < 100; seq++ {
 		w.Set(seq, sim.Time(seq)*sim.Second)
 	}
@@ -177,29 +175,32 @@ func TestSeqWindowDeleteOlderAndBelow(t *testing.T) {
 	}
 }
 
-func TestSeqWindowReuseFromPool(t *testing.T) {
-	w := NewSeqWindow()
+// TestSeqWindowZeroValueAndReuse: the zero window is ready for use,
+// and after Release (a Clear) it keeps its storage but no entry.
+func TestSeqWindowZeroValueAndReuse(t *testing.T) {
+	var w SeqWindow
+	if w.Contains(0) || w.n != 0 {
+		t.Fatal("zero window is not empty")
+	}
 	for seq := uint64(0); seq < 500; seq++ {
 		w.Set(seq, sim.Time(seq))
 	}
+	slots := len(w.keys)
 	w.Release()
-	w2 := NewSeqWindow()
-	defer w2.Release()
-	if w2.n != 0 {
-		t.Fatal("pooled window not cleared")
+	if w.n != 0 || len(w.keys) != slots {
+		t.Fatalf("after Release: %d entries in %d slots, want 0 in %d", w.n, len(w.keys), slots)
 	}
 	for seq := uint64(1000); seq < 1100; seq++ {
-		w2.Set(seq, 1)
+		w.Set(seq, 1)
 	}
-	if w2.n != 100 || w2.Contains(5) {
-		t.Fatal("pooled window retains stale entries")
+	if w.n != 100 || w.Contains(5) {
+		t.Fatal("reused window retains stale entries")
 	}
 }
 
 func BenchmarkSeqWindowSetDelete(b *testing.B) {
 	b.ReportAllocs()
-	w := NewSeqWindow()
-	defer w.Release()
+	w := &SeqWindow{}
 	for i := 0; i < b.N; i++ {
 		seq := uint64(i)
 		w.Set(seq, sim.Time(i))
@@ -227,8 +228,7 @@ func BenchmarkSetRange(b *testing.B) {
 // collide into slot 0, and backward-shift deletion must compute chain
 // distances modulo the capacity to pull them back correctly.
 func TestSeqWindowProbeWrapAroundBoundary(t *testing.T) {
-	w := NewSeqWindow()
-	defer w.Release()
+	w := &SeqWindow{}
 	// Fill to just below the grow threshold with sequences that all
 	// home at the last slot (seq % 64 == 63), forcing a probe chain
 	// that wraps: 63 -> 0 -> 1 -> ...

@@ -1,21 +1,17 @@
 package nodeset
 
-import (
-	"sync"
-
-	"bullet/internal/sim"
-)
+import "bullet/internal/sim"
 
 // SeqWindow is an open-addressed map from stream sequence number to
 // sim.Time, tuned for the windowed, mostly-contiguous sequence ranges
 // protocol engines track (recently-sent stamps, arrival times): the
 // probe position is the sequence itself, so consecutive sequences land
 // in consecutive slots with essentially no collisions. Backing storage
-// is reused across Clear and, via the package pool, across peerings —
-// steady-state operation allocates nothing.
+// is reused across Clear, so steady-state operation allocates nothing.
+// A window belongs to the one node (and so the one shard) that embeds
+// it; no storage is shared between windows.
 //
-// The zero value is usable; NewSeqWindow (paired with Release) draws
-// from the pool.
+// The zero value is an empty window ready for use.
 type SeqWindow struct {
 	keys    []uint64 // seq+1; 0 = empty slot
 	vals    []sim.Time
@@ -25,22 +21,12 @@ type SeqWindow struct {
 
 const seqWindowMinCap = 64 // power of two
 
-// NewSeqWindow returns an empty window, reusing pooled storage.
-func NewSeqWindow() *SeqWindow {
-	if w, ok := seqWindowPool.Get().(*SeqWindow); ok && w != nil {
-		return w
-	}
-	return &SeqWindow{}
-}
+// NewSeqWindow returns an empty window.
+func NewSeqWindow() *SeqWindow { return &SeqWindow{} }
 
-var seqWindowPool = sync.Pool{New: func() any { return &SeqWindow{} }}
-
-// Release clears w and returns its storage to the pool. The caller
-// must not use w afterwards.
-func (w *SeqWindow) Release() {
-	w.Clear()
-	seqWindowPool.Put(w)
-}
+// Release clears w. It and NewSeqWindow remain for callers that manage
+// a window by pointer; a window embedded by value needs neither.
+func (w *SeqWindow) Release() { w.Clear() }
 
 // Clear removes every entry, keeping the backing storage.
 func (w *SeqWindow) Clear() {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bullet/internal/tfrc"
@@ -83,23 +84,13 @@ func (h *offerHeap) Pop() any          { old := *h; n := len(old); it := old[n-1
 func Bottleneck(rt *topology.Router, participants []int, root int, packetSize float64, maxDegree int) (*Tree, error) {
 	est := NewEstimator(rt, packetSize)
 	t := NewTree(root)
-	remaining := make(map[int]bool, len(participants))
-	for _, p := range participants {
-		if p != root {
-			remaining[p] = true
-		}
-	}
+	// remaining is kept ascending: equal-throughput offers tie-break by
+	// insertion order, so candidates are offered in id order.
+	remaining := slices.Compact(slices.Sorted(slices.Values(participants)))
+	remaining = slices.DeleteFunc(remaining, func(p int) bool { return p == root })
 	h := &offerHeap{}
 	pushOffers := func(from int) {
-		// Iterate candidates in sorted order: equal-throughput offers
-		// tie-break by insertion order, and map order must never make
-		// tree construction process-dependent.
-		ids := make([]int, 0, len(remaining))
-		for to := range remaining {
-			ids = append(ids, to)
-		}
-		sort.Ints(ids)
-		for _, to := range ids {
+		for _, to := range remaining {
 			if r := est.Throughput(from, to); r > 0 {
 				heap.Push(h, offer{rate: r, from: from, to: to})
 			}
@@ -111,7 +102,8 @@ func Bottleneck(rt *topology.Router, participants []int, root int, packetSize fl
 			return nil, fmt.Errorf("overlay: %d participants unreachable from %d", len(remaining), root)
 		}
 		o := heap.Pop(h).(offer)
-		if !remaining[o.to] {
+		i, ok := slices.BinarySearch(remaining, o.to)
+		if !ok {
 			continue
 		}
 		if maxDegree > 0 && t.Degree(o.from) >= maxDegree {
@@ -133,7 +125,7 @@ func Bottleneck(rt *topology.Router, participants []int, root int, packetSize fl
 			return nil, err
 		}
 		est.Place(o.from, o.to)
-		delete(remaining, o.to)
+		remaining = slices.Delete(remaining, i, i+1)
 		pushOffers(o.to)
 	}
 	sort.Ints(t.Participants)

@@ -178,53 +178,41 @@ func NewAgent(ep *transport.Endpoint, cfg Config, parent int, children []int) *A
 
 // collectOf returns the cached collect state for child, or nil.
 func (a *Agent) collectOf(child int) *collectMsg {
-	for i := range a.childCollect {
-		if a.childCollect[i].child == child {
-			return &a.childCollect[i].msg
-		}
+	if i := a.collectIndex(child); i >= 0 {
+		return &a.childCollect[i].msg
 	}
 	return nil
 }
 
+// collectIndex returns the position of child's cached collect, or -1.
+func (a *Agent) collectIndex(child int) int {
+	return slices.IndexFunc(a.childCollect, func(cc childCollect) bool { return cc.child == child })
+}
+
 // setCollect caches m as child's latest collect.
 func (a *Agent) setCollect(child int, m collectMsg) {
-	for i := range a.childCollect {
-		if a.childCollect[i].child == child {
-			a.childCollect[i].msg = m
-			return
-		}
+	if cm := a.collectOf(child); cm != nil {
+		*cm = m
+		return
 	}
 	a.childCollect = append(a.childCollect, childCollect{child: child, msg: m})
 }
 
 // dropCollect forgets child's cached collect state.
 func (a *Agent) dropCollect(child int) {
-	for i := range a.childCollect {
-		if a.childCollect[i].child == child {
-			a.childCollect = append(a.childCollect[:i], a.childCollect[i+1:]...)
-			return
-		}
+	if i := a.collectIndex(child); i >= 0 {
+		a.childCollect = slices.Delete(a.childCollect, i, i+1)
 	}
 }
 
-// isWaiting reports whether child still owes a collect this epoch.
-func (a *Agent) isWaiting(child int) bool {
-	for _, c := range a.waiting {
-		if c == child {
-			return true
-		}
+// stopWaiting removes child from the waiting list and reports whether
+// it still owed a collect this epoch.
+func (a *Agent) stopWaiting(child int) bool {
+	i := slices.Index(a.waiting, child)
+	if i >= 0 {
+		a.waiting = slices.Delete(a.waiting, i, i+1)
 	}
-	return false
-}
-
-// stopWaiting removes child from the waiting list.
-func (a *Agent) stopWaiting(child int) {
-	for i, c := range a.waiting {
-		if c == child {
-			a.waiting = append(a.waiting[:i], a.waiting[i+1:]...)
-			return
-		}
-	}
+	return i >= 0
 }
 
 // resetWaiting makes every current child owe a collect.
@@ -260,12 +248,9 @@ func (a *Agent) SetParent(parent int) { a.parent = parent }
 // collect/distribute wave from the next epoch onward; the current
 // epoch's accounting is untouched.
 func (a *Agent) AddChild(child int) {
-	for _, c := range a.children {
-		if c == child {
-			return
-		}
+	if !slices.Contains(a.children, child) {
+		a.children = append(a.children, child)
 	}
-	a.children = append(a.children, child)
 }
 
 // RemoveChild forgets a (typically crashed) tree child so waves skip
@@ -273,23 +258,13 @@ func (a *Agent) AddChild(child int) {
 // was still waiting on its collect, the wave advances immediately
 // instead of stalling until the root's failure-detection timeout.
 func (a *Agent) RemoveChild(child int) {
-	idx := -1
-	for i, c := range a.children {
-		if c == child {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	i := slices.Index(a.children, child)
+	if i < 0 {
 		return
 	}
-	a.children = append(a.children[:idx], a.children[idx+1:]...)
+	a.children = slices.Delete(a.children, i, i+1)
 	a.dropCollect(child)
-	if !a.isWaiting(child) {
-		return
-	}
-	a.stopWaiting(child)
-	if len(a.waiting) > 0 {
+	if !a.stopWaiting(child) || len(a.waiting) > 0 {
 		return
 	}
 	// The removed child was the last one holding the wave back. (A
@@ -470,10 +445,9 @@ func (a *Agent) onCollect(from int, m *collectMsg) {
 	// a freshly adopted child (orphan re-parented mid-epoch) may deliver
 	// a same-epoch collect after we already sent ours, which must not
 	// emit a duplicate.
-	if !a.isWaiting(from) {
+	if !a.stopWaiting(from) {
 		return
 	}
-	a.stopWaiting(from)
 	if len(a.waiting) == 0 {
 		if a.IsRoot() {
 			a.maybeAdvance()
