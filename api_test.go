@@ -389,6 +389,40 @@ var sourceGuards = []sourceGuard{
 			return nil, ""
 		},
 	},
+	{
+		// Link state is written only by the Graph's mutators, which move
+		// the route epoch and the link generation that the router's
+		// caches and netem's link records are refreshed by; a write
+		// elsewhere would reach neither.
+		rule:  "link state through the Graph mutators",
+		scope: func(sf *srcFile) bool { return !under("internal/topology", true)(sf) },
+		check: func(n ast.Node) (ast.Node, string) {
+			var lhs []ast.Expr
+			switch st := n.(type) {
+			case *ast.AssignStmt:
+				lhs = st.Lhs
+			case *ast.IncDecStmt:
+				lhs = []ast.Expr{st.X}
+			}
+			for _, e := range lhs {
+				sel, ok := e.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				switch sel.Sel.Name {
+				case "Down", "Bytes", "Loss", "Delay", "A", "B":
+				default:
+					continue
+				}
+				if ix, ok := ast.Unparen(sel.X).(*ast.IndexExpr); ok {
+					if links := baseType(ix.X); links != nil && links.Name == "Links" {
+						return sel, "writes Links[...]." + sel.Sel.Name
+					}
+				}
+			}
+			return nil, ""
+		},
+	},
 }
 
 // deletedPaths stay deleted with the "deleted stays deleted" rule.

@@ -105,8 +105,10 @@ func TestShardIdentityMatrix(t *testing.T) {
 	ids := Names()
 	if testing.Short() {
 		// A cross-section in -short: plain figure, epidemic baselines,
-		// link dynamics, and membership churn.
-		ids = []string{"fig7", "fig13", "dyn-partition", "churn-crashheal"}
+		// link dynamics that move the route epoch (dyn-partition) and
+		// that move only the link generation (dyn-flashcrowd's
+		// bandwidth squeeze), and membership churn.
+		ids = []string{"fig7", "fig13", "dyn-partition", "dyn-flashcrowd", "churn-crashheal"}
 	}
 	const seed = 11
 	pinned := readIdentityDigests(t)

@@ -155,3 +155,69 @@ func TestBandwidthChangeAffectsSerialization(t *testing.T) {
 		t.Errorf("transit after cut = %v, want 27ms", slow)
 	}
 }
+
+// TestShardedLinkMutationsMatchSerial is the two-shard companion of the
+// test above. Bandwidth and loss changes move no route epoch, only the
+// link generation, and the shards' link records must pick them up at
+// the barrier, before either shard runs another hop. On the line
+// topology (c0 and s0 on shard 0, the rest on shard 1), c0 and c1 stream
+// at each other, so packets are in flight on both shards when global
+// events cut a link on each side to 1 Mbps and make the backbone lossy,
+// and again when they undo it. The two-shard run must reproduce the
+// serial run's arrival times and drops.
+func TestShardedLinkMutationsMatchSerial(t *testing.T) {
+	run := func(shards int) (string, Stats) {
+		g, c0, c1, _ := barrierTopo(t)
+		access0, access1 := g.AccessLink(c0), g.AccessLink(c1)
+		backbone := -1
+		for _, l := range g.Links {
+			if l.Class == topology.TransitTransit {
+				backbone = l.ID
+			}
+		}
+		eng := sim.NewEngine(9)
+		net := New(eng, g, topology.NewRouter(g), Config{})
+		if shards > 1 {
+			if got := net.EnableShards(shards); got != shards {
+				t.Fatalf("EnableShards(%d) = %d", shards, got)
+			}
+			if net.ShardOf(c0) == net.ShardOf(c1) {
+				t.Fatal("c0 and c1 landed on the same shard")
+			}
+		}
+		dl := newDeliveryLog(len(g.Nodes))
+		dl.attach(net, c0)
+		dl.attach(net, c1)
+		for i := 0; i < 100; i++ {
+			seq := uint64(i)
+			eng.At(sim.Time(2*i+1)*sim.Millisecond, func() {
+				net.Send(Packet{Kind: Data, Seq: seq, Size: 1000, From: c0, To: c1})
+				net.Send(Packet{Kind: Data, Seq: seq, Size: 1000, From: c1, To: c0})
+			})
+		}
+		eng.At(40*sim.Millisecond, func() {
+			g.SetBandwidth(access0, 1000)
+			g.SetBandwidth(access1, 1000)
+			g.SetLoss(backbone, 0.2)
+		})
+		eng.At(120*sim.Millisecond, func() {
+			g.ScaleBandwidth(access0, 4)
+			g.SetLoss(backbone, 0)
+		})
+		net.Run(sim.Second)
+		return dl.flatten(), net.Stats()
+	}
+	serialLog, serial := run(1)
+	// The huge base bandwidth never queues and no link is lossy, so
+	// drops of both kinds mean both mutations reached the hop.
+	if serial.CongestionDrops == 0 || serial.RandomLossDrops == 0 {
+		t.Fatalf("serial run: %+v, want congestion and loss drops", serial)
+	}
+	shardedLog, sharded := run(2)
+	if shardedLog != serialLog {
+		t.Errorf("two-shard arrivals differ from serial")
+	}
+	if sharded != serial {
+		t.Errorf("two-shard stats %+v, serial %+v", sharded, serial)
+	}
+}

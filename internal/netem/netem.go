@@ -14,9 +14,12 @@
 // with the route epoch its path was resolved at, re-resolves the
 // remaining path from the packet's current node when the epoch
 // advances, and drops packets that would traverse a failed link or
-// whose destination became unreachable. On a static topology all of
-// this reduces to one integer comparison per hop and forwarding is
-// byte-identical to a fully memoized emulator.
+// whose destination became unreachable. Link state a hop reads lives in
+// the emulator's own per-link records, copied from the Graph whenever
+// its link generation (Graph.LinkGen) moves. On a static topology all
+// of this reduces to two integer comparisons per hop, the route epoch
+// and the link generation, and forwarding is byte-identical to a fully
+// memoized emulator that reads the Graph live.
 package netem
 
 import (
@@ -74,21 +77,30 @@ type Config struct {
 	QueueDelayLimit sim.Duration
 }
 
-// dirState is the mutable state of one link direction, padded to 32
-// bytes so a link's two directions share one cache line and neither
-// straddles two. Drop and packet totals are per shard, in shardCtx.
-type dirState struct {
-	busyUntil sim.Time
-	// draws counts the random numbers consumed by this link direction
-	// (RED early drop, random loss). Each draw is a pure function of
-	// (seed, direction, draw index), so the loss pattern a direction
-	// observes depends only on its own traversal history — never on how
-	// traffic elsewhere interleaves. That independence is what lets a
-	// sharded run reproduce the serial loss sequence exactly: a
-	// direction's traversals happen in the same relative order on its
-	// owning shard as they do serially.
-	draws uint64
-	_     [2]uint64
+// linkRec is the emulator's record of one link: everything a hop reads
+// or writes, in 64 bytes, so a traversal touches one cache line of link
+// state (an array of them starts on a line boundary). The endpoints,
+// delay, bytes and loss are copies of the Graph's Link, refreshed by
+// syncLinks whenever Graph.LinkGen moves. A down link keeps its delay
+// negated — every Link.Delay is positive — so the down test reads a
+// field the hop needs anyway. Index 0 of busyUntil and draws is the
+// A-to-B direction, 1 the B-to-A. Drop and packet totals are per shard,
+// in shardCtx.
+type linkRec struct {
+	a, b      int32
+	delay     sim.Duration // Link.Delay, negated while the link is down
+	bytes     float64      // Link.Bytes
+	loss      float64      // Link.Loss
+	busyUntil [2]sim.Time
+	// draws counts the random numbers consumed by each direction (RED
+	// early drop, random loss). Each draw is a pure function of (seed,
+	// direction, draw index), so the loss pattern a direction observes
+	// depends only on its own traversal history — never on how traffic
+	// elsewhere interleaves. That independence is what lets a sharded
+	// run reproduce the serial loss sequence exactly: a direction's
+	// traversals happen in the same relative order on its owning shard
+	// as they do serially.
+	draws [2]uint64
 }
 
 // inflight is the pooled per-packet forwarding state. The routed path
@@ -98,15 +110,26 @@ type dirState struct {
 // route epoch it was resolved at; if the epoch advances while the
 // packet is in flight (a scenario failed a link, healed a partition,
 // ...), the next hop re-resolves the remaining path from the packet's
-// current node. It is 128 bytes — two cache lines, arena chunks being
-// line-aligned — and a steady hop reads only the first: the header and
-// the packet's Kind, Trace and Size.
+// current node. The next link's id rides in the header, so a hop
+// finds its link record without first loading the path, and loads the
+// following id alongside the record. It is 128 bytes — two cache lines,
+// arena chunks being line-aligned — and a steady hop reads only the
+// first: the header and the packet's Kind, Trace and Size.
 type inflight struct {
 	path  []int32 // link ids, traversal order; owned by the router cache
-	i     int     // next path index to traverse
+	i     int32   // path index of lid
+	lid   int32   // path[i], the next link to traverse; -1 at the destination
 	cur   int     // current node
 	epoch uint64  // route epoch path was resolved at
 	pkt   Packet
+}
+
+// linkAt returns path[i], or -1 past the end of the path.
+func linkAt(path []int32, i int32) int32 {
+	if int(i) < len(path) {
+		return path[i]
+	}
+	return -1
 }
 
 // shardCtx is the mutable per-shard forwarding state. In a serial run
@@ -172,9 +195,10 @@ type Network struct {
 	g        *topology.Graph
 	rt       *topology.Router
 	cfg      Config
-	dirs     []dirState // 2*linkID + direction
-	handlers []Handler  // indexed by node id
-	lossSeed uint64     // keys the per-direction draw streams
+	links    []linkRec // indexed by link id
+	linkGen  uint64    // the Graph.LinkGen links was copied at
+	handlers []Handler // indexed by node id
+	lossSeed uint64    // keys the per-direction draw streams
 
 	// hopFn is the single reusable callback for hop events; paired with
 	// the inflight free lists it makes steady-state forwarding
@@ -214,21 +238,42 @@ func New(eng *sim.Engine, g *topology.Graph, rt *topology.Router, cfg Config) *N
 		g:        g,
 		rt:       rt,
 		cfg:      cfg,
-		dirs:     make([]dirState, 2*len(g.Links)),
+		links:    make([]linkRec, len(g.Links)),
 		handlers: make([]Handler, len(g.Nodes)),
 		lossSeed: sim.Mix64(uint64(eng.Seed()) ^ 0x6e65746d),
 		ctxs:     make([]shardCtx, 1),
 	}
+	for i := range g.Links {
+		n.links[i].a, n.links[i].b = int32(g.Links[i].A), int32(g.Links[i].B)
+	}
+	n.syncLinks()
 	n.hopFn = func(a any) { n.hop(a.(*inflight)) }
 	return n
 }
 
+// syncLinks copies the Graph's per-link state into the records and then
+// stores the link generation it copied. It runs only while no shard
+// goroutine does: from hop in a serial run or in the global phase, and
+// from runSharded right after the global phase, so a parallel window
+// never finds the generation moved.
+func (n *Network) syncLinks() {
+	for i := range n.g.Links {
+		l, r := &n.g.Links[i], &n.links[i]
+		r.delay, r.bytes, r.loss = l.Delay, l.Bytes, l.Loss
+		if l.Down {
+			r.delay = -l.Delay
+		}
+	}
+	n.linkGen = n.g.LinkGen()
+}
+
 // dirFloat returns the next uniform [0,1) draw for link direction
-// dirIdx: a counted, hash-derived stream per direction, independent of
-// every other direction and of global event interleaving.
-func (n *Network) dirFloat(dirIdx int, ds *dirState) float64 {
-	ds.draws++
-	z := sim.Mix64(n.lossSeed + uint64(dirIdx)*0x9E3779B97F4A7C15 + ds.draws*0xBF58476D1CE4E5B9)
+// dirIdx, whose draw counter is *draws: a counted, hash-derived stream
+// per direction, independent of every other direction and of global
+// event interleaving.
+func (n *Network) dirFloat(dirIdx int, draws *uint64) float64 {
+	*draws++
+	z := sim.Mix64(n.lossSeed + uint64(dirIdx)*0x9E3779B97F4A7C15 + *draws*0xBF58476D1CE4E5B9)
 	return float64(z>>11) * (1.0 / (1 << 53))
 }
 
@@ -311,6 +356,7 @@ func (n *Network) Send(pkt Packet) {
 	f.pkt = pkt
 	f.path = path
 	f.i = 0
+	f.lid = linkAt(path, 0)
 	f.cur = pkt.From
 	f.epoch = n.g.Epoch()
 	n.hop(f)
@@ -324,7 +370,9 @@ func (n *Network) Send(pkt Packet) {
 // remaining path is re-resolved from the packet's current node before
 // the hop proceeds: packets reroute around failures mid-flight, and a
 // packet whose destination became unreachable is dropped. On a static
-// network the epoch comparison never fires.
+// network the epoch comparison never fires, and neither does the link
+// generation's, which refreshes the link records after any per-link
+// mutation (bandwidth and loss changes move no epoch).
 func (n *Network) hop(f *inflight) {
 	// Serial runs resolve everything to shard 0 and the global engine up
 	// front: hop is the single hottest callback in the process, and the
@@ -341,6 +389,7 @@ func (n *Network) hop(f *inflight) {
 		f.epoch = e
 		f.path = n.rt.Path(f.cur, f.pkt.To)
 		f.i = 0
+		f.lid = linkAt(f.path, 0)
 		c.rerouted++
 		if f.path == nil && f.cur != f.pkt.To {
 			c.linkDownDrops++
@@ -348,36 +397,43 @@ func (n *Network) hop(f *inflight) {
 			return
 		}
 	}
-	if f.i == len(f.path) {
+	if n.g.LinkGen() != n.linkGen {
+		n.syncLinks()
+	}
+	lid := f.lid
+	if lid < 0 {
 		n.deliver(c, f.pkt)
 		c.pool.Put(f)
 		return
 	}
-	lid := f.path[f.i]
-	l := &n.g.Links[lid]
-	if l.Down {
-		// Invariant guard, not a normal path: every mutator that sets
-		// Down also bumps the route epoch, so the re-resolution above
-		// keeps current-epoch paths free of down links. This fires only
-		// if Link state was mutated directly (Links is exported) without
-		// going through the Graph mutators; dropping is the safe answer.
+	// The record and the following link id do not depend on each other:
+	// both loads issue at once.
+	r := &n.links[lid]
+	i := f.i + 1
+	nextLid := linkAt(f.path, i)
+	if r.delay < 0 {
+		// Invariant guard, not a normal path: every mutator that takes a
+		// link down also bumps the route epoch, so the re-resolution
+		// above keeps current-epoch paths free of down links. Link state
+		// is written only through the Graph mutators (a source guard
+		// holds the rest of the module to it); dropping is the safe
+		// answer should one ever mark a link down without the epoch.
 		c.linkDownDrops++
 		c.pool.Put(f)
 		return
 	}
 	dir := 0
-	next := l.B
-	if f.cur == l.B {
+	next := r.b
+	if f.cur == int(r.b) {
 		dir = 1
-		next = l.A
+		next = r.a
 	}
 	dirIdx := 2*int(lid) + dir
-	ds := &n.dirs[dirIdx]
 
 	now := eng.Now()
 	start := now
-	if ds.busyUntil > start {
-		start = ds.busyUntil
+	if r.busyUntil[dir] > start {
+		start = r.busyUntil[dir]
 	}
 	// Queue admission for data: probabilistic early drop (RED-style)
 	// once the wait passes half the bound, ramping to certain drop at
@@ -389,7 +445,7 @@ func (n *Network) hop(f *inflight) {
 		limit := n.cfg.QueueDelayLimit
 		if wait > limit/2 {
 			p := float64(wait-limit/2) / float64(limit-limit/2)
-			if p >= 1 || n.dirFloat(dirIdx, ds) < p {
+			if p >= 1 || n.dirFloat(dirIdx, &r.draws[dir]) < p {
 				c.congestionDrops++
 				c.pool.Put(f)
 				return
@@ -397,22 +453,23 @@ func (n *Network) hop(f *inflight) {
 		}
 	}
 	// Random loss is applied per traversal, before transmission.
-	if f.pkt.Kind == Data && l.Loss > 0 && n.dirFloat(dirIdx, ds) < l.Loss {
+	if f.pkt.Kind == Data && r.loss > 0 && n.dirFloat(dirIdx, &r.draws[dir]) < r.loss {
 		c.randomLossDrops++
 		c.pool.Put(f)
 		return
 	}
-	ser := sim.Duration(float64(f.pkt.Size) / l.Bytes * float64(sim.Second))
-	ds.busyUntil = start + ser
+	ser := sim.Duration(float64(f.pkt.Size) / r.bytes * float64(sim.Second))
+	r.busyUntil[dir] = start + ser
 	if f.pkt.Trace {
 		if c.traceStress == nil {
 			c.traceStress = make(map[stressKey]int)
 		}
 		c.traceStress[stressKey{f.pkt.Seq, lid}]++
 	}
-	arrive := ds.busyUntil + l.Delay
-	f.i++
-	f.cur = next
+	arrive := r.busyUntil[dir] + r.delay
+	f.i = i
+	f.lid = nextLid
+	f.cur = int(next)
 	if n.plan == nil {
 		eng.ScheduleArg(arrive, n.hopFn, f)
 		return

@@ -404,9 +404,10 @@ func (n *Network) coordRound(active bool, end sim.Time, sense *uint32) sim.Time 
 //     protocol state, and send packets (pushed directly into shard
 //     heaps, since every worker is parked);
 //  2. the router applies any pending epoch invalidation so route
-//     caches are stable during the round, and the lookahead is
-//     recomputed if link state changed (graph mutations happen only in
-//     this phase, so it cannot change mid-round);
+//     caches are stable during the round, the link records are
+//     refreshed if the link generation moved, and the lookahead is
+//     recomputed if the route epoch did (graph mutations happen only in
+//     this phase, so none of it can change mid-round);
 //  3. if every pending event lies beyond T, the loop fast-forwards to
 //     the earliest one (or stops, when none remain at or before
 //     until);
@@ -458,6 +459,9 @@ func (n *Network) runSharded(until sim.Time) {
 		}
 		n.eng.Run(T)
 		n.rt.Sync()
+		if n.g.LinkGen() != n.linkGen {
+			n.syncLinks()
+		}
 		if e := n.g.Epoch(); e != lastEpoch {
 			lastEpoch = e
 			n.lookahead = n.plan.LookaheadNow(n.g)

@@ -183,15 +183,22 @@ type halfEdge struct {
 // construction, but per-link state (bandwidth, latency, loss, up/down) is
 // mutable at runtime through the Set*/Fail*/Partition methods below, so
 // scenarios can change network conditions mid-run. Every mutation that
-// can alter shortest-path routes advances the route epoch; consumers
-// (Router, netem) compare epochs to invalidate their caches lazily.
+// can alter shortest-path routes advances the route epoch, and every
+// per-link mutation advances the link generation; consumers (Router,
+// netem) compare them to refresh their caches lazily.
 type Graph struct {
-	Nodes   []Node
+	Nodes []Node
+	// Links is readable by anyone, but link state (A, B, Delay, Bytes,
+	// Loss, Down) is written only inside this package: after
+	// construction, only through the mutators below, since the caches
+	// keyed by Epoch and LinkGen see nothing else. A source guard
+	// (api_test.go) holds the rest of the module to it.
 	Links   []Link
 	Clients []int // IDs of client nodes, the overlay attachment points
 	adj     [][]halfEdge
 
-	epoch uint64 // route epoch; bumped by route-affecting mutations
+	epoch   uint64 // route epoch; bumped by route-affecting mutations
+	linkGen uint64 // link generation; bumped by every per-link mutation
 	// classEpoch counts, per link class, the route-affecting changes to
 	// links of that class. The classes of a transit-stub topology are its
 	// routing areas: the router compares these counters to drop only the
@@ -462,14 +469,21 @@ func (g *Graph) LinkClassCounts() map[LinkClass]int {
 //
 // The methods below mutate per-link state mid-run. Mutations that can
 // change shortest-path routes (latency, link up/down) advance the route
-// epoch so Router and netem caches invalidate lazily; bandwidth and
-// loss changes take effect immediately because the emulator reads link
-// state live on every traversal.
+// epoch so Router and netem caches invalidate lazily. Every one of them,
+// bandwidth and loss changes included, advances the link generation, at
+// which netem copies link state into its own per-link records before
+// the next traversal: a change takes effect for packets serialized
+// after the call.
 // ---------------------------------------------------------------------
 
 // Epoch returns the current route epoch. It advances whenever a
 // mutation may have changed shortest-path routes.
 func (g *Graph) Epoch() uint64 { return g.epoch }
+
+// LinkGen returns the current link generation. It advances whenever a
+// mutator changes any link's state: everything that moves the route
+// epoch, plus bandwidth and loss changes, which move no route.
+func (g *Graph) LinkGen() uint64 { return g.linkGen }
 
 // AccessLink returns the ID of the single link attaching a degree-one
 // node (typically a client) to the rest of the network, or -1 if the
@@ -490,6 +504,7 @@ func (g *Graph) SetBandwidth(id int, kbps float64) {
 		return
 	}
 	g.Links[id].Bytes = kbps * 1000 / 8
+	g.linkGen++
 }
 
 // ScaleBandwidth multiplies the capacity of link id by factor.
@@ -499,6 +514,7 @@ func (g *Graph) ScaleBandwidth(id int, factor float64) {
 		return
 	}
 	g.Links[id].Bytes *= factor
+	g.linkGen++
 }
 
 // SetLatency changes the propagation delay of link id. Routing is
@@ -511,6 +527,7 @@ func (g *Graph) SetLatency(id int, d sim.Duration) {
 	g.Links[id].Delay = d
 	g.classEpoch[g.Links[id].Class]++
 	g.epoch++
+	g.linkGen++
 }
 
 // SetLoss changes the per-traversal random loss probability of link id.
@@ -522,6 +539,7 @@ func (g *Graph) SetLoss(id int, loss float64) {
 		loss = 1
 	}
 	g.Links[id].Loss = loss
+	g.linkGen++
 }
 
 // dropFromCut removes every occurrence of link id from the partition
@@ -550,6 +568,7 @@ func (g *Graph) FailLink(id int) {
 	g.Links[id].Down = true
 	g.classEpoch[g.Links[id].Class]++
 	g.epoch++
+	g.linkGen++
 }
 
 // RestoreLink brings a failed link back up, whether it went down via
@@ -562,6 +581,7 @@ func (g *Graph) RestoreLink(id int) {
 	g.Links[id].Down = false
 	g.classEpoch[g.Links[id].Class]++
 	g.epoch++
+	g.linkGen++
 }
 
 // Partition fails every up link with exactly one endpoint in the node
@@ -587,6 +607,7 @@ func (g *Graph) Partition(nodes []int) int {
 	}
 	if cut > 0 {
 		g.epoch++
+		g.linkGen++
 	}
 	return cut
 }
@@ -603,4 +624,5 @@ func (g *Graph) Heal() {
 	}
 	g.partitionCut = g.partitionCut[:0]
 	g.epoch++
+	g.linkGen++
 }
