@@ -243,9 +243,6 @@ func New(eng *sim.Engine, g *topology.Graph, rt *topology.Router, cfg Config) *N
 		lossSeed: sim.Mix64(uint64(eng.Seed()) ^ 0x6e65746d),
 		ctxs:     make([]shardCtx, 1),
 	}
-	for i := range g.Links {
-		n.links[i].a, n.links[i].b = int32(g.Links[i].A), int32(g.Links[i].B)
-	}
 	n.syncLinks()
 	n.hopFn = func(a any) { n.hop(a.(*inflight)) }
 	return n
@@ -259,6 +256,7 @@ func New(eng *sim.Engine, g *topology.Graph, rt *topology.Router, cfg Config) *N
 func (n *Network) syncLinks() {
 	for i := range n.g.Links {
 		l, r := &n.g.Links[i], &n.links[i]
+		r.a, r.b = int32(l.A), int32(l.B)
 		r.delay, r.bytes, r.loss = l.Delay, l.Bytes, l.Loss
 		if l.Down {
 			r.delay = -l.Delay
