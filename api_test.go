@@ -362,8 +362,10 @@ var sourceGuards = []sourceGuard{
 		// workload, the test-only helpers, the CLI's exported config
 		// type, the write-only Bullet counters, the settings with one
 		// value in use, the protocol registry and wrappers, and the
-		// root package's re-exported experiment harness. Names too
-		// common to ban as words are checked as package selectors.
+		// root package's re-exported experiment harness, and the
+		// per-node tick closures that node-carrying events replaced.
+		// Names too common to ban as words are checked as package
+		// selectors.
 		rule:  "deleted stays deleted",
 		scope: anyFile,
 		words: []string{"MultiRate", "RateStep", "SetRateAt", "RampBandwidth", "SortedIDs",
@@ -377,7 +379,7 @@ var sourceGuards = []sourceGuard{
 			"ModelByName",
 			"worldOn", "bulletOn", "streamOn", "gossipOn", "antiEntropyOn", "RunExperiment",
 			"RunExperiments", "ExperimentRun", "ExperimentResult", "ExperimentScale",
-			"SmallScale", "MegaScale"},
+			"SmallScale", "MegaScale", "pumpFn", "refreshFn", "evalFn"},
 		check: func(n ast.Node) (ast.Node, string) {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -385,6 +387,21 @@ var sourceGuards = []sourceGuard{
 			}
 			if isIdent(sel.X, "sim") && sel.Sel.Name == "Scheduler" || isIdent(sel.X, "workload") && sel.Sel.Name == "Sink" {
 				return sel, sel.X.(*ast.Ident).Name + "." + sel.Sel.Name
+			}
+			return nil, ""
+		},
+	},
+	{
+		// Goroutines start in two places: the shard workers of a sharded
+		// run and the experiment runner's workers. One started anywhere
+		// else would make a run's order depend on the Go scheduler.
+		rule: "two goroutine sites",
+		scope: func(sf *srcFile) bool {
+			return !sf.test && sf.path != "internal/netem/parallel.go" && sf.path != "internal/experiments/runner.go"
+		},
+		check: func(n ast.Node) (ast.Node, string) {
+			if g, ok := n.(*ast.GoStmt); ok {
+				return g, "go statement"
 			}
 			return nil, ""
 		},

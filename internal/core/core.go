@@ -98,24 +98,26 @@ type senderInfo struct {
 	usefulBytes uint64
 }
 
-// recvPeerInfo is sender-side state about one of our receiving peers.
-// Candidates are kept in two queues: holes are sequences within the
-// receiver's advertised (Low, High) range — known gaps, served
-// immediately — while fresh are sequences beyond High, served in
-// arrival order once they pass the freshness gate.
 // seqQueue is a FIFO of sequence numbers consumed from the front by
 // index. Consuming via front-reslicing (q = q[1:]) abandons the
 // backing array one element at a time, so every rebuild re-grows the
 // queue from whatever capacity survived — at sustained stream rates
 // that was one of the largest steady-state allocation sources in the
 // process. Tracking a head index instead reuses the array forever.
+//
+// count points at the owning node's queued total: push, popFront and
+// reset keep it equal to the sum of len() over the node's receiver
+// queues, so callers never adjust it themselves. newReceiver links
+// both queues of every receiver, and removeReceiver resets them, so a
+// removed receiver takes its entries out of the total.
 type seqQueue struct {
-	buf  []uint64
-	head int
+	buf   []uint64
+	head  int
+	count *int
 }
 
-func (q *seqQueue) reset()        { q.buf = q.buf[:0]; q.head = 0 }
-func (q *seqQueue) push(s uint64) { q.buf = append(q.buf, s) }
+func (q *seqQueue) reset()        { *q.count -= q.len(); q.buf = q.buf[:0]; q.head = 0 }
+func (q *seqQueue) push(s uint64) { q.buf = append(q.buf, s); *q.count++ }
 func (q *seqQueue) len() int      { return len(q.buf) - q.head }
 func (q *seqQueue) peek() uint64  { return q.buf[q.head] }
 
@@ -123,11 +125,17 @@ func (q *seqQueue) peek() uint64  { return q.buf[q.head] }
 // once the queue empties so pushes re-fill it from offset zero.
 func (q *seqQueue) popFront() {
 	q.head++
+	*q.count--
 	if q.head == len(q.buf) {
 		q.reset()
 	}
 }
 
+// recvPeerInfo is sender-side state about one of our receiving peers.
+// Candidates are kept in two queues: holes are sequences within the
+// receiver's advertised (Low, High) range — known gaps, served
+// immediately — while fresh are sequences beyond High, served in
+// arrival order once they pass the freshness gate.
 type recvPeerInfo struct {
 	node      int
 	flow      *transport.Flow
@@ -142,6 +150,16 @@ type recvPeerInfo struct {
 	sentSince nodeset.SeqWindow // recently sent: seq -> send time
 	sentBytes uint64            // bytes sent in current eval window
 	recvBytes uint64            // receiver's reported total, last refresh
+}
+
+// newReceiver returns the entry for a new receiving peer on row 0 of
+// one, both of its queues counted in n.queued. Every receiver entry is
+// built here.
+func (n *Node) newReceiver(node int, flow *transport.Flow, filter *bloom.Filter, low, high uint64) *recvPeerInfo {
+	rf := &recvPeerInfo{node: node, flow: flow, filter: filter, low: low, high: high, rows: 1}
+	rf.holes.count = &n.queued
+	rf.fresh.count = &n.queued
+	return rf
 }
 
 // Endpoint returns the node's transport endpoint.
@@ -159,9 +177,17 @@ func (n *Node) openFlow(to int) (*transport.Flow, error) {
 
 // Node is one Bullet participant.
 type Node struct {
-	sys    *System
-	id     int
-	ep     *transport.Endpoint
+	// What a pump tick reads comes first, in 56 bytes: the endpoint
+	// (its failed flag and engine), the queued total that lets an idle
+	// tick stop there, and what a tick with work goes on to read.
+	ep *transport.Endpoint
+	// queued is the number of sequences waiting in all receivers'
+	// holes and fresh queues, kept by seqQueue itself.
+	queued    int
+	sys       *System
+	id        int
+	receivers []*recvPeerInfo // sorted ascending by peer node id
+
 	parent int
 	// children holds per-child disjoint-send state in distribution-tree
 	// order (the order tree.Children reported at wiring time, plus
@@ -171,12 +197,6 @@ type Node struct {
 	children []*childInfo
 	agent    *ransub.Agent
 	rng      *rand.Rand
-
-	// Cached tick closures: allocated once at deploy so periodic
-	// rescheduling through Engine.ScheduleAfter is allocation-free.
-	pumpFn    func()
-	refreshFn func()
-	evalFn    func()
 
 	// rebuildQueue's ForRange visitor, bound once here with the active
 	// receiver passed through rbRf: the per-refresh closure used to be
@@ -197,13 +217,12 @@ type Node struct {
 	filter   *bloom.Filter
 	arrivals nodeset.SeqWindow // when each held seq arrived (freshness gate)
 
-	// senders and receivers are kept sorted ascending by peer node id:
-	// every walk that used to sort map keys now just ranges the slice,
-	// with identical (deterministic) order and no allocation.
-	senders   []*senderInfo
-	receivers []*recvPeerInfo
-	pending   int // node we sent a peerRequest to; -1 if none
-	lastSet   []ransub.Entry
+	// senders, like receivers, are kept sorted ascending by peer node
+	// id: every walk that used to sort map keys now just ranges the
+	// slice, with identical (deterministic) order and no allocation.
+	senders []*senderInfo
+	pending int // node we sent a peerRequest to; -1 if none
+	lastSet []ransub.Entry
 
 	epochPkts  uint64 // new packets this epoch (sizes lf delta)
 	lfDelta    float64
@@ -268,6 +287,8 @@ func (n *Node) removeReceiver(id int) *recvPeerInfo {
 	}
 	rf := n.receivers[i]
 	n.receivers = slices.Delete(n.receivers, i, i+1)
+	rf.holes.reset()
+	rf.fresh.reset()
 	return rf
 }
 
@@ -353,17 +374,15 @@ func (sys *System) addNode(id int) error {
 	n.agent.OnDistribute = n.onDistribute
 	ep.OnData(n.onData)
 	ep.OnControl(n.onControl)
-	// Periodic maintenance, de-phased per node to avoid lockstep.
-	n.pumpFn = n.pumpTick
-	n.refreshFn = n.refreshTick
-	n.evalFn = n.evalTick
 	n.rbFn = n.rebuildVisit
-	// Relative scheduling: at deploy (virtual time zero) this is
-	// identical to absolute, and it lets addNode serve late joiners.
+	// Periodic maintenance, de-phased per node to avoid lockstep.
+	// Relative to now: at deploy (virtual time zero) this is identical
+	// to absolute, and it lets addNode serve late joiners.
 	jitter := sim.Duration(n.rng.Int63n(int64(filterRefresh)))
-	sched.ScheduleAfter(filterRefresh+jitter, n.refreshFn)
-	sched.ScheduleAfter(evalInterval+jitter, n.evalFn)
-	sched.ScheduleAfter(pumpInterval+jitter%pumpInterval, n.pumpFn)
+	now := sched.Now()
+	sched.ScheduleArg(now+filterRefresh+jitter, refreshEvent, n)
+	sched.ScheduleArg(now+evalInterval+jitter, evalEvent, n)
+	sched.ScheduleArg(now+pumpInterval+jitter%pumpInterval, pumpEvent, n)
 	if sys.Adversary() != nil {
 		sys.armAdversary(n) // late joiners get the model's hooks too
 	}
@@ -667,10 +686,7 @@ func (n *Node) onPeerRequest(from int, m *peerRequestMsg) {
 		n.ep.SendControl(from, &peerRejectMsg{}, smallMsgSize)
 		return
 	}
-	rf := &recvPeerInfo{
-		node: from, flow: flow, filter: m.filter,
-		low: m.low, high: m.high, rows: 1, mod: 0,
-	}
+	rf := n.newReceiver(from, flow, m.filter, m.low, m.high)
 	n.addReceiver(rf)
 	n.rebuildQueue(rf)
 	n.ep.SendControl(from, &peerAcceptMsg{}, smallMsgSize)
@@ -833,21 +849,39 @@ const (
 	pumpInterval  = 10 * sim.Millisecond
 )
 
+// Node ticks are scheduled with ScheduleArg and carry their node, so
+// re-arming one builds no closure and firing it loads no per-node
+// func value.
+func pumpEvent(a any)    { a.(*Node).pumpTick() }
+func refreshEvent(a any) { a.(*Node).refreshTick() }
+func evalEvent(a any)    { a.(*Node).evalTick() }
+
 // pumpTick drains each receiver's candidate queue within the flow's
 // TFRC budget. Receivers are walked in ascending peer id order (the
 // list is maintained sorted): shared emulated resources (link queues,
 // budgets) make iteration order behaviourally significant, so runs are
 // a pure function of (config, seed).
+//
+// Most ticks find no queued work, and those skip the walk: with
+// n.queued == 0 every receiver's holes and fresh queues are empty, and
+// pumpReceiver on two empty queues sends nothing and only writes
+// freshAt = 0. An empty fresh queue already has freshAt == 0: only a
+// gated drain that stops at a held head sets it, and every path that
+// empties the queue (a drain that pops it empty, rebuildQueue,
+// removeReceiver) clears it or drops the receiver. RefusesServe is
+// pure, so testing n.queued first changes nothing. The tick is still
+// re-armed every pumpInterval, so the event sequence is the same.
 func (n *Node) pumpTick() {
 	if n.ep.Failed() {
 		return
 	}
-	if !n.sys.RefusesServe(n.id) {
+	if n.queued > 0 && !n.sys.RefusesServe(n.id) {
 		for _, rf := range n.receivers {
 			n.pumpReceiver(rf)
 		}
 	}
-	n.ep.Scheduler().ScheduleAfter(pumpInterval, n.pumpFn)
+	sched := n.ep.Scheduler()
+	sched.ScheduleArg(sched.Now()+pumpInterval, pumpEvent, n)
 }
 
 func (n *Node) pumpReceiver(rf *recvPeerInfo) {
@@ -954,7 +988,8 @@ func (n *Node) refreshTick() {
 	}
 	n.sendRefreshes()
 	n.recvWindow = 0
-	n.ep.Scheduler().ScheduleAfter(filterRefresh, n.refreshFn)
+	sched := n.ep.Scheduler()
+	sched.ScheduleArg(sched.Now()+filterRefresh, refreshEvent, n)
 }
 
 // A node keeps the last recoveryWindow sequence numbers recoverable:
@@ -1007,7 +1042,8 @@ func (n *Node) evalTick() {
 	}
 	n.evalSenders()
 	n.evalReceivers()
-	n.ep.Scheduler().ScheduleAfter(evalInterval, n.evalFn)
+	sched := n.ep.Scheduler()
+	sched.ScheduleArg(sched.Now()+evalInterval, evalEvent, n)
 }
 
 const (

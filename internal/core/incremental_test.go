@@ -14,14 +14,23 @@ import (
 
 // The refresh and pump paths keep incremental state in place of
 // rescans: the summary ticket is expired and refilled rather than
-// rebuilt, and a receiver's freshAt caches when its fresh queue's head
-// passes the freshness gate. This runs a small world with a crash, a
-// restart and a late join, and after every refresh holds each live
-// node to the state a rescan would compute:
+// rebuilt, a receiver's freshAt caches when its fresh queue's head
+// passes the freshness gate, and a node's queued total counts what its
+// receivers' queues hold. This runs a small world with a crash, a
+// restart and a late join, and holds each live node to the state a
+// rescan would compute:
 //   - its ticket equals a Reset and an Add of every seq its working
 //     set holds;
 //   - a receiver's non-zero freshAt is its fresh head's arrival plus
-//     freshnessDelay, and that head is still held.
+//     freshnessDelay, and that head is still held;
+//   - a receiver with an empty fresh queue has freshAt == 0, which is
+//     what lets pumpTick skip a node with nothing queued;
+//   - queued equals the sum of holes.len()+fresh.len() over its
+//     receivers.
+//
+// A test timer checks every pumpInterval of virtual time and once
+// more at the end. The ticket, whose rescan is the costly part, is
+// checked at the first check after each of the node's refreshes.
 //
 // Small packets (750 a second) make the 2,000-seq recovery window span
 // less than half the gate's delay, so window trims regularly drop a
@@ -44,23 +53,29 @@ func TestIncrementalStateMatchesRescan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var refreshes, slid, gated int
-	check := func() {
-		refreshes++
+	var tickets, slid, gated, busy int
+	checkedAt := map[*Node]uint64{} // refreshCount at the last ticket check
+	check := func(final bool) {
 		sys.Members.Range(func(id int, n *Node) bool {
 			if sys.Crashed(id) {
 				return true
 			}
-			want := sketch.NewTicket(sys.perms)
-			n.ws.ForRange(n.ws.Low(), n.ws.High(), func(seq uint64) bool { want.Add(seq); return true })
-			if !reflect.DeepEqual(n.ticket.Clone(), want.Clone()) {
-				t.Fatalf("t=%v node %d: ticket differs from a rebuild over its %d held seqs [%d, %d]",
-					w.eng.Now(), id, n.ws.Len(), n.ws.Low(), n.ws.High())
+			if c, ok := checkedAt[n]; final || !ok || c != n.refreshCount {
+				checkedAt[n] = n.refreshCount
+				tickets++
+				want := sketch.NewTicket(sys.perms)
+				n.ws.ForRange(n.ws.Low(), n.ws.High(), func(seq uint64) bool { want.Add(seq); return true })
+				if !reflect.DeepEqual(n.ticket.Clone(), want.Clone()) {
+					t.Fatalf("t=%v node %d: ticket differs from a rebuild over its %d held seqs [%d, %d]",
+						w.eng.Now(), id, n.ws.Len(), n.ws.Low(), n.ws.High())
+				}
+				if n.ws.Low() > 0 {
+					slid++
+				}
 			}
-			if n.ws.Low() > 0 {
-				slid++
-			}
+			queued := 0
 			for _, rf := range n.receivers {
+				queued += rf.holes.len() + rf.fresh.len()
 				if rf.freshAt == 0 {
 					continue
 				}
@@ -75,18 +90,17 @@ func TestIncrementalStateMatchesRescan(t *testing.T) {
 						w.eng.Now(), id, rf.node, rf.freshAt, head, n.ws.Held(head), arrived)
 				}
 			}
+			if n.queued != queued {
+				t.Fatalf("t=%v node %d: queued %d, but its %d receivers' queues hold %d",
+					w.eng.Now(), id, n.queued, len(n.receivers), queued)
+			}
+			if queued > 0 {
+				busy++
+			}
 			return true
 		})
 	}
-	// A refresh re-arms itself through n.refreshFn, so wrapping the
-	// field checks every refresh after the first.
-	watch := func(id int) {
-		n := sys.Members.At(id)
-		n.refreshFn = func() { n.refreshTick(); check() }
-	}
-	for _, id := range tree.Participants {
-		watch(id)
-	}
+	w.eng.Every(pumpInterval, func() { check(false) })
 
 	victim := tree.Participants[3]
 	w.eng.ScheduleAfter(15*sim.Second, func() {
@@ -97,22 +111,21 @@ func TestIncrementalStateMatchesRescan(t *testing.T) {
 	w.eng.ScheduleAfter(22*sim.Second, func() {
 		if err := sys.Join(joiner); err != nil {
 			t.Error(err)
-			return
 		}
-		watch(joiner)
 	})
 	w.eng.ScheduleAfter(27*sim.Second, func() {
 		if err := sys.Restart(victim); err != nil {
 			t.Error(err)
-			return
 		}
-		watch(victim)
 	})
 	w.eng.Run(60 * sim.Second)
+	check(true)
 
-	t.Logf("%d refreshes: %d node checks past a window trim, %d gated receivers", refreshes, slid, gated)
-	if slid == 0 || gated == 0 {
-		t.Fatalf("vacuous run: %d node checks past a window trim, %d gated receivers", slid, gated)
+	t.Logf("%d ticket checks, %d past a window trim; %d gated receivers; %d node checks with queued work",
+		tickets, slid, gated, busy)
+	if slid == 0 || gated == 0 || busy == 0 {
+		t.Fatalf("vacuous run: %d ticket checks past a window trim, %d gated receivers, %d node checks with queued work",
+			slid, gated, busy)
 	}
 	for _, id := range []int{victim, joiner} {
 		if n := sys.Members.At(id); sys.Crashed(id) || n.ws.Low() == 0 {

@@ -39,7 +39,7 @@ func TestRefreshSharesOneFilterSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.addReceiver(&recvPeerInfo{node: a.id, flow: flow, rows: 1})
+		p.addReceiver(p.newReceiver(a.id, flow, nil, 0, 0))
 		a.addSender(&senderInfo{node: p.id, mod: -1})
 	}
 	a.reassignRows()

@@ -70,9 +70,13 @@ type ControlHandler func(from int, payload any, size int)
 // Endpoint is one node's attachment to the network. It owns no pool:
 // data headers and TFRC reports travel inside the packet value.
 type Endpoint struct {
-	net  *netem.Network
-	eng  *sim.Engine // the node's shard engine; all timers/clock reads
-	node int
+	net *netem.Network
+	// eng is the node's shard engine, which every timer and clock read
+	// goes through. failed sits next to it, so a protocol tick that
+	// checks Failed and re-arms reads one cache line of the endpoint.
+	eng    *sim.Engine
+	failed bool
+	node   int
 
 	nextFlow  uint32
 	sendFlows map[uint32]*Flow
@@ -80,8 +84,6 @@ type Endpoint struct {
 
 	onData    DataHandler
 	onControl ControlHandler
-
-	failed bool
 
 	// Protocol control accounting: messages sent via SendControl only,
 	// not transport-internal control (TFRC feedback, flow teardown),
