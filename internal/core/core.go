@@ -177,9 +177,11 @@ func (n *Node) openFlow(to int) (*transport.Flow, error) {
 
 // Node is one Bullet participant.
 type Node struct {
-	// What a pump tick reads comes first, in 56 bytes: the endpoint
-	// (its failed flag and engine), the queued total that lets an idle
-	// tick stop there, and what a tick with work goes on to read.
+	// What a pump tick reads comes first, in 56 adjacent bytes (no
+	// more than one cache line, though a heap Node need not start on
+	// one): the endpoint (its failed flag and engine), the queued total
+	// that lets an idle tick stop there, and what a tick with work goes
+	// on to read.
 	ep *transport.Endpoint
 	// queued is the number of sequences waiting in all receivers'
 	// holes and fresh queues, kept by seqQueue itself.

@@ -29,8 +29,10 @@ import (
 //     receivers.
 //
 // A test timer checks every pumpInterval of virtual time and once
-// more at the end. The ticket, whose rescan is the costly part, is
-// checked at the first check after each of the node's refreshes.
+// more at the end. The tickets, whose rescan is the costly part, are
+// checked for every live node at the first check after any node's
+// refresh, so de-phased refreshes sample each node's window between
+// its own trims.
 //
 // Small packets (750 a second) make the 2,000-seq recovery window span
 // less than half the gate's delay, so window trims regularly drop a
@@ -54,14 +56,21 @@ func TestIncrementalStateMatchesRescan(t *testing.T) {
 	}
 
 	var tickets, slid, gated, busy int
-	checkedAt := map[*Node]uint64{} // refreshCount at the last ticket check
+	seen := map[*Node]uint64{} // refreshCount at the last check
 	check := func(final bool) {
+		refreshed := final
+		sys.Members.Range(func(id int, n *Node) bool {
+			if c, ok := seen[n]; !sys.Crashed(id) && (!ok || c != n.refreshCount) {
+				seen[n] = n.refreshCount
+				refreshed = true
+			}
+			return true
+		})
 		sys.Members.Range(func(id int, n *Node) bool {
 			if sys.Crashed(id) {
 				return true
 			}
-			if c, ok := checkedAt[n]; final || !ok || c != n.refreshCount {
-				checkedAt[n] = n.refreshCount
+			if refreshed {
 				tickets++
 				want := sketch.NewTicket(sys.perms)
 				n.ws.ForRange(n.ws.Low(), n.ws.High(), func(seq uint64) bool { want.Add(seq); return true })

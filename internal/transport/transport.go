@@ -72,8 +72,9 @@ type ControlHandler func(from int, payload any, size int)
 type Endpoint struct {
 	net *netem.Network
 	// eng is the node's shard engine, which every timer and clock read
-	// goes through. failed sits next to it, so a protocol tick that
-	// checks Failed and re-arms reads one cache line of the endpoint.
+	// goes through. failed sits right after it, so a protocol tick
+	// that checks Failed and re-arms reads two adjacent fields (heap
+	// alignment does not promise they share a cache line).
 	eng    *sim.Engine
 	failed bool
 	node   int
