@@ -362,10 +362,12 @@ var sourceGuards = []sourceGuard{
 		// workload, the test-only helpers, the CLI's exported config
 		// type, the write-only Bullet counters, the settings with one
 		// value in use, the protocol registry and wrappers, and the
-		// root package's re-exported experiment harness, and the
-		// per-node tick closures that node-carrying events replaced.
-		// Names too common to ban as words are checked as package
-		// selectors.
+		// root package's re-exported experiment harness, the per-node
+		// tick closures that node-carrying events replaced, and the
+		// runtime latency, scaling and loss scenario actions: a link's
+		// delay is fixed with the graph, so the sharded lookahead is a
+		// constant of the plan. Names too common to ban as words are
+		// checked as package selectors.
 		rule:  "deleted stays deleted",
 		scope: anyFile,
 		words: []string{"MultiRate", "RateStep", "SetRateAt", "RampBandwidth", "SortedIDs",
@@ -379,13 +381,15 @@ var sourceGuards = []sourceGuard{
 			"ModelByName",
 			"worldOn", "bulletOn", "streamOn", "gossipOn", "antiEntropyOn", "RunExperiment",
 			"RunExperiments", "ExperimentRun", "ExperimentResult", "ExperimentScale",
-			"SmallScale", "MegaScale", "pumpFn", "refreshFn", "evalFn"},
+			"SmallScale", "MegaScale", "pumpFn", "refreshFn", "evalFn",
+			"SetLatency", "ScaleBandwidth", "LookaheadNow", "QueueDelayLimit"},
 		check: func(n ast.Node) (ast.Node, string) {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return nil, ""
 			}
-			if isIdent(sel.X, "sim") && sel.Sel.Name == "Scheduler" || isIdent(sel.X, "workload") && sel.Sel.Name == "Sink" {
+			if isIdent(sel.X, "sim") && sel.Sel.Name == "Scheduler" || isIdent(sel.X, "workload") && sel.Sel.Name == "Sink" ||
+				(isIdent(sel.X, "scenario") || isIdent(sel.X, "bullet")) && sel.Sel.Name == "SetLoss" {
 				return sel, sel.X.(*ast.Ident).Name + "." + sel.Sel.Name
 			}
 			return nil, ""

@@ -254,14 +254,6 @@ func (w *World) Now() Time { return w.eng.Now() }
 // (1 = serial).
 func (w *World) Shards() int { return w.net.Shards() }
 
-// ShardStat is one shard's planned weight and measured load.
-type ShardStat = netem.ShardStat
-
-// ShardStats returns cumulative per-shard load counters (nil when the
-// world runs serially). Purely observational — reading it never
-// affects the simulation.
-func (w *World) ShardStats() []ShardStat { return w.net.ShardStats() }
-
 // Run advances virtual time to `until`, serially or across the world's
 // shards (WorldConfig.Shards). The trace is identical either way.
 func (w *World) Run(until Time) { w.net.Run(until) }
@@ -301,18 +293,6 @@ func RestoreLink(link int) ScenarioAction { return scenario.RestoreLink(link) }
 
 // SetBandwidth sets a link's capacity in Kbps (per direction).
 func SetBandwidth(link int, kbps float64) ScenarioAction { return scenario.SetBandwidth(link, kbps) }
-
-// ScaleBandwidth multiplies a link's capacity by factor.
-func ScaleBandwidth(link int, factor float64) ScenarioAction {
-	return scenario.ScaleBandwidth(link, factor)
-}
-
-// SetLatency sets a link's propagation delay. d <= 0 is ignored: link
-// delays stay positive.
-func SetLatency(link int, d Duration) ScenarioAction { return scenario.SetLatency(link, d) }
-
-// SetLoss sets a link's independent per-packet loss probability.
-func SetLoss(link int, loss float64) ScenarioAction { return scenario.SetLoss(link, loss) }
 
 // PartitionNodes cuts the node set off from the rest of the network.
 func PartitionNodes(nodes ...int) ScenarioAction { return scenario.Partition(nodes...) }

@@ -200,20 +200,6 @@ type Node struct {
 	agent    *ransub.Agent
 	rng      *rand.Rand
 
-	// rebuildQueue's ForRange visitor, bound once here with the active
-	// receiver passed through rbRf: the per-refresh closure used to be
-	// one of the last steady-state allocations on the control path.
-	rbFn func(seq uint64) bool
-	rbRf *recvPeerInfo
-
-	// candScratch backs maybeRequestPeer's candidate filtering; reused
-	// across calls, grown once to the RanSub set size.
-	candScratch []ransub.Entry
-	// rowUsed and rowConflicts are reassignRows' scratch, reused across
-	// calls; rowConflicts is cleared after each one.
-	rowUsed      []bool
-	rowConflicts []*senderInfo
-
 	ws       *workset.Set
 	ticket   *sketch.Ticket
 	filter   *bloom.Filter
@@ -231,6 +217,17 @@ type Node struct {
 	recvWindow uint64 // all data bytes since last refresh
 
 	refreshCount uint64 // refresh ticks seen, for rotation cadence
+
+	// Scratch for the control paths comes last, so that what onData
+	// reads above spans no more lines than it must.
+	//
+	// candScratch backs maybeRequestPeer's candidate filtering; reused
+	// across calls, grown once to the RanSub set size.
+	candScratch []ransub.Entry
+	// rowUsed and rowConflicts are reassignRows' scratch, reused across
+	// calls; rowConflicts is cleared after each one.
+	rowUsed      []bool
+	rowConflicts []*senderInfo
 }
 
 // findChild returns the child entry for node id, or nil. Child lists
@@ -376,7 +373,6 @@ func (sys *System) addNode(id int) error {
 	n.agent.OnDistribute = n.onDistribute
 	ep.OnData(n.onData)
 	ep.OnControl(n.onControl)
-	n.rbFn = n.rebuildVisit
 	// Periodic maintenance, de-phased per node to avoid lockstep.
 	// Relative to now: at deploy (virtual time zero) this is identical
 	// to absolute, and it lets addNode serve late joiners.
@@ -799,27 +795,17 @@ func (n *Node) rebuildQueue(rf *recvPeerInfo) {
 	rf.holes.reset()
 	rf.fresh.reset()
 	rf.freshAt = 0
-	n.rbRf = rf
-	n.ws.ForRow(rf.low, n.ws.High(), rf.rows, rf.mod, n.rbFn)
-	n.rbRf = nil
-}
-
-// rebuildVisit is rebuildQueue's per-seq visitor, reached through the
-// pre-bound n.rbFn with the receiver under scan in n.rbRf.
-func (n *Node) rebuildVisit(seq uint64) bool {
-	rf := n.rbRf
-	if rf.filter != nil && rf.filter.Contains(seq) {
+	n.ws.ForRow(rf.low, n.ws.High(), rf.rows, rf.mod, func(seq uint64) bool {
+		if rf.filter != nil && rf.filter.Contains(seq) || rf.sentSince.Contains(seq) {
+			return true
+		}
+		if seq <= rf.high {
+			rf.holes.push(seq)
+		} else {
+			rf.fresh.push(seq)
+		}
 		return true
-	}
-	if rf.sentSince.Contains(seq) {
-		return true
-	}
-	if seq <= rf.high {
-		rf.holes.push(seq)
-	} else {
-		rf.fresh.push(seq)
-	}
-	return true
+	})
 }
 
 // onPeerDrop tears down one side of a peering.

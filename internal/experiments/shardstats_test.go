@@ -27,12 +27,13 @@ func TestShardStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := run.w
-	stats := w.ShardStats()
+	load := w.Network().RunLoad()
+	stats := load.Shards
 	if len(stats) != 4 {
 		t.Fatalf("got %d shard stats, want 4", len(stats))
 	}
 	if len(sunk) != len(stats) {
-		t.Fatalf("sink saw %d shards, ShardStats reports %d", len(sunk), len(stats))
+		t.Fatalf("sink saw %d shards, RunLoad reports %d", len(sunk), len(stats))
 	}
 	totalNodes, totalClients := 0, 0
 	for i, s := range stats {
@@ -61,7 +62,6 @@ func TestShardStats(t *testing.T) {
 	// engine — must equal a serial run's single-engine count exactly.
 	// (Figure 7 schedules everything through per-node schedulers, so a
 	// zero global-engine count here is legitimate.)
-	load := w.Network().RunLoad()
 	if sunkGlobal != load.GlobalEvents {
 		t.Errorf("sink saw %d global events, final load %d", sunkGlobal, load.GlobalEvents)
 	}

@@ -201,7 +201,7 @@ func TestShardedLinkMutationsMatchSerial(t *testing.T) {
 			g.SetLoss(backbone, 0.2)
 		})
 		eng.At(120*sim.Millisecond, func() {
-			g.ScaleBandwidth(access0, 4)
+			g.SetBandwidth(access0, 4*1000)
 			g.SetLoss(backbone, 0)
 		})
 		net.Run(sim.Second)

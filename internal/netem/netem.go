@@ -69,13 +69,13 @@ type Packet struct {
 // Handler receives packets addressed to a registered node.
 type Handler func(pkt Packet)
 
-// Config tunes the emulator.
-type Config struct {
-	// QueueDelayLimit bounds per-link queuing delay of data packets: a
-	// wait past half of it is dropped early with probability rising
-	// linearly to 1 at the limit. Default 150ms.
-	QueueDelayLimit sim.Duration
-}
+// Config tunes the emulator. It has no settings.
+type Config struct{}
+
+// queueDelayLimit bounds per-link queuing delay of data packets: a wait
+// past half of it is dropped early with probability rising linearly to
+// 1 at the limit.
+const queueDelayLimit = 150 * sim.Millisecond
 
 // linkRec is the emulator's record of one link: everything a hop reads
 // or writes, in 64 bytes, so a traversal touches one cache line of link
@@ -152,7 +152,7 @@ type shardCtx struct {
 	out [][]handoff
 
 	// busyNanos accumulates wall-clock time this shard spent executing
-	// window events — the load-balance signal ShardStats reports.
+	// window events — the load-balance signal RunLoad reports.
 	busyNanos int64
 
 	// Per-shard slice of the aggregate accounting.
@@ -194,7 +194,6 @@ type Network struct {
 	eng      *sim.Engine
 	g        *topology.Graph
 	rt       *topology.Router
-	cfg      Config
 	links    []linkRec // indexed by link id
 	linkGen  uint64    // the Graph.LinkGen links was copied at
 	handlers []Handler // indexed by node id
@@ -218,26 +217,21 @@ type Network struct {
 	xq       []xferEntry // barrier sort scratch, reused across rounds
 
 	// Round state for the barrier loop (see parallel.go). roundLimit
-	// and lookahead are written by the coordinator before the round's
-	// first window is published; roundEnd advances at barrier
-	// decisions. All reads and writes are ordered by the arrival
-	// counter and the per-shard release words.
+	// is written by the coordinator before the round's first window is
+	// published; roundEnd advances at barrier decisions. All reads and
+	// writes are ordered by the arrival counter and the per-shard
+	// release words.
 	wb         *wbarrier
 	roundLimit sim.Time
 	roundEnd   sim.Time
-	lookahead  sim.Duration
 }
 
 // New creates an emulator over graph g routed by rt, scheduling on eng.
-func New(eng *sim.Engine, g *topology.Graph, rt *topology.Router, cfg Config) *Network {
-	if cfg.QueueDelayLimit <= 0 {
-		cfg.QueueDelayLimit = 150 * sim.Millisecond
-	}
+func New(eng *sim.Engine, g *topology.Graph, rt *topology.Router, _ Config) *Network {
 	n := &Network{
 		eng:      eng,
 		g:        g,
 		rt:       rt,
-		cfg:      cfg,
 		links:    make([]linkRec, len(g.Links)),
 		handlers: make([]Handler, len(g.Nodes)),
 		lossSeed: sim.Mix64(uint64(eng.Seed()) ^ 0x6e65746d),
@@ -440,7 +434,7 @@ func (n *Network) hop(f *inflight) {
 	// would impose on competing flows.
 	if f.pkt.Kind == Data {
 		wait := start - now
-		limit := n.cfg.QueueDelayLimit
+		const limit = queueDelayLimit
 		if wait > limit/2 {
 			p := float64(wait-limit/2) / float64(limit-limit/2)
 			if p >= 1 || n.dirFloat(dirIdx, &r.draws[dir]) < p {

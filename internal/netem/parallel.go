@@ -16,13 +16,14 @@ import (
 // discrete-event simulation over a deterministic partition of the
 // topology (topology.PartitionShards). Each shard owns one event heap
 // and runs windows bounded by L — the minimum propagation delay over
-// the links crossing the cut — with shard 0 inline on the calling
-// goroutine and the rest on workers that live for the whole run. A
-// packet can only reach another shard by traversing a cut link, so its
-// arrival lies at or beyond the window boundary; handoffs are exchanged
-// at the barrier in a deterministically sorted order, which makes the
-// event schedule — and therefore every trace and metric — byte-identical
-// to the serial run at any shard count.
+// the links crossing the cut, ShardPlan.Lookahead, fixed with the
+// graph — with shard 0 inline on the calling goroutine and the rest on
+// workers that live for the whole run. A packet can only reach another
+// shard by traversing a cut link, so its arrival lies at or beyond the
+// window boundary; handoffs are exchanged at the barrier in a
+// deterministically sorted order, which makes the event schedule — and
+// therefore every trace and metric — byte-identical to the serial run
+// at any shard count.
 //
 // Windows are grouped into rounds. The coordinator fixes the round
 // limit (the next global-engine event, or end of run — the only things
@@ -301,8 +302,8 @@ func (n *Network) windowDecide(me int) (sim.Time, int) {
 		return 0, actPark
 	}
 	next := n.roundLimit
-	if n.lookahead > 0 && minNext+n.lookahead < next {
-		next = minNext + n.lookahead
+	if L := n.plan.Lookahead; L > 0 && minNext+L < next {
+		next = minNext + L
 	}
 	n.roundEnd = next
 	meRuns := n.publishWindow(next, me)
@@ -404,10 +405,11 @@ func (n *Network) coordRound(active bool, end sim.Time, sense *uint32) sim.Time 
 //     protocol state, and send packets (pushed directly into shard
 //     heaps, since every worker is parked);
 //  2. the router applies any pending epoch invalidation so route
-//     caches are stable during the round, the link records are
-//     refreshed if the link generation moved, and the lookahead is
-//     recomputed if the route epoch did (graph mutations happen only in
-//     this phase, so none of it can change mid-round);
+//     caches are stable during the round, and the link records are
+//     refreshed if the link generation moved (graph mutations happen
+//     only in this phase, so neither can change mid-round). The
+//     lookahead L is the plan's: no mutation changes a link's delay,
+//     and a down cut link only makes L shorter than it need be;
 //  3. if every pending event lies beyond T, the loop fast-forwards to
 //     the earliest one (or stops, when none remain at or before
 //     until);
@@ -450,8 +452,7 @@ func (n *Network) runSharded(until sim.Time) {
 	}()
 
 	var sense0 uint32
-	n.lookahead = n.plan.LookaheadNow(n.g)
-	lastEpoch := n.g.Epoch()
+	L := n.plan.Lookahead
 	T := n.eng.Now()
 	for {
 		for _, e := range n.engines {
@@ -461,10 +462,6 @@ func (n *Network) runSharded(until sim.Time) {
 		n.rt.Sync()
 		if n.g.LinkGen() != n.linkGen {
 			n.syncLinks()
-		}
-		if e := n.g.Epoch(); e != lastEpoch {
-			lastEpoch = e
-			n.lookahead = n.plan.LookaheadNow(n.g)
 		}
 		next, ok := n.nextEventAt()
 		if !ok || next > until {
@@ -483,8 +480,8 @@ func (n *Network) runSharded(until sim.Time) {
 			limit = gn
 		}
 		end := limit
-		if n.lookahead > 0 && T+n.lookahead < end {
-			end = T + n.lookahead
+		if L > 0 && T+L < end {
+			end = T + L
 		}
 		n.roundLimit = limit
 		n.roundEnd = end
@@ -528,29 +525,6 @@ type ShardStat struct {
 	BusyNanos int64
 }
 
-// ShardStats returns per-shard load statistics for a sharded run, or
-// nil when the network runs serially. Call it after Run returns; it
-// must not race a running round.
-func (n *Network) ShardStats() []ShardStat {
-	if n.plan == nil {
-		return nil
-	}
-	st := make([]ShardStat, n.plan.K)
-	for i := range st {
-		st[i].Shard = i
-		st[i].Events = n.engines[i].Fired()
-		st[i].BusyNanos = n.ctxs[i].busyNanos
-		st[i].Weight = n.plan.Weights[i]
-	}
-	for node, s := range n.plan.ShardOf {
-		st[s].Nodes++
-		if n.g.Nodes[node].Kind == topology.Client {
-			st[s].Clients++
-		}
-	}
-	return st
-}
-
 // RunLoad is a run's executed-event accounting: the per-shard tables
 // (nil for serial runs) plus the global engine's own count — scenario
 // timers and graph mutations in sharded mode, everything in serial
@@ -573,11 +547,29 @@ func (l RunLoad) TotalEvents() uint64 {
 	return t
 }
 
-// RunLoad returns the run's executed-event accounting so far. Like
-// ShardStats, call it after Run returns; counters are cumulative
-// across run segments.
+// RunLoad returns the run's executed-event accounting so far. Call it
+// after Run returns: it must not race a running round. Counters are
+// cumulative across run segments.
 func (n *Network) RunLoad() RunLoad {
-	return RunLoad{Shards: n.ShardStats(), GlobalEvents: n.eng.Fired()}
+	l := RunLoad{GlobalEvents: n.eng.Fired()}
+	if n.plan == nil {
+		return l
+	}
+	l.Shards = make([]ShardStat, n.plan.K)
+	for i := range l.Shards {
+		st := &l.Shards[i]
+		st.Shard = i
+		st.Events = n.engines[i].Fired()
+		st.BusyNanos = n.ctxs[i].busyNanos
+		st.Weight = n.plan.Weights[i]
+	}
+	for node, s := range n.plan.ShardOf {
+		l.Shards[s].Nodes++
+		if n.g.Nodes[node].Kind == topology.Client {
+			l.Shards[s].Clients++
+		}
+	}
+	return l
 }
 
 // exchange drains every shard's outboxes into the destination shard

@@ -205,98 +205,6 @@ func TestHandoffExactlyOnBarrierBoundary(t *testing.T) {
 	}
 }
 
-// TestLookaheadRecomputeMidRun mutates a cut link's latency while the
-// sharded run is in flight: a global-engine event shortens the only
-// cut link of the line topology from 5ms to 1ms at t=15ms. The runner
-// must pick the new lookahead up at the next round (epoch check after
-// rt.Sync) — windows sized by the stale 5ms value would let a
-// cross-shard packet arrive inside an already-executing window. Two
-// sends bracket the mutation; both must be delivered at exactly the
-// serial run's times.
-func TestLookaheadRecomputeMidRun(t *testing.T) {
-	run := func(shards int) [2]sim.Time {
-		g, c0, c1, _ := barrierTopo(t)
-		plan := topology.PartitionShards(g, 2)
-		if len(plan.CutLinks) != 1 {
-			t.Fatalf("cut links %v, want exactly 1", plan.CutLinks)
-		}
-		cut := int(plan.CutLinks[0])
-		eng := sim.NewEngine(5)
-		net := New(eng, g, topology.NewRouter(g), Config{})
-		if shards > 1 {
-			if got := net.EnableShards(shards); got != shards {
-				t.Fatalf("EnableShards(%d) = %d", shards, got)
-			}
-		}
-		var at [2]sim.Time
-		net.Register(c1, func(p Packet) { at[p.Seq-1] = net.engineFor(net.shardIdx(c1)).Now() })
-		eng.At(10*sim.Millisecond, func() {
-			net.Send(Packet{Kind: Data, Seq: 1, Size: 1000, From: c0, To: c1})
-		})
-		eng.At(15*sim.Millisecond, func() {
-			g.SetLatency(cut, sim.Millisecond)
-		})
-		eng.At(30*sim.Millisecond, func() {
-			net.Send(Packet{Kind: Data, Seq: 2, Size: 1000, From: c0, To: c1})
-		})
-		net.Run(sim.Second)
-		if at[0] == 0 || at[1] == 0 {
-			t.Fatalf("shards=%d: deliveries %v incomplete", shards, at)
-		}
-		return at
-	}
-	serial := run(1)
-	// The second send sees the shortened link end to end:
-	// 30 + 7 + 1 + 2 + 3 + 1 = 44ms.
-	if want := 44 * sim.Millisecond; serial[1] != want {
-		t.Fatalf("serial second delivery at %v, want %v", serial[1], want)
-	}
-	if sharded := run(2); sharded != serial {
-		t.Fatalf("sharded deliveries %v, serial %v", sharded, serial)
-	}
-}
-
-// TestZeroLatencyCutLinkIsRefused: LookaheadNow reads a zero delay as
-// "no live cut link", so a cut link shortened to zero would drop out of
-// the window sizing — the line topology's only cut link leaves the
-// windows unbounded, a 1ms timer keeps the far shard running ahead, and
-// the handoff lands inside a window its destination has already run.
-// Graph.SetLatency refuses the zero, so the link keeps its 5ms and both
-// sends arrive at the serial run's times.
-func TestZeroLatencyCutLinkIsRefused(t *testing.T) {
-	run := func(shards int) [2]sim.Time {
-		g, c0, c1, _ := barrierTopo(t)
-		cut := int(topology.PartitionShards(g, 2).CutLinks[0])
-		eng := sim.NewEngine(5)
-		net := New(eng, g, topology.NewRouter(g), Config{})
-		if shards > 1 {
-			if got := net.EnableShards(shards); got != shards {
-				t.Fatalf("EnableShards(%d) = %d", shards, got)
-			}
-		}
-		var at [2]sim.Time
-		net.Register(c1, func(p Packet) { at[p.Seq-1] = net.engineFor(net.shardIdx(c1)).Now() })
-		net.engineFor(net.shardIdx(c1)).Every(sim.Millisecond, func() {})
-		for i, ms := range []sim.Time{10, 30} {
-			seq := uint64(i + 1)
-			eng.At(ms*sim.Millisecond, func() {
-				net.Send(Packet{Kind: Data, Seq: seq, Size: 1000, From: c0, To: c1})
-			})
-		}
-		eng.At(15*sim.Millisecond, func() { g.SetLatency(cut, 0) })
-		net.Run(sim.Second)
-		return at
-	}
-	serial := run(1)
-	// 10 + 7 + 5 + 2 + 3 + 1 = 28ms, and 20ms later.
-	if want := [2]sim.Time{28 * sim.Millisecond, 48 * sim.Millisecond}; serial != want {
-		t.Fatalf("serial deliveries %v, want %v", serial, want)
-	}
-	if sharded := run(2); sharded != serial {
-		t.Fatalf("sharded deliveries %v, serial %v", sharded, serial)
-	}
-}
-
 // TestOneWayHandoffsAllocateNothingPerPacket streams Data one way
 // across the cut of the line topology: c0 on shard 0 sends, c1 on
 // shard 1 receives, and nothing flows back. Each handed-off packet's

@@ -336,8 +336,8 @@ func decodeRefScript(seed int64, script []byte) refScript {
 				// Halving stops at 50 Kbps, SetBandwidth's floor below, so
 				// serialization times stay far inside sim.Duration.
 				apply = func(g *topology.Graph, _ func(Packet)) {
-					if f := 0.5 * float64(1+b%4); g.Links[a%nl].Kbps()*f >= 50 {
-						g.ScaleBandwidth(a%nl, f)
+					if kbps := g.Links[a%nl].Kbps() * 0.5 * float64(1+b%4); kbps >= 50 {
+						g.SetBandwidth(a%nl, kbps)
 					}
 				}
 			} else {
@@ -453,7 +453,7 @@ func diffOutcome(got, want refOutcome) string {
 // (graph seed, script) pairs: every packet's fate — delivered at the
 // same instant, or lost — and every Stats counter must agree, serially
 // and at two shards. The scripts mix bursts of Data and Control sends
-// with FailLink, RestoreLink, SetBandwidth, ScaleBandwidth, SetLoss,
+// with FailLink, RestoreLink, SetBandwidth (absolute or scaled), SetLoss,
 // Partition and Heal, so packets are in flight across route epoch
 // changes and link-state changes that move no epoch.
 func FuzzNetemMatchesReference(f *testing.F) {

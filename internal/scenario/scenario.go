@@ -1,6 +1,6 @@
 // Package scenario provides declarative schedules of timed network
-// events — link failures and repairs, bandwidth/latency/loss changes,
-// partitions, ramps, and periodic oscillations — that replay
+// events — link failures and repairs, bandwidth changes, partitions,
+// ramps, and periodic oscillations — that replay
 // deterministically on the simulation engine.
 //
 // A Schedule is built up-front from pure data (times and actions), then
@@ -82,22 +82,6 @@ func RestoreLink(link int) Action {
 // kbps <= 0 is ignored; use FailLink to take a link out of service.
 func SetBandwidth(link int, kbps float64) Action {
 	return func(env *Env) { env.G.SetBandwidth(link, kbps) }
-}
-
-// ScaleBandwidth multiplies the link capacity by factor.
-func ScaleBandwidth(link int, factor float64) Action {
-	return func(env *Env) { env.G.ScaleBandwidth(link, factor) }
-}
-
-// SetLatency sets the link propagation delay. d <= 0 is ignored: link
-// delays stay positive.
-func SetLatency(link int, d sim.Duration) Action {
-	return func(env *Env) { env.G.SetLatency(link, d) }
-}
-
-// SetLoss sets the link's independent per-packet loss probability.
-func SetLoss(link int, loss float64) Action {
-	return func(env *Env) { env.G.SetLoss(link, loss) }
 }
 
 // Partition cuts the node set off from the rest of the network by
@@ -213,7 +197,7 @@ func (s *Schedule) At(t sim.Time, actions ...Action) *Schedule {
 
 // Ramp schedules steps+1 events evenly spread over [start, start+dur];
 // the i'th event applies fn(i/steps), so frac runs 0..1 inclusive. Use
-// it for gradual changes (bandwidth drains, latency creep).
+// it for gradual changes (bandwidth drains).
 func (s *Schedule) Ramp(start sim.Time, dur sim.Duration, steps int, fn func(frac float64) Action) *Schedule {
 	if steps < 1 {
 		steps = 1

@@ -113,15 +113,15 @@ func TestEmptyScheduleInstallsNothing(t *testing.T) {
 func TestInstallIntoTwoWorlds(t *testing.T) {
 	env1, lid := testEnv(t)
 	env2, _ := testEnv(t)
-	s := New().At(5*sim.Second, FailLink(lid), SetLoss(lid, 0.5))
+	s := New().At(5*sim.Second, FailLink(lid), SetBandwidth(lid, 500))
 	s.Install(env1)
 	s.Install(env2)
 	env1.Eng.Run(10 * sim.Second)
 	env2.Eng.Run(10 * sim.Second)
 	for i, env := range []*Env{env1, env2} {
 		l := &env.G.Links[lid]
-		if !l.Down || l.Loss != 0.5 {
-			t.Errorf("world %d: down=%v loss=%g, want true/0.5", i+1, l.Down, l.Loss)
+		if !l.Down || l.Kbps() != 500 {
+			t.Errorf("world %d: down=%v kbps=%g, want true/500", i+1, l.Down, l.Kbps())
 		}
 	}
 }

