@@ -23,7 +23,6 @@ package core
 import (
 	"cmp"
 	"math"
-	"math/rand"
 	"slices"
 
 	"bullet/internal/bloom"
@@ -177,11 +176,12 @@ func (n *Node) openFlow(to int) (*transport.Flow, error) {
 
 // Node is one Bullet participant.
 type Node struct {
-	// What a pump tick reads comes first, in 56 adjacent bytes (no
-	// more than one cache line, though a heap Node need not start on
+	// What a pump tick reads comes first, in 56 adjacent bytes of the
+	// first cache line (a Node is a 384-byte object, so it starts on
 	// one): the endpoint (its failed flag and engine), the queued total
 	// that lets an idle tick stop there, and what a tick with work goes
-	// on to read.
+	// on to read. TestNodeLayout pins the lines that onData and ingest
+	// read, down to recvWindow.
 	ep *transport.Endpoint
 	// queued is the number of sequences waiting in all receivers'
 	// holes and fresh queues, kept by seqQueue itself.
@@ -198,7 +198,6 @@ type Node struct {
 	// significant.
 	children []*childInfo
 	agent    *ransub.Agent
-	rng      *rand.Rand
 
 	ws       *workset.Set
 	ticket   *sketch.Ticket
@@ -353,7 +352,6 @@ func (sys *System) addNode(id int) error {
 		ep:       ep,
 		parent:   parent,
 		children: make([]*childInfo, 0, len(kids)),
-		rng:      sched.RNG(int64(id)*7919 + 0x42756c6c),
 		ws:       workset.New(),
 		ticket:   sketch.NewTicket(sys.perms),
 		filter:   bloom.NewForCapacity(recoveryWindow, bloomFPRate),
@@ -375,8 +373,9 @@ func (sys *System) addNode(id int) error {
 	ep.OnControl(n.onControl)
 	// Periodic maintenance, de-phased per node to avoid lockstep.
 	// Relative to now: at deploy (virtual time zero) this is identical
-	// to absolute, and it lets addNode serve late joiners.
-	jitter := sim.Duration(n.rng.Int63n(int64(filterRefresh)))
+	// to absolute, and it lets addNode serve late joiners. The jitter is
+	// the node's one draw, so its stream is built here and dropped.
+	jitter := sim.Duration(sched.RNG(int64(id)*7919 + 0x42756c6c).Int63n(int64(filterRefresh)))
 	now := sched.Now()
 	sched.ScheduleArg(now+filterRefresh+jitter, refreshEvent, n)
 	sched.ScheduleArg(now+evalInterval+jitter, evalEvent, n)

@@ -36,6 +36,21 @@ type Group struct {
 	Population int
 }
 
+// sampled reports whether Compact draws from g: a group with no
+// entries or no population contributes no candidate.
+func (g Group) sampled() bool { return len(g.Entries) > 0 && g.Population > 0 }
+
+// candidates returns the number of keys Compact draws for groups.
+func candidates(groups []Group) int {
+	n := 0
+	for _, g := range groups {
+		if g.sampled() {
+			n += len(g.Entries)
+		}
+	}
+	return n
+}
+
 // Compact merges multiple fixed-size uniform samples into one
 // fixed-size sample that is uniformly representative of the combined
 // population (§2.2). Sampling is without replacement, weighting each
@@ -58,16 +73,22 @@ type compactor struct {
 }
 
 // compact is Compact over c's scratch. The scratch is cleared before
-// returning, so no ticket pointer outlives the call.
+// returning, so no ticket pointer outlives the call. A nil rng draws
+// no keys; it is for calls with at most one candidate, whose output
+// the keys cannot change.
 func (c *compactor) compact(rng *rand.Rand, size int, groups []Group) []Entry {
 	all := c.all[:0]
 	for _, g := range groups {
-		if len(g.Entries) == 0 || g.Population <= 0 {
+		if !g.sampled() {
 			continue
 		}
 		w := float64(g.Population) / float64(len(g.Entries))
 		for _, e := range g.Entries {
-			all = append(all, keyed{e: e, key: rng.ExpFloat64() / w})
+			k := keyed{e: e}
+			if rng != nil {
+				k.key = rng.ExpFloat64() / w
+			}
+			all = append(all, k)
 		}
 	}
 	slices.SortFunc(all, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
@@ -120,9 +141,17 @@ func DefaultConfig() Config {
 // (Bullet) provide the node's current summary ticket via TicketFn and
 // receive each epoch's random subset via OnDistribute.
 type Agent struct {
-	ep       *transport.Endpoint
-	cfg      Config
+	ep  *transport.Endpoint
+	cfg Config
+	// rng draws the compaction keys. An agent built without children
+	// (a leaf) starts without it: until it first compacts two or more
+	// candidates, each of its compactions outputs its one candidate or
+	// none whatever the keys, and owed counts the draws those would
+	// have made. compactGroups then builds rng, replays the owed draws
+	// and draws for every candidate from then on, so the stream is the
+	// one an agent holding rng from the start would have used.
 	rng      *rand.Rand
+	owed     int
 	parent   int // -1 at the root
 	children []int
 
@@ -166,14 +195,22 @@ type childCollect struct {
 // NewAgent creates the RanSub instance for ep's node, with the given
 // tree position. parent is -1 for the root.
 func NewAgent(ep *transport.Endpoint, cfg Config, parent int, children []int) *Agent {
-	kids := append([]int(nil), children...)
-	return &Agent{
+	a := &Agent{
 		ep:       ep,
 		cfg:      cfg,
-		rng:      ep.Scheduler().RNG(int64(ep.Node())*2654435761 + 0x52616e53),
 		parent:   parent,
-		children: kids,
+		children: append([]int(nil), children...),
 	}
+	if len(children) > 0 {
+		a.rng = newRNG(ep)
+	}
+	return a
+}
+
+// newRNG returns the key stream of ep's agent, a pure function of the
+// world seed and the node whenever it is built.
+func newRNG(ep *transport.Endpoint) *rand.Rand {
+	return ep.Scheduler().RNG(int64(ep.Node())*2654435761 + 0x52616e53)
 }
 
 // collectOf returns the cached collect state for child, or nil.
@@ -343,6 +380,17 @@ func (a *Agent) maybeAdvance() {
 // compactGroups compacts the group scratch into a fresh set and drops
 // the scratch's references to the groups' entries.
 func (a *Agent) compactGroups() []Entry {
+	if a.rng == nil {
+		if n := candidates(a.groups); n > 1 {
+			a.rng = newRNG(a.ep)
+			for range a.owed {
+				a.rng.ExpFloat64()
+			}
+			a.owed = 0
+		} else {
+			a.owed += n
+		}
+	}
 	set := a.compactor.compact(a.rng, setSize, a.groups)
 	clear(a.groups)
 	a.groups = a.groups[:0]

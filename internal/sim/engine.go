@@ -238,7 +238,10 @@ func (e *Engine) Pending() int { return e.ringN + len(e.far) }
 
 // RNG derives a deterministic random stream for the given entity id.
 // Distinct ids yield independent streams; the same (seed, id) pair
-// always yields the same stream.
+// always yields the same stream. The stream is a pure function of
+// (seed, id) whenever it is built, on whichever engine of a run, so a
+// caller may build it at its first draw instead of at setup, or build
+// it for one draw and drop it, and draw exactly what it would have.
 func (e *Engine) RNG(id int64) *rand.Rand {
 	z := Mix64(uint64(e.seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB)
 	return rand.New(rand.NewSource(int64(z)))

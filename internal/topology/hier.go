@@ -226,7 +226,6 @@ func NewRouter(g *Graph) *Router {
 	r.rowGen = make([]atomic.Uint32, T)
 	r.hdist = make([]int64, T*T)
 	r.hpredT = make([]int32, T*T)
-	r.hpredE = make([]int32, T*T)
 	return r
 }
 
@@ -402,11 +401,10 @@ func (r *Router) fillRow(s int32) {
 	r.buildGraph()
 	T := r.nterm
 	lo, hi := int(s)*T, (int(s)+1)*T
-	dist, predT, predE := r.hdist[lo:hi], r.hpredT[lo:hi], r.hpredE[lo:hi]
+	dist, predT := r.hdist[lo:hi], r.hpredT[lo:hi]
 	for i := range dist {
 		dist[i] = unreachable
 		predT[i] = -1
-		predE[i] = -1
 	}
 	dist[s] = 0
 	q := append(r.q[:0], pqItem{node: s, dist: 0})
@@ -415,12 +413,11 @@ func (r *Router) fillRow(s int32) {
 		if dist[it.node] != it.dist {
 			continue
 		}
-		for ei, e := range r.hadj[it.node] {
+		for _, e := range r.hadj[it.node] {
 			nd := it.dist + e.w
 			if dist[e.to] == unreachable || nd < dist[e.to] {
 				dist[e.to] = nd
 				predT[e.to] = it.node
-				predE[e.to] = int32(ei)
 				q.push(pqItem{node: e.to, dist: nd})
 			}
 		}
@@ -587,9 +584,9 @@ func (r *Router) appendHPath(p []int32, t1, t2 int32) []int32 {
 	var ebuf [32]hedge
 	chain := ebuf[:0]
 	T := r.nterm
-	predT, predE := r.hpredT[int(t1)*T:], r.hpredE[int(t1)*T:]
+	dist, predT := r.hdist[int(t1)*T:int(t1+1)*T], r.hpredT[int(t1)*T:int(t1+1)*T]
 	for x := t2; x != t1; x = predT[x] {
-		chain = append(chain, r.hadj[predT[x]][predE[x]])
+		chain = append(chain, r.predEdge(dist, predT[x], x))
 	}
 	for i := len(chain) - 1; i >= 0; i-- {
 		e := chain[i]
@@ -605,6 +602,22 @@ func (r *Router) appendHPath(p []int32, t1, t2 int32) []int32 {
 		p = append(p, e.tsB)
 	}
 	return p
+}
+
+// predEdge returns the edge over which fillRow last improved x, for
+// u = predT[x] in a row with distances dist: the row keeps the
+// predecessor terminal only. fillRow moves x only on a strict
+// improvement, and u made the last one, at its final distance dist[u].
+// That edge is the first in hadj[u] reaching x at dist[x]: an earlier
+// edge at that weight would have set dist[x] itself, leaving none to
+// improve on, and a later one at that weight improves nothing.
+func (r *Router) predEdge(dist []int64, u, x int32) hedge {
+	for _, e := range r.hadj[u] {
+		if e.to == x && dist[u]+e.w == dist[x] {
+			return e
+		}
+	}
+	panic("topology: no shortest-path edge into a terminal of a filled row")
 }
 
 // solve answers from -> to (from != to) against the current link

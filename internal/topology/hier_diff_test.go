@@ -19,6 +19,10 @@ type diff struct {
 	hier    *Router
 	routers []int // Transit and Stub node ids
 	stubs   []int // Stub node ids, ascending (domains are contiguous)
+	// backbone holds the Transit-Transit and the Transit-Stub link ids:
+	// the links that change H, about 2% of all, which a uniform pick
+	// almost never lands on.
+	backbone [2][]int
 	// tiesOK lets check pass over a pair whose two answers are distinct
 	// live walks of exactly the shortest delay. Only the fuzz target sets
 	// it: its generator seeds are unbounded, so a graph with an exact tie
@@ -37,6 +41,14 @@ func newDiff(t testing.TB, g *Graph) *diff {
 			d.routers = append(d.routers, i)
 		case Transit:
 			d.routers = append(d.routers, i)
+		}
+	}
+	for i := range g.Links {
+		switch g.Links[i].Class {
+		case TransitTransit:
+			d.backbone[0] = append(d.backbone[0], i)
+		case TransitStub:
+			d.backbone[1] = append(d.backbone[1], i)
 		}
 	}
 	return d
@@ -81,11 +93,12 @@ func (d *diff) check(from int, tos ...int) {
 
 // mutate applies one graph mutation chosen by op, with a and b as its
 // operands. Every route-affecting mutator is covered, on every link
-// class.
+// class; op 6 toggles a backbone link, a Transit-Transit one when b is
+// even.
 func (d *diff) mutate(op, a, b int) {
 	g := d.g
 	lid := a % len(g.Links)
-	switch op % 6 {
+	switch op % 7 {
 	case 0:
 		g.FailLink(lid)
 	case 1:
@@ -106,6 +119,16 @@ func (d *diff) mutate(op, a, b int) {
 		g.Heal()
 	case 5:
 		g.FailLink(g.AccessLink(g.Clients[a%len(g.Clients)]))
+	case 6:
+		pool := d.backbone[b%2]
+		if len(pool) == 0 {
+			return
+		}
+		if l := pool[a%len(pool)]; g.Links[l].Down {
+			g.RestoreLink(l)
+		} else {
+			g.FailLink(l)
+		}
 	}
 }
 
@@ -189,7 +212,9 @@ func TestHierMatchesFlat(t *testing.T) {
 // (seed, size, mutation script): the script is read four bytes at a
 // time as (op, operand, operand), and after every fourth mutation and
 // at the end the routers answer a fixed set of queries. It alone sets
-// diff.tiesOK.
+// diff.tiesOK. The committed corpus scripts other than backbone-flaps
+// use op bytes 0-5 only, which name the same mutation under op % 6 and
+// op % 7.
 func FuzzHierMatchesFlat(f *testing.F) {
 	f.Add(int64(1), uint16(120), []byte{})
 	f.Add(int64(42), uint16(300), []byte{0, 1, 2, 3, 5, 9, 9, 9, 3, 40, 0, 7, 2, 17, 0, 200, 4, 0, 0, 0})

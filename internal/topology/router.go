@@ -86,9 +86,12 @@ import (
 // same-atom tree are touched only by the shard that owns the source
 // node.
 //
-// Table storage is T² × 16 B for T terminals (2% of the routers:
-// 0.2 MB at 5,000 nodes, 2.8 MB at 20,000, 52 MB at 100,000), reserved
-// at construction and touched row by row as rows fill.
+// Table storage is T² × 12 B for T terminals (2% of the routers:
+// 0.14 MB at 5,000 nodes, 2.1 MB at 20,000, 19.6 MB at 60,000, 39 MB
+// at 100,000), reserved at construction and touched row by row as rows
+// fill: a distance and a predecessor terminal per cell. The edge into
+// a terminal is not stored; a shortest-path tree can be read back from
+// its distances, so the cold path rederives it (predEdge).
 type Router struct {
 	g *Graph
 
@@ -115,8 +118,7 @@ type Router struct {
 	hBuilt         uint32          // hGen that hadj reflects
 	rowGen         []atomic.Uint32 // per terminal: hGen its row reflects
 	hdist          []int64         // [from terminal * T + to terminal]
-	hpredT         []int32         // predecessor terminal on the shortest path
-	hpredE         []int32         // index of the predecessor edge in hadj[predT]
+	hpredT         []int32         // predecessor terminal on the shortest path (its edge: predEdge)
 	fills          hierFills
 
 	srcs []*hsrc // per-source state by node id, nil until the node first asks
