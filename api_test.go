@@ -411,6 +411,15 @@ var sourceGuards = []sourceGuard{
 		},
 	},
 	{
+		// In a sharded run the coordinator alone decides, between
+		// windows, with every worker parked; workers only run windows.
+		// The last-arriver decider and its rounds stay deleted.
+		rule:  "one barrier decider",
+		scope: under("internal/netem", false),
+		words: []string{"windowDecide", "publishWindow", "shardWindows", "coordRound",
+			"roundLimit", "roundEnd", "actPark"},
+	},
+	{
 		// Link state is written only by the Graph's mutators, which move
 		// the route epoch and the link generation that the router's
 		// caches and netem's link records are refreshed by; a write

@@ -259,7 +259,7 @@ func (w *World) Shards() int { return w.net.Shards() }
 func (w *World) Run(until Time) { w.net.Run(until) }
 
 // At schedules fn at virtual time t (e.g. to inject a failure).
-func (w *World) At(t Time, fn func()) { w.eng.At(t, fn) }
+func (w *World) At(t Time, fn func()) { w.eng.Schedule(t, fn) }
 
 // Scenario installs a schedule of timed network and membership events
 // (link failures, bandwidth shifts, partitions, ramps, oscillations,

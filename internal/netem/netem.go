@@ -214,16 +214,7 @@ type Network struct {
 	plan     *topology.ShardPlan
 	engines  []*sim.Engine
 	parallel bool
-	xq       []xferEntry // barrier sort scratch, reused across rounds
-
-	// Round state for the barrier loop (see parallel.go). roundLimit
-	// is written by the coordinator before the round's first window is
-	// published; roundEnd advances at barrier decisions. All reads and
-	// writes are ordered by the arrival counter and the per-shard
-	// release words.
-	wb         *wbarrier
-	roundLimit sim.Time
-	roundEnd   sim.Time
+	xq       []xferEntry // barrier sort scratch, reused across windows
 }
 
 // New creates an emulator over graph g routed by rt, scheduling on eng.

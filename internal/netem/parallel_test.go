@@ -2,8 +2,11 @@ package netem
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"bullet/internal/sim"
 	"bullet/internal/topology"
@@ -39,22 +42,55 @@ func (dl *deliveryLog) flatten() string {
 	return out
 }
 
-// runTraffic builds the standard test topology (two stub domains, so
-// there are at least two shard atoms), drives a deterministic mesh of
-// lossy, bursty traffic among all clients, and returns the delivery
-// transcript plus the final counters.
-func runTraffic(t *testing.T, shards int) (string, Stats) {
+// trafficNet builds runTraffic's topology: eight stub domains, so a
+// partition can reach eight shards.
+func trafficNet(t *testing.T) (*sim.Engine, *Network, *topology.Graph) {
 	t.Helper()
-	eng, net, g := testNet(t, 77, topology.PaperLoss)
+	g, err := topology.Generate(topology.Config{
+		TransitDomains: 1, TransitPerDomain: 2,
+		StubDomains: 8, StubDomainSize: 3,
+		Clients: 12, Bandwidth: topology.MediumBandwidth,
+		Loss: topology.PaperLoss, Seed: 77,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(77)
+	return eng, New(eng, g, topology.NewRouter(g), Config{}), g
+}
+
+// runTraffic drives a deterministic mesh of lossy, bursty traffic
+// among all clients of trafficNet, and returns the delivery
+// transcript plus the final counters. The run stops at each of ends in
+// turn before it runs to 5 s, and every Run must leave no shard worker
+// behind.
+func runTraffic(t *testing.T, shards int, ends ...sim.Time) (string, Stats) {
+	t.Helper()
+	eng, net, g := trafficNet(t)
 	if shards > 1 {
-		if got := net.EnableShards(shards); got < 2 {
-			t.Fatalf("EnableShards(%d) = %d, want >= 2", shards, got)
+		if got := net.EnableShards(shards); got != shards {
+			t.Fatalf("EnableShards(%d) = %d", shards, got)
 		}
 	}
 	dl := newDeliveryLog(len(g.Nodes))
 	for _, c := range g.Clients {
 		dl.attach(net, c)
 	}
+	sendTraffic(eng, net, g)
+	for _, end := range append(ends, 5*sim.Second) {
+		before := runtime.NumGoroutine()
+		net.Run(end)
+		workersExited(t, before)
+	}
+	return dl.flatten(), net.Stats()
+}
+
+// sendSpacing is sendTraffic's schedule: client i's j-th burst leaves
+// at 10 + 17i + 23j ms.
+func sendSpacing(i, j int) sim.Time { return sim.Time(10+i*17+j*23) * sim.Millisecond }
+
+// sendTraffic schedules runTraffic's mesh: 40 bursts from every client.
+func sendTraffic(eng *sim.Engine, net *Network, g *topology.Graph) {
 	seq := uint64(0)
 	for i, src := range g.Clients {
 		src := src
@@ -65,33 +101,76 @@ func runTraffic(t *testing.T, shards int) (string, Stats) {
 			seq++
 			// Burst several packets per instant so queues build and the
 			// RED/loss draws actually fire.
-			eng.At(sim.Time(10+i*17+j*23)*sim.Millisecond, func() {
+			eng.At(sendSpacing(i, j), func() {
 				net.Send(Packet{Kind: Data, Seq: s, Size: size, From: src, To: dst})
 				net.Send(Packet{Kind: Data, Seq: s, Size: size, From: src, To: dst, Trace: true})
 			})
 		}
 	}
+}
+
+// cutArrivals runs runTraffic's traffic serially and returns the
+// instants at which a packet arrives over a link that the k-shard
+// partition cuts: the arrival times of the k-shard run's handoffs.
+func cutArrivals(t *testing.T, k int) []sim.Time {
+	t.Helper()
+	eng, net, g := trafficNet(t)
+	plan := topology.PartitionShards(g, k)
+	var at []sim.Time
+	hop := net.hopFn
+	net.hopFn = func(a any) {
+		if f := a.(*inflight); f.i > 0 {
+			l := g.Links[f.path[f.i-1]]
+			if plan.ShardOf[l.A] != plan.ShardOf[l.B] {
+				at = append(at, eng.Now())
+			}
+		}
+		hop(a)
+	}
+	sendTraffic(eng, net, g)
 	net.Run(5 * sim.Second)
-	return dl.flatten(), net.Stats()
+	return at
+}
+
+// workersExited polls for up to a second for the goroutine count to
+// fall back to before: a sharded Run's workers exit on its stop post.
+func workersExited(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestShardedTrafficMatchesSerial is the emulator-level determinism
 // guarantee: for a fixed seed, the full delivery transcript — sources,
 // sequences, sizes, and arrival instants at every node — and the
 // aggregate counters are identical whether the run is serial or
-// partitioned into any number of shards.
+// partitioned into any number of shards, and whether the sharded run
+// is one Run or several. The segmented runs stop exactly on a send
+// instant (a global-engine event) and exactly on a handoff's arrival.
 func TestShardedTrafficMatchesSerial(t *testing.T) {
 	serialLog, serialStats := runTraffic(t, 1)
 	if serialLog == "" {
 		t.Fatal("serial run delivered nothing")
 	}
-	for _, k := range []int{2, 4} {
-		log, stats := runTraffic(t, k)
-		if log != serialLog {
-			t.Errorf("shards=%d: delivery transcript differs from serial", k)
+	for _, k := range []int{2, 4, 8} {
+		arr := cutArrivals(t, k)
+		if len(arr) == 0 {
+			t.Fatalf("shards=%d: no packet crossed the cut", k)
 		}
-		if stats != serialStats {
-			t.Errorf("shards=%d: stats %+v, serial %+v", k, stats, serialStats)
+		ends := []sim.Time{sendSpacing(0, 0), arr[len(arr)/3], sendSpacing(3, 20), arr[2*len(arr)/3]}
+		slices.Sort(ends)
+		for _, segs := range [][]sim.Time{nil, ends} {
+			log, stats := runTraffic(t, k, segs...)
+			if log != serialLog {
+				t.Errorf("shards=%d ends=%v: delivery transcript differs from serial", k, segs)
+			}
+			if stats != serialStats {
+				t.Errorf("shards=%d ends=%v: stats %+v, serial %+v", k, segs, stats, serialStats)
+			}
 		}
 	}
 }
@@ -167,9 +246,12 @@ func barrierTopo(t *testing.T) (*topology.Graph, int, int, int) {
 // the handoff must be exchanged and executed at the start of the next
 // window, never inside the one that produced it — and the delivery time
 // at c1 (22ms + 2ms + 3ms + 1ms = 28ms) must match the serial run
-// exactly.
+// exactly. The second case adds a global-engine event at that same
+// 22ms, sending from c1 back to c0: the window then ends at the global
+// event as well as at the lookahead bound, and the reply must reach c0
+// (22ms + 1ms + 3ms + 2ms + 5ms + 7ms = 40ms) when the serial run says.
 func TestHandoffExactlyOnBarrierBoundary(t *testing.T) {
-	run := func(shards int) sim.Time {
+	run := func(shards int, reply bool) (atC1, atC0 sim.Time) {
 		g, c0, c1, _ := barrierTopo(t)
 		eng := sim.NewEngine(5)
 		net := New(eng, g, topology.NewRouter(g), Config{})
@@ -185,23 +267,33 @@ func TestHandoffExactlyOnBarrierBoundary(t *testing.T) {
 				t.Fatal("c0 and c1 landed on the same shard")
 			}
 		}
-		var deliveredAt sim.Time
-		net.Register(c1, func(p Packet) { deliveredAt = net.engineFor(net.shardIdx(c1)).Now() })
+		net.Register(c1, func(p Packet) { atC1 = net.engineFor(net.shardIdx(c1)).Now() })
+		net.Register(c0, func(p Packet) { atC0 = net.engineFor(net.shardIdx(c0)).Now() })
 		eng.At(10*sim.Millisecond, func() {
 			net.Send(Packet{Kind: Data, Seq: 1, Size: 1000, From: c0, To: c1})
 		})
-		net.Run(sim.Second)
-		if deliveredAt == 0 {
-			t.Fatalf("shards=%d: packet not delivered", shards)
+		if reply {
+			eng.At(22*sim.Millisecond, func() {
+				net.Send(Packet{Kind: Data, Seq: 2, Size: 1000, From: c1, To: c0})
+			})
 		}
-		return deliveredAt
+		net.Run(sim.Second)
+		if atC1 == 0 || reply && atC0 == 0 {
+			t.Fatalf("shards=%d reply=%v: packet not delivered", shards, reply)
+		}
+		return atC1, atC0
 	}
-	serial := run(1)
-	if want := 28 * sim.Millisecond; serial != want {
-		t.Fatalf("serial delivery at %v, want %v", serial, want)
-	}
-	if sharded := run(2); sharded != serial {
-		t.Fatalf("sharded delivery at %v, serial at %v", sharded, serial)
+	for _, reply := range []bool{false, true} {
+		serialC1, serialC0 := run(1, reply)
+		if want := 28 * sim.Millisecond; serialC1 != want {
+			t.Fatalf("reply=%v: serial delivery at c1 at %v, want %v", reply, serialC1, want)
+		}
+		if want := 40 * sim.Millisecond; reply && serialC0 != want {
+			t.Fatalf("serial delivery at c0 at %v, want %v", serialC0, want)
+		}
+		if c1, c0 := run(2, reply); c1 != serialC1 || c0 != serialC0 {
+			t.Fatalf("reply=%v: sharded delivery at c1 %v, c0 %v; serial at %v, %v", reply, c1, c0, serialC1, serialC0)
+		}
 	}
 }
 

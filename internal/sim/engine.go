@@ -559,8 +559,8 @@ func (e *Engine) Run(until Time) Time {
 // events with at < end, then the barrier exchanges cross-shard
 // handoffs (all provably at >= end thanks to the lookahead bound) and
 // AdvanceTo moves every clock to end. Unlike Run, the clock is not
-// advanced past the last event — barrier-time events produced later in
-// the same round must still be schedulable at end itself.
+// advanced past the last event — events produced at the boundary must
+// still be schedulable at end itself.
 func (e *Engine) RunBefore(end Time) {
 	e.exec(end, true)
 }
@@ -569,10 +569,9 @@ func (e *Engine) RunBefore(end Time) {
 // cancelled timer that has not been popped yet counts — callers using
 // this to size an execution window may see a spuriously early bound,
 // which is harmless (the window is merely shorter than necessary).
-// NextAt is deliberately read-only — the sharded runner's deciding
-// shard calls it on quiescent sibling engines at the window barrier,
-// and keeping it mutation-free means the release edge only has to
-// order reads. An unsorted head bucket is scanned instead of sorted.
+// NextAt is deliberately read-only — the sharded runner's coordinator
+// calls it on parked shard engines at each window boundary. An
+// unsorted head bucket is scanned instead of sorted.
 func (e *Engine) NextAt() (Time, bool) {
 	if e.ringN == 0 {
 		if len(e.far) == 0 {
