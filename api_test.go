@@ -412,12 +412,14 @@ var sourceGuards = []sourceGuard{
 	},
 	{
 		// In a sharded run the coordinator alone decides, between
-		// windows, with every worker parked; workers only run windows.
-		// The last-arriver decider and its rounds stay deleted.
+		// windows, with every worker waiting; workers only run windows.
+		// The last-arriver decider and its rounds stay deleted, and so
+		// does the packed release word with its sense and stop bits:
+		// each worker has a release and a done mailbox, one writer each.
 		rule:  "one barrier decider",
 		scope: under("internal/netem", false),
 		words: []string{"windowDecide", "publishWindow", "shardWindows", "coordRound",
-			"roundLimit", "roundEnd", "actPark"},
+			"roundLimit", "roundEnd", "actPark", "pword", "stateWord", "stateSense", "stateStop"},
 	},
 	{
 		// Link state is written only by the Graph's mutators, which move

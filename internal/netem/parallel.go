@@ -2,6 +2,8 @@ package netem
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -22,18 +24,19 @@ import (
 // the graph).
 //
 // The coordinator is the only code that decides anything, and it
-// decides only at window boundaries, where every worker is parked: it
+// decides only at window boundaries, where every worker is waiting: it
 // runs the global engine, sizes the next window and releases exactly
 // the shards holding events inside it (runSharded lists the steps). A
-// worker only runs windows: it executes its heap strictly below the
-// posted end and counts itself out. Once every released shard has, the
-// coordinator drains the cross-shard handoffs in a deterministically
-// sorted order. Every event of a window ran at t >= its earliest event
-// minNext, and the window ends by minNext + L, so a handoff it parked
-// arrives at or beyond the boundary that delivers it. That keeps the
-// event schedule, and with it every trace and metric, byte-identical
-// to the serial run at any shard count (CONTRIBUTING rule 10 states
-// the argument).
+// worker only runs windows: it executes its heap strictly below the end
+// posted to its release box and posts that end to its done box. Once
+// the coordinator has read every released shard's done box, it drains
+// the cross-shard handoffs in a deterministically sorted order. Every
+// event of a window ran at t >= its earliest event minNext, and the
+// window ends by minNext + L, so a handoff it parked arrives at or
+// beyond the boundary that delivers it (exchange checks this). That
+// keeps the event schedule, and with it every trace and metric,
+// byte-identical to the serial run at any shard count (CONTRIBUTING
+// rule 10 states the argument).
 
 // xferEntry pairs a handoff with its source shard for the barrier sort.
 type xferEntry struct {
@@ -53,73 +56,64 @@ func compareXfer(a, b xferEntry) int {
 	return cmp.Compare(a.src, b.src)
 }
 
-// Release words pack a shard's next instruction into one atomic word,
-// so a released shard learns everything from the load it was already
-// spinning on — there is no separately published decision it could
-// observe torn or stale.
-//
-//	bit 0: sense (flips every post; each word has one waiting owner)
-//	bit 1: stop (the worker exits the run)
-//	bits 2+: the window-end virtual time
-const (
-	stateSense = 1 << 0
-	stateStop  = 1 << 1
-)
-
-func stateWord(end sim.Time, stop bool, sense uint32) uint64 {
-	w := uint64(end)<<2 | uint64(sense)
-	if stop {
-		w |= stateStop
-	}
-	return w
-}
-
-// pword is one shard's release word: an atomic state plus a park path.
-// The owner spins on the state first (a busy shard is re-released
-// within the coordinator's few hundred nanoseconds), yields, then parks
-// on the condition variable (idle shards burn no CPU while others work
+// mailbox carries a virtual time from one writer goroutine to one
+// reader goroutine, and its value only grows: the coordinator posts
+// window ends to a worker's release box, and the worker posts each end
+// it has finished to its done box. Ends strictly increase, so a reader
+// waits for a value past the last one it saw.
+// The reader spins first (a busy shard is re-released within the
+// coordinator's few hundred nanoseconds), yields, then parks on the
+// condition variable (idle shards burn no CPU while others work
 // through long windows or the coordinator runs global phases).
-type pword struct {
-	state atomic.Uint64
-	mu    sync.Mutex
-	cond  *sync.Cond
-	_     [40]byte // keep neighbouring words off one cache line
+type mailbox struct {
+	v    atomic.Int64 // a sim.Time
+	mu   sync.Mutex
+	cond *sync.Cond
+	_    [40]byte // keep neighbouring boxes off one cache line
 }
 
-// post releases the owner with the next window end (or the stop bit).
-// A word has one poster per post: the coordinator posts the workers'
-// words, and the worker that finishes a window last posts the
-// coordinator's, after every earlier post to it was consumed. So
-// reading the current sense outside the lock is safe.
-func (p *pword) post(end sim.Time, stop bool) {
-	w := stateWord(end, stop, uint32(p.state.Load()&stateSense)^1)
-	p.mu.Lock()
-	p.state.Store(w)
-	p.cond.Broadcast()
-	p.mu.Unlock()
+// stopAt, posted to a release box, ends the worker: it lies past every
+// window end.
+const stopAt = sim.Time(math.MaxInt64)
+
+func newMailbox(t sim.Time) *mailbox {
+	m := &mailbox{}
+	m.v.Store(int64(t))
+	m.cond = sync.NewCond(&m.mu)
+	return m
 }
 
-// wait blocks the owner until the word's sense differs from *sense,
-// toggles *sense, and returns the word.
-func (p *pword) wait(sense *uint32) uint64 {
-	old := *sense
-	*sense = old ^ 1
+// post publishes t and wakes the reader. A value that does not grow
+// would never satisfy a wait, so it panics instead of leaving the
+// reader parked for good.
+func (m *mailbox) post(t sim.Time) {
+	if old := sim.Time(m.v.Load()); t <= old {
+		panic(fmt.Sprintf("netem: mailbox post %d after %d: posts must grow", t, old))
+	}
+	m.mu.Lock()
+	m.v.Store(int64(t))
+	m.cond.Signal()
+	m.mu.Unlock()
+}
+
+// wait blocks until the box holds a value greater than old and
+// returns it.
+func (m *mailbox) wait(old sim.Time) sim.Time {
 	for i := 0; i < 4096; i++ {
-		if w := p.state.Load(); uint32(w&stateSense) != old {
-			return w
+		if t := sim.Time(m.v.Load()); t > old {
+			return t
 		}
 		if i >= 256 {
 			runtime.Gosched()
 		}
 	}
-	p.mu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
-		w := p.state.Load()
-		if uint32(w&stateSense) != old {
-			p.mu.Unlock()
-			return w
+		if t := sim.Time(m.v.Load()); t > old {
+			return t
 		}
-		p.cond.Wait()
+		m.cond.Wait()
 	}
 }
 
@@ -196,10 +190,10 @@ func (n *Network) runWindow(i int, end sim.Time) {
 }
 
 // runSharded is the conservative-PDES loop of windows. Worker
-// goroutines for shards 1..K-1 are spawned once and park on their
-// release words whenever they are not executing a window; shard 0 runs
+// goroutines for shards 1..K-1 are spawned once and wait on their
+// release boxes whenever they are not executing a window; shard 0 runs
 // here, on the coordinator. At each window boundary b, with every
-// worker parked, the coordinator:
+// worker waiting, the coordinator:
 //
 //  1. aligns every clock to b and runs the global engine through b
 //     (scenario callbacks, membership, World.At). These may mutate the
@@ -214,50 +208,47 @@ func (n *Network) runWindow(i int, end sim.Time) {
 //     single-threaded at its exact time) or until + 1 (so the last
 //     window includes events at until);
 //  4. if no shard holds an event before limit, jumps to it. Otherwise
-//     it runs the window [b, min(minNext + L, limit)) on the shards
-//     holding events before its end, waits until each has counted
-//     itself out of running, and drains the handoffs they parked into
-//     the destination heaps before the next global phase, so they
-//     precede anything that phase schedules at the same instant,
-//     exactly as they would serially.
+//     it posts end = min(minNext + L, limit) to the release boxes of
+//     the shards holding events before end, runs shard 0's window
+//     [b, end) itself, and reads the done box of every shard it
+//     released: each worker posts end there once its window has run.
+//     Then it drains the handoffs they parked into the destination
+//     heaps before the next global phase, so they precede anything
+//     that phase schedules at the same instant, exactly as they would
+//     serially.
+//
+// Every box starts at the run's first boundary, below every end of
+// this run; the ends posted after it strictly increase.
 func (n *Network) runSharded(until sim.Time) {
 	K := n.plan.K
-	words := make([]pword, K)
-	for i := range words {
-		words[i].cond = sync.NewCond(&words[i].mu)
-	}
-	// running counts the released shards still inside the window; the
-	// worker that takes it to zero wakes the coordinator.
-	var running atomic.Int32
-	var done sync.WaitGroup
-	done.Add(K - 1)
+	start := n.eng.Now()
+	release := make([]*mailbox, K) // index 0 unused: shard 0 is the coordinator's
+	done := make([]*mailbox, K)
+	var exited sync.WaitGroup
+	exited.Add(K - 1)
 	for i := 1; i < K; i++ {
+		release[i], done[i] = newMailbox(start), newMailbox(start)
 		go func(i int) {
-			defer done.Done()
-			var sense uint32
-			for {
-				w := words[i].wait(&sense)
-				if w&stateStop != 0 {
+			defer exited.Done()
+			for end := start; ; {
+				if end = release[i].wait(end); end == stopAt {
 					return
 				}
-				n.runWindow(i, sim.Time(w>>2))
-				if running.Add(-1) == 0 {
-					words[0].post(0, false)
-				}
+				n.runWindow(i, end)
+				done[i].post(end)
 			}
 		}(i)
 	}
 	defer func() {
 		for i := 1; i < K; i++ {
-			words[i].post(0, true)
+			release[i].post(stopAt)
 		}
-		done.Wait()
+		exited.Wait()
 	}()
 
-	var sense0 uint32
 	L := n.plan.Lookahead
 	next := make([]sim.Time, K) // each shard's earliest event, capped at limit
-	for b := n.eng.Now(); b <= until; {
+	for b := start; b <= until; {
 		for _, e := range n.engines {
 			e.AdvanceTo(b)
 		}
@@ -286,29 +277,22 @@ func (n *Network) runSharded(until sim.Time) {
 		if L > 0 && minNext+L < end {
 			end = minNext + L
 		}
-		var released int32
-		for _, t := range next {
-			if t < end {
-				released++
-			}
-		}
-		running.Store(released)
 		n.parallel = true
 		for i := 1; i < K; i++ {
 			if next[i] < end {
-				words[i].post(end, false)
+				release[i].post(end)
 			}
 		}
 		if next[0] < end {
 			n.runWindow(0, end)
 		}
-		// Unless shard 0 ran and counted out last, the last worker to
-		// count out posts the coordinator's word.
-		if next[0] >= end || running.Add(-1) != 0 {
-			words[0].wait(&sense0)
+		for i := 1; i < K; i++ {
+			if next[i] < end {
+				done[i].wait(b)
+			}
 		}
 		n.parallel = false
-		n.exchange()
+		n.exchange(end)
 		b = end
 	}
 	n.eng.Run(until)
@@ -385,8 +369,11 @@ func (n *Network) RunLoad() RunLoad {
 // a pure function of the simulation state — so the order they are
 // pushed in, and hence tie-breaking against all other events, is
 // independent of goroutine timing. Each packet moves into the
-// destination shard's arena on the way (see adopt).
-func (n *Network) exchange() {
+// destination shard's arena on the way (see adopt). end is the window
+// that produced the handoffs: one stamped before it would have arrived
+// inside that window, after its destination may already have run past
+// it, so exchange panics rather than deliver it late.
+func (n *Network) exchange(end sim.Time) {
 	K := n.plan.K
 	for dst := 0; dst < K; dst++ {
 		n.xq = n.xq[:0]
@@ -402,6 +389,9 @@ func (n *Network) exchange() {
 		}
 		eng := n.engines[dst]
 		for _, e := range n.xq {
+			if e.h.at < end {
+				panic(fmt.Sprintf("netem: handoff from shard %d to %d arrives at %d, inside the window ending at %d", e.src, dst, e.h.at, end))
+			}
 			eng.ScheduleArg(e.h.at, n.hopFn, n.adopt(e.h.f, e.src, dst))
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +174,92 @@ func TestShardedTrafficMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMailbox pins the three properties the sharded runner's
+// handshake stands on: a wait returns only a value past the one its
+// reader last saw, a post wakes a reader that has given up spinning and
+// parked, and a post that does not grow panics instead of leaving its
+// reader waiting for good.
+func TestMailbox(t *testing.T) {
+	t.Run("wait returns only a greater value", func(t *testing.T) {
+		m := newMailbox(5)
+		m.post(7)
+		for _, old := range []sim.Time{4, 5, 6} {
+			if got := m.wait(old); got != 7 {
+				t.Fatalf("wait(%d) = %d, want 7", old, got)
+			}
+		}
+		got := make(chan sim.Time)
+		go func() { got <- m.wait(7) }()
+		m.post(9)
+		if v := receiveWithin(t, got); v != 9 {
+			t.Fatalf("wait(7) = %d after post(9)", v)
+		}
+	})
+	t.Run("post wakes a parked reader", func(t *testing.T) {
+		m := newMailbox(0)
+		got := make(chan sim.Time)
+		parked := parkedMailboxReaders()
+		go func() { got <- m.wait(0) }()
+		// The reader parks on the condition variable once its spin and
+		// yield phases are over; only post can get it out of there.
+		deadline := time.Now().Add(10 * time.Second)
+		for parkedMailboxReaders() == parked {
+			if time.Now().After(deadline) {
+				t.Fatal("the reader never parked")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		m.post(3)
+		if v := receiveWithin(t, got); v != 3 {
+			t.Fatalf("parked wait(0) = %d, want 3", v)
+		}
+	})
+	t.Run("a post that does not grow panics", func(t *testing.T) {
+		m := newMailbox(5)
+		m.post(8)
+		for _, v := range []sim.Time{8, 6} {
+			got := func() (msg any) {
+				defer func() { msg = recover() }()
+				m.post(v)
+				return nil
+			}()
+			if want := fmt.Sprintf("netem: mailbox post %d after 8: posts must grow", v); got != want {
+				t.Fatalf("post(%d): panic %v, want %q", v, got, want)
+			}
+		}
+		if got := m.wait(5); got != 8 {
+			t.Fatalf("box holds %d after refused posts, want 8", got)
+		}
+	})
+}
+
+// receiveWithin returns the value a waiting reader sends on got,
+// failing the test if a post has not woken it within 10 s.
+func receiveWithin(t *testing.T, got <-chan sim.Time) sim.Time {
+	t.Helper()
+	select {
+	case v := <-got:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatal("post left the reader waiting")
+		return 0
+	}
+}
+
+// parkedMailboxReaders counts the goroutines parked inside
+// mailbox.wait, on its condition variable.
+func parkedMailboxReaders() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "netem.(*mailbox).wait") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestOneShardIsSerial: asking for zero or one shard builds no plan,

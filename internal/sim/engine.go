@@ -64,6 +64,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 
 	"bullet/internal/arena"
@@ -597,12 +598,17 @@ func (e *Engine) NextAt() (Time, bool) {
 }
 
 // AdvanceTo moves the clock forward to t without executing events.
-// Moving backwards is a no-op. Callers must ensure no queued event is
-// earlier than t (the sharded runner's windows guarantee this).
+// Moving backwards is a no-op. A queued event earlier than t would be
+// skipped over (and NextAt would never find it again), so that is a
+// caller's bug and panics; the sharded runner's windows rule it out.
 func (e *Engine) AdvanceTo(t Time) {
-	if e.now < t {
-		e.setNow(t)
+	if e.now >= t {
+		return
 	}
+	if at, ok := e.NextAt(); ok && at < t {
+		panic(fmt.Sprintf("sim: AdvanceTo(%d) past an event queued at %d", t, at))
+	}
+	e.setNow(t)
 }
 
 // exec is the shared event loop: it executes events while the head is

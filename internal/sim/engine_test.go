@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -557,9 +558,9 @@ func TestCalendarClockJumps(t *testing.T) {
 
 // TestEngineWindowContract pins what the sharded runner's barrier
 // relies on: NextAt is exact and changes nothing even when every event
-// is on the far list, RunBefore(end) stops short of end itself, and
+// is on the far list, RunBefore(end) stops short of end itself,
 // AdvanceTo over idle epochs leaves the ring holding exactly the events
-// the new window covers.
+// the new window covers, and AdvanceTo refuses to skip a queued event.
 func TestEngineWindowContract(t *testing.T) {
 	const epoch = Time(epochSlots) << slotShift
 	nop := func() {}
@@ -628,6 +629,27 @@ func TestEngineWindowContract(t *testing.T) {
 			}
 			if len(got) != 5 {
 				t.Fatalf("fired %d events, want 5", len(got))
+			}
+		}},
+		{"AdvanceTo past a queued event panics", func(t *testing.T, e *Engine) {
+			// One event in the ring, one on the far list: skipping either
+			// would lose it, so neither move may happen.
+			for _, at := range []Time{10 * Millisecond, 3 * Second} {
+				e.Schedule(at, nop)
+				e.AdvanceTo(at) // up to the event is allowed
+				got := func() (msg any) {
+					defer func() { msg = recover() }()
+					e.AdvanceTo(at + 1)
+					return nil
+				}()
+				want := fmt.Sprintf("sim: AdvanceTo(%d) past an event queued at %d", at+1, at)
+				if got != want {
+					t.Fatalf("AdvanceTo past %v: panic %v, want %q", at, got, want)
+				}
+				e.Run(at)
+				if e.Now() != at || e.Pending() != 0 {
+					t.Fatalf("now %v, %d pending after the refused move; want %v, 0", e.Now(), e.Pending(), at)
+				}
 			}
 		}},
 	}
