@@ -336,3 +336,103 @@ func TestBuilderRejectsContractViolations(t *testing.T) {
 		})
 	}
 }
+
+// sameAtom is a hand-built world with one stub atom of four routers and
+// two gateways: Stub 2 behind Transit 0 and Stub 4 behind Transit 1,
+// the two Transit nodes joined by a backbone link, 15 ms from gateway
+// to gateway. Inside the atom a chain 2-3-4 of two links of the given
+// delay each runs next to a 40 ms detour 2-5-4, and clients 6, 7 and 8
+// hang off Stubs 2, 3 and 4.
+type sameAtom struct {
+	g                *Graph
+	chain23, chain34 int // Stub-Stub chain links
+	ts2, tt, ts4     int // the backbone route between the gateways
+}
+
+func newSameAtom(t *testing.T, chain sim.Duration) sameAtom {
+	t.Helper()
+	b := NewBuilder()
+	for _, k := range []NodeKind{Transit, Transit, Stub, Stub, Stub, Stub, Client, Client, Client} {
+		b.AddNode(k, 0, 0)
+	}
+	const ms = sim.Millisecond
+	var w sameAtom
+	w.tt = b.AddLink(0, 1, TransitTransit, 1000, 5*ms, 0)
+	w.ts2 = b.AddLink(2, 0, TransitStub, 1000, 5*ms, 0)
+	w.ts4 = b.AddLink(1, 4, TransitStub, 1000, 5*ms, 0)
+	w.chain23 = b.AddLink(2, 3, StubStub, 1000, chain, 0)
+	w.chain34 = b.AddLink(3, 4, StubStub, 1000, chain, 0)
+	b.AddLink(2, 5, StubStub, 1000, 20*ms, 0)
+	b.AddLink(5, 4, StubStub, 1000, 20*ms, 0)
+	b.AddLink(6, 2, ClientStub, 1000, ms, 0)
+	b.AddLink(7, 3, ClientStub, 1000, ms, 0)
+	b.AddLink(8, 4, ClientStub, 1000, ms, 0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.g = g
+	return w
+}
+
+// checkAll holds every ordered pair of d's graph to the flat reference.
+func (d *diff) checkAll() {
+	d.t.Helper()
+	all := make([]int, len(d.g.Nodes))
+	for i := range all {
+		all[i] = i
+	}
+	for from := range all {
+		d.check(from, all...)
+	}
+}
+
+// TestSameAtomRoutesMatchFlat pins the routes between two routers of
+// one stub atom, which the random pairs of TestHierMatchesFlat reach
+// only by chance: a pure intra-atom path that wins, a backbone detour
+// between two gateways of the atom that beats a long intra-atom path,
+// and a Stub-Stub failure that cuts the intra path and its repair.
+// Every ordered pair of nodes is checked link by link against the flat
+// reference, before and after each mutation.
+func TestSameAtomRoutesMatchFlat(t *testing.T) {
+	want := func(t *testing.T, r *Router, from, to int, path ...int) {
+		t.Helper()
+		if got := r.Path(from, to); !slices.Equal(got, toLinkIDs(path)) {
+			t.Fatalf("path(%d,%d) = %v, want %v", from, to, got, path)
+		}
+	}
+	t.Run("intra wins", func(t *testing.T) {
+		w := newSameAtom(t, sim.Millisecond)
+		d := newDiff(t, w.g)
+		d.checkAll()
+		want(t, d.hier, 2, 4, w.chain23, w.chain34)
+		want(t, d.hier, 4, 2, w.chain34, w.chain23)
+	})
+	t.Run("backbone between gateways wins", func(t *testing.T) {
+		w := newSameAtom(t, 30*sim.Millisecond)
+		d := newDiff(t, w.g)
+		d.checkAll()
+		want(t, d.hier, 2, 4, w.ts2, w.tt, w.ts4)
+		want(t, d.hier, 4, 2, w.ts4, w.tt, w.ts2)
+	})
+	t.Run("Stub-Stub failure and repair", func(t *testing.T) {
+		w := newSameAtom(t, sim.Millisecond)
+		d := newDiff(t, w.g)
+		d.checkAll() // warm the memos on the intra answers
+		w.g.FailLink(w.chain23)
+		d.checkAll()
+		want(t, d.hier, 2, 4, w.ts2, w.tt, w.ts4)
+		want(t, d.hier, 3, 4, w.chain34)
+		w.g.RestoreLink(w.chain23)
+		d.checkAll()
+		want(t, d.hier, 2, 4, w.chain23, w.chain34)
+	})
+}
+
+func toLinkIDs(ids []int) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = int32(id)
+	}
+	return out
+}
