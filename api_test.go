@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -454,6 +455,36 @@ var sourceGuards = []sourceGuard{
 			}
 			return nil, ""
 		},
+	},
+	{
+		// A counter-hash draw is sim.Draw(key, id, n); its stream
+		// multiplier written anywhere else is a second copy of the
+		// formula. netem's reference model keeps its own copy on
+		// purpose: a test, outside the rule's scope.
+		rule:  "one counter-hash formula",
+		scope: func(sf *srcFile) bool { return !sf.test && !under("internal/sim", false)(sf) },
+		check: func(n ast.Node) (ast.Node, string) {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.INT {
+				return nil, ""
+			}
+			if v, err := strconv.ParseUint(strings.ReplaceAll(lit.Value, "_", ""), 0, 64); err == nil && v == 0xBF58476D1CE4E5B9 {
+				return lit, "counter-hash multiplier " + lit.Value + " outside sim.Draw"
+			}
+			return nil, ""
+		},
+	},
+	{
+		// State that restated a fact another part of the program owns:
+		// a per-source same-atom tree (solve builds it once per pair and
+		// route epoch), a parallel slice of shard engines (each
+		// shardCtx holds its own), and TFRC flags equal to n > 0 and to
+		// havePacket.
+		rule: "no second copy of a fact",
+		scope: func(sf *srcFile) bool {
+			return under("internal/topology", true)(sf) || under("internal/netem", true)(sf) || under("internal/tfrc", true)(sf)
+		},
+		words: []string{"hatree", "atomTree", "engineFor", "haveLoss", "haveTS"},
 	},
 }
 

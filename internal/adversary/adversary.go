@@ -87,9 +87,9 @@ type Config struct {
 // seeded selection.
 const fraction = 0.25
 
-// Stream is a counter-hash RNG stream: draw n is
-// sim.Mix64(base + id·golden + n·weyl), a pure function of (seed, model,
-// id, draw counter) independent of event interleaving. It must only
+// Stream is a counter-hash RNG stream: draw n is sim.Draw(base, id, n),
+// a pure function of (seed, model, id, draw counter) independent of
+// event interleaving. It must only
 // be drawn from global-engine context (Compromise/Strike/scenario
 // actions), never inside a shard window.
 type Stream struct {
@@ -104,7 +104,7 @@ func NewStream(seed int64, tag uint64) *Stream {
 
 func (s *Stream) next(id int) uint64 {
 	s.draws++
-	return sim.Mix64(s.base + uint64(id)*0x9E3779B97F4A7C15 + s.draws*0xBF58476D1CE4E5B9)
+	return sim.Draw(s.base, uint64(id), s.draws)
 }
 
 // Intn draws a uniform int in [0, n) for entity id.
@@ -137,8 +137,7 @@ func streamTag(m Model) uint64 { return 0x61647672 ^ (uint64(m) << 32) }
 // (seed, model, id) — no engine RNG is consulted, so deploying an
 // adversary perturbs no other component's draws.
 func selScore(seed int64, m Model, id int) uint64 {
-	base := sim.Mix64(uint64(seed)) ^ streamTag(m)
-	return sim.Mix64(base + uint64(id)*0xBF58476D1CE4E5B9)
+	return sim.Draw(sim.Mix64(uint64(seed))^streamTag(m), 0, uint64(id))
 }
 
 // New builds a fleet over the given participants. The compromised set

@@ -52,6 +52,18 @@ type nodeSeries struct {
 	completed   bool
 }
 
+// addRange adds the node's kind-k byte counts of buckets [lo, hi) to
+// sum, one bucket at a time in ascending order, and returns it: every
+// range aggregate accumulates through here, so its float addition
+// order — part of the determinism contract — is written once.
+func (ns *nodeSeries) addRange(sum float64, k Kind, lo, hi int) float64 {
+	b := ns.buckets[k]
+	for i := lo; i < hi && i < len(b); i++ {
+		sum += float64(b[i])
+	}
+	return sum
+}
+
 // Collector accumulates byte counts into fixed-width time buckets.
 // Per-node series live in a dense node-id-indexed table, so the
 // per-packet Add path is an O(1) slice index and every aggregate walks
@@ -109,18 +121,6 @@ func (c *Collector) CompletionTime(node int) (sim.Time, bool) {
 		return 0, false
 	}
 	return ns.completedAt, true
-}
-
-// Completed returns how many tracked nodes have finished the workload.
-func (c *Collector) Completed() int {
-	n := 0
-	c.nodes.Range(func(_ int, ns *nodeSeries) bool {
-		if ns.completed {
-			n++
-		}
-		return true
-	})
-	return n
 }
 
 // CompletionCDF returns the sorted per-node completion times in
@@ -261,16 +261,10 @@ func (c *Collector) MeanOver(from, to sim.Time, k Kind) float64 {
 	if !ok || c.nodes.Len() == 0 {
 		return 0
 	}
-	// One running sum over (node, bucket) in ascending order — float
-	// addition order is part of the determinism contract, so this must
-	// accumulate exactly like the pre-refactor collector.
+	// One running sum over (node, bucket) in ascending order.
 	var sum float64
 	c.nodes.Range(func(_ int, ns *nodeSeries) bool {
-		for i := lo; i < hi; i++ {
-			if i < len(ns.buckets[k]) {
-				sum += float64(ns.buckets[k][i])
-			}
-		}
+		sum = ns.addRange(sum, k, lo, hi)
 		return true
 	})
 	return c.meanKbps(sum, lo, hi, c.nodes.Len())
@@ -288,14 +282,8 @@ func (c *Collector) MeanOverNodes(nodes []int, from, to sim.Time, k Kind) float6
 	}
 	var sum float64
 	for _, id := range nodes {
-		ns := c.nodes.At(id)
-		if ns == nil {
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			if i < len(ns.buckets[k]) {
-				sum += float64(ns.buckets[k][i])
-			}
+		if ns := c.nodes.At(id); ns != nil {
+			sum = ns.addRange(sum, k, lo, hi)
 		}
 	}
 	return c.meanKbps(sum, lo, hi, len(nodes))
@@ -315,11 +303,7 @@ func (c *Collector) MinOverNodes(nodes []int, from, to sim.Time, k Kind) float64
 	for _, id := range nodes {
 		var sum float64
 		if ns := c.nodes.At(id); ns != nil {
-			for i := lo; i < hi; i++ {
-				if i < len(ns.buckets[k]) {
-					sum += float64(ns.buckets[k][i])
-				}
-			}
+			sum = ns.addRange(0, k, lo, hi)
 		}
 		if m := c.meanKbps(sum, lo, hi, 1); m < min {
 			min = m

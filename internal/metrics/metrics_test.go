@@ -303,8 +303,8 @@ func TestCompletionTracking(t *testing.T) {
 	c.Add(6*sim.Second, 2, Useful, 100)
 	c.Add(7*sim.Second, 2, Useful, 100)
 	c.Add(8*sim.Second, 2, Useful, 100)
-	if got := c.Completed(); got != 2 {
-		t.Errorf("Completed = %d, want 2", got)
+	if got := len(c.CompletionCDF()); got != 2 {
+		t.Errorf("completed nodes = %d, want 2", got)
 	}
 	cdf := c.CompletionCDF()
 	if len(cdf) != 2 || cdf[0] != 5 || cdf[1] != 8 {
@@ -323,8 +323,8 @@ func TestCompletionDisabledByDefault(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Add(sim.Time(i)*sim.Second, 1, Useful, 1500)
 	}
-	if got := c.Completed(); got != 0 {
-		t.Errorf("Completed = %d without a target, want 0", got)
+	if got := len(c.CompletionCDF()); got != 0 {
+		t.Errorf("completed nodes = %d without a target, want 0", got)
 	}
 	if cdf := c.CompletionCDF(); len(cdf) != 0 {
 		t.Errorf("CompletionCDF = %v without a target, want empty", cdf)

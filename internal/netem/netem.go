@@ -139,6 +139,9 @@ func linkAt(path []int32, i int32) int32 {
 // single-threaded barrier phase otherwise, so none of it needs locks.
 // Aggregate accounting is summed across contexts at read time.
 type shardCtx struct {
+	// eng executes the events of this shard's nodes: the global engine
+	// in a serial run, the shard's own engine in a sharded one.
+	eng *sim.Engine
 	// pool backs the in-flight states of the packets at this shard's
 	// nodes: chunked storage owned by this shard, so one shard's
 	// forwarding working set packs onto its own cache lines instead of
@@ -207,12 +210,10 @@ type Network struct {
 	ctxs []shardCtx // len 1 serial; one per shard when sharded
 
 	// Sharded execution state (nil/zero in serial runs): the
-	// deterministic topology partition, one event heap per shard, and
-	// the flag marking that shard goroutines are currently running (so
-	// cross-shard scheduling must go through outboxes instead of
-	// directly into the target heap).
+	// deterministic topology partition and the flag marking that shard
+	// goroutines are currently running (so cross-shard scheduling must
+	// go through outboxes instead of directly into the target heap).
 	plan     *topology.ShardPlan
-	engines  []*sim.Engine
 	parallel bool
 	xq       []xferEntry // barrier sort scratch, reused across windows
 }
@@ -226,7 +227,7 @@ func New(eng *sim.Engine, g *topology.Graph, rt *topology.Router, _ Config) *Net
 		links:    make([]linkRec, len(g.Links)),
 		handlers: make([]Handler, len(g.Nodes)),
 		lossSeed: sim.Mix64(uint64(eng.Seed()) ^ 0x6e65746d),
-		ctxs:     make([]shardCtx, 1),
+		ctxs:     []shardCtx{{eng: eng}},
 	}
 	n.syncLinks()
 	n.hopFn = func(a any) { n.hop(a.(*inflight)) }
@@ -256,7 +257,7 @@ func (n *Network) syncLinks() {
 // event interleaving.
 func (n *Network) dirFloat(dirIdx int, draws *uint64) float64 {
 	*draws++
-	z := sim.Mix64(n.lossSeed + uint64(dirIdx)*0x9E3779B97F4A7C15 + *draws*0xBF58476D1CE4E5B9)
+	z := sim.Draw(n.lossSeed, uint64(dirIdx), *draws)
 	return float64(z>>11) * (1.0 / (1 << 53))
 }
 
@@ -266,14 +267,6 @@ func (n *Network) shardIdx(node int) int {
 		return 0
 	}
 	return n.plan.ShardOf[node]
-}
-
-// engineFor returns the event heap executing node's events.
-func (n *Network) engineFor(shard int) *sim.Engine {
-	if n.engines == nil {
-		return n.eng
-	}
-	return n.engines[shard]
 }
 
 // adopt moves f, issued by shard src's arena, into a forwarding state
@@ -303,7 +296,7 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 // seed, so RNG(id) yields the identical stream whichever engine serves
 // it. The result is typed any because benchmark/run.go type-asserts it.
 func (n *Network) SchedulerFor(node int) any {
-	return n.engineFor(n.shardIdx(node))
+	return n.ctxs[n.shardIdx(node)].eng
 }
 
 // Graph returns the topology.
@@ -359,13 +352,13 @@ func (n *Network) Send(pkt Packet) {
 func (n *Network) hop(f *inflight) {
 	// Serial runs resolve everything to shard 0 and the global engine up
 	// front: hop is the single hottest callback in the process, and the
-	// plan==nil checks buried in shardIdx/engineFor are measurable at
-	// millions of hops per second.
+	// plan==nil check buried in shardIdx is measurable at millions of
+	// hops per second.
 	sh := 0
 	eng := n.eng
 	if n.plan != nil {
 		sh = n.plan.ShardOf[f.cur]
-		eng = n.engines[sh]
+		eng = n.ctxs[sh].eng
 	}
 	c := &n.ctxs[sh]
 	if e := n.g.Epoch(); f.epoch != e {
@@ -469,7 +462,7 @@ func (n *Network) hop(f *inflight) {
 		}
 		f = n.adopt(f, sh, tgt) // global phase: every shard is parked
 	}
-	n.engines[tgt].ScheduleArg(arrive, n.hopFn, f)
+	n.ctxs[tgt].eng.ScheduleArg(arrive, n.hopFn, f)
 }
 
 func (n *Network) deliver(c *shardCtx, pkt Packet) {

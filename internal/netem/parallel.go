@@ -149,10 +149,9 @@ func (n *Network) EnableShards(k int) int {
 		return 1
 	}
 	n.plan = &plan
-	n.engines = make([]*sim.Engine, plan.K)
 	n.ctxs = make([]shardCtx, plan.K)
-	for i := range n.engines {
-		n.engines[i] = sim.NewEngine(n.eng.Seed())
+	for i := range n.ctxs {
+		n.ctxs[i].eng = sim.NewEngine(n.eng.Seed())
 		n.ctxs[i].out = make([][]handoff, plan.K)
 	}
 	return plan.K
@@ -185,7 +184,7 @@ func (n *Network) Run(until sim.Time) sim.Time {
 // wall-clock time to the shard's busy counter for load observability.
 func (n *Network) runWindow(i int, end sim.Time) {
 	t0 := time.Now()
-	n.engines[i].RunBefore(end)
+	n.ctxs[i].eng.RunBefore(end)
 	n.ctxs[i].busyNanos += time.Since(t0).Nanoseconds()
 }
 
@@ -249,8 +248,8 @@ func (n *Network) runSharded(until sim.Time) {
 	L := n.plan.Lookahead
 	next := make([]sim.Time, K) // each shard's earliest event, capped at limit
 	for b := start; b <= until; {
-		for _, e := range n.engines {
-			e.AdvanceTo(b)
+		for i := range n.ctxs {
+			n.ctxs[i].eng.AdvanceTo(b)
 		}
 		n.eng.Run(b)
 		n.rt.Sync()
@@ -262,9 +261,9 @@ func (n *Network) runSharded(until sim.Time) {
 			limit = t
 		}
 		minNext := limit
-		for i, e := range n.engines {
+		for i := range n.ctxs {
 			next[i] = limit
-			if t, ok := e.NextAt(); ok && t < limit {
+			if t, ok := n.ctxs[i].eng.NextAt(); ok && t < limit {
 				next[i] = t
 				minNext = min(minNext, t)
 			}
@@ -296,8 +295,8 @@ func (n *Network) runSharded(until sim.Time) {
 		b = end
 	}
 	n.eng.Run(until)
-	for _, e := range n.engines {
-		e.AdvanceTo(until)
+	for i := range n.ctxs {
+		n.ctxs[i].eng.AdvanceTo(until)
 	}
 }
 
@@ -350,7 +349,7 @@ func (n *Network) RunLoad() RunLoad {
 	for i := range l.Shards {
 		st := &l.Shards[i]
 		st.Shard = i
-		st.Events = n.engines[i].Fired()
+		st.Events = n.ctxs[i].eng.Fired()
 		st.BusyNanos = n.ctxs[i].busyNanos
 		st.Weight = n.plan.Weights[i]
 	}
@@ -387,7 +386,7 @@ func (n *Network) exchange(end sim.Time) {
 		if len(n.xq) > 1 {
 			slices.SortStableFunc(n.xq, compareXfer)
 		}
-		eng := n.engines[dst]
+		eng := n.ctxs[dst].eng
 		for _, e := range n.xq {
 			if e.h.at < end {
 				panic(fmt.Sprintf("netem: handoff from shard %d to %d arrives at %d, inside the window ending at %d", e.src, dst, e.h.at, end))

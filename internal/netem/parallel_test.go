@@ -26,7 +26,7 @@ func newDeliveryLog(nodes int) *deliveryLog {
 func (dl *deliveryLog) attach(net *Network, node int) {
 	net.Register(node, func(p Packet) {
 		dl.byNode[node] = append(dl.byNode[node],
-			fmt.Sprintf("%d<-%d seq=%d size=%d at=%d", node, p.From, p.Seq, p.Size, net.engineFor(net.shardIdx(node)).Now()))
+			fmt.Sprintf("%d<-%d seq=%d size=%d at=%d", node, p.From, p.Seq, p.Size, net.ctxs[net.shardIdx(node)].eng.Now()))
 	})
 }
 
@@ -354,8 +354,8 @@ func TestHandoffExactlyOnBarrierBoundary(t *testing.T) {
 				t.Fatal("c0 and c1 landed on the same shard")
 			}
 		}
-		net.Register(c1, func(p Packet) { atC1 = net.engineFor(net.shardIdx(c1)).Now() })
-		net.Register(c0, func(p Packet) { atC0 = net.engineFor(net.shardIdx(c0)).Now() })
+		net.Register(c1, func(p Packet) { atC1 = net.ctxs[net.shardIdx(c1)].eng.Now() })
+		net.Register(c0, func(p Packet) { atC0 = net.ctxs[net.shardIdx(c0)].eng.Now() })
 		eng.At(10*sim.Millisecond, func() {
 			net.Send(Packet{Kind: Data, Seq: 1, Size: 1000, From: c0, To: c1})
 		})

@@ -401,7 +401,7 @@ func (s refScript) runNetem(shards int) (out refOutcome, ok bool) {
 	for _, c := range g.Clients {
 		c := c
 		net.Register(c, func(p Packet) {
-			logs[c] = append(logs[c], arrival{p.Seq, net.engineFor(net.shardIdx(c)).Now()})
+			logs[c] = append(logs[c], arrival{p.Seq, net.ctxs[net.shardIdx(c)].eng.Now()})
 		})
 	}
 	for _, op := range s.ops {

@@ -244,13 +244,21 @@ func (e *Engine) Pending() int { return e.ringN + len(e.far) }
 // caller may build it at its first draw instead of at setup, or build
 // it for one draw and drop it, and draw exactly what it would have.
 func (e *Engine) RNG(id int64) *rand.Rand {
-	z := Mix64(uint64(e.seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB)
+	z := Draw(0x94D049BB133111EB, uint64(e.seed), uint64(id))
 	return rand.New(rand.NewSource(int64(z)))
 }
 
-// Mix64 is the splitmix64 finalizer, the one mixer behind every
-// counter-hash stream: engine RNG seeds, netem's per-link-direction
-// loss draws and the adversary's selection scores and stream.
+// Draw returns draw n of the counter-hash stream keyed by (key, id):
+// Mix64(key + id·golden + n·weyl), a pure function of its arguments,
+// so a stream is a key and a counter and its draws never depend on
+// how events interleave. It is the one counter-hash formula: engine
+// RNG seeds, netem's per-link-direction loss draws and the adversary's
+// selection scores and stream all call it.
+func Draw(key, id, n uint64) uint64 {
+	return Mix64(key + id*0x9E3779B97F4A7C15 + n*0xBF58476D1CE4E5B9)
+}
+
+// Mix64 is the splitmix64 finalizer, the one mixer behind Draw.
 func Mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9

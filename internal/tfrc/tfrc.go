@@ -44,13 +44,12 @@ var lossIntervalWeights = [NumLossIntervals]float64{1, 1, 1, 1, 0.8, 0.6, 0.4, 0
 // (this sits on the per-packet path of every TFRC flow).
 type LossHistory struct {
 	// intervals[0] is the most recent *closed* interval; n counts how
-	// many entries are populated.
+	// many entries are populated, so it is zero until the first loss
+	// event.
 	intervals [NumLossIntervals]float64
 	n         int
 	// current counts packets since the last loss event (open interval).
 	current float64
-	// haveLoss reports whether any loss event has occurred.
-	haveLoss bool
 }
 
 // OnPacket records a successfully received packet.
@@ -60,9 +59,6 @@ func (h *LossHistory) OnPacket() { h.current++ }
 // caller is responsible for aggregating losses within one RTT into a
 // single event.
 func (h *LossHistory) OnLossEvent() {
-	if !h.haveLoss {
-		h.haveLoss = true
-	}
 	copy(h.intervals[1:], h.intervals[:])
 	h.intervals[0] = h.current
 	if h.n < NumLossIntervals {
@@ -85,7 +81,7 @@ func (h *LossHistory) SeedFirstInterval(packets float64) {
 // interval, taking the larger average (RFC 3448 §5.4). Returns 0 before
 // any loss event.
 func (h *LossHistory) P() float64 {
-	if !h.haveLoss || h.n == 0 {
+	if h.n == 0 {
 		return 0
 	}
 	avgClosed := weightedAvg(h.intervals[:h.n])
@@ -290,7 +286,6 @@ type Receiver struct {
 	lastFBTime    float64
 	lastTS        float64 // sender timestamp of most recent data packet
 	lastArrival   float64 // local arrival time of that packet
-	haveTS        bool
 	totalReceived float64
 }
 
@@ -312,7 +307,6 @@ func (r *Receiver) OnData(now float64, flowSeq uint64, size int, ts, senderRTT f
 	}
 	r.lastTS = ts
 	r.lastArrival = now
-	r.haveTS = true
 	r.bytesSinceFB += float64(size)
 	r.totalReceived++
 
@@ -330,7 +324,7 @@ func (r *Receiver) OnData(now float64, flowSeq uint64, size int, ts, senderRTT f
 	if lost > 0 {
 		if !r.inLossEvent || now-r.lossEventStart > r.rtt {
 			// New loss event.
-			first := !r.hist.haveLoss
+			first := r.hist.n == 0
 			r.hist.OnLossEvent()
 			if first {
 				// Seed the first interval from the pre-loss receive rate.
@@ -362,7 +356,7 @@ func (r *Receiver) MakeFeedback(now float64) (fb Feedback, echoTS, hold float64)
 	}
 	r.bytesSinceFB = 0
 	r.lastFBTime = now
-	if !r.haveTS {
+	if !r.havePacket {
 		return fb, -1, 0
 	}
 	return fb, r.lastTS, now - r.lastArrival

@@ -215,7 +215,7 @@ func TestReceiverLossDetection(t *testing.T) {
 	if r.P() == 0 {
 		t.Fatal("gap not detected")
 	}
-	if !r.hist.haveLoss || !r.inLossEvent {
+	if r.hist.n == 0 || !r.inLossEvent {
 		t.Fatal("gap not recorded as a loss event")
 	}
 }
@@ -300,7 +300,7 @@ func TestReceiverLosslessProperty(t *testing.T) {
 		for i := uint64(0); i < uint64(n); i++ {
 			r.OnData(float64(i)*0.001, i, 1200, float64(i)*0.001, 0.05)
 		}
-		return r.P() == 0 && !r.hist.haveLoss
+		return r.P() == 0 && r.hist.n == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Fatal(err)

@@ -57,16 +57,6 @@ type hsrc struct {
 	tab   []hmemo
 	used  int32
 	shift uint8 // 32 - log2(len(tab))
-	// atree is the shortest-path tree within the source router's own
-	// atom, rooted at that router: the one piece no gateway tree covers.
-	// nil until a destination in the same atom is asked for.
-	atree *hatree
-}
-
-type hatree struct {
-	gen          uint32 // Router.atomGen it was built at
-	dist         []int64
-	prevL, prevN []int32
 }
 
 // hierFills counts fills of shared state, so tests can show what an
@@ -491,34 +481,14 @@ func (r *Router) entries(u int32, buf []entryOpt) []entryOpt {
 	return buf
 }
 
-// atomTree returns the same-atom shortest-path tree rooted at Stub
-// router u, kept in the state of the source s that asks through u.
-func (r *Router) atomTree(s *hsrc, u int32) *hatree {
-	atom := &r.atoms[r.atomOf[u]]
-	t := s.atree
-	if t == nil {
-		m := len(atom.nodes)
-		t = &hatree{dist: make([]int64, m), prevL: make([]int32, m), prevN: make([]int32, m)}
-		s.atree = t
-	}
-	if t.gen != r.atomGen {
-		r.atomDijkstra(atom, r.atomLocal[u], t.dist, t.prevL, t.prevN, nil)
-		t.gen = r.atomGen
-	}
-	return t
-}
-
-// route answers a router-to-router query on behalf of source s: the
-// distance, and the choice that realizes it. intra reports that the
-// pure same-atom path won; otherwise e1/e2 hold the chosen entry and
-// exit options.
-func (r *Router) route(s *hsrc, u, v int32) (dist int64, intra bool, e1, e2 entryOpt) {
-	dist = unreachable
-	if au, av := r.atomOf[u], r.atomOf[v]; au >= 0 && au == av {
-		if d := r.atomTree(s, u).dist[r.atomLocal[v]]; d != unreachable {
-			dist, intra = d, true
-		}
-	}
+// route answers a router-to-router query: the distance, and the choice
+// that realizes it. sameAtom is the pure same-atom distance from u to v
+// (unreachable when they share no atom or no intra-atom path joins
+// them); intra reports that it won, otherwise e1/e2 hold the chosen
+// entry and exit options.
+func (r *Router) route(u, v int32, sameAtom int64) (dist int64, intra bool, e1, e2 entryOpt) {
+	dist = sameAtom
+	intra = dist != unreachable
 	var b1, b2 [8]entryOpt
 	es1 := r.entries(u, b1[:0])
 	es2 := r.entries(v, b2[:0])
@@ -623,8 +593,12 @@ func (r *Router) predEdge(dist []int64, u, x int32) hedge {
 // solve answers from -> to (from != to) against the current link
 // state: unreachable and a nil path when there is no route, otherwise
 // the distance and a freshly allocated path the caller may share but
-// never modify.
-func (r *Router) solve(s *hsrc, from, to int) (int64, []int32) {
+// never modify. When both routers lie in one atom, the shortest-path
+// tree within it, rooted at the source router, gives route the pure
+// same-atom distance and, if that wins, the path: the one piece no
+// gateway tree covers, built here because solve runs once per pair
+// and route epoch.
+func (r *Router) solve(from, to int) (int64, []int32) {
 	a, b := r.resolve(from), r.resolve(to)
 	if !a.ok || !b.ok {
 		return unreachable, nil
@@ -636,13 +610,22 @@ func (r *Router) solve(s *hsrc, from, to int) (int64, []int32) {
 		p = append(p, a.acc)
 	}
 	if a.router != b.router {
-		rd, intra, e1, e2 := r.route(s, a.router, b.router)
+		sameAtom := unreachable
+		var prevL, prevN []int32
+		if au := r.atomOf[a.router]; au >= 0 && au == r.atomOf[b.router] {
+			atom := &r.atoms[au]
+			m := len(atom.nodes)
+			dist := make([]int64, m)
+			prevL, prevN = make([]int32, m), make([]int32, m)
+			r.atomDijkstra(atom, r.atomLocal[a.router], dist, prevL, prevN, nil)
+			sameAtom = dist[r.atomLocal[b.router]]
+		}
+		rd, intra, e1, e2 := r.route(a.router, b.router, sameAtom)
 		switch {
 		case rd == unreachable:
 			return unreachable, nil
 		case intra:
-			t := r.atomTree(s, a.router)
-			p = appendIntraReversed(p, t.prevL, t.prevN, r.atomLocal[b.router])
+			p = appendIntraReversed(p, prevL, prevN, r.atomLocal[b.router])
 		default:
 			if e1.gw >= 0 {
 				p = r.appendGateway(p, a.router, e1.gw, false)
@@ -695,7 +678,7 @@ func (r *Router) lookup(from, to int) *hmemo {
 			}
 		}
 	}
-	dist, path := r.solve(s, from, to)
+	dist, path := r.solve(from, to)
 	return s.insert(hmemo{key: key, dist: dist, path: path})
 }
 

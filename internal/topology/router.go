@@ -82,8 +82,8 @@ import (
 // of (graph, route epoch). Generations move only in invalidate, which
 // runs single-threaded (Sync at a window barrier, or the serial
 // engine); fills take mu and publish through an atomic generation
-// stamp, which is all the fast path reads. A source's memo and
-// same-atom tree are touched only by the shard that owns the source
+// stamp, which is all the fast path reads. A source's memo is the only
+// per-source state, touched only by the shard that owns the source
 // node.
 //
 // Table storage is T² × 12 B for T terminals (2% of the routers:

@@ -117,7 +117,7 @@ func TestWorkloadThreadsThroughEveryProtocol(t *testing.T) {
 				t.Fatalf("completion target %d, want %d", got, wl.Target())
 			}
 			w.Run(90 * bullet.Second)
-			if d.Collector().Completed() == 0 {
+			if len(d.Collector().CompletionCDF()) == 0 {
 				t.Errorf("%s: no node completed the %d-symbol file", name, wl.Target())
 			}
 		})
