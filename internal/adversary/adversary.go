@@ -89,9 +89,8 @@ const fraction = 0.25
 
 // Stream is a counter-hash RNG stream: draw n is sim.Draw(base, id, n),
 // a pure function of (seed, model, id, draw counter) independent of
-// event interleaving. It must only
-// be drawn from global-engine context (Compromise/Strike/scenario
-// actions), never inside a shard window.
+// event interleaving. It must only be drawn from global-engine context
+// (Compromise/Strike/scenario actions), never inside a shard window.
 type Stream struct {
 	base  uint64
 	draws uint64

@@ -139,9 +139,6 @@ func linkAt(path []int32, i int32) int32 {
 // single-threaded barrier phase otherwise, so none of it needs locks.
 // Aggregate accounting is summed across contexts at read time.
 type shardCtx struct {
-	// eng executes the events of this shard's nodes: the global engine
-	// in a serial run, the shard's own engine in a sharded one.
-	eng *sim.Engine
 	// pool backs the in-flight states of the packets at this shard's
 	// nodes: chunked storage owned by this shard, so one shard's
 	// forwarding working set packs onto its own cache lines instead of
@@ -172,6 +169,12 @@ type shardCtx struct {
 	// lazily on the first traced packet, so runs that never set
 	// Packet.Trace (TraceEvery off) pay nothing for the machinery.
 	traceStress map[stressKey]int
+
+	// eng executes the events of this shard's nodes: the global engine
+	// in a serial run, the shard's own engine in a sharded one. A serial
+	// hop reads Network.eng instead, so this field sits after the ones
+	// every hop touches.
+	eng *sim.Engine
 
 	_ [64]byte // keep neighbouring shards' hot counters off one cache line
 }
