@@ -468,7 +468,7 @@ var sourceGuards = []sourceGuard{
 			if !ok || lit.Kind != token.INT {
 				return nil, ""
 			}
-			if v, err := strconv.ParseUint(strings.ReplaceAll(lit.Value, "_", ""), 0, 64); err == nil && v == 0xBF58476D1CE4E5B9 {
+			if v, err := strconv.ParseUint(lit.Value, 0, 64); err == nil && v == 0xBF58476D1CE4E5B9 {
 				return lit, "counter-hash multiplier " + lit.Value + " outside sim.Draw"
 			}
 			return nil, ""
