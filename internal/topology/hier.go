@@ -7,7 +7,7 @@ import (
 
 // This file holds the machinery behind Router (router.go, which
 // describes the design): the transit-stub contract check, the structure
-// NewRouter derives from it, the lazy fills of shared state, and the
+// NewRouter derives from it, the fills of shared state, and the
 // per-source query path.
 
 // hgw is one gateway of an atom: a Stub node carrying at least one
@@ -27,7 +27,6 @@ type hatom struct {
 	// are symmetric (links are undirected), so these serve both "source
 	// to its gateway" and "gateway to destination" lookups.
 	trees int
-	gen   atomic.Uint32 // equals Router.atomGen once the trees are current
 }
 
 // hedge is a directed edge of the terminal graph: a Transit-Transit
@@ -104,7 +103,9 @@ func validateHier(g *Graph) error {
 }
 
 // NewRouter derives the routing structure of g and allocates the shared
-// tables. No shortest path is computed here.
+// tables. No shortest path is computed here: the router starts one
+// Stub-Stub change behind g, so its first Sync or query builds every
+// gateway tree and H.
 func NewRouter(g *Graph) *Router {
 	n := len(g.Nodes)
 	r := &Router{
@@ -113,11 +114,10 @@ func NewRouter(g *Graph) *Router {
 		atomLocal: make([]int32, n),
 		termIdx:   make([]int32, n),
 		srcs:      make([]*hsrc, n),
-		epoch:     g.epoch,
+		epoch:     g.epoch - 1,
 		seen:      g.classEpoch,
-		atomGen:   1,
-		hGen:      1,
 	}
+	r.seen[StubStub]--
 	// The contract makes node kinds decide link classes: a link between
 	// two Stub nodes is Stub-Stub, one from a Stub to a Transit node is
 	// Transit-Stub. The passes below therefore read the dense index
@@ -197,22 +197,8 @@ func NewRouter(g *Graph) *Router {
 	r.gprevL = make([]int32, cells)
 	r.gprevN = make([]int32, cells)
 
-	// Terminal graph adjacency, sized for every link up and every
-	// gateway pair connected; buildGraph appends within these capacities.
 	T := r.nterm
-	deg := make([]int, T)
-	total := 0
-	r.hEdges(false, func(a, b int32, _ hedge) {
-		deg[a]++
-		deg[b]++
-		total += 2
-	})
-	slab := make([]hedge, total)
 	r.hadj = make([][]hedge, T)
-	for t, d := range deg {
-		r.hadj[t] = slab[:0:d]
-		slab = slab[d:]
-	}
 	r.rowGen = make([]atomic.Uint32, T)
 	r.hdist = make([]int64, T*T)
 	r.hpredT = make([]int32, T*T)
@@ -260,54 +246,51 @@ func (atom *hatom) gwTree(gi int32) (lo, hi int) {
 	return lo, lo + len(atom.nodes)
 }
 
-// ensureAtom makes atom's gateway trees current.
-func (r *Router) ensureAtom(atom *hatom) {
-	if atom.gen.Load() != r.atomGen {
-		r.mu.Lock()
-		r.fillAtom(atom)
-		r.mu.Unlock()
+// fillAtoms fills every atom's gateway trees.
+func (r *Router) fillAtoms() {
+	for ai := range r.atoms {
+		atom := &r.atoms[ai]
+		for gi := range atom.gws {
+			lo, hi := atom.gwTree(int32(gi))
+			r.q = r.atomDijkstra(atom, r.atomLocal[atom.gws[gi].node],
+				r.gdist[lo:hi], r.gprevL[lo:hi], r.gprevN[lo:hi], r.q)
+		}
 	}
+	r.fills.atoms += len(r.atoms)
 }
 
-// fillAtom is ensureAtom with mu held.
-func (r *Router) fillAtom(atom *hatom) {
-	if atom.gen.Load() == r.atomGen {
-		return
-	}
-	for gi := range atom.gws {
-		lo, hi := atom.gwTree(int32(gi))
-		r.q = r.atomDijkstra(atom, r.atomLocal[atom.gws[gi].node],
-			r.gdist[lo:hi], r.gprevL[lo:hi], r.gprevN[lo:hi], r.q)
-	}
-	r.fills.atoms++
-	atom.gen.Store(r.atomGen)
-}
-
-// hEdges calls add once per undirected edge of the terminal graph H:
-// the Transit-Transit links, then one virtual edge per (entering,
-// leaving) Transit-Stub pair per atom; e describes the a -> b
-// direction. With live false it reports the edges H has when every link
-// is up and every gateway pair connected — the bound that sizes the
-// adjacency storage — and reads no link state; with live true it skips
-// down links and disconnected gateways, and must hold mu.
-func (r *Router) hEdges(live bool, add func(a, b int32, e hedge)) {
+// buildGraph rebuilds H over the live links, from current gateway
+// trees: the Transit-Transit links, then one virtual edge per
+// (entering, leaving) Transit-Stub pair per atom whose gateways are
+// connected. It moves hGen, so every row goes stale.
+func (r *Router) buildGraph() {
 	g := r.g
+	for t := range r.hadj {
+		r.hadj[t] = r.hadj[t][:0]
+	}
+	// add records the undirected edge a - b, e describing a -> b; the
+	// reverse direction swaps the traversal orientation.
+	add := func(a, b int32, e hedge) {
+		e.to = b
+		r.hadj[a] = append(r.hadj[a], e)
+		e.to = a
+		e.gwA, e.gwB = e.gwB, e.gwA
+		e.tsA, e.tsB = e.tsB, e.tsA
+		r.hadj[b] = append(r.hadj[b], e)
+	}
 	for i := range g.Links {
 		l := &g.Links[i]
-		if l.Class != TransitTransit || live && l.Down {
+		if l.Class != TransitTransit || l.Down {
 			continue
 		}
 		add(r.termIdx[l.A], r.termIdx[l.B], hedge{w: int64(l.Delay), link: int32(i), atom: -1})
 	}
 	for ai := range r.atoms {
 		atom := &r.atoms[ai]
-		if live && len(atom.gws) > 1 {
-			r.fillAtom(atom)
-		}
 		for gi := range atom.gws {
 			for gj := gi; gj < len(atom.gws); gj++ {
 				intra := int64(0)
-				if live && gi != gj {
+				if gi != gj {
 					lo, _ := atom.gwTree(int32(gi))
 					intra = r.gdist[lo+int(r.atomLocal[atom.gws[gj].node])]
 					if intra == unreachable {
@@ -323,7 +306,7 @@ func (r *Router) hEdges(live bool, add func(a, b int32, e hedge)) {
 					}
 					for _, tsB := range tsBs {
 						la, lb := &g.Links[tsA], &g.Links[tsB]
-						if live && (la.Down || lb.Down) {
+						if la.Down || lb.Down {
 							continue
 						}
 						ta := r.termIdx[transitEnd(g, la)]
@@ -342,6 +325,8 @@ func (r *Router) hEdges(live bool, add func(a, b int32, e hedge)) {
 			}
 		}
 	}
+	r.hGen++
+	r.fills.graphs++
 }
 
 func transitEnd(g *Graph, l *Link) int {
@@ -349,27 +334,6 @@ func transitEnd(g *Graph, l *Link) int {
 		return l.A
 	}
 	return l.B
-}
-
-// buildGraph makes hadj current, with mu held.
-func (r *Router) buildGraph() {
-	if r.hBuilt == r.hGen {
-		return
-	}
-	for t := range r.hadj {
-		r.hadj[t] = r.hadj[t][:0]
-	}
-	r.hEdges(true, func(a, b int32, e hedge) {
-		e.to = b
-		r.hadj[a] = append(r.hadj[a], e)
-		// The reverse direction swaps the traversal orientation.
-		e.to = a
-		e.gwA, e.gwB = e.gwB, e.gwA
-		e.tsA, e.tsB = e.tsB, e.tsA
-		r.hadj[b] = append(r.hadj[b], e)
-	})
-	r.fills.graphs++
-	r.hBuilt = r.hGen
 }
 
 // row returns the distances from terminal s to every terminal, filling
@@ -388,7 +352,6 @@ func (r *Router) fillRow(s int32) {
 	if r.rowGen[s].Load() == r.hGen {
 		return
 	}
-	r.buildGraph()
 	T := r.nterm
 	lo, hi := int(s)*T, (int(s)+1)*T
 	dist, predT := r.hdist[lo:hi], r.hpredT[lo:hi]
@@ -458,7 +421,6 @@ func (r *Router) entries(u int32, buf []entryOpt) []entryOpt {
 		return append(buf, entryOpt{term: t, gw: -1, ts: -1})
 	}
 	atom := &r.atoms[r.atomOf[u]]
-	r.ensureAtom(atom)
 	for gi := range atom.gws {
 		lo, _ := atom.gwTree(int32(gi))
 		d := r.gdist[lo+int(r.atomLocal[u])]

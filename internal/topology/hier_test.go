@@ -190,12 +190,52 @@ func TestHierScopedInvalidation(t *testing.T) {
 	}
 }
 
+// TestHierSyncBuildsTreesAndGraph checks that the gateway trees and H
+// are built where the graph changes, not on a query: Sync on a fresh
+// router builds both, Sync after a Stub-Stub change rebuilds both, and
+// Sync after a Transit-Transit change rebuilds H alone. No row is
+// filled before a query.
+func TestHierSyncBuildsTreesAndGraph(t *testing.T) {
+	g := genHier(t, 2, 3, 8, 5, 16, 5)
+	r := NewRouter(g)
+	if r.fills != (hierFills{}) {
+		t.Fatalf("NewRouter fills %+v, want none", r.fills)
+	}
+	r.Sync()
+	first := r.fills
+	if first.atoms == 0 || first.graphs != 1 || first.rows != 0 {
+		t.Fatalf("first Sync fills %+v: want atom trees, one terminal graph, no row", first)
+	}
+	r.Sync()
+	if r.fills != first {
+		t.Fatalf("Sync on an unchanged graph: fills %+v -> %+v, want none", first, r.fills)
+	}
+
+	ss := firstLink(t, g, StubStub)
+	g.FailLink(ss)
+	r.Sync()
+	stub := r.fills
+	if stub.atoms <= first.atoms || stub.graphs != first.graphs+1 || stub.rows != 0 {
+		t.Fatalf("Stub-Stub failure: fills %+v -> %+v, want atoms refilled, graph+1, no row", first, stub)
+	}
+	g.RestoreLink(ss)
+	r.Sync()
+	stub = r.fills
+
+	g.FailLink(firstLink(t, g, TransitTransit))
+	r.Sync()
+	if got := r.fills; got.atoms != stub.atoms || got.graphs != stub.graphs+1 || got.rows != 0 {
+		t.Fatalf("Transit-Transit failure: fills %+v -> %+v, want graph+1 only", stub, got)
+	}
+}
+
 // TestHierConcurrentFirstUse has two goroutines that own disjoint
 // sources — the clients at even and at odd positions, which share
 // destination atoms and entry terminals — issue the first queries of a
 // fresh epoch at once, as two shards do after a barrier. Every answer
-// must equal a serially warmed router's; run under -race, it shows the
-// lazy fills of shared state are published safely.
+// must equal a serially warmed router's, and the concurrent phase must
+// fill terminal rows only: the gateway trees and H are Sync's. Run
+// under -race, it shows the rows are published safely.
 func TestHierConcurrentFirstUse(t *testing.T) {
 	cfg := Sized(3000, 120, MediumBandwidth)
 	cfg.Seed = 9
@@ -216,6 +256,7 @@ func TestHierConcurrentFirstUse(t *testing.T) {
 				want[i*len(cl)+j] = serial.Path(a, b)
 			}
 		}
+		before := conc.fills
 		var wg sync.WaitGroup
 		for part := 0; part < 2; part++ {
 			wg.Add(1)
@@ -233,6 +274,9 @@ func TestHierConcurrentFirstUse(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		if got := conc.fills; got.atoms != before.atoms || got.graphs != before.graphs || got.rows <= before.rows {
+			t.Fatalf("round %d: concurrent queries moved fills %+v -> %+v, want rows only", round, before, got)
+		}
 		g.RestoreLink(firstLink(t, g, StubStub))
 	}
 }

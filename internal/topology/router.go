@@ -52,13 +52,14 @@ import (
 // depends only on node kinds and link classes, which no mutator
 // changes: NewRouter derives it once, in O(nodes + links), and
 // allocates every shared table. State depends on which links are up
-// and how long they are, and is filled on first use, into those tables:
+// and how long they are:
 //
-//   - an atom's gateway trees, when a query first enters or leaves the
-//     atom (all atoms with two or more gateways when H is built);
-//   - H, when the first query crosses the backbone;
+//   - every atom's gateway trees and H, which invalidate rebuilds when
+//     the link state they read changes, as a link-state protocol
+//     recomputes an area's routes when the area changes;
 //   - row t of the terminal-to-terminal tables (one Dijkstra over H),
-//     when a source first enters the backbone at terminal t;
+//     filled on first use, when a source first enters the backbone at
+//     terminal t;
 //   - a source's memo of answered (destination, distance, path)
 //     queries — a small open-addressed table, no Go map — which is all
 //     a warm Path or Delay reads: a couple of loads, nothing recomputed
@@ -69,19 +70,21 @@ import (
 // as FailLink or Partition) and invalidates when it moved, so routes
 // re-converge instantly, modeling an idealized routing protocol with
 // zero convergence delay; on a static graph the check costs two loads.
-// A route change drops only what it can have reached. The graph counts
+// A route change redoes only what it can have reached. The graph counts
 // route-affecting changes per link class, and invalidate compares: a
 // Client-Stub change (an access link flap — endpoints read their
 // access link live) drops the memos and nothing else; a Transit-Transit
-// or Transit-Stub change also drops H and the rows but keeps every
-// gateway tree, which run over Stub-Stub links only; a Stub-Stub change
-// drops those too. Dropping is a generation bump; nothing is freed and
-// nothing refilled until a query needs it.
+// or Transit-Stub change also rebuilds H, which drops the rows, but
+// keeps every gateway tree, which run over Stub-Stub links only; a
+// Stub-Stub change refills the trees too. A new router starts one
+// Stub-Stub change behind its graph, so its first Sync or query builds
+// the trees and H, and NewRouter computes no shortest path.
 //
 // Shared state is read by every simulation shard and is a pure function
-// of (graph, route epoch). Generations move only in invalidate, which
-// runs single-threaded (Sync at a window barrier, or the serial
-// engine); fills take mu and publish through an atomic generation
+// of (graph, route epoch). invalidate runs single-threaded (Sync at a
+// window barrier, or the serial engine), so the trees and H are
+// immutable while shards run. The terminal rows are the one shared
+// table a window fills: under mu, published through the atomic rowGen
 // stamp, which is all the fast path reads. A source's memo is the only
 // per-source state, touched only by the shard that owns the source
 // node.
@@ -103,23 +106,22 @@ type Router struct {
 	nterm     int     // terminals: the Transit nodes
 
 	// Generations: written by invalidate only.
-	epoch   uint64                 // graph route epoch the state reflects: owner of the memos
-	seen    [numLinkClasses]uint64 // graph class epochs the state reflects
-	atomGen uint32                 // moves when gateway trees go stale
-	hGen    uint32                 // moves when H and the rows go stale
+	epoch uint64                 // graph route epoch the state reflects: owner of the memos
+	seen  [numLinkClasses]uint64 // graph class epochs the state reflects
+	hGen  uint32                 // moves with every build of H, so the rows go stale
 
-	// Shared state, filled under mu and published through hatom.gen and
-	// rowGen.
-	mu             sync.Mutex
-	q              pq // Dijkstra heap storage, reused across fills
+	// Gateway trees and H: built by invalidate.
 	gdist          []int64
 	gprevL, gprevN []int32 // link toward the root (-1 at root/unreached); parent's local index
 	hadj           [][]hedge
-	hBuilt         uint32          // hGen that hadj reflects
-	rowGen         []atomic.Uint32 // per terminal: hGen its row reflects
-	hdist          []int64         // [from terminal * T + to terminal]
-	hpredT         []int32         // predecessor terminal on the shortest path (its edge: predEdge)
-	fills          hierFills
+
+	// Terminal rows: filled under mu and published through rowGen.
+	mu     sync.Mutex
+	q      pq              // Dijkstra heap storage, reused across fills (invalidate's too)
+	rowGen []atomic.Uint32 // per terminal: hGen its row reflects
+	hdist  []int64         // [from terminal * T + to terminal]
+	hpredT []int32         // predecessor terminal on the shortest path (its edge: predEdge)
+	fills  hierFills
 
 	srcs []*hsrc // per-source state by node id, nil until the node first asks
 }
@@ -192,27 +194,23 @@ const unreachable = int64(-1)
 // the global events that can mutate the graph: during the parallel
 // shard windows the epoch is then guaranteed stable, so concurrent
 // queries from shard goroutines never race on invalidation.
-func (r *Router) Sync() { r.ensureEpoch() }
-
-// ensureEpoch invalidates when the graph's route epoch has advanced
-// since the state was filled.
-func (r *Router) ensureEpoch() {
+func (r *Router) Sync() {
 	if r.g.epoch != r.epoch {
 		r.invalidate()
 	}
 }
 
-// invalidate brings the generations up to the graph's route epoch,
-// dropping the state a change of the moved link classes can have
-// reached. It runs single-threaded (see Sync).
+// invalidate brings the state up to the graph's route epoch, rebuilding
+// what a change of the moved link classes can have reached. It runs
+// single-threaded (see Sync).
 func (r *Router) invalidate() {
 	ce := r.g.classEpoch
 	switch {
 	case ce[StubStub] != r.seen[StubStub]:
-		r.atomGen++
-		r.hGen++
+		r.fillAtoms()
+		r.buildGraph()
 	case ce[TransitStub] != r.seen[TransitStub], ce[TransitTransit] != r.seen[TransitTransit]:
-		r.hGen++
+		r.buildGraph()
 	}
 	r.seen = ce
 	r.epoch = r.g.epoch
@@ -226,7 +224,7 @@ func (r *Router) Path(from, to int) []int32 {
 	if from == to {
 		return emptyPath
 	}
-	r.ensureEpoch()
+	r.Sync()
 	return r.lookup(from, to).path
 }
 
@@ -236,7 +234,7 @@ func (r *Router) Delay(from, to int) sim.Duration {
 	if from == to {
 		return 0
 	}
-	r.ensureEpoch()
+	r.Sync()
 	d := r.lookup(from, to).dist
 	if d == unreachable {
 		return -1

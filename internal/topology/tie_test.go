@@ -56,9 +56,11 @@ func refHPath(r *Router, t1, t2 int32) []int32 {
 }
 
 // checkHPaths holds appendHPath to refHPath for every pair of connected
-// terminals and returns the number of pairs compared.
+// terminals and returns the number of pairs compared. Sync builds H on
+// a fresh router.
 func checkHPaths(t *testing.T, r *Router) int {
 	t.Helper()
+	r.Sync()
 	pairs := 0
 	for t1 := range int32(r.nterm) {
 		row := r.row(t1)
