@@ -217,12 +217,12 @@ var Registry = map[string]Entry{
 	"fig6":     {Fig06, "bottleneck vs random tree bandwidth (Figure 6)"},
 	"fig7":     {Fig07, "Bullet useful/raw bandwidth and overhead (Figure 7)"},
 	"fig8":     {Fig08, "per-node useful bandwidth CDF (Figure 8)"},
-	"fig9":     {Fig09, "Bullet vs bottleneck tree, low/high bandwidth (Figure 9)"},
+	"fig9":     {Fig09, "Bullet vs bottleneck tree, high/medium/low bandwidth (Figure 9)"},
 	"fig10":    {Fig10, "disjoint-send ablation: non-disjoint relay (Figure 10)"},
 	"fig11":    {Fig11, "Bullet vs push gossip vs anti-entropy (Figure 11)"},
-	"fig12":    {Fig12, "low-bandwidth comparison run (Figure 12)"},
-	"fig13":    {Fig13, "performance under 25% node failure (Figure 13)"},
-	"fig14":    {Fig14, "performance under link loss (Figure 14)"},
+	"fig12":    {Fig12, "Bullet vs bottleneck tree over lossy high/medium/low topologies (Figure 12)"},
+	"fig13":    {Fig13, "worst-case single node failure, no RanSub recovery (Figure 13)"},
+	"fig14":    {Fig14, "worst-case single node failure with RanSub recovery (Figure 14)"},
 	"fig15":    {Fig15, "Bullet vs best/worst streaming trees (Figure 15)"},
 	"overcast": {OvercastComparison, "Overcast-style online tree vs offline bottleneck tree"},
 

@@ -59,7 +59,6 @@ type Roster[N Node] struct {
 
 	name       string // prefixes every membership error ("gossip: node 7 already crashed")
 	src        workload.Source
-	topoNodes  int // ids outside [0, topoNodes) name no topology node
 	source     int
 	tree       *overlay.Tree // nil for mesh-only protocols
 	joinDegree int
@@ -97,7 +96,7 @@ func (r *Roster[N]) Init(name string, net *netem.Network, source int, tree *over
 		s.PacketSize = 1500
 	}
 	r.name, r.Net, r.Col, r.Stream = name, net, col, s
-	r.topoNodes, r.source, r.tree = len(net.Graph().Nodes), source, tree
+	r.source, r.tree = source, tree
 	if tree != nil {
 		r.joinDegree = max(2, tree.MaxDegree())
 	}
@@ -209,7 +208,7 @@ func (r *Roster[N]) Restart(id int, revive func(n N) error) error {
 // the protocol's policy: build the node, Put it in Members, wire it in.
 func (r *Roster[N]) Join(id int, admit func() error) error {
 	switch {
-	case id < 0 || id >= r.topoNodes:
+	case id < 0 || id >= len(r.Net.Graph().Nodes):
 		return fmt.Errorf("%s: node %d is not in the topology", r.name, id)
 	case r.dead.Contains(id):
 		return fmt.Errorf("%s: node %d crashed; use Restart", r.name, id)

@@ -165,6 +165,8 @@ type Agent struct {
 	// be deterministic; returning its inputs unchanged is a no-op.
 	StuffFn func(set []Entry, descendants int) ([]Entry, int)
 
+	// epoch counts the epochs the root began, and elsewhere is the
+	// latest distributed one: 0 before the first, which is epoch 1.
 	epoch int
 	// childCollect holds the latest collect from each child, keyed
 	// in-place by child id (children lists are tree-degree-sized, so a
@@ -175,8 +177,6 @@ type Agent struct {
 	epochTimer   sim.Timer
 	minEpochDone bool
 	started      bool
-
-	epochsCompleted int
 
 	// Per-send scratch: the compaction candidates, the groups handed to
 	// them, and the storage behind the own-entry group. None of it is
@@ -345,7 +345,6 @@ func (a *Agent) ownEntry() Entry {
 // beginEpoch (root only) starts the next distribute phase.
 func (a *Agent) beginEpoch() {
 	a.epoch++
-	a.epochsCompleted++
 	a.minEpochDone = false
 	a.resetWaiting()
 	a.sendDistributes(distributeMsg{epoch: a.epoch})
@@ -465,11 +464,10 @@ func (a *Agent) HandleControl(from int, payload any) bool {
 
 func (a *Agent) onDistribute(m *distributeMsg) {
 	// Epochs only move forward; drop stale or duplicate distributes.
-	if a.epochsCompleted > 0 && m.epoch <= a.epoch {
+	if m.epoch <= a.epoch {
 		return
 	}
 	a.epoch = m.epoch
-	a.epochsCompleted++
 	if a.OnDistribute != nil && len(m.set) > 0 {
 		a.OnDistribute(m.epoch, m.set)
 	}

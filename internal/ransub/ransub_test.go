@@ -367,10 +367,10 @@ func TestRanSubFailureDetection(t *testing.T) {
 	victim := kids[0]
 	w.agents[root].Start()
 	w.eng.Run(20 * sim.Second)
-	before := w.agents[root].epochsCompleted
+	before := w.agents[root].epoch
 	w.eps[victim].Fail()
 	w.eng.Run(60 * sim.Second)
-	after := w.agents[root].epochsCompleted
+	after := w.agents[root].epoch
 	if after-before < 2 {
 		t.Fatalf("epochs stalled after child failure with detection on: %d -> %d", before, after)
 	}
@@ -390,9 +390,9 @@ func TestRanSubStallsWithoutFailureDetection(t *testing.T) {
 	w.eng.Run(20 * sim.Second)
 	w.eps[victim].Fail()
 	w.eng.Run(5 * sim.Second) // let in-flight epochs settle
-	stalled := w.agents[root].epochsCompleted
+	stalled := w.agents[root].epoch
 	w.eng.Run(120 * sim.Second)
-	if got := w.agents[root].epochsCompleted; got > stalled+1 {
+	if got := w.agents[root].epoch; got > stalled+1 {
 		t.Fatalf("epochs advanced (%d -> %d) despite disabled failure detection", stalled, got)
 	}
 }
@@ -403,7 +403,7 @@ func TestRanSubEpochPacing(t *testing.T) {
 	w := buildWorld(t, 8, 15, cfg)
 	w.agents[w.tree.Root].Start()
 	w.eng.Run(52 * sim.Second)
-	if got := w.agents[w.tree.Root].epochsCompleted; got > 11 {
+	if got := w.agents[w.tree.Root].epoch; got > 11 {
 		t.Fatalf("%d epochs in 52s with 5s minimum", got)
 	}
 }
@@ -423,11 +423,11 @@ func TestRemoveChildUnblocksWave(t *testing.T) {
 	}
 	w.agents[root].Start()
 	w.eng.Run(12 * sim.Second)
-	atCrash := w.agents[root].epochsCompleted
+	atCrash := w.agents[root].epoch
 	w.eps[victim].Fail()
 	w.agents[root].RemoveChild(victim)
 	w.eng.Run(60 * sim.Second)
-	after := w.agents[root].epochsCompleted
+	after := w.agents[root].epoch
 	if after-atCrash < 3 {
 		t.Fatalf("only %d epochs completed in ~48s after crash+removal (epoch 5s): wave stalled",
 			after-atCrash)

@@ -174,7 +174,6 @@ func AdversaryAt() Action {
 // event is one scheduled batch of actions.
 type event struct {
 	at      sim.Time
-	seq     int // insertion order; tie-break for same-instant events
 	actions []Action
 }
 
@@ -191,7 +190,7 @@ func New() *Schedule { return &Schedule{} }
 
 // At schedules the actions to run atomically at virtual time t.
 func (s *Schedule) At(t sim.Time, actions ...Action) *Schedule {
-	s.events = append(s.events, event{at: t, seq: len(s.events), actions: actions})
+	s.events = append(s.events, event{at: t, actions: actions})
 	return s
 }
 
@@ -248,13 +247,9 @@ func (s *Schedule) Churn(start sim.Time, interval, downFor sim.Duration, nodes .
 // (e.g. a Bullet run and a baseline run over identical topologies) is
 // the intended way to compare protocols under identical dynamics.
 func (s *Schedule) Install(env *Env) {
+	// A stable sort keeps same-instant events in insertion order.
 	evs := append([]event(nil), s.events...)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
-		}
-		return evs[i].seq < evs[j].seq
-	})
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
 	for i := range evs {
 		ev := evs[i]
 		env.Eng.Schedule(ev.at, func() {
