@@ -478,13 +478,23 @@ var sourceGuards = []sourceGuard{
 		// State that restated a fact another part of the program owns:
 		// a per-source same-atom tree (solve builds it once per pair and
 		// route epoch), a parallel slice of shard engines (each
-		// shardCtx holds its own), and TFRC flags equal to n > 0 and to
-		// havePacket.
+		// shardCtx holds its own), TFRC flags equal to n > 0 and to
+		// havePacket, the router's fill-on-first-use stamps and sizing
+		// pass for the gateway trees and H (invalidate builds both
+		// where the graph changes, and Sync is the epoch check), RanSub's
+		// count of epochs equal to the epoch, and the roster's copy of
+		// the topology's node count.
 		rule: "no second copy of a fact",
 		scope: func(sf *srcFile) bool {
-			return under("internal/topology", true)(sf) || under("internal/netem", true)(sf) || under("internal/tfrc", true)(sf)
+			for _, dir := range []string{"internal/topology", "internal/netem", "internal/tfrc", "internal/ransub", "internal/member"} {
+				if under(dir, true)(sf) {
+					return true
+				}
+			}
+			return false
 		},
-		words: []string{"hatree", "atomTree", "engineFor", "haveLoss", "haveTS"},
+		words: []string{"hatree", "atomTree", "engineFor", "haveLoss", "haveTS",
+			"atomGen", "hBuilt", "ensureAtom", "hEdges", "ensureEpoch", "epochsCompleted", "topoNodes"},
 	},
 }
 
