@@ -105,7 +105,7 @@ func validateHier(g *Graph) error {
 // NewRouter derives the routing structure of g and allocates the shared
 // tables. No shortest path is computed here: the router starts one
 // Stub-Stub change behind g, so its first Sync or query builds every
-// gateway tree and H.
+// gateway tree and H. Call Sync before goroutines share a new router.
 func NewRouter(g *Graph) *Router {
 	n := len(g.Nodes)
 	r := &Router{

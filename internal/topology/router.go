@@ -76,9 +76,8 @@ import (
 // access link live) drops the memos and nothing else; a Transit-Transit
 // or Transit-Stub change also rebuilds H, which drops the rows, but
 // keeps every gateway tree, which run over Stub-Stub links only; a
-// Stub-Stub change refills the trees too. A new router starts one
-// Stub-Stub change behind its graph, so its first Sync or query builds
-// the trees and H, and NewRouter computes no shortest path.
+// Stub-Stub change refills the trees too. NewRouter computes no
+// shortest path: the first Sync or query builds the trees and H.
 //
 // Shared state is read by every simulation shard and is a pure function
 // of (graph, route epoch). invalidate runs single-threaded (Sync at a
